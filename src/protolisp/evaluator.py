@@ -19,13 +19,21 @@ CAR/CDR/CONS are all bound in both kernels: in the list kernel CONS is
 combine and refuses an atomic second argument, in the pair kernel COMBINE
 is the unconstrained cons.
 
-Evaluation depth is counted and capped (default 10000, configurable);
-passing the cap raises an EvalError of kind DEPTH_EXCEEDED rather than
-crashing the host.
+Evaluation runs on its own stack, not the host's.  Each compound form is
+evaluated by a generator that yields the (expression, environment) pairs
+whose values it needs, so where the universal function would recurse it
+says (yield x, env).  One loop, _Interp.run, keeps the suspended
+generators and, beside them, the expressions under evaluation, outermost
+first; it looks symbols up itself and sends each value back to the
+generator that asked.  There is no tail-call elimination: a closure body
+is evaluated inside the application that called it.
+
+Evaluation depth is the number of expressions under evaluation, capped
+(default 10000, configurable); passing the cap raises an EvalError of kind
+DEPTH_EXCEEDED.  Any cap works, since only memory bounds that loop's
+stack.
 """
 
-import sys
-import threading
 from dataclasses import dataclass, replace
 
 from . import kernel_list, kernel_pair
@@ -140,7 +148,6 @@ class _Interp:
     def __init__(self, kernel, max_depth):
         self.kernel = Kernel(kernel)
         self.max_depth = max_depth
-        self.depth = 0
         self.stack = []
 
     def _error(self, kind, detail, kernel_error=None):
@@ -165,33 +172,54 @@ class _Interp:
             return items
         return None
 
-    def eval(self, expr, env):
-        self.depth += 1
-        self.stack.append(expr)
-        try:
-            if self.depth > self.max_depth:
+    def run(self, task):
+        """Drive task, a generator that yields (expr, env), to its value.
+
+        Each yielded expression is pushed on self.stack and evaluated: a
+        symbol here, a compound form by a generator of its own, suspended
+        above the one that asked.  When the evaluation ends its value is
+        sent back to the asker.
+        """
+        tasks = [task]
+        value = None
+        while True:
+            try:
+                expr, env = tasks[-1].send(value)
+            except StopIteration as done:
+                tasks.pop()
+                if not tasks:
+                    return done.value
+                self.stack.pop()
+                value = done.value
+                continue
+            self.stack.append(expr)
+            if len(self.stack) > self.max_depth:
                 raise self._error(
                     Fault.DEPTH_EXCEEDED,
                     f"recursion depth exceeded ({self.max_depth})",
                 )
-            return self._eval(expr, env)
-        finally:
-            self.stack.pop()
-            self.depth -= 1
+            if isinstance(expr, Symbol):
+                value = self._lookup(expr, env)
+                self.stack.pop()
+            else:
+                tasks.append(self._form(expr, env))
+                value = None
 
-    def _eval(self, expr, env):
-        if isinstance(expr, Symbol):
-            # A binding wins over self-evaluation, so a LABEL named T or F
-            # still works; unbound, the truth atoms (and NIL in the pair
-            # kernel) stand for themselves.
-            try:
-                return env.lookup(expr)
-            except LookupError:
-                if expr == T or expr == F:
-                    return expr
-                if self.kernel is Kernel.PAIR and expr == NIL:
-                    return expr
-                raise self._error(Fault.UNBOUND, f"unbound symbol: {expr.name}")
+    def _lookup(self, sym, env):
+        # A binding wins over self-evaluation, so a LABEL named T or F
+        # still works; unbound, the truth atoms (and NIL in the pair
+        # kernel) stand for themselves.
+        try:
+            return env.lookup(sym)
+        except LookupError:
+            if sym == T or sym == F:
+                return sym
+            if self.kernel is Kernel.PAIR and sym == NIL:
+                return sym
+            raise self._error(Fault.UNBOUND, f"unbound symbol: {sym.name}")
+
+    def _form(self, expr, env):
+        """Evaluate a compound form, yielding each (expr, env) it needs."""
         items = self._sequence(expr)
         if items is None:
             raise self._error(
@@ -205,31 +233,35 @@ class _Interp:
                 raise self._error(Fault.MALFORMED, "QUOTE takes exactly one operand")
             return items[1]
         if head == _COND:
-            return self._eval_cond(items[1:], env)
+            for clause in items[1:]:
+                parts = self._sequence(clause)
+                if parts is None or len(parts) != 2:
+                    raise self._error(
+                        Fault.MALFORMED, "each COND clause must be a two-element list"
+                    )
+                t = yield parts[0], env
+                if t == T:
+                    return (yield parts[1], env)
+                if t != F:
+                    raise self._error(
+                        Fault.BAD_TRUTH_VALUE,
+                        f"COND test produced {t!r}, which is neither T nor F",
+                    )
+            raise self._error(Fault.COND_EXHAUSTED, "no COND test evaluated to T")
         if head == _LAMBDA:
             return self._make_closure(items, env)
         if head == _LABEL:
-            return self._make_label(items, env)
-        fn = self.eval(head, env)
-        args = [self.eval(a, env) for a in items[1:]]
-        return self.apply(fn, args)
-
-    def _eval_cond(self, clauses, env):
-        for clause in clauses:
-            parts = self._sequence(clause)
-            if parts is None or len(parts) != 2:
-                raise self._error(
-                    Fault.MALFORMED, "each COND clause must be a two-element list"
-                )
-            t = self.eval(parts[0], env)
-            if t == T:
-                return self.eval(parts[1], env)
-            if t != F:
-                raise self._error(
-                    Fault.BAD_TRUTH_VALUE,
-                    f"COND test produced {t!r}, which is neither T nor F",
-                )
-        raise self._error(Fault.COND_EXHAUSTED, "no COND test evaluated to T")
+            if len(items) != 3 or not isinstance(items[1], Symbol):
+                raise self._error(Fault.MALFORMED, "LABEL takes an atom and a body")
+            value = yield items[2], env
+            if not isinstance(value, Closure):
+                raise self._error(Fault.MALFORMED, "LABEL body must produce a closure")
+            return replace(value, self_name=items[1])
+        fn = yield head, env
+        args = []
+        for a in items[1:]:
+            args.append((yield a, env))
+        return (yield from self.apply(fn, args))
 
     def _make_closure(self, items, env):
         if len(items) != 3:
@@ -245,15 +277,8 @@ class _Interp:
             raise self._error(Fault.MALFORMED, "LAMBDA parameters must be distinct")
         return Closure(tuple(params), items[2], env)
 
-    def _make_label(self, items, env):
-        if len(items) != 3 or not isinstance(items[1], Symbol):
-            raise self._error(Fault.MALFORMED, "LABEL takes an atom and a body")
-        value = self.eval(items[2], env)
-        if not isinstance(value, Closure):
-            raise self._error(Fault.MALFORMED, "LABEL body must produce a closure")
-        return replace(value, self_name=items[1])
-
     def apply(self, fn, args):
+        """Apply fn to evaluated args; a closure body is yielded, not run."""
         if isinstance(fn, Primitive):
             if len(args) != fn.arity:
                 raise self._error(
@@ -273,64 +298,13 @@ class _Interp:
             pairs = list(zip(fn.params, args))
             if fn.self_name is not None:
                 pairs.append((fn.self_name, fn))
-            return self.eval(fn.body, fn.env.extend(pairs))
+            return (yield fn.body, fn.env.extend(pairs))
         raise self._error(Fault.NOT_CALLABLE, f"not callable: {fn!r}")
 
 
-# Python 3.10 consumes C stack for every interpreter frame, so deep
-# evaluations run in a worker thread with an enlarged stack instead of
-# pushing sys.setrecursionlimit past what the main thread can survive.
-_FRAMES_PER_LEVEL = 8
-_DIRECT_FRAME_BUDGET = 8_000
-_THREAD_STACK_BYTES = 512 * 1024 * 1024
-
-
-def _run_guarded(interp, thunk):
-    frames_needed = interp.max_depth * _FRAMES_PER_LEVEL + 2000
-    if frames_needed <= _DIRECT_FRAME_BUDGET:
-        old_limit = sys.getrecursionlimit()
-        bumped = old_limit < frames_needed + 1000
-        if bumped:
-            sys.setrecursionlimit(frames_needed + 1000)
-        try:
-            return thunk()
-        except RecursionError:
-            raise EvalError(
-                Fault.DEPTH_EXCEEDED, "host recursion limit reached"
-            ) from None
-        finally:
-            if bumped:
-                sys.setrecursionlimit(old_limit)
-    return _run_in_thread(thunk, frames_needed)
-
-
-def _run_in_thread(thunk, frames_needed):
-    box = {}
-
-    def work():
-        old_limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(frames_needed + 1000)
-        try:
-            box["value"] = thunk()
-        except RecursionError:
-            box["error"] = EvalError(
-                Fault.DEPTH_EXCEEDED, "host recursion limit reached"
-            )
-        except BaseException as exc:  # noqa: BLE001 - re-raised in the caller
-            box["error"] = exc
-        finally:
-            sys.setrecursionlimit(old_limit)
-
-    old_stack = threading.stack_size(_THREAD_STACK_BYTES)
-    try:
-        worker = threading.Thread(target=work, name="protolisp-eval")
-        worker.start()
-    finally:
-        threading.stack_size(old_stack)
-    worker.join()
-    if "error" in box:
-        raise box["error"]
-    return box["value"]
+def _value_of(expr, env):
+    """The task whose value is that of expr in env."""
+    return (yield expr, env)
 
 
 def eval_sexpr(expr, env=None, kernel=Kernel.LIST, max_depth=DEFAULT_MAX_DEPTH):
@@ -342,14 +316,13 @@ def eval_sexpr(expr, env=None, kernel=Kernel.LIST, max_depth=DEFAULT_MAX_DEPTH):
     kernel = Kernel(kernel)
     if env is None:
         env = default_env(kernel)
-    interp = _Interp(kernel, max_depth)
-    return _run_guarded(interp, lambda: interp.eval(expr, env))
+    return _Interp(kernel, max_depth).run(_value_of(expr, env))
 
 
 def apply_fn(fn, args, kernel=Kernel.LIST, max_depth=DEFAULT_MAX_DEPTH):
     """Apply an already-evaluated function value to evaluated arguments."""
     interp = _Interp(kernel, max_depth)
-    return _run_guarded(interp, lambda: interp.apply(fn, list(args)))
+    return interp.run(interp.apply(fn, list(args)))
 
 
 def eval_fexpr(e, env=None, kernel=Kernel.LIST, max_depth=DEFAULT_MAX_DEPTH):

@@ -49,7 +49,7 @@ class ProperList:
             object.__setattr__(self, "items", tuple(self.items))
 
     def __repr__(self):
-        return "(" + ", ".join(repr(x) for x in self.items) + ")"
+        return _repr(self)
 
 
 NULL = ProperList(())
@@ -63,19 +63,38 @@ class Pair:
     tail: object
 
     def __repr__(self):
-        return _pair_repr(self, set())
+        return _repr(self)
 
 
-def _pair_repr(v, path):
-    if not isinstance(v, Pair):
-        return repr(v)
-    if id(v) in path:
-        return "#cycle"
-    path.add(id(v))
-    try:
-        return f"({_pair_repr(v.head, path)} . {_pair_repr(v.tail, path)})"
-    finally:
-        path.discard(id(v))
+def _repr(v):
+    """The repr of a compound value, built on an explicit stack.
+
+    A sequence prints as (A, B), a pair as (A . B), and a pair met again
+    inside itself as #cycle.  Text waiting to be written sits on the stack
+    as a tuple: the text, then the id of the pair it closes, if any.
+    """
+    out, path, todo = [], set(), [v]
+    while todo:
+        x = todo.pop()
+        if isinstance(x, tuple):
+            out.append(x[0])
+            path.difference_update(x[1:])
+        elif isinstance(x, ProperList):
+            out.append("(")
+            todo.append((")",))
+            for i, item in enumerate(reversed(x.items)):
+                if i:
+                    todo.append((", ",))
+                todo.append(item)
+        elif isinstance(x, Pair) and id(x) not in path:
+            path.add(id(x))
+            out.append("(")
+            todo += [(")", id(x)), x.tail, (" . ",), x.head]
+        elif isinstance(x, Pair):
+            out.append("#cycle")
+        else:
+            out.append(repr(x))
+    return "".join(out)
 
 
 NIL = Symbol("NIL")

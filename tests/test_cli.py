@@ -188,6 +188,15 @@ def test_run_depth_flag_beats_env_var(cli, monkeypatch):
     assert err == "recursion depth exceeded (30)\n"
 
 
+def test_run_with_a_huge_depth_limit(cli, monkeypatch):
+    text = "append = " + corpus.APPEND + "\nappend[(A, B); (C)]\n"
+    code, out, err = cli("run", src(cli.path, text), "--max-depth", "1000000000")
+    assert (code, out, err) == (0, "(A, B, C)\n", "")
+    monkeypatch.setenv("AIM8_MAX_DEPTH", "1000000000")
+    code, out, err = cli("run", src(cli.path, text))
+    assert (code, out, err) == (0, "(A, B, C)\n", "")
+
+
 def test_run_warns_on_junk_depth_env_var(cli, monkeypatch):
     monkeypatch.setenv("AIM8_MAX_DEPTH", "lots")
     code, out, err = cli("run", src(cli.path, "T"))

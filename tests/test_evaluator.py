@@ -176,6 +176,51 @@ def test_trace_holds_the_expressions_under_evaluation():
     assert e.trace[-1] == read_sexpr("(FIRST, (QUOTE, ()))")
 
 
+@pytest.mark.parametrize("kernel", [Kernel.LIST, Kernel.PAIR])
+def test_the_depth_limit_is_exact(kernel):
+    walk = read_fexpr(corpus.WALK + "[(A, B, C, D, E)]")
+    empty = NULL if kernel is Kernel.LIST else NIL
+    assert eval_fexpr(walk, kernel=kernel, max_depth=14) == empty
+    e = fault_of(eval_fexpr, walk, kernel=kernel, max_depth=13)
+    assert e.kind is Fault.DEPTH_EXCEEDED
+
+
+def test_apply_fn_counts_the_closure_body_as_one_level():
+    ident = ev("(LAMBDA, (X), X)")
+    assert apply_fn(ident, [A], max_depth=1) == A
+    e = fault_of(apply_fn, ident, [A], max_depth=0)
+    assert e.kind is Fault.DEPTH_EXCEEDED
+
+
+def test_trace_is_every_open_evaluation_outermost_first():
+    expr = read_sexpr("((LAMBDA, (X), (FIRST, X)), (QUOTE, ()))")
+    e = fault_of(eval_sexpr, expr, max_depth=DEPTH)
+    assert e.trace == (expr, read_sexpr("(FIRST, X)"))
+
+
+def test_trace_keeps_the_innermost_eight():
+    e = fault_of(eval_fexpr, read_fexpr("label[f; lambda[[]; f[]]][]"), max_depth=60)
+    assert e.kind is Fault.DEPTH_EXCEEDED
+    assert len(e.trace) == 8
+
+
+@pytest.mark.parametrize("kernel", [Kernel.LIST, Kernel.PAIR])
+def test_error_messages_render_deeply_nested_values(kernel):
+    n = 1500
+    nest = (
+        "label[d; lambda[[n; acc];"
+        " [null[n] -> acc; T -> d[rest[n]; combine[acc; ()]]]]]"
+    )
+    src = "[%s[(%s); ()] -> A; T -> B]" % (nest, ", ".join(["A"] * n))
+    e = fault_of(eval_fexpr, read_fexpr(src), kernel=kernel)
+    assert e.kind is Fault.BAD_TRUTH_VALUE
+    if kernel is Kernel.LIST:
+        value = "(" * (n + 1) + ")" * (n + 1)
+    else:
+        value = "(" * n + "NIL" + " . NIL)" * n
+    assert str(e) == f"COND test produced {value}, which is neither T nor F"
+
+
 # --- evaluation order and scope -------------------------------------------------
 
 def test_arguments_evaluate_left_to_right():
