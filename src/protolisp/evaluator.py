@@ -19,14 +19,25 @@ CAR/CDR/CONS are all bound in both kernels: in the list kernel CONS is
 combine and refuses an atomic second argument, in the pair kernel COMBINE
 is the unconstrained cons.
 
-Evaluation runs on its own stack, not the host's.  Each compound form is
-evaluated by a generator that yields the (expression, environment) pairs
-whose values it needs, so where the universal function would recurse it
-says (yield x, env).  One loop, _Interp.run, keeps the suspended
-generators and, beside them, the expressions under evaluation, outermost
-first; it looks symbols up itself and sends each value back to the
-generator that asked.  There is no tail-call elimination: a closure body
-is evaluated inside the application that called it.
+Each compound form is analysed once, on its first evaluation, into a
+node that has already decided what the form is: a quoted constant, a COND
+clause list, a LAMBDA, a LABEL or an application.  The nodes are cached
+by the identity of the form, per interpreter (one per eval_sexpr or
+apply_fn call, so per kernel), and every later evaluation of the form
+starts from its node.  Head atoms, like every symbol, are interned, so
+dispatch and variable lookup are identity tests.  Malformed syntax
+analyses to a node that raises, so it still fails only when it is
+evaluated.
+
+Evaluation runs on its own stack, not the host's.  A node makes a
+generator that yields the (expression, environment) pairs whose values it
+needs, so where the universal function would recurse it says
+(yield x, env).  One loop, _Interp.run, keeps the suspended generators
+and, beside them, the expressions under evaluation, outermost first; it
+looks symbols up and returns quoted constants itself, and sends each
+value back to the generator that asked.  There is no tail-call
+elimination: a closure body is evaluated inside the application that
+called it.
 
 Evaluation depth is the number of expressions under evaluation, capped
 (default 10000, configurable); passing the cap raises an EvalError of kind
@@ -68,7 +79,7 @@ class Env:
 
     def lookup(self, name: Symbol):
         for sym, value in self.bindings:
-            if sym == name:
+            if sym is name:
                 return value
         raise LookupError(name.name)
 
@@ -134,7 +145,7 @@ def default_env(kernel=Kernel.LIST) -> Env:
             "COMBINE": (2, kernel_pair.cons),
             "ATOM": (1, lambda x: _truth(kernel_pair.atom(x))),
             "EQ": (2, lambda x, y: _truth(kernel_pair.eq(x, y))),
-            "NULL": (1, lambda x: _truth(x == NIL)),
+            "NULL": (1, lambda x: _truth(x is NIL)),
         }
     return Env(
         tuple(
@@ -149,38 +160,39 @@ class _Interp:
         self.kernel = Kernel(kernel)
         self.max_depth = max_depth
         self.stack = []
+        self._nodes = {}  # id(form) -> (start, constant, form), see _analyse
 
     def _error(self, kind, detail, kernel_error=None):
         return EvalError(kind, detail, trace=self.stack[-8:], kernel_error=kernel_error)
 
     def _sequence(self, v):
-        """The subexpressions of a compound form, or None if v is not one."""
+        """The items of v if it is a proper list of the active kernel, else None.
+
+        A chain of pairs is one only if it ends at NIL without meeting a
+        pair twice, so a cyclic form is malformed, not endless.
+        """
         if self.kernel is Kernel.LIST:
-            if isinstance(v, ProperList):
-                return list(v.items)
-            return None
-        if v == NIL:
-            return []
-        if isinstance(v, Pair):
-            items = []
-            node = v
-            while isinstance(node, Pair):
-                items.append(node.head)
-                node = node.tail
-            if node != NIL:
+            return v.items if isinstance(v, ProperList) else None
+        items, seen = [], set()
+        while isinstance(v, Pair):
+            if id(v) in seen:
                 return None
-            return items
-        return None
+            seen.add(id(v))
+            items.append(v.head)
+            v = v.tail
+        return items if v is NIL else None
 
     def run(self, task):
         """Drive task, a generator that yields (expr, env), to its value.
 
         Each yielded expression is pushed on self.stack and evaluated: a
-        symbol here, a compound form by a generator of its own, suspended
-        above the one that asked.  When the evaluation ends its value is
-        sent back to the asker.
+        symbol or a quoted constant here, any other compound form by the
+        task its node makes, suspended above the one that asked.  When the
+        evaluation ends its value is sent back to the asker.
         """
         tasks = [task]
+        stack = self.stack
+        nodes = self._nodes
         value = None
         while True:
             try:
@@ -189,20 +201,25 @@ class _Interp:
                 tasks.pop()
                 if not tasks:
                     return done.value
-                self.stack.pop()
+                stack.pop()
                 value = done.value
                 continue
-            self.stack.append(expr)
-            if len(self.stack) > self.max_depth:
+            stack.append(expr)
+            if len(stack) > self.max_depth:
                 raise self._error(
                     Fault.DEPTH_EXCEEDED,
                     f"recursion depth exceeded ({self.max_depth})",
                 )
             if isinstance(expr, Symbol):
                 value = self._lookup(expr, env)
-                self.stack.pop()
+                stack.pop()
+                continue
+            start, constant, _ = nodes.get(id(expr)) or self._analyse(expr)
+            if start is None:
+                value = constant
+                stack.pop()
             else:
-                tasks.append(self._form(expr, env))
+                tasks.append(start(env))
                 value = None
 
     def _lookup(self, sym, env):
@@ -212,70 +229,113 @@ class _Interp:
         try:
             return env.lookup(sym)
         except LookupError:
-            if sym == T or sym == F:
+            if sym is T or sym is F:
                 return sym
-            if self.kernel is Kernel.PAIR and sym == NIL:
+            if self.kernel is Kernel.PAIR and sym is NIL:
                 return sym
             raise self._error(Fault.UNBOUND, f"unbound symbol: {sym.name}")
 
-    def _form(self, expr, env):
-        """Evaluate a compound form, yielding each (expr, env) it needs."""
-        items = self._sequence(expr)
+    def _analyse(self, form):
+        """The node of a compound form, made on its first evaluation.
+
+        A node is (start, constant, form).  For QUOTE start is None and the
+        constant is the value; for any other form start(env) makes the task
+        that evaluates the form in env.  Malformed syntax gives a start that
+        raises, so it fails only where it is evaluated.  The node keeps the
+        form alive, so that no other object can take the id it is cached by.
+        """
+        items = self._sequence(form)
+        start = constant = None
         if items is None:
-            raise self._error(
-                Fault.MALFORMED, f"not an expression of the {self.kernel.value} kernel: {expr!r}"
+            start = self._malformed(
+                f"not an expression of the {self.kernel.value} kernel: {form!r}"
             )
-        if not items:
-            raise self._error(Fault.MALFORMED, "the empty list is not a form")
-        head = items[0]
-        if head == _QUOTE:
-            if len(items) != 2:
-                raise self._error(Fault.MALFORMED, "QUOTE takes exactly one operand")
-            return items[1]
-        if head == _COND:
-            for clause in items[1:]:
-                parts = self._sequence(clause)
-                if parts is None or len(parts) != 2:
+        elif not items:
+            start = self._malformed("the empty list is not a form")
+        elif items[0] is _QUOTE:
+            if len(items) == 2:
+                constant = items[1]
+            else:
+                start = self._malformed("QUOTE takes exactly one operand")
+        elif items[0] is _COND:
+            start = self._cond(items[1:])
+        elif items[0] is _LAMBDA:
+            start = self._lambda(items)
+        elif items[0] is _LABEL:
+            start = self._label(items)
+        else:
+            start = self._application(items[0], items[1:])
+        node = self._nodes[id(form)] = (start, constant, form)
+        return node
+
+    def _malformed(self, detail):
+        def start(env):
+            raise self._error(Fault.MALFORMED, detail)
+
+        return start
+
+    def _cond(self, clauses):
+        # A clause that is not a (test, result) list is kept as None and
+        # raises only once the clauses before it have been tried.
+        clauses = [self._sequence(c) for c in clauses]
+        clauses = [c if c is not None and len(c) == 2 else None for c in clauses]
+
+        def start(env):
+            for clause in clauses:
+                if clause is None:
                     raise self._error(
                         Fault.MALFORMED, "each COND clause must be a two-element list"
                     )
-                t = yield parts[0], env
-                if t == T:
-                    return (yield parts[1], env)
-                if t != F:
+                t = yield clause[0], env
+                if t is T:
+                    return (yield clause[1], env)
+                if t is not F:
                     raise self._error(
                         Fault.BAD_TRUTH_VALUE,
                         f"COND test produced {t!r}, which is neither T nor F",
                     )
             raise self._error(Fault.COND_EXHAUSTED, "no COND test evaluated to T")
-        if head == _LAMBDA:
-            return self._make_closure(items, env)
-        if head == _LABEL:
-            if len(items) != 3 or not isinstance(items[1], Symbol):
-                raise self._error(Fault.MALFORMED, "LABEL takes an atom and a body")
-            value = yield items[2], env
-            if not isinstance(value, Closure):
-                raise self._error(Fault.MALFORMED, "LABEL body must produce a closure")
-            return replace(value, self_name=items[1])
-        fn = yield head, env
-        args = []
-        for a in items[1:]:
-            args.append((yield a, env))
-        return (yield from self.apply(fn, args))
 
-    def _make_closure(self, items, env):
+        return start
+
+    def _lambda(self, items):
         if len(items) != 3:
-            raise self._error(
-                Fault.MALFORMED, "LAMBDA takes a parameter list and a body"
-            )
+            return self._malformed("LAMBDA takes a parameter list and a body")
         params = self._sequence(items[1])
         if params is None or not all(isinstance(p, Symbol) for p in params):
-            raise self._error(
-                Fault.MALFORMED, "LAMBDA parameters must be a list of atoms"
-            )
+            return self._malformed("LAMBDA parameters must be a list of atoms")
         if len(set(params)) != len(params):
-            raise self._error(Fault.MALFORMED, "LAMBDA parameters must be distinct")
-        return Closure(tuple(params), items[2], env)
+            return self._malformed("LAMBDA parameters must be distinct")
+        params, body = tuple(params), items[2]
+
+        def start(env):
+            yield from ()  # a task that needs no values
+            return Closure(params, body, env)
+
+        return start
+
+    def _label(self, items):
+        if len(items) != 3 or not isinstance(items[1], Symbol):
+            return self._malformed("LABEL takes an atom and a body")
+        name, body = items[1], items[2]
+
+        def start(env):
+            value = yield body, env
+            if not isinstance(value, Closure):
+                raise self._error(Fault.MALFORMED, "LABEL body must produce a closure")
+            return replace(value, self_name=name)
+
+        return start
+
+    def _application(self, head, operands):
+        def start(env):
+            fn = yield head, env
+            args = []
+            for a in operands:
+                args.append((yield a, env))
+            return (yield from self.apply(fn, args))
+
+        return start
 
     def apply(self, fn, args):
         """Apply fn to evaluated args; a closure body is yielded, not run."""

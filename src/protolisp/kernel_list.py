@@ -50,7 +50,7 @@ def eq(x, y) -> bool:
         raise KernelError(KernelKind.NOT_A_SYMBOL, "eq", x)
     if not isinstance(y, Symbol):
         raise KernelError(KernelKind.NOT_A_SYMBOL, "eq", y)
-    return x.name == y.name
+    return x is y
 
 
 def null(x) -> bool:

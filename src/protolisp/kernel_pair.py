@@ -38,7 +38,7 @@ def eq(x, y) -> bool:
         raise KernelError(KernelKind.NOT_A_SYMBOL, "eq", x)
     if not isinstance(y, Symbol):
         raise KernelError(KernelKind.NOT_A_SYMBOL, "eq", y)
-    return x.name == y.name
+    return x is y
 
 
 def proper(x) -> bool:
@@ -54,4 +54,4 @@ def proper(x) -> bool:
             return False
         seen.add(id(node))
         node = node.tail
-    return isinstance(node, Symbol) and node == NIL
+    return node is NIL

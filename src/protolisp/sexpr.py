@@ -14,14 +14,13 @@ value, and printing a freshly parsed text is idempotent after one round.
 
 import string
 
-from .errors import KindMismatchError, ParseError, ParseErrorKind
-from .values import NIL, NULL, Dialect, Pair, ProperList, Symbol
+from .errors import ParseError, ParseErrorKind
+from .values import NIL, NULL, Dialect, Pair, ProperList, Symbol, _text
+from .values import CYCLE_MARKER  # noqa: F401  (what the printers write at a cycle)
 from .scanner import Scanner
 
 _ATOM_START = frozenset(string.ascii_uppercase)
 _ATOM_CHARS = frozenset(string.ascii_uppercase + string.digits)
-
-CYCLE_MARKER = "#cycle"
 
 
 def read_sexpr(text: str, dialect=Dialect.AIM8):
@@ -190,52 +189,6 @@ def print_sexpr(value, dialect=Dialect.AIM8) -> str:
     wrong dialect raises KindMismatchError.  Circular structures (possible
     only via the test backdoor) terminate with a "#cycle" marker at the
     first revisited node; such output is diagnostic and not re-readable.
+    Any nesting depth prints: the walk keeps its own stack.
     """
-    dialect = Dialect(dialect)
-    if dialect is Dialect.AIM8:
-        return _print_aim8(value)
-    return _print_classic(value, set())
-
-
-def _print_aim8(v):
-    if isinstance(v, Symbol):
-        return v.name
-    if isinstance(v, ProperList):
-        return "(" + ", ".join(_print_aim8(x) for x in v.items) + ")"
-    raise KindMismatchError(f"cannot print a pair-kernel value in aim8: {v!r}")
-
-
-def _print_classic(v, path):
-    if isinstance(v, Symbol):
-        return v.name
-    if not isinstance(v, Pair):
-        raise KindMismatchError(f"cannot print a list-kernel value in classic: {v!r}")
-    if id(v) in path:
-        return CYCLE_MARKER
-    parts = []
-    spine = []
-    node = v
-    cycled = False
-    while isinstance(node, Pair):
-        if id(node) in path:
-            cycled = True
-            break
-        path.add(id(node))
-        spine.append(node)
-        parts.append(_print_classic(node.head, path))
-        node = node.tail
-    if cycled:
-        tail_text = CYCLE_MARKER
-    elif isinstance(node, Symbol):
-        tail_text = None if node == NIL else node.name
-    else:
-        raise KindMismatchError(
-            f"cannot print a list-kernel value in classic: {node!r}"
-        )
-    # The path set tracks ancestors only: shared subtrees are not cycles.
-    for n in spine:
-        path.discard(id(n))
-    body = " ".join(parts)
-    if tail_text is None:
-        return f"({body})"
-    return f"({body} . {tail_text})"
+    return _text(value, Dialect(dialect))

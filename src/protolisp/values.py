@@ -19,20 +19,43 @@ import enum
 import re
 from dataclasses import dataclass
 
-from .errors import CyclicStructureError, ImproperStructureError
+from .errors import CyclicStructureError, ImproperStructureError, KindMismatchError
 
 _SYMBOL_RE = re.compile(r"[A-Z][A-Z0-9]*\Z")
+_SYMBOLS = {}  # name -> the Symbol of that name
 
 
-@dataclass(frozen=True)
 class Symbol:
-    """An atomic symbol: uppercase letters and digits, letter first."""
+    """An atomic symbol: uppercase letters and digits, letter first.
 
-    name: str
+    Symbols are interned: Symbol(name) returns the one object with that
+    name, so equality is identity and the hash is the object's own.  Copies
+    and unpickled symbols are that same object too.  A symbol is immutable.
+    """
 
-    def __post_init__(self):
-        if not _SYMBOL_RE.match(self.name):
-            raise ValueError(f"invalid symbol name: {self.name!r}")
+    __slots__ = ("name",)
+    __match_args__ = ("name",)
+
+    def __new__(cls, name):
+        sym = _SYMBOLS.get(name)
+        if sym is None:
+            if not _SYMBOL_RE.match(name):
+                raise ValueError(f"invalid symbol name: {name!r}")
+            sym = object.__new__(cls)
+            object.__setattr__(sym, "name", name)
+            # setdefault: of two threads making the same new name, both
+            # get the object stored first.
+            sym = _SYMBOLS.setdefault(name, sym)
+        return sym
+
+    def __setattr__(self, attr, value):
+        raise AttributeError(f"cannot assign to field {attr!r} of a symbol")
+
+    def __delattr__(self, attr):
+        raise AttributeError(f"cannot delete field {attr!r} of a symbol")
+
+    def __reduce__(self):
+        return Symbol, (self.name,)
 
     def __repr__(self):
         return self.name
@@ -49,7 +72,7 @@ class ProperList:
             object.__setattr__(self, "items", tuple(self.items))
 
     def __repr__(self):
-        return _repr(self)
+        return _text(self)
 
 
 NULL = ProperList(())
@@ -63,38 +86,7 @@ class Pair:
     tail: object
 
     def __repr__(self):
-        return _repr(self)
-
-
-def _repr(v):
-    """The repr of a compound value, built on an explicit stack.
-
-    A sequence prints as (A, B), a pair as (A . B), and a pair met again
-    inside itself as #cycle.  Text waiting to be written sits on the stack
-    as a tuple: the text, then the id of the pair it closes, if any.
-    """
-    out, path, todo = [], set(), [v]
-    while todo:
-        x = todo.pop()
-        if isinstance(x, tuple):
-            out.append(x[0])
-            path.difference_update(x[1:])
-        elif isinstance(x, ProperList):
-            out.append("(")
-            todo.append((")",))
-            for i, item in enumerate(reversed(x.items)):
-                if i:
-                    todo.append((", ",))
-                todo.append(item)
-        elif isinstance(x, Pair) and id(x) not in path:
-            path.add(id(x))
-            out.append("(")
-            todo += [(")", id(x)), x.tail, (" . ",), x.head]
-        elif isinstance(x, Pair):
-            out.append("#cycle")
-        else:
-            out.append(repr(x))
-    return "".join(out)
+        return _text(self)
 
 
 NIL = Symbol("NIL")
@@ -109,6 +101,96 @@ class Dialect(enum.Enum):
 
     AIM8 = "aim8"
     CLASSIC = "classic"
+
+
+CYCLE_MARKER = "#cycle"
+
+
+def _text(v, dialect=None):
+    """The text of a value, built on an explicit stack.
+
+    With no dialect this is the repr: a sequence prints as (A, B), a pair
+    as (A . B), any other value by its own repr.  With a dialect it is
+    that dialect's printout (see sexpr.print_sexpr): AIM8 prints sequences
+    as the repr does, CLASSIC prints pairs with list sugar, so a chain A, B
+    ending in C prints as (A B . C) and one ending in NIL as (A B); a
+    value of the other kernel raises KindMismatchError.  Either way a pair
+    met again inside itself prints as #cycle.
+
+    Each open compound value has a frame on the stack: [its elements
+    still to print, the separator written before each, the index in out
+    of its first separator, which becomes "(", its closing text, and the
+    ids of its pairs, which are on the path while it is open].
+    """
+    out, path = [], set()
+    frames = [[iter((v,)), "", 0, "", ()]]
+    while True:
+        frame = frames[-1]
+        sep = frame[1]
+        for x in frame[0]:
+            out.append(sep)
+            if isinstance(x, Symbol):
+                out.append(x.name)
+            elif isinstance(x, ProperList) and dialect is not Dialect.CLASSIC:
+                frames.append([iter(x.items), ", ", len(out), ")", ()])
+                break
+            elif isinstance(x, Pair) and dialect is not Dialect.AIM8:
+                if id(x) in path:
+                    out.append(CYCLE_MARKER)
+                    continue
+                if dialect is None:
+                    path.add(id(x))
+                    frames.append(
+                        [iter((x.head, x.tail)), " . ", len(out), ")", (id(x),)]
+                    )
+                else:
+                    spine = [None, " ", len(out), ")", []]
+                    spine[0] = _spine(x, path, spine)
+                    frames.append(spine)
+                break
+            elif dialect is None:
+                out.append(repr(x))
+            else:
+                raise _mismatch(x, dialect)
+        else:
+            frames.pop()
+            if not frames:
+                return "".join(out)
+            _, _, first, close, ids = frame
+            if first < len(out):
+                out[first] = "("
+            else:
+                out.append("(")
+            out.append(close)
+            path.difference_update(ids)
+
+
+def _spine(pair, path, frame):
+    """The heads along pair's tail chain, for a classic list's frame.
+
+    Each pair joins the path as its head is reached.  Where the chain
+    ends, the frame's closing text is set: ")" at NIL, " . A)" at another
+    atom, " . #cycle)" at a pair already on the path.
+    """
+    node = pair
+    while isinstance(node, Pair) and id(node) not in path:
+        path.add(id(node))
+        frame[4].append(id(node))
+        yield node.head
+        node = node.tail
+    if isinstance(node, Pair):
+        frame[3] = f" . {CYCLE_MARKER})"
+    elif isinstance(node, Symbol):
+        frame[3] = ")" if node is NIL else f" . {node.name})"
+    else:
+        raise _mismatch(node, Dialect.CLASSIC)
+
+
+def _mismatch(v, dialect):
+    other = "pair" if dialect is Dialect.AIM8 else "list"
+    return KindMismatchError(
+        f"cannot print a {other}-kernel value in {dialect.value}: {v!r}"
+    )
 
 
 def equal_values(a, b) -> bool:
@@ -146,7 +228,7 @@ def pair_to_list(v):
 
 def _pair_to_list(v, path):
     if isinstance(v, Symbol):
-        return NULL if v == NIL else v
+        return NULL if v is NIL else v
     if not isinstance(v, Pair):
         raise TypeError(f"not a pair-kernel value: {v!r}")
     items = []
@@ -161,7 +243,7 @@ def _pair_to_list(v, path):
         node = node.tail
     if not isinstance(node, Symbol):
         raise TypeError(f"not a pair-kernel value: {node!r}")
-    if node != NIL:
+    if node is not NIL:
         raise ImproperStructureError(
             f"tail chain ends at atom {node.name}, not NIL"
         )

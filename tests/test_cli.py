@@ -197,6 +197,17 @@ def test_run_with_a_huge_depth_limit(cli, monkeypatch):
     assert (code, out, err) == (0, "(A, B, C)\n", "")
 
 
+def test_run_prints_a_value_nested_1500_deep(cli):
+    n = 1500
+    text = (
+        "nest = label[d; lambda[[n; acc];"
+        " [null[n] -> acc; T -> d[rest[n]; combine[acc; ()]]]]]\n"
+        "nest[(%s); ()]\n" % ", ".join(["A"] * n)
+    )
+    code, out, err = cli("run", src(cli.path, text))
+    assert (code, out, err) == (0, "(" * (n + 1) + ")" * (n + 1) + "\n", "")
+
+
 def test_run_warns_on_junk_depth_env_var(cli, monkeypatch):
     monkeypatch.setenv("AIM8_MAX_DEPTH", "lots")
     code, out, err = cli("run", src(cli.path, "T"))

@@ -31,6 +31,7 @@ from protolisp import (
     read_fexpr,
     read_sexpr,
     translate,
+    unsafe_set_tail,
 )
 from protolisp.evaluator import Env
 
@@ -161,6 +162,40 @@ def test_malformed_pair_kernel_expression():
     assert e.kind is Fault.MALFORMED
 
 
+def _looped(spine):
+    """spine, with its last pair's tail pointed back at its first pair."""
+    end = spine
+    while end.tail is not NIL:
+        end = end.tail
+    unsafe_set_tail(end, spine)
+    return spine
+
+
+def _cyclic_form(part):
+    x = Symbol("X")
+    if part == "application":
+        return _looped(Pair(Symbol("FIRST"), Pair(x, NIL)))
+    if part == "cond-clause":
+        clause = _looped(Pair(list_to_pair(read_sexpr("(QUOTE, T)")), Pair(A, NIL)))
+        return Pair(Symbol("COND"), Pair(clause, NIL))
+    params = _looped(Pair(x, NIL))
+    return Pair(Symbol("LAMBDA"), Pair(params, Pair(x, NIL)))
+
+
+@pytest.mark.parametrize(
+    "part, message",
+    [
+        ("application", "not an expression of the pair kernel: (FIRST . (X . #cycle))"),
+        ("cond-clause", "each COND clause must be a two-element list"),
+        ("lambda-parameters", "LAMBDA parameters must be a list of atoms"),
+    ],
+)
+def test_cyclic_pair_kernel_forms_are_malformed(part, message):
+    form = _cyclic_form(part)
+    e = fault_of(eval_sexpr, form, kernel=Kernel.PAIR, max_depth=DEPTH)
+    assert (e.kind, str(e), e.trace) == (Fault.MALFORMED, message, (form,))
+
+
 def test_depth_exceeded():
     runaway = "label[f; lambda[[]; f[]]][]"
     with pytest.raises(EvalError) as exc:
@@ -219,6 +254,67 @@ def test_error_messages_render_deeply_nested_values(kernel):
     else:
         value = "(" * n + "NIL" + " . NIL)" * n
     assert str(e) == f"COND test produced {value}, which is neither T nor F"
+
+
+# --- each form is analysed once, and still behaves as written ------------------
+
+@pytest.mark.parametrize("kernel", [Kernel.LIST, Kernel.PAIR])
+def test_malformed_syntax_in_an_untaken_cond_branch_raises_nothing(kernel):
+    for text in (
+        "(COND, ((QUOTE, T), (QUOTE, A)), (QUOTE))",
+        "(COND, ((QUOTE, T), (QUOTE, A)), ((QUOTE, T), (LAMBDA, X)))",
+        "(COND, ((QUOTE, T), (QUOTE, A)), ((QUOTE, T), (QUOTE, A, B)))",
+    ):
+        if kernel is Kernel.PAIR:
+            text = text.replace(", ", " ")
+        assert ev(text, kernel) == A
+
+
+def test_a_malformed_third_clause_fails_after_the_first_two_tests_ran():
+    # SEEN records its argument and answers T for A only.  G is applied
+    # twice in one evaluation: to A it answers from its first clause, to B
+    # it tries two tests and then reaches the malformed clause (X).
+    seen = []
+
+    def record(x):
+        seen.append(x)
+        return T if x == A else F
+
+    env = default_env().extend([(Symbol("SEEN"), Primitive("SEEN", 1, record))])
+    g = read_sexpr(
+        "(LAMBDA, (X), (COND, ((SEEN, X), (QUOTE, ONE)),"
+        " ((SEEN, (QUOTE, C)), (QUOTE, TWO)), (X)))"
+    )
+    cond = g.items[2]
+    twice = read_sexpr("(COMBINE, (G, (QUOTE, A)), (G, (QUOTE, B)))")
+    program = ProperList((ProperList((Symbol("LAMBDA"), read_sexpr("(G)"), twice)), g))
+    e = fault_of(eval_sexpr, program, env, max_depth=DEPTH)
+    assert e.kind is Fault.MALFORMED
+    assert str(e) == "each COND clause must be a two-element list"
+    assert seen == [A, B, C]
+    assert e.trace == (program, twice, twice.items[2], cond)
+
+
+def test_one_lambda_form_closes_over_each_environment_it_meets():
+    # (LAMBDA, (), X) is evaluated twice, with X bound to A and then to B.
+    program = read_sexpr(
+        "((LAMBDA, (MK), (COMBINE, ((MK, (QUOTE, A))),"
+        " (COMBINE, ((MK, (QUOTE, B))), (QUOTE, ())))),"
+        " (LAMBDA, (X), (LAMBDA, (), X)))"
+    )
+    assert eval_sexpr(program, max_depth=DEPTH) == ProperList((A, B))
+    mk = ev("(LAMBDA, (X), (LAMBDA, (), X))")
+    first, second = apply_fn(mk, [A]), apply_fn(mk, [B])
+    assert first.body is second.body
+    assert (first.env.lookup(Symbol("X")), second.env.lookup(Symbol("X"))) == (A, B)
+
+
+def test_a_list_kernel_closure_is_malformed_under_the_pair_kernel():
+    fst = ev("(LAMBDA, (X), (FIRST, X))")
+    assert apply_fn(fst, [ProperList((A,))], max_depth=DEPTH) == A
+    e = fault_of(apply_fn, fst, [Pair(A, NIL)], kernel=Kernel.PAIR, max_depth=DEPTH)
+    assert e.kind is Fault.MALFORMED
+    assert str(e) == "not an expression of the pair kernel: (FIRST, X)"
 
 
 # --- evaluation order and scope -------------------------------------------------

@@ -193,6 +193,22 @@ def test_shared_subtree_is_not_reported_as_cycle():
     assert print_sexpr(v, Dialect.CLASSIC) == "((A) (A))"
 
 
+def test_printers_take_any_nesting_depth():
+    n = 100_000
+    lists, pairs = NULL, NIL
+    for _ in range(n):
+        lists = ProperList((lists,))
+        pairs = Pair(pairs, Pair(A, NIL))
+    assert print_sexpr(lists) == "(" * (n + 1) + ")" * (n + 1)
+    assert print_sexpr(pairs, Dialect.CLASSIC) == "(" * n + "NIL" + " A)" * n
+    with pytest.raises(KindMismatchError) as exc:
+        print_sexpr(ProperList((lists, Pair(A, B))))
+    assert str(exc.value) == "cannot print a pair-kernel value in aim8: (A . B)"
+    with pytest.raises(KindMismatchError) as exc:
+        print_sexpr(Pair(pairs, NULL), Dialect.CLASSIC)
+    assert str(exc.value) == "cannot print a list-kernel value in classic: ()"
+
+
 # --- round trips and canonicalization ----------------------------------------
 
 @given(helpers.list_values)

@@ -1,5 +1,7 @@
 """Value models and the mapping between the two kernels."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -29,6 +31,22 @@ def test_symbol_names_follow_the_atom_rule():
     for bad in ("", "a", "1A", "A_B", "Ab", "NIL "):
         with pytest.raises(ValueError):
             Symbol(bad)
+
+
+def test_symbols_are_interned():
+    a = Symbol("A")
+    assert a is Symbol("A") is Symbol(name="A")
+    assert a is not Symbol("B")
+    assert hash(a) == hash(Symbol("A"))
+    assert copy.copy(a) is a
+    assert copy.deepcopy(ProperList((a, Pair(a, NIL)))).items[0] is a
+    assert pickle.loads(pickle.dumps(Pair(a, NIL))).head is a
+    with pytest.raises(AttributeError):
+        a.name = "B"
+    with pytest.raises(AttributeError):
+        a.other = 1
+    with pytest.raises(ValueError):
+        Symbol("a")
 
 
 def test_null_is_a_list_not_an_atom():
