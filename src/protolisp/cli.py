@@ -1,8 +1,13 @@
-"""Command-line front end: repl, run and translate.
+"""Command-line front end: repl, run and translate, over one item loop.
 
-Exit codes: 0 success, 1 translation error (translate subcommand), 65 bad
-input (parse errors, or input the selected kernel cannot represent), 70
-runtime error, 74 I/O error.
+Exit codes.  run: 74 the file cannot be read; 65 it is not UTF-8, does
+not parse, repeats a definition, uses a reserved name, or holds
+S-expressions the kernel cannot represent; 70 a definition or an
+expression fails to evaluate, or the last value cannot be printed in the
+dialect.  translate: 74 and 65 as in run when reading; 1 a repeated
+definition or a reserved name.  repl: 74 when stdin cannot be read; any
+other error is reported on stderr and the next line is read.  Each exits
+0 otherwise.
 """
 
 import argparse
@@ -16,6 +21,7 @@ from .errors import (
     EvalError,
     ImproperStructureError,
     KindMismatchError,
+    LispError,
     NameCollisionError,
     ParseError,
 )
@@ -114,91 +120,91 @@ def _resolve_max_depth(args) -> int:
 
 
 def _resolve_dialect(args, kernel: Kernel) -> Dialect:
-    if args.dialect is not None:
-        return Dialect(args.dialect)
-    return Dialect.AIM8 if kernel is Kernel.LIST else Dialect.CLASSIC
+    return Dialect(args.dialect or ("aim8" if kernel is Kernel.LIST else "classic"))
 
 
-def _to_kernel(value, kernel: Kernel, dialect: Dialect):
-    """Carry a freshly read S-expression into the active kernel."""
-    if kernel is Kernel.LIST:
-        return value if dialect is Dialect.AIM8 else pair_to_list(value)
-    return list_to_pair(value) if dialect is Dialect.AIM8 else value
+_KERNEL_OF = {Dialect.AIM8: Kernel.LIST, Dialect.CLASSIC: Kernel.PAIR}
+
+
+def _carry(value, source: Kernel, target: Kernel):
+    """Carry a value from one kernel into another."""
+    if source is target:
+        return value
+    return list_to_pair(value) if target is Kernel.PAIR else pair_to_list(value)
 
 
 def _render(value, kernel: Kernel, dialect: Dialect) -> str:
     if isinstance(value, (Closure, Primitive)):
         return repr(value)
-    if kernel is Kernel.LIST:
-        if dialect is Dialect.AIM8:
-            return print_sexpr(value, Dialect.AIM8)
-        return print_sexpr(list_to_pair(value), Dialect.CLASSIC)
-    if dialect is Dialect.CLASSIC:
-        return print_sexpr(value, Dialect.CLASSIC)
-    return print_sexpr(pair_to_list(value), Dialect.AIM8)
+    try:
+        value = _carry(value, kernel, _KERNEL_OF[dialect])
+    except TypeError as e:  # a closure inside a list or a pair
+        raise KindMismatchError(str(e)) from None
+    return print_sexpr(value, dialect)
 
 
-def _translated_form(item, kernel: Kernel):
-    """Translate one program item into an expression of the active kernel."""
-    form = translate(item)
-    return list_to_pair(form) if kernel is Kernel.PAIR else form
+def _read_file(path, lang, dialect):
+    """The items of a program file, or the exit code once its failure is reported."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+        return read_program(text) if lang == "mexpr" else read_sexprs(text, dialect)
+    except OSError as e:
+        print(f"{path}: {e.strerror or e}", file=sys.stderr)
+        return EX_IOERR
+    except UnicodeDecodeError as e:
+        print(f"{path}: {e}", file=sys.stderr)
+        return EX_DATAERR
+    except ParseError as e:
+        print(f"{path}:{e}", file=sys.stderr)
+        return EX_DATAERR
+
+
+def _steps(items, lang, kernel: Kernel, dialect: Dialect, unique=False):
+    """Each program item in order as a step: (name atom or None, form in kernel).
+
+    A definition gives its name's atom and its translated body, and raises
+    DuplicateDefinitionError on a repeated name if unique.  An F-expression
+    gives its translation; an S-expression read in the dialect is carried
+    into the kernel.  A step is made only once the caller used the one before.
+    """
+    seen = set()
+    for item in items:
+        if lang == "sexpr":
+            yield None, _carry(item, _KERNEL_OF[dialect], kernel)
+            continue
+        name = None
+        if isinstance(item, Definition):
+            if unique and item.name in seen:
+                raise DuplicateDefinitionError(f"duplicate definition of {item.name!r}")
+            seen.add(item.name)
+            name, item = name_symbol(item.name), item.body
+        yield name, _carry(translate(item), Kernel.LIST, kernel)
 
 
 def cmd_run(args) -> int:
     kernel = Kernel(args.kernel)
     dialect = _resolve_dialect(args, kernel)
     max_depth = _resolve_max_depth(args)
-    path = Path(args.file)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as e:
-        print(f"{args.file}: {e.strerror or e}", file=sys.stderr)
-        return EX_IOERR
-    lang = args.lang or ("sexpr" if path.suffix == ".sexp" else "mexpr")
-
+    lang = args.lang or ("sexpr" if Path(args.file).suffix == ".sexp" else "mexpr")
+    items = _read_file(args.file, lang, dialect)
+    if isinstance(items, int):
+        return items
     env = default_env(kernel)
     last = None
-    have_result = False
     try:
-        if lang == "mexpr":
-            items = read_program(text)
-        else:
-            items = read_sexprs(text, dialect)
-    except ParseError as e:
-        print(f"{args.file}:{e}", file=sys.stderr)
-        return EX_DATAERR
-
-    seen_names = set()
-    for item in items:
-        try:
-            if lang == "mexpr":
-                if isinstance(item, Definition):
-                    if item.name in seen_names:
-                        raise DuplicateDefinitionError(
-                            f"duplicate definition of {item.name!r}"
-                        )
-                    seen_names.add(item.name)
-                    sym = name_symbol(item.name)
-                    form = _translated_form(item.body, kernel)
-                    value = eval_sexpr(form, env, kernel, max_depth)
-                    env = env.extend([(sym, value)])
-                    continue
-                form = _translated_form(item, kernel)
+        for name, form in _steps(items, lang, kernel, dialect, unique=True):
+            value = eval_sexpr(form, env, kernel, max_depth)
+            if name is None:
+                last = value
             else:
-                form = _to_kernel(item, kernel, dialect)
-        except (NameCollisionError, DuplicateDefinitionError) as e:
-            print(f"{args.file}: {e}", file=sys.stderr)
-            return EX_DATAERR
-        except _CONVERSION_ERRORS as e:
-            print(f"{args.file}: {e}", file=sys.stderr)
-            return EX_DATAERR
-        try:
-            last = eval_sexpr(form, env, kernel, max_depth)
-            have_result = True
-        except EvalError as e:
-            print(str(e), file=sys.stderr)
-            return EX_SOFTWARE
-    if have_result:
+                env = env.extend([(name, value)])
+    except EvalError as e:
+        print(str(e), file=sys.stderr)
+        return EX_SOFTWARE
+    except (NameCollisionError, DuplicateDefinitionError, *_CONVERSION_ERRORS) as e:
+        print(f"{args.file}: {e}", file=sys.stderr)
+        return EX_DATAERR
+    if last is not None:
         try:
             print(_render(last, kernel, dialect))
         except _CONVERSION_ERRORS as e:
@@ -208,39 +214,19 @@ def cmd_run(args) -> int:
 
 
 def cmd_translate(args) -> int:
-    dialect = Dialect(args.dialect) if args.dialect else Dialect.AIM8
+    dialect = _resolve_dialect(args, Kernel.LIST)
+    items = _read_file(args.file, "mexpr", dialect)
+    if isinstance(items, int):
+        return items
     try:
-        text = Path(args.file).read_text(encoding="utf-8")
-    except OSError as e:
-        print(f"{args.file}: {e.strerror or e}", file=sys.stderr)
-        return EX_IOERR
-    try:
-        items = read_program(text)
-    except ParseError as e:
-        print(f"{args.file}:{e}", file=sys.stderr)
-        return EX_DATAERR
-    seen = set()
-    lines = []
-    try:
-        for item in items:
-            if isinstance(item, Definition):
-                if item.name in seen:
-                    raise DuplicateDefinitionError(
-                        f"duplicate definition of {item.name!r}"
-                    )
-                seen.add(item.name)
-                out = ProperList((name_symbol(item.name), translate(item.body)))
-            else:
-                out = translate(item)
-            if dialect is Dialect.CLASSIC:
-                lines.append(print_sexpr(list_to_pair(out), Dialect.CLASSIC))
-            else:
-                lines.append(print_sexpr(out, Dialect.AIM8))
+        lines = []
+        for name, form in _steps(items, "mexpr", Kernel.LIST, dialect, unique=True):
+            form = form if name is None else ProperList((name, form))
+            lines.append(_render(form, Kernel.LIST, dialect))
     except (NameCollisionError, DuplicateDefinitionError) as e:
         print(f"{args.file}: {e}", file=sys.stderr)
         return EX_TRANSLATION
-    for line in lines:
-        print(line)
+    sys.stdout.writelines(line + "\n" for line in lines)
     return EX_OK
 
 
@@ -267,28 +253,17 @@ def cmd_repl(args) -> int:
         if not line.strip():
             continue
         try:
-            if lang == "mexpr":
-                items = read_program(line)
-                for item in items:
-                    if isinstance(item, Definition):
-                        sym = name_symbol(item.name)
-                        form = _translated_form(item.body, kernel)
-                        value = eval_sexpr(form, env, kernel, max_depth)
-                        env = env.extend([(sym, value)])
-                    else:
-                        form = _translated_form(item, kernel)
-                        value = eval_sexpr(form, env, kernel, max_depth)
-                        print(_render(value, kernel, dialect))
-            else:
-                for read_value in read_sexprs(line, dialect):
-                    form = _to_kernel(read_value, kernel, dialect)
-                    value = eval_sexpr(form, env, kernel, max_depth)
+            items = (
+                read_program(line) if lang == "mexpr" else read_sexprs(line, dialect)
+            )
+            for name, form in _steps(items, lang, kernel, dialect):
+                value = eval_sexpr(form, env, kernel, max_depth)
+                if name is None:
                     print(_render(value, kernel, dialect))
-        except (ParseError, EvalError, NameCollisionError) as e:
+                else:
+                    env = env.extend([(name, value)])
+        except LispError as e:
             print(str(e), file=sys.stderr)
-        except _CONVERSION_ERRORS as e:
-            print(str(e), file=sys.stderr)
-    return EX_OK
 
 
 def main(argv=None) -> int:

@@ -204,15 +204,31 @@ def list_to_pair(v):
     Atoms map to themselves; a sequence becomes the chain of pairs ending
     in NIL.  Note the embedding conflates two things: both () and the
     ordinary atom named NIL land on the pair-kernel atom NIL.
+
+    The walk keeps its own stack, so any nesting depth converts.  Items
+    are converted last first, each chain built from its end.
     """
-    if isinstance(v, Symbol):
-        return v
-    if isinstance(v, ProperList):
-        out = NIL
-        for item in reversed(v.items):
-            out = Pair(list_to_pair(item), out)
-        return out
-    raise TypeError(f"not a list-kernel value: {v!r}")
+    if not isinstance(v, ProperList):
+        if isinstance(v, Symbol):
+            return v
+        raise TypeError(f"not a list-kernel value: {v!r}")
+    stack = []  # (items left, chain so far) of each enclosing sequence
+    items, out = reversed(v.items), NIL
+    while True:
+        for x in items:
+            if isinstance(x, Symbol):
+                out = Pair(x, out)
+            elif isinstance(x, ProperList):
+                stack.append((items, out))
+                items, out = reversed(x.items), NIL
+                break
+            else:
+                raise TypeError(f"not a list-kernel value: {x!r}")
+        else:
+            if not stack:
+                return out
+            items, chain = stack.pop()
+            out = Pair(out, chain)
 
 
 def pair_to_list(v):
@@ -222,34 +238,45 @@ def pair_to_list(v):
     sequence of its converted heads.  Raises ImproperStructureError when a
     tail chain ends at an atom other than NIL, and CyclicStructureError
     when the structure loops back on itself.
+
+    The walk keeps its own stack, so any nesting depth converts.  The
+    pairs of the open chains are the path: a pair met again on it is a
+    cycle, while a pair shared by two subtrees is not.
     """
-    return _pair_to_list(v, set())
-
-
-def _pair_to_list(v, path):
-    if isinstance(v, Symbol):
-        return NULL if v is NIL else v
-    if not isinstance(v, Pair):
-        raise TypeError(f"not a pair-kernel value: {v!r}")
-    items = []
-    spine = []
-    node = v
-    while isinstance(node, Pair):
+    path, stack = set(), []
+    # The innermost open chain: its converted heads, the ids of its pairs,
+    # and the pair whose head is being converted.
+    items = ids = pair = None
+    while True:
+        if isinstance(v, Pair):
+            stack.append((items, ids, pair))
+            items, ids, node = [], [], v
+        else:
+            if not isinstance(v, Symbol):
+                raise TypeError(f"not a pair-kernel value: {v!r}")
+            out = NULL if v is NIL else v
+            while True:  # out is a converted head: move along its chain
+                if items is None:
+                    return out
+                items.append(out)
+                node = pair.tail
+                if isinstance(node, Pair):
+                    break
+                if not isinstance(node, Symbol):
+                    raise TypeError(f"not a pair-kernel value: {node!r}")
+                if node is not NIL:
+                    raise ImproperStructureError(
+                        f"tail chain ends at atom {node.name}, not NIL"
+                    )
+                path.difference_update(ids)
+                out = ProperList(tuple(items))
+                items, ids, pair = stack.pop()
+        # node is the next pair of the innermost chain: convert its head
         if id(node) in path:
             raise CyclicStructureError("cycle in pair structure")
         path.add(id(node))
-        spine.append(node)
-        items.append(_pair_to_list(node.head, path))
-        node = node.tail
-    if not isinstance(node, Symbol):
-        raise TypeError(f"not a pair-kernel value: {node!r}")
-    if node is not NIL:
-        raise ImproperStructureError(
-            f"tail chain ends at atom {node.name}, not NIL"
-        )
-    for n in spine:
-        path.discard(id(n))
-    return ProperList(tuple(items))
+        ids.append(id(node))
+        pair, v = node, node.head
 
 
 def unsafe_set_tail(pair: Pair, tail) -> None:

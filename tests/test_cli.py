@@ -1,13 +1,16 @@
 """The command-line front end, driven through main() with captured streams."""
 
+import contextlib
 import io
 import random
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 import corpus
 import helpers
-from protolisp import Dialect, print_sexpr, read_sexpr
+from protolisp import App, Dialect, Var, print_fexpr, print_sexpr, read_sexpr
 from protolisp.cli import main
 
 RUNAWAY = "label[f; lambda[[]; f[]]][]"
@@ -92,6 +95,15 @@ def test_translate_missing_file(cli):
     code, _, err = cli("translate", str(cli.path / "nope.mexp"))
     assert code == 74
     assert err != ""
+
+
+NOT_UTF8 = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+
+
+def test_translate_a_file_that_is_not_utf8(cli):
+    path = cli.path / "prog.mexp"
+    path.write_bytes(b"\xff\xfe A")
+    assert cli("translate", str(path)) == (65, "", f"{path}: {NOT_UTF8}\n")
 
 
 # --- run ------------------------------------------------------------------------
@@ -206,6 +218,120 @@ def test_run_prints_a_value_nested_1500_deep(cli):
     )
     code, out, err = cli("run", src(cli.path, text))
     assert (code, out, err) == (0, "(" * (n + 1) + ")" * (n + 1) + "\n", "")
+
+
+def nest_program(n):
+    """A program whose value is () wrapped in n one-element lists."""
+    return (
+        "nest = label[d; lambda[[n; acc];"
+        " [null[n] -> acc; T -> d[rest[n]; combine[acc; ()]]]]]\n"
+        "nest[(%s); ()]\n" % ", ".join(["A"] * n)
+    )
+
+
+@pytest.mark.parametrize(
+    "kernel, dialect, other_kernel",
+    [("list", "classic", "pair"), ("pair", "aim8", "list")],
+)
+def test_run_prints_a_value_nested_1500_deep_in_the_other_dialect(
+    cli, kernel, dialect, other_kernel
+):
+    # The same text as the other kernel prints in its own dialect.
+    n = 1500
+    if dialect == "classic":
+        text = "(" * n + "NIL" + ")" * n + "\n"
+    else:
+        text = "(" * (n + 1) + ")" * (n + 1) + "\n"
+    path = src(cli.path, nest_program(n))
+    assert cli("run", path, "--kernel", other_kernel) == (0, text, "")
+    assert cli("run", path, "--kernel", kernel, "--dialect", dialect) == (0, text, "")
+
+
+@pytest.mark.parametrize(
+    "kernel, text, message",
+    [
+        ("list", "x = first[A]\nx\n", "first: undefined on atoms\n"),
+        ("pair", "x = first[A]\nx\n", "car: undefined on atoms\n"),
+        ("list", "f = g[A]\nf\n", "unbound symbol: G\n"),
+        ("pair", "f = g[A]\nf\n", "unbound symbol: G\n"),
+    ],
+)
+def test_run_a_definition_that_fails_to_evaluate(cli, kernel, text, message):
+    code, out, err = cli("run", src(cli.path, text), "--kernel", kernel)
+    assert (code, out, err) == (70, "", message)
+
+
+def test_run_a_file_that_is_not_utf8(cli):
+    path = cli.path / "prog.mexp"
+    path.write_bytes(b"\xff\xfe A")
+    assert cli("run", str(path)) == (65, "", f"{path}: {NOT_UTF8}\n")
+
+
+def test_run_a_value_holding_a_closure_cannot_be_printed(cli):
+    for kernel, dialect, message in (
+        ("list", "aim8", "cannot print a pair-kernel value in aim8"),
+        ("list", "classic", "not a list-kernel value"),
+        ("pair", "aim8", "not a pair-kernel value"),
+        ("pair", "classic", "cannot print a list-kernel value in classic"),
+    ):
+        path = src(cli.path, "combine[lambda[[x]; x]; ()]")
+        code, out, err = cli("run", path, "--kernel", kernel, "--dialect", dialect)
+        assert (code, out, err) == (70, "", f"{message}: #<closure (X)>\n")
+
+
+KERNEL_OPERATIONS = ("first", "rest", "combine", "car", "cdr", "cons")
+DEFINED_NAMES = ("x", "y", "z", "fn1", "g", "acc")  # random_fexpr's variables
+
+
+@st.composite
+def programs(draw):
+    """Program text: definitions, names repeated at times, and expressions.
+
+    The expressions are random F-expressions, some as arguments of a
+    kernel operation; their variables may well be unbound.
+    """
+    rng = draw(st.randoms(use_true_random=False))
+    lines = []
+    for _ in range(rng.randrange(7)):
+        e = helpers.random_fexpr(rng, rng.randrange(4))
+        if rng.random() < 0.4:
+            args = (e,) + tuple(
+                helpers.random_fexpr(rng, 2) for _ in range(rng.randrange(2))
+            )
+            e = App(Var(rng.choice(KERNEL_OPERATIONS)), args)
+        line = print_fexpr(e)
+        if rng.random() < 0.6:
+            line = f"{rng.choice(DEFINED_NAMES)} = {line}"
+        lines.append(line)
+    return "\n".join(lines) + "\n"
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    text=programs(),
+    kernel=st.sampled_from(["list", "pair"]),
+    dialect=st.sampled_from(["aim8", "classic"]),
+    max_depth=st.none() | st.integers(0, 40),
+)
+def test_run_ends_in_a_value_or_a_documented_exit_code(
+    tmp_path, text, kernel, dialect, max_depth
+):
+    path = tmp_path / "prog.mexp"
+    path.write_text(text, encoding="utf-8")
+    argv = ["run", str(path), "--kernel", kernel, "--dialect", dialect]
+    if max_depth is not None:
+        argv += ["--max-depth", str(max_depth)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 65, 70)
+    assert (code == 0) == (err.getvalue() == "")
+    if code:
+        assert out.getvalue() == ""
 
 
 def test_run_warns_on_junk_depth_env_var(cli, monkeypatch):

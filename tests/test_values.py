@@ -3,6 +3,7 @@
 import copy
 import pickle
 import random
+import re
 
 import pytest
 from hypothesis import given
@@ -12,6 +13,7 @@ from protolisp import (
     NIL,
     NULL,
     CyclicStructureError,
+    Dialect,
     ImproperStructureError,
     Pair,
     ProperList,
@@ -19,6 +21,7 @@ from protolisp import (
     equal_values,
     list_to_pair,
     pair_to_list,
+    print_sexpr,
     unsafe_set_tail,
 )
 
@@ -112,6 +115,43 @@ def test_shared_subtrees_are_not_cycles():
     shared = Pair(A, NIL)
     v = Pair(shared, Pair(shared, NIL))
     assert pair_to_list(v) == ProperList((ProperList((A,)), ProperList((A,))))
+
+
+def test_conversions_reject_values_of_the_other_kernel():
+    for bad, v in (
+        ("(A . B)", Pair(A, B)),
+        ("(A . B)", ProperList((C, ProperList((Pair(A, B),))))),
+    ):
+        message = f"not a list-kernel value: {bad}"
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            list_to_pair(v)
+    for v in (NULL, Pair(NULL, NIL), Pair(A, Pair(B, NULL))):
+        with pytest.raises(TypeError, match=r"^not a pair-kernel value: \(\)$"):
+            pair_to_list(v)
+
+
+def test_conversions_take_any_nesting_depth():
+    n = 100_000
+    v = NULL
+    for _ in range(n):
+        v = ProperList((v,))
+    p = list_to_pair(v)
+    assert print_sexpr(p, Dialect.CLASSIC) == "(" * n + "NIL" + ")" * n
+    back = pair_to_list(p)
+    assert print_sexpr(back, Dialect.AIM8) == "(" * (n + 1) + ")" * (n + 1)
+    assert print_sexpr(list_to_pair(back), Dialect.CLASSIC) == "(" * n + "NIL" + ")" * n
+
+
+def test_pair_to_list_finds_faults_at_any_depth():
+    inner = Pair(A, B)
+    v = inner
+    for _ in range(100_000):
+        v = Pair(v, NIL)
+    with pytest.raises(ImproperStructureError, match="ends at atom B"):
+        pair_to_list(v)
+    unsafe_set_tail(inner, v)
+    with pytest.raises(CyclicStructureError):
+        pair_to_list(v)
 
 
 @given(helpers.nil_free_list_values)
