@@ -20,7 +20,11 @@ A program file is a sequence of top-level items, each either a definition
 
     name = fexpr
 
-or a plain expression.
+or a plain expression.  In a program file one rule breaks the freedom of
+whitespace: a "[" that begins a line (nothing but blanks and comments
+before it on that line) begins a new item, so an item that ends a line
+is never applied to a conditional on the next.  Inside brackets, and in
+read_fexpr, such a "[" still applies what precedes it.
 """
 
 from __future__ import annotations
@@ -138,12 +142,12 @@ def read_program(text: str):
             sc.skip_blank()
             if sc.peek() == "=" and kind == "ident" and word not in RESERVED_WORDS:
                 sc.advance()
-                items.append(Definition(word, _parse_fexpr(sc)))
+                items.append(Definition(word, _parse_fexpr(sc, item=True)))
                 continue
             seed = _primary_from_word(sc, kind, word, wpos)
-            items.append(_postfix(sc, seed))
+            items.append(_postfix(sc, seed, item=True))
         else:
-            items.append(_parse_fexpr(sc))
+            items.append(_parse_fexpr(sc, item=True))
 
 
 def _read_word(sc):
@@ -167,18 +171,26 @@ def _read_word(sc):
     raise ParseError(ParseErrorKind.MIXED_CASE, pos, repr(word))
 
 
-def _parse_fexpr(sc):
-    return _postfix(sc, _parse_primary(sc))
+def _parse_fexpr(sc, item=False):
+    return _postfix(sc, _parse_primary(sc), item)
 
 
-def _postfix(sc, e):
-    # Any expression followed by [...] is an application of it.
+def _postfix(sc, e, item=False):
+    # Any expression followed by [...] is an application of it, except
+    # that a top-level item of a program ends before a "[" that begins a
+    # line.
     while True:
         sc.skip_blank()
-        if sc.peek() == "[":
+        if sc.peek() == "[" and not (item and _begins_line(sc)):
             e = App(e, tuple(_parse_bracket_args(sc)))
         else:
             return e
+
+
+def _begins_line(sc):
+    # Only blanks before the cursor on its line (a comment runs to the end
+    # of its line, so none can come before the cursor on the same line).
+    return not sc.text[sc.pos - sc.column + 1 : sc.pos].strip()
 
 
 def _parse_primary(sc):

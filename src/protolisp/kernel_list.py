@@ -4,29 +4,33 @@ first and rest are defined only for values that are neither null nor
 atomic.  combine refuses an atomic second argument.  That single refusal
 is what keeps this kernel closed over proper lists: there is no way to
 put an atom in tail position, so improper chains never come into being.
+
+A list is a chain of shared cells (see values.ProperList), so first, rest,
+combine and null each take constant time: rest returns the tail cell
+itself and combine makes one new cell in front of its second argument.
 """
 
 from .errors import KernelError, KernelKind
-from .values import ProperList, Symbol
+from .values import NULL, ProperList, Symbol, _cell
 
 
 def _need_nonempty_list(x, operation):
     if not isinstance(x, ProperList):
         raise KernelError(KernelKind.UNDEFINED_ON_ATOM, operation, x)
-    if not x.items:
+    if x is NULL:
         raise KernelError(KernelKind.UNDEFINED_ON_NULL, operation, x)
 
 
 def first(x):
     """First element of a non-null, non-atomic value."""
     _need_nonempty_list(x, "first")
-    return x.items[0]
+    return x.head
 
 
 def rest(x):
     """x without its first element; the rest of a one-element list is ()."""
     _need_nonempty_list(x, "rest")
-    return ProperList(x.items[1:])
+    return x.tail
 
 
 def combine(e, l):
@@ -36,11 +40,15 @@ def combine(e, l):
     """
     if not isinstance(l, ProperList):
         raise KernelError(KernelKind.ATOMIC_SECOND_ARG, "combine", l)
-    return ProperList((e,) + l.items)
+    return _cell(e, l)
 
 
 def atom(x) -> bool:
-    """True iff x is an atomic symbol.  () is not an atom."""
+    """True iff x is an atomic symbol.
+
+    () is not an atom in the list kernel; in the pair kernel, which uses
+    this same test, NIL is one.
+    """
     return isinstance(x, Symbol)
 
 
@@ -54,5 +62,5 @@ def eq(x, y) -> bool:
 
 
 def null(x) -> bool:
-    """True iff x is the empty list."""
-    return isinstance(x, ProperList) and not x.items
+    """True iff x is the empty list, NULL, the only list of length 0."""
+    return x is NULL

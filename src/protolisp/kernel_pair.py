@@ -5,10 +5,14 @@ convention (chains ending in the atom NIL), so properness is a property a
 consumer has to check, not one the constructor grants.  proper() is that
 check; it runs in linear time and answers False rather than looping when
 handed a circular structure.
+
+atom and eq are the list kernel's own: a symbol is an atom in both
+kernels, so NIL is an atom here.
 """
 
 from .errors import KernelError, KernelKind
-from .values import NIL, Pair, Symbol
+from .kernel_list import atom, eq  # noqa: F401  (the same in both kernels)
+from .values import NIL, Pair
 
 
 def cons(a, b):
@@ -25,20 +29,6 @@ def cdr(x):
     if not isinstance(x, Pair):
         raise KernelError(KernelKind.UNDEFINED_ON_ATOM, "cdr", x)
     return x.tail
-
-
-def atom(x) -> bool:
-    """True iff x is an atomic symbol; NIL is an atom here."""
-    return isinstance(x, Symbol)
-
-
-def eq(x, y) -> bool:
-    """Symbol equality; defined only when both arguments are atomic."""
-    if not isinstance(x, Symbol):
-        raise KernelError(KernelKind.NOT_A_SYMBOL, "eq", x)
-    if not isinstance(y, Symbol):
-        raise KernelError(KernelKind.NOT_A_SYMBOL, "eq", y)
-    return x is y
 
 
 def proper(x) -> bool:

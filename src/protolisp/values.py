@@ -2,8 +2,14 @@
 
 The list kernel knows atomic symbols and finite sequences, nothing else.
 The empty sequence () is a value in its own right and is not an atom.
-Because sequences are built from whole sequences, improper or circular
-structure simply cannot be expressed.
+A sequence is a chain of immutable cells, the list structure of McCarthy
+(1960) with one constraint on top: each cell holds an element (head), the
+sequence of the elements after it (tail) and its length, and the chain
+ends at the one empty sequence, NULL.  A tail can only ever be a
+sequence and no field can be assigned once the cell is made, so improper
+or circular structure simply cannot be expressed.  Cells are shared, not
+copied: the rest of a sequence is its tail, and putting an element in
+front of a sequence makes one new cell.
 
 The pair kernel knows atomic symbols and ordered pairs.  The atom NIL is
 ordinary data that by convention marks the end of a list, so a chain of
@@ -61,29 +67,110 @@ class Symbol:
         return self.name
 
 
-@dataclass(frozen=True)
-class ProperList:
-    """A finite sequence of values; the only compound value of the list kernel."""
+class _Cell:
+    """A list cell while it is being made; see _cell."""
 
-    items: tuple
+    __slots__ = ("head", "tail", "length", "_items")
 
-    def __post_init__(self):
-        if not isinstance(self.items, tuple):
-            object.__setattr__(self, "items", tuple(self.items))
+
+class ProperList(_Cell):
+    """A finite sequence of values; the only compound value of the list kernel.
+
+    ProperList(iterable) makes the cells of the iterable's elements, first
+    to last, ending at NULL; ProperList(()) is NULL itself.  A cell has
+    head, its first element, tail, the sequence of the rest, and length;
+    NULL has length 0 and no head or tail.  None of them can be assigned.
+    items is the tuple of the elements, made on first use and kept.
+    Equality and hashing are structural (see equal_values).
+    """
+
+    __slots__ = ()
+    __match_args__ = ("items",)
+
+    def __new__(cls, items):
+        seq, length = NULL, 0
+        for x in reversed(tuple(items)):  # _cell, inlined
+            length += 1
+            cell = _Cell()
+            cell.head, cell.tail, cell.length = x, seq, length
+            cell.__class__ = ProperList
+            seq = cell
+        return seq
+
+    @property
+    def items(self):
+        try:
+            return self._items
+        except AttributeError:
+            items = tuple(_heads(self))
+            _Cell._items.__set__(self, items)  # past __setattr__
+            return items
+
+    def __setattr__(self, attr, value):
+        raise AttributeError(f"cannot assign to field {attr!r} of a list")
+
+    def __delattr__(self, attr):
+        raise AttributeError(f"cannot delete field {attr!r} of a list")
+
+    def __eq__(self, other):
+        if other.__class__ is not ProperList:
+            return NotImplemented
+        return equal_values(self, other)
+
+    def __hash__(self):
+        return _hash(self)
+
+    def __reduce__(self):
+        return ProperList, (self.items,)
 
     def __repr__(self):
         return _text(self)
 
 
-NULL = ProperList(())
+def _cell(head, tail):
+    """The sequence whose first element is head and whose rest is tail.
+
+    tail must be a ProperList, which combine checks; ProperList(iterable)
+    takes the same steps inline, starting from NULL.  The cell is made as
+    a plain _Cell, whose fields take the interpreter's fastest stores, and
+    becomes a ProperList once they are set; from then on __setattr__
+    refuses every assignment, __class__ included.
+    """
+    cell = _Cell()
+    cell.head, cell.tail, cell.length = head, tail, tail.length + 1
+    cell.__class__ = ProperList
+    return cell
 
 
-@dataclass(frozen=True)
+NULL = _Cell()
+NULL.length, NULL._items = 0, ()
+NULL.__class__ = ProperList
+
+
+def _heads(seq):
+    """The elements of a sequence, first to last, along its cells."""
+    while seq is not NULL:
+        yield seq.head
+        seq = seq.tail
+
+
+@dataclass(frozen=True, eq=False)
 class Pair:
-    """An ordered pair; the only compound value of the pair kernel."""
+    """An ordered pair; the only compound value of the pair kernel.
+
+    Equality and hashing are structural (see equal_values).
+    """
 
     head: object
     tail: object
+
+    def __eq__(self, other):
+        if other.__class__ is not Pair:
+            return NotImplemented
+        return equal_values(self, other)
+
+    def __hash__(self):
+        return _hash(self)
 
     def __repr__(self):
         return _text(self)
@@ -132,7 +219,7 @@ def _text(v, dialect=None):
             if isinstance(x, Symbol):
                 out.append(x.name)
             elif isinstance(x, ProperList) and dialect is not Dialect.CLASSIC:
-                frames.append([iter(x.items), ", ", len(out), ")", ()])
+                frames.append([_heads(x), ", ", len(out), ")", ()])
                 break
             elif isinstance(x, Pair) and dialect is not Dialect.AIM8:
                 if id(x) in path:
@@ -187,15 +274,108 @@ def _spine(pair, path, frame):
 
 
 def _mismatch(v, dialect):
-    other = "pair" if dialect is Dialect.AIM8 else "list"
-    return KindMismatchError(
-        f"cannot print a {other}-kernel value in {dialect.value}: {v!r}"
-    )
+    if isinstance(v, Pair):
+        kind = "a pair-kernel value"
+    elif isinstance(v, ProperList):
+        kind = "a list-kernel value"
+    else:
+        kind = "a value of neither kernel"
+    return KindMismatchError(f"cannot print {kind} in {dialect.value}: {v!r}")
 
 
 def equal_values(a, b) -> bool:
-    """Structural equality; values of different kinds are never equal."""
-    return a == b
+    """Structural equality; values of different kinds are never equal.
+
+    Two sequences are equal when they have the same length and equal
+    elements, two pairs when their heads and their tails are equal, and
+    any other two values when == says so.  Pairs made cyclic through
+    unsafe_set_tail are equal when they unfold to the same infinite tree:
+    two pairs are assumed equal once compared, and the assumption is
+    kept as a union-find over pairs (Adams and Dybvig, "Efficient
+    nondestructive equality checking for trees and graphs", ICFP 2008),
+    so every walk ends.  The walk keeps its own stack, so any nesting
+    depth compares.
+    """
+    todo = [(a, b)]
+    union = {}  # id of a pair -> a pair assumed equal to it, nearer its root
+    while todo:
+        x, y = todo.pop()
+        if x is y:
+            continue
+        if x.__class__ is ProperList:
+            if y.__class__ is not ProperList or x.length != y.length:
+                return False
+            while x is not y:  # an identical tail is an equal one
+                if x.head is not y.head:
+                    todo.append((x.head, y.head))
+                x, y = x.tail, y.tail
+        elif x.__class__ is Pair:
+            if y.__class__ is not Pair:
+                return False
+            root_x, root_y = _root(union, x), _root(union, y)
+            if root_x is not root_y:
+                union[id(root_x)] = root_y
+                todo.append((x.tail, y.tail))
+                todo.append((x.head, y.head))
+        elif not x == y:
+            return False
+    return True
+
+
+def _root(union, pair):
+    """The pair that stands for pair's class in union.
+
+    Each pair passed on the way is pointed at the one above its parent
+    (path splitting), so later walks are shorter.
+    """
+    while (up := union.get(id(pair))) is not None:
+        above = union.get(id(up))
+        if above is not None:
+            union[id(pair)] = above
+        pair = up
+    return pair
+
+
+# The hash of every value that reaches a pair cycle.
+_CYCLE_HASH = hash(CYCLE_MARKER)
+
+
+def _hash(v):
+    """A hash of v that agrees with equal_values.
+
+    A sequence hashes its elements and a pair its head and tail, each
+    shared part once; any other value hashes itself.  A value that reaches
+    a pair cycle unfolds to an infinite tree, which no finite value
+    equals, so all such values hash alike.  The walk keeps its own stack,
+    so any nesting depth hashes.
+    """
+    done, path = {}, set()  # hashes of finished parts; ids of open ones
+    frames = []  # (value, parts still to hash, hashes of those hashed) above
+    parts, hashes = iter((v,)), []
+    while True:
+        for x in parts:
+            if x.__class__ is not ProperList and x.__class__ is not Pair:
+                hashes.append(hash(x))
+            elif id(x) in done:
+                hashes.append(done[id(x)])
+            elif id(x) in path:
+                return _CYCLE_HASH
+            else:
+                path.add(id(x))
+                frames.append((x, parts, hashes))
+                if x.__class__ is ProperList:
+                    parts, hashes = _heads(x), [x.length]
+                else:
+                    parts, hashes = iter((x.head, x.tail)), [-1]
+                break
+        else:
+            if not frames:
+                return hashes[0]
+            x, parts, outer = frames.pop()
+            path.discard(id(x))
+            done[id(x)] = h = hash(tuple(hashes))
+            outer.append(h)
+            hashes = outer
 
 
 def list_to_pair(v):
@@ -213,14 +393,14 @@ def list_to_pair(v):
             return v
         raise TypeError(f"not a list-kernel value: {v!r}")
     stack = []  # (items left, chain so far) of each enclosing sequence
-    items, out = reversed(v.items), NIL
+    items, out = reversed([*_heads(v)]), NIL
     while True:
         for x in items:
             if isinstance(x, Symbol):
                 out = Pair(x, out)
             elif isinstance(x, ProperList):
                 stack.append((items, out))
-                items, out = reversed(x.items), NIL
+                items, out = reversed([*_heads(x)]), NIL
                 break
             else:
                 raise TypeError(f"not a list-kernel value: {x!r}")

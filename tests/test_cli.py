@@ -269,14 +269,24 @@ def test_run_a_file_that_is_not_utf8(cli):
 
 def test_run_a_value_holding_a_closure_cannot_be_printed(cli):
     for kernel, dialect, message in (
-        ("list", "aim8", "cannot print a pair-kernel value in aim8"),
+        ("list", "aim8", "cannot print a value of neither kernel in aim8"),
         ("list", "classic", "not a list-kernel value"),
         ("pair", "aim8", "not a pair-kernel value"),
-        ("pair", "classic", "cannot print a list-kernel value in classic"),
+        ("pair", "classic", "cannot print a value of neither kernel in classic"),
     ):
         path = src(cli.path, "combine[lambda[[x]; x]; ()]")
         code, out, err = cli("run", path, "--kernel", kernel, "--dialect", dialect)
         assert (code, out, err) == (70, "", f"{message}: #<closure (X)>\n")
+
+
+def test_run_a_conditional_that_begins_a_line_is_a_new_item(cli):
+    path = src(cli.path, "x = A\nx\n[T -> B]\n")
+    for kernel in ("list", "pair"):
+        code, out, err = cli("run", path, "--kernel", kernel)
+        assert (code, out, err) == (0, "B\n", "")
+    code, out, err = cli("translate", path)
+    translation = "(X, (QUOTE, A))\nX\n(COND, ((QUOTE, T), (QUOTE, B)))\n"
+    assert (code, out, err) == (0, translation, "")
 
 
 KERNEL_OPERATIONS = ("first", "rest", "combine", "car", "cdr", "cons")

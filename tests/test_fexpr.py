@@ -199,3 +199,26 @@ def test_read_program_mixed_items():
         Definition("w", App(Var("first"), (Const(ProperList((A,))),))),
         Var("w"),
     ]
+
+
+def test_read_program_a_bracket_that_begins_a_line_begins_an_item():
+    t_to_b = Cond(((Const(Symbol("T")), Const(B)),))
+    assert read_program("x = A\nx\n[T -> B]\n") == [
+        Definition("x", Const(A)),
+        Var("x"),
+        t_to_b,
+    ]
+    # after a definition, any expression, blanks or a comment line
+    assert read_program("y = f[A]\n  # note\n  [T -> B]") == [
+        Definition("y", App(Var("f"), (Const(A),))),
+        t_to_b,
+    ]
+    assert read_program("(A)\n[T -> B]") == [Const(ProperList((A,))), t_to_b]
+
+
+def test_read_program_a_bracket_inside_a_line_or_brackets_applies():
+    f_of_a = App(Var("f"), (Const(A),))
+    assert read_program("f [A]") == [f_of_a]
+    assert read_program("f[A]\n") == [f_of_a]
+    assert read_program("g[f\n[A]]") == [App(Var("g"), (f_of_a,))]
+    assert read_fexpr("f\n[A]") == f_of_a

@@ -16,6 +16,7 @@ from protolisp import (
     ParseErrorKind,
     ProperList,
     Symbol,
+    eval_sexpr,
     print_sexpr,
     read_sexpr,
     read_sexprs,
@@ -207,6 +208,20 @@ def test_printers_take_any_nesting_depth():
     with pytest.raises(KindMismatchError) as exc:
         print_sexpr(Pair(pairs, NULL), Dialect.CLASSIC)
     assert str(exc.value) == "cannot print a list-kernel value in classic: ()"
+
+
+def test_a_value_of_neither_kernel_is_named_as_such():
+    closure = eval_sexpr(read_sexpr("(LAMBDA, (X), X)"))
+    for value, dialect in (
+        (ProperList((A, closure)), Dialect.AIM8),
+        (Pair(A, Pair(closure, NIL)), Dialect.CLASSIC),
+        (closure, Dialect.AIM8),
+    ):
+        with pytest.raises(KindMismatchError) as exc:
+            print_sexpr(value, dialect)
+        assert str(exc.value) == (
+            f"cannot print a value of neither kernel in {dialect.value}: #<closure (X)>"
+        )
 
 
 # --- round trips and canonicalization ----------------------------------------

@@ -180,3 +180,76 @@ def test_unsafe_set_tail_is_the_only_way_to_a_cycle():
     p = Pair(A, NIL)
     unsafe_set_tail(p, p)
     assert p.tail is p
+
+
+DEEP = 100_000
+
+
+def nested_lists(leaf):
+    v = ProperList((leaf,))
+    for _ in range(DEEP):
+        v = ProperList((v,))
+    return v
+
+
+def nested_pairs(leaf):
+    v = Pair(leaf, NIL)
+    for _ in range(DEEP):
+        v = Pair(v, NIL)
+    return v
+
+
+@pytest.mark.parametrize("nested", [nested_lists, nested_pairs])
+def test_equality_and_hashing_take_any_nesting_depth(nested):
+    x, y, z = nested(B), nested(B), nested(C)
+    assert x is not y
+    assert x == y and equal_values(x, y) and not x != y
+    assert hash(x) == hash(y)
+    assert x != z and not equal_values(x, z)
+
+
+def test_equality_and_hashing_take_any_length():
+    x, y, z = (list_to_pair(ProperList((A,) * DEEP + (last,))) for last in (B, B, C))
+    assert x == y and hash(x) == hash(y) and x != z
+
+
+def cycle(*heads):
+    """The pairs of heads, the last one's tail pointing back at the first."""
+    first = last = Pair(heads[0], NIL)
+    for h in heads[1:]:
+        nxt = Pair(h, NIL)
+        unsafe_set_tail(last, nxt)
+        last = nxt
+    unsafe_set_tail(last, first)
+    return first
+
+
+def test_cyclic_pairs_are_equal_when_they_unfold_alike():
+    p, q = cycle(A), cycle(A)
+    assert p == q and equal_values(p, q)
+    assert hash(p) == hash(q)
+    assert cycle(A, A, A) == cycle(A, A) == p  # A A A ... all of them
+    assert cycle(A, B) == Pair(A, cycle(B, A))
+    assert cycle(A, B, A, B) == cycle(A, B)
+    head_cycle = Pair(A, NIL)
+    unsafe_set_tail(head_cycle, Pair(head_cycle, NIL))
+    other = Pair(A, NIL)
+    unsafe_set_tail(other, Pair(other, NIL))
+    assert head_cycle == other and hash(head_cycle) == hash(other)
+
+
+def test_cyclic_pairs_are_unequal_when_they_unfold_differently():
+    assert cycle(A) != cycle(B)
+    assert cycle(A, B) != cycle(B, A)
+    assert cycle(A, A, B) != cycle(A, B)
+    assert cycle(A) != Pair(A, Pair(A, NIL))
+    assert not equal_values(cycle(A), A)
+    assert ProperList((cycle(A),)) != ProperList((cycle(B),))
+    assert ProperList((cycle(A),)) == ProperList((cycle(A, A),))
+
+
+def test_values_of_different_kinds_are_never_equal():
+    assert ProperList((A,)) != Pair(A, NIL)
+    assert NULL != NIL and not equal_values(NULL, NIL)
+    assert ProperList((A,)) != (A,)
+    assert Pair(A, B) != (A, B)
