@@ -19,9 +19,10 @@ CAR/CDR/CONS are all bound in both kernels: in the list kernel CONS is
 combine and refuses an atomic second argument, in the pair kernel COMBINE
 is the unconstrained cons.
 
-Each compound form is analysed once, on its first evaluation, into a
-node that has already decided what the form is: a quoted constant, a COND
-clause list, a LAMBDA, a LABEL or an application.  The nodes are cached
+Each compound form is analysed once, into a node that has already
+decided what the form is: a quoted constant, a COND clause list, a
+LAMBDA, a LABEL or an application.  A form is analysed on its first
+evaluation, or with the application it is an operand of.  The nodes are cached
 by the identity of the form, per interpreter (one per eval_sexpr or
 apply_fn call, so per kernel), and every later evaluation of the form
 starts from its node.  Head atoms, like every symbol, are interned, so
@@ -38,6 +39,20 @@ looks symbols up and returns quoted constants itself, and sends each
 value back to the generator that asked.  There is no tail-call
 elimination: a closure body is evaluated inside the application that
 called it.
+
+Most of the universal function is primitives applied to primitives:
+eq[first[e]; QUOTE], first[rest[rest[fn]]].  Such a tree is applied in one
+step, without a task per application or a turn of the loop per operand,
+the superinstruction of Piumarta and Riccardi ("Optimizing direct
+threaded code by selective inlining", PLDI 1998).  An application whose
+head is a symbol and whose operands are symbols, quoted constants and
+such applications, at most eight high, gets a plan when it is analysed.
+When the loop meets it, it looks up every head of the tree first; if
+each is bound to a primitive of the arity used, and the tree fits under
+the depth cap, the plan evaluates the tree, else the application's task
+does.  Looking up is all that happens before that choice, so nothing is
+evaluated twice, and the plan keeps the order, the primitive calls, the
+errors and the trace of the tasks it stands in for.
 
 Evaluation depth is the number of expressions under evaluation, capped
 (default 10000, configurable); passing the cap raises an EvalError of kind
@@ -69,6 +84,10 @@ _QUOTE = Symbol("QUOTE")
 _COND = Symbol("COND")
 _LAMBDA = Symbol("LAMBDA")
 _LABEL = Symbol("LABEL")
+_SPECIAL = frozenset((_QUOTE, _COND, _LAMBDA, _LABEL))
+
+# The height of the highest tree of applications that has a plan; see _plan.
+_PLAN_HEIGHT = 8
 
 
 @dataclass(frozen=True)
@@ -160,10 +179,13 @@ class _Interp:
         self.kernel = Kernel(kernel)
         self.max_depth = max_depth
         self.stack = []
-        self._nodes = {}  # id(form) -> (start, constant, form), see _analyse
+        self._nodes = {}  # id(form) -> (start, constant, form, plan), see _analyse
 
     def _error(self, kind, detail, kernel_error=None):
         return EvalError(kind, detail, trace=self.stack[-8:], kernel_error=kernel_error)
+
+    def _fault(self, ke):
+        return self._error(Fault.KERNEL_FAULT, str(ke), kernel_error=ke)
 
     def _sequence(self, v):
         """The items of v if it is a proper list of the active kernel, else None.
@@ -186,66 +208,111 @@ class _Interp:
         """Drive task, a generator that yields (expr, env), to its value.
 
         Each yielded expression is pushed on self.stack and evaluated: a
-        symbol or a quoted constant here, any other compound form by the
-        task its node makes, suspended above the one that asked.  When the
-        evaluation ends its value is sent back to the asker.
+        symbol or a quoted constant here, an application with a plan here
+        too when its heads resolve to primitives and its height fits under
+        the cap, and any other compound form by the task its node makes,
+        suspended above the one that asked.  When the evaluation ends its
+        value is sent back to the asker.
         """
         tasks = [task]
         stack = self.stack
         nodes = self._nodes
+        max_depth = self.max_depth
         value = None
-        while True:
-            try:
-                expr, env = tasks[-1].send(value)
-            except StopIteration as done:
-                tasks.pop()
-                if not tasks:
-                    return done.value
-                stack.pop()
-                value = done.value
-                continue
-            stack.append(expr)
-            if len(stack) > self.max_depth:
-                raise self._error(
-                    Fault.DEPTH_EXCEEDED,
-                    f"recursion depth exceeded ({self.max_depth})",
-                )
-            if isinstance(expr, Symbol):
-                value = self._lookup(expr, env)
-                stack.pop()
-                continue
-            start, constant, _ = nodes.get(id(expr)) or self._analyse(expr)
-            if start is None:
-                value = constant
-                stack.pop()
-            else:
+        try:
+            while True:
+                try:
+                    expr, env = tasks[-1].send(value)
+                except StopIteration as done:
+                    tasks.pop()
+                    if not tasks:
+                        return done.value
+                    stack.pop()
+                    value = done.value
+                    continue
+                stack.append(expr)
+                if len(stack) > max_depth:
+                    raise self._error(
+                        Fault.DEPTH_EXCEEDED,
+                        f"recursion depth exceeded ({max_depth})",
+                    )
+                if isinstance(expr, Symbol):
+                    value = self._lookup(expr, env)
+                    stack.pop()
+                    continue
+                start, constant, _, plan = nodes.get(id(expr)) or self._analyse(expr)
+                if start is None:
+                    value = constant
+                    stack.pop()
+                    continue
+                if plan is not None and len(stack) + plan[0] <= max_depth:
+                    fns = _primitives(plan[1], env)
+                    if fns is not None:
+                        value = plan[2](env, fns)
+                        stack.pop()
+                        continue
                 tasks.append(start(env))
                 value = None
+        finally:
+            # The nodes' closures refer back to this interpreter; dropping
+            # them here frees it at once, not at the next cycle collection.
+            nodes.clear()
 
     def _lookup(self, sym, env):
+        for name, value in env.bindings:
+            if name is sym:
+                return value
+        return self._free(sym)
+
+    def _free(self, sym):
         # A binding wins over self-evaluation, so a LABEL named T or F
         # still works; unbound, the truth atoms (and NIL in the pair
-        # kernel) stand for themselves.
-        try:
-            return env.lookup(sym)
-        except LookupError:
-            if sym is T or sym is F:
-                return sym
-            if self.kernel is Kernel.PAIR and sym is NIL:
-                return sym
-            raise self._error(Fault.UNBOUND, f"unbound symbol: {sym.name}")
+        # kernel) stand for themselves.  sym is on top of self.stack.
+        if sym is T or sym is F:
+            return sym
+        if self.kernel is Kernel.PAIR and sym is NIL:
+            return sym
+        raise self._error(Fault.UNBOUND, f"unbound symbol: {sym.name}")
 
     def _analyse(self, form):
         """The node of a compound form, made on its first evaluation.
 
-        A node is (start, constant, form).  For QUOTE start is None and the
-        constant is the value; for any other form start(env) makes the task
-        that evaluates the form in env.  Malformed syntax gives a start that
-        raises, so it fails only where it is evaluated.  The node keeps the
-        form alive, so that no other object can take the id it is cached by.
+        A node is (start, constant, form, plan).  For QUOTE start is None
+        and the constant is the value; for any other form start(env) makes
+        the task that evaluates the form in env.  Malformed syntax gives a
+        start that raises, so it fails only where it is evaluated.  An
+        application may also have a plan (see _plan); any other node has
+        None.  The node keeps the form alive, so that no other object can
+        take the id it is cached by.
+
+        The operands of an application are analysed before it, so that its
+        plan can be made from their nodes: every form reached from form
+        through operands of applications gets its node here, before its
+        own first evaluation, on an explicit stack.  An application met again inside itself (a cyclic
+        pair-kernel form) has no node yet where it is an operand, so the
+        applications around it get no plan.
         """
-        items = self._sequence(form)
-        start = constant = None
+        nodes = self._nodes
+        todo = [(form, None)]  # (form, its items once its operands are queued)
+        opened = set()  # ids of the forms whose operands are queued
+        while todo:
+            f, items = todo.pop()
+            if id(f) in nodes or (items is None and id(f) in opened):
+                continue
+            if items is None:
+                items = self._sequence(f)
+                if items and isinstance(items[0], Symbol) and items[0] not in _SPECIAL:
+                    opened.add(id(f))
+                    todo.append((f, items))
+                    for x in items[1:]:
+                        if not isinstance(x, Symbol):
+                            todo.append((x, None))
+                    continue
+            nodes[id(f)] = self._node(f, items)
+        return nodes[id(form)]
+
+    def _node(self, form, items):
+        start = constant = plan = None
         if items is None:
             start = self._malformed(
                 f"not an expression of the {self.kernel.value} kernel: {form!r}"
@@ -265,8 +332,8 @@ class _Interp:
             start = self._label(items)
         else:
             start = self._application(items[0], items[1:])
-        node = self._nodes[id(form)] = (start, constant, form)
-        return node
+            plan = self._plan(items[0], items[1:])
+        return (start, constant, form, plan)
 
     def _malformed(self, detail):
         def start(env):
@@ -337,6 +404,108 @@ class _Interp:
 
         return start
 
+    def _plan(self, head, operands):
+        """The plan of an application, or None if it cannot have one.
+
+        An application has a plan when its head is a symbol and each
+        operand is a symbol, a quoted constant or an application with a
+        plan, and the tree of them is at most _PLAN_HEIGHT high.  A plan is
+        (height, heads, run).  heads holds each head symbol of the tree
+        once, with the number of operands it takes there: if each is bound
+        to a Primitive of that arity, run(env, fns), given the fns of those
+        primitives by symbol (see _primitives), evaluates the tree in env
+        and returns its value.  The height is the number of levels the
+        evaluation would push on self.stack above the application, so the
+        tree fits under the cap when len(self.stack) + height does.
+
+        run takes the steps the tasks would take, in the same order: each
+        nested application and each operand symbol is on self.stack while
+        it is evaluated, each primitive is called once through its fn, and
+        a KernelError becomes the same KERNEL_FAULT.  It recurses on the
+        host stack once per level, which _PLAN_HEIGHT bounds.
+        """
+        if not isinstance(head, Symbol):
+            return None
+        heads = {head: len(operands)}
+        height = 1
+        gets = []
+        for x in operands:
+            if isinstance(x, Symbol):
+                gets.append(self._get_symbol(x))
+                continue
+            node = self._nodes.get(id(x))
+            if node is None:  # x is an application inside itself
+                return None
+            start, constant, _, plan = node
+            if start is None:
+                gets.append(lambda env, fns, constant=constant: constant)
+                continue
+            if plan is None:
+                return None
+            sub_height, sub_heads, sub_run = plan
+            for sym, arity in sub_heads:
+                if heads.setdefault(sym, arity) != arity:
+                    return None
+            height = max(height, sub_height + 1)
+            gets.append(self._get_nested(x, sub_run))
+        if height > _PLAN_HEIGHT:
+            return None
+        return height, tuple(heads.items()), self._call(head, gets)
+
+    def _get_symbol(self, sym):
+        stack, free = self.stack, self._free
+
+        def get(env, fns):
+            for name, value in env.bindings:
+                if name is sym:
+                    return value
+            stack.append(sym)
+            value = free(sym)
+            stack.pop()
+            return value
+
+        return get
+
+    def _get_nested(self, form, run):
+        stack = self.stack
+
+        def get(env, fns):
+            stack.append(form)
+            value = run(env, fns)
+            stack.pop()
+            return value
+
+        return get
+
+    def _call(self, head, gets):
+        if len(gets) == 1:
+            (get,) = gets
+
+            def run(env, fns):
+                try:
+                    return fns[head](get(env, fns))
+                except KernelError as ke:
+                    raise self._fault(ke) from ke
+
+        elif len(gets) == 2:
+            get0, get1 = gets
+
+            def run(env, fns):
+                try:
+                    return fns[head](get0(env, fns), get1(env, fns))
+                except KernelError as ke:
+                    raise self._fault(ke) from ke
+
+        else:
+
+            def run(env, fns):
+                try:
+                    return fns[head](*[get(env, fns) for get in gets])
+                except KernelError as ke:
+                    raise self._fault(ke) from ke
+
+        return run
+
     def apply(self, fn, args):
         """Apply fn to evaluated args; a closure body is yielded, not run."""
         if isinstance(fn, Primitive):
@@ -348,7 +517,7 @@ class _Interp:
             try:
                 return fn.fn(*args)
             except KernelError as ke:
-                raise self._error(Fault.KERNEL_FAULT, str(ke), kernel_error=ke) from ke
+                raise self._fault(ke) from ke
         if isinstance(fn, Closure):
             if len(args) != len(fn.params):
                 raise self._error(
@@ -360,6 +529,25 @@ class _Interp:
                 pairs.append((fn.self_name, fn))
             return (yield fn.body, fn.env.extend(pairs))
         raise self._error(Fault.NOT_CALLABLE, f"not callable: {fn!r}")
+
+
+def _primitives(heads, env):
+    """The fn of each head's Primitive by symbol, or None.
+
+    None unless env binds every (symbol, arity) of heads to a Primitive
+    of that arity.  Only bindings are read, so nothing is evaluated.
+    """
+    fns = {}
+    for sym, arity in heads:
+        for name, value in env.bindings:
+            if name is sym:
+                break
+        else:
+            return None
+        if not isinstance(value, Primitive) or value.arity != arity:
+            return None
+        fns[sym] = value.fn
+    return fns
 
 
 def _value_of(expr, env):

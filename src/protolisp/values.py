@@ -81,7 +81,8 @@ class ProperList(_Cell):
     head, its first element, tail, the sequence of the rest, and length;
     NULL has length 0 and no head or tail.  None of them can be assigned.
     items is the tuple of the elements, made on first use and kept.
-    Equality and hashing are structural (see equal_values).
+    Equality and hashing are structural (see equal_values); copy and
+    pickle take any nesting depth (see _graph).
     """
 
     __slots__ = ()
@@ -121,7 +122,7 @@ class ProperList(_Cell):
         return _hash(self)
 
     def __reduce__(self):
-        return ProperList, (self.items,)
+        return _rebuild, _graph(self)
 
     def __repr__(self):
         return _text(self)
@@ -158,7 +159,8 @@ def _heads(seq):
 class Pair:
     """An ordered pair; the only compound value of the pair kernel.
 
-    Equality and hashing are structural (see equal_values).
+    Equality and hashing are structural (see equal_values); copy and
+    pickle take any nesting depth and keep cycles (see _graph).
     """
 
     head: object
@@ -171,6 +173,9 @@ class Pair:
 
     def __hash__(self):
         return _hash(self)
+
+    def __reduce__(self):
+        return _rebuild, _graph(self)
 
     def __repr__(self):
         return _text(self)
@@ -376,6 +381,76 @@ def _hash(v):
             done[id(x)] = h = hash(tuple(hashes))
             outer.append(h)
             hashes = outer
+
+
+def _graph(v):
+    """The compound values reachable from v, flat: (rows, atoms).
+
+    This is what pickle and copy see of a sequence or a pair (see
+    _rebuild), so any nesting depth pickles and copies.  Each compound
+    value gets a row, numbered in the order it is first met, v's first: a
+    sequence's row is (0, its elements...), a pair's (1, head, tail).  An
+    element, head or tail is given as the number of its row, or, for any
+    other value, as -1 - its index in atoms.  A value met twice is given
+    the same number, so sharing, cycles included, is kept.
+    """
+    rows, atoms, numbers, todo = [], [], {}, []
+
+    def number(x):
+        n = numbers.get(id(x))
+        if n is None:
+            if x.__class__ is ProperList or x.__class__ is Pair:
+                n = len(rows)
+                rows.append(None)
+                todo.append(x)
+            else:
+                n = -1 - len(atoms)
+                atoms.append(x)
+            numbers[id(x)] = n
+        return n
+
+    number(v)
+    while todo:
+        x = todo.pop()
+        if x.__class__ is Pair:
+            row = (1, number(x.head), number(x.tail))
+        else:
+            row = (0, *[number(h) for h in _heads(x)])
+        rows[numbers[id(x)]] = row
+    return tuple(rows), tuple(atoms)
+
+
+def _rebuild(rows, atoms):
+    """The value of row 0 of a _graph, made without recursion.
+
+    Every pair and every cell is made first, its elements unset, so a row
+    may name any other; the elements are set next, and the cells become
+    ProperLists last, as in _cell.
+    """
+    made, cells = [], []
+    for row in rows:
+        if row[0]:
+            made.append(object.__new__(Pair))
+            continue
+        seq = NULL
+        for length in range(1, len(row)):
+            cell = _Cell()
+            cell.tail, cell.length = seq, length
+            cells.append(cell)
+            seq = cell
+        made.append(seq)
+    value = lambda n: made[n] if n >= 0 else atoms[-1 - n]  # noqa: E731
+    for x, row in zip(made, rows):
+        if row[0]:
+            object.__setattr__(x, "head", value(row[1]))
+            object.__setattr__(x, "tail", value(row[2]))
+            continue
+        for n in row[1:]:
+            x.head = value(n)
+            x = x.tail
+    for cell in cells:
+        cell.__class__ = ProperList
+    return made[0]
 
 
 def list_to_pair(v):

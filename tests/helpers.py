@@ -1,26 +1,37 @@
 """Shared test machinery: random value generators with fixed seeds,
 exhaustive enumerators for small value spaces, messy (non-canonical but
 valid) renderings for canonicalization tests, reference oracles for the
-little library programs, and hypothesis strategies.
+little library programs and for the evaluator, and hypothesis strategies.
 """
 
 import itertools
 import random
+from dataclasses import replace
 
 import hypothesis.strategies as st
 
 from protolisp import (
+    DEFAULT_MAX_DEPTH,
     NIL,
     NULL,
     App,
+    Closure,
     Cond,
     Const,
+    EvalError,
+    F,
+    Fault,
+    Kernel,
+    KernelError,
     Label,
     Lambda,
     Pair,
+    Primitive,
     ProperList,
     Symbol,
+    T,
     Var,
+    default_env,
 )
 
 A, B, C, D = Symbol("A"), Symbol("B"), Symbol("C"), Symbol("D")
@@ -202,6 +213,123 @@ def py_reverse(x):
 
 def py_last(x):
     return x.items[-1]
+
+
+def reference_eval(expr, env=None, kernel=Kernel.LIST, max_depth=DEFAULT_MAX_DEPTH):
+    """eval_sexpr as the plain recursive universal function, for comparison.
+
+    It recurses on the host stack, so a caller must be ready for a
+    RecursionError.  The expressions under evaluation are kept in a list,
+    as eval_sexpr keeps them, so the errors carry the same kinds,
+    messages and traces.
+    """
+    kernel = Kernel(kernel)
+    stack = []
+
+    def fail(kind, detail, kernel_error=None):
+        return EvalError(kind, detail, trace=stack[-8:], kernel_error=kernel_error)
+
+    def items_of(v):  # the items of a proper list of the kernel, or None
+        if kernel is Kernel.LIST:
+            return list(v.items) if isinstance(v, ProperList) else None
+        items, seen = [], set()
+        while isinstance(v, Pair) and id(v) not in seen:
+            seen.add(id(v))
+            items.append(v.head)
+            v = v.tail
+        return items if v is NIL else None
+
+    def ev(x, env):
+        stack.append(x)
+        if len(stack) > max_depth:
+            raise fail(
+                Fault.DEPTH_EXCEEDED, f"recursion depth exceeded ({max_depth})"
+            )
+        value = form(x, env)
+        stack.pop()
+        return value
+
+    def form(x, env):
+        if isinstance(x, Symbol):
+            for name, value in env.bindings:
+                if name is x:
+                    return value
+            if x is T or x is F or (kernel is Kernel.PAIR and x is NIL):
+                return x
+            raise fail(Fault.UNBOUND, f"unbound symbol: {x.name}")
+        items = items_of(x)
+        if items is None:
+            raise fail(
+                Fault.MALFORMED,
+                f"not an expression of the {kernel.value} kernel: {x!r}",
+            )
+        if not items:
+            raise fail(Fault.MALFORMED, "the empty list is not a form")
+        head, operands = items[0], items[1:]
+        if head is QUOTE:
+            if len(operands) != 1:
+                raise fail(Fault.MALFORMED, "QUOTE takes exactly one operand")
+            return operands[0]
+        if head is COND:
+            for clause in operands:
+                clause = items_of(clause)
+                if clause is None or len(clause) != 2:
+                    raise fail(
+                        Fault.MALFORMED, "each COND clause must be a two-element list"
+                    )
+                t = ev(clause[0], env)
+                if t is T:
+                    return ev(clause[1], env)
+                if t is not F:
+                    raise fail(
+                        Fault.BAD_TRUTH_VALUE,
+                        f"COND test produced {t!r}, which is neither T nor F",
+                    )
+            raise fail(Fault.COND_EXHAUSTED, "no COND test evaluated to T")
+        if head is LAMBDA:
+            if len(operands) != 2:
+                raise fail(Fault.MALFORMED, "LAMBDA takes a parameter list and a body")
+            params = items_of(operands[0])
+            if params is None or not all(isinstance(p, Symbol) for p in params):
+                raise fail(Fault.MALFORMED, "LAMBDA parameters must be a list of atoms")
+            if len(set(params)) != len(params):
+                raise fail(Fault.MALFORMED, "LAMBDA parameters must be distinct")
+            return Closure(tuple(params), operands[1], env)
+        if head is LABEL:
+            if len(operands) != 2 or not isinstance(operands[0], Symbol):
+                raise fail(Fault.MALFORMED, "LABEL takes an atom and a body")
+            fn = ev(operands[1], env)
+            if not isinstance(fn, Closure):
+                raise fail(Fault.MALFORMED, "LABEL body must produce a closure")
+            return replace(fn, self_name=operands[0])
+        fn = ev(head, env)
+        args = [ev(a, env) for a in operands]
+        if isinstance(fn, Primitive):
+            if len(args) != fn.arity:
+                raise fail(
+                    Fault.ARITY,
+                    f"{fn.name} expects {fn.arity} argument(s), got {len(args)}",
+                )
+            try:
+                return fn.fn(*args)
+            except KernelError as ke:
+                raise fail(Fault.KERNEL_FAULT, str(ke), ke) from ke
+        if isinstance(fn, Closure):
+            if len(args) != len(fn.params):
+                raise fail(
+                    Fault.ARITY,
+                    f"closure expects {len(fn.params)} argument(s), got {len(args)}",
+                )
+            pairs = list(zip(fn.params, args))
+            if fn.self_name is not None:
+                pairs.append((fn.self_name, fn))
+            return ev(fn.body, fn.env.extend(pairs))
+        raise fail(Fault.NOT_CALLABLE, f"not callable: {fn!r}")
+
+    return ev(expr, default_env(kernel) if env is None else env)
+
+
+QUOTE, COND, LAMBDA, LABEL = (Symbol(n) for n in ("QUOTE", "COND", "LAMBDA", "LABEL"))
 
 
 # -------------------------------------------------- hypothesis strategies

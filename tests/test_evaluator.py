@@ -4,10 +4,13 @@ import itertools
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import corpus
 import helpers
 from protolisp import (
+    DEFAULT_MAX_DEPTH,
     NIL,
     NULL,
     Closure,
@@ -509,3 +512,171 @@ def test_the_limit_is_enforced_not_the_host_stack():
     with pytest.raises(EvalError) as exc:
         eval_fexpr(read_fexpr(src), max_depth=100)
     assert exc.value.kind is Fault.DEPTH_EXCEEDED
+
+
+# --- primitive trees run in one step, and nothing shows it -------------------------
+
+COMBINE, QUOTE = Symbol("COMBINE"), Symbol("QUOTE")
+
+
+def form(kernel, *items):
+    """The form of items: a list, or in the pair kernel a chain of pairs.
+
+    Items are used as they are, so a form object can be shared.
+    """
+    if kernel is Kernel.LIST:
+        return ProperList(items)
+    chain = NIL
+    for x in reversed(items):
+        chain = Pair(x, chain)
+    return chain
+
+
+def in_kernel(kernel, v):
+    return v if kernel is Kernel.LIST else list_to_pair(v)
+
+
+def quoted(kernel, v):
+    return form(kernel, QUOTE, in_kernel(kernel, v))
+
+
+@pytest.mark.parametrize("kernel", [Kernel.LIST, Kernel.PAIR])
+def test_a_combine_tree_of_any_height_evaluates(kernel):
+    n = 100_000
+    empty = quoted(kernel, NULL)
+    tree = empty
+    for _ in range(n):
+        tree = form(kernel, COMBINE, tree, empty)
+    value = eval_sexpr(tree, kernel=kernel, max_depth=10**6)
+    expected = NULL
+    for _ in range(n):
+        expected = ProperList((expected,))
+    assert value == in_kernel(kernel, expected)
+
+
+@pytest.mark.parametrize("kernel", [Kernel.LIST, Kernel.PAIR])
+def test_the_depth_limit_of_a_primitive_tree_is_exact(kernel):
+    # The tree is three applications high and its innermost operand, X, is
+    # one level above the innermost one: 1 + 3 levels in all.
+    x = in_kernel(kernel, ProperList((A, B)))
+    env = default_env(kernel).extend([(Symbol("X"), x)])
+    rest_x = form(kernel, Symbol("REST"), Symbol("X"))
+    first = form(kernel, Symbol("FIRST"), rest_x)
+    tree = form(kernel, COMBINE, first, quoted(kernel, NULL))
+    assert eval_sexpr(tree, env, kernel, max_depth=4) == form(kernel, B)
+    e = fault_of(eval_sexpr, tree, env, kernel, max_depth=3)
+    assert e.kind is Fault.DEPTH_EXCEEDED
+    assert e.trace == (tree, first, rest_x, Symbol("REST"))
+
+
+@pytest.mark.parametrize("kernel", [Kernel.LIST, Kernel.PAIR])
+def test_a_kernel_fault_three_levels_inside_a_tree_keeps_its_trace(kernel):
+    fault = form(kernel, Symbol("FIRST"), quoted(kernel, C))
+    level2 = form(kernel, COMBINE, fault, quoted(kernel, NULL))
+    level1 = form(kernel, COMBINE, quoted(kernel, B), level2)
+    tree = form(kernel, COMBINE, quoted(kernel, A), level1)
+    e = fault_of(eval_sexpr, tree, kernel=kernel, max_depth=DEPTH)
+    name = "first" if kernel is Kernel.LIST else "car"
+    assert (e.kind, str(e)) == (Fault.KERNEL_FAULT, f"{name}: undefined on atoms")
+    assert e.trace == (tree, level1, level2, fault)
+
+
+def test_a_primitive_in_a_tree_is_called_once_when_a_later_operand_faults():
+    calls = []
+
+    def record(x):
+        calls.append(x)
+        return x
+
+    env = default_env().extend([(Symbol("REC"), Primitive("REC", 1, record))])
+    later_operands = (("(FIRST, (QUOTE, B))", Fault.KERNEL_FAULT), ("ZZ", Fault.UNBOUND))
+    for later, kind in later_operands:
+        calls.clear()
+        tree = read_sexpr(f"(COMBINE, (REC, (QUOTE, A)), {later})")
+        assert fault_of(eval_sexpr, tree, env, max_depth=DEPTH).kind is kind
+        assert calls == [A]
+
+
+def test_one_form_object_can_sit_in_two_scopes():
+    # E is one object, inside a LAMBDA that binds X first and inside one
+    # that binds it second; so its X means A in one and B in the other.
+    shared = read_sexpr("(COMBINE, X, (QUOTE, ()))")
+    args = (read_sexpr("(QUOTE, A)"), read_sexpr("(QUOTE, B)"))
+
+    def call(params):
+        fn = ProperList((Symbol("LAMBDA"), read_sexpr(params), shared))
+        return ProperList((fn,) + args)
+
+    rest = ProperList((COMBINE, call("(Y, X)"), read_sexpr("(QUOTE, ())")))
+    program = ProperList((COMBINE, call("(X, Y)"), rest))
+    assert eval_sexpr(program, max_depth=DEPTH) == read_sexpr("((A), (B))")
+
+
+_OPS = [Symbol(n) for n in "FIRST REST COMBINE CONS CAR CDR ATOM EQ NULL".split()]
+_X, _Y = Symbol("X"), Symbol("Y")
+
+
+def _lambda_call(t):
+    params, body, args = t
+    return ProperList((ProperList((Symbol("LAMBDA"), ProperList(params), body)), *args))
+
+
+def _label_null_call(t):
+    # (LABEL NULL (LAMBDA (X) body)) applied: inside, NULL is a closure.
+    body, arg = t
+    fn = ProperList((Symbol("LAMBDA"), ProperList((_X,)), body))
+    return ProperList((ProperList((Symbol("LABEL"), Symbol("NULL"), fn)), arg))
+
+
+# Forms over X and Y: primitive trees of any arity, quoted constants,
+# unbound operands (Z), and scopes in which FIRST, EQ or NULL are closures
+# or arguments rather than primitives.
+sforms = st.recursive(
+    st.sampled_from([Symbol(n) for n in "X Y Z T F NIL FIRST EQ".split()])
+    | helpers.list_values.map(lambda v: ProperList((QUOTE, v))),
+    lambda ch: st.one_of(
+        st.tuples(st.sampled_from(_OPS), st.lists(ch, max_size=3)).map(
+            lambda t: ProperList((t[0], *t[1]))
+        ),
+        st.tuples(
+            st.lists(
+                st.sampled_from([_X, _Y, Symbol("FIRST"), Symbol("EQ")]),
+                max_size=2,
+                unique=True,
+            ),
+            ch,
+            st.lists(ch, max_size=2),
+        ).map(_lambda_call),
+        st.tuples(ch, ch).map(_label_null_call),
+        st.lists(st.tuples(ch, ch), min_size=1, max_size=2).map(
+            lambda cs: ProperList((Symbol("COND"), *(ProperList(c) for c in cs)))
+        ),
+    ),
+    max_leaves=14,
+)
+
+
+def outcome(fn, *args, **kwargs):
+    try:
+        return "value", fn(*args, **kwargs)
+    except EvalError as e:
+        return e.kind, str(e), e.trace
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    sforms,
+    helpers.list_values,
+    helpers.list_values,
+    st.sampled_from([Kernel.LIST, Kernel.PAIR]),
+    st.integers(1, 40) | st.just(DEFAULT_MAX_DEPTH),
+)
+def test_eval_sexpr_agrees_with_the_recursive_reference(expr, x, y, kernel, max_depth):
+    if kernel is Kernel.PAIR:
+        expr, x, y = list_to_pair(expr), list_to_pair(x), list_to_pair(y)
+    env = default_env(kernel).extend([(_X, x), (_Y, y)])
+    try:
+        expected = outcome(helpers.reference_eval, expr, env, kernel, max_depth)
+    except RecursionError:  # the reference ran out of host stack
+        assume(False)
+    assert outcome(eval_sexpr, expr, env, kernel, max_depth) == expected

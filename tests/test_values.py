@@ -208,6 +208,13 @@ def test_equality_and_hashing_take_any_nesting_depth(nested):
     assert x != z and not equal_values(x, z)
 
 
+@pytest.mark.parametrize("nested", [nested_lists, nested_pairs])
+def test_copy_and_pickle_take_any_nesting_depth(nested):
+    x = nested(B)
+    for twin in (copy.deepcopy(x), pickle.loads(pickle.dumps(x)), copy.copy(x)):
+        assert twin is not x and twin == x
+
+
 def test_equality_and_hashing_take_any_length():
     x, y, z = (list_to_pair(ProperList((A,) * DEEP + (last,))) for last in (B, B, C))
     assert x == y and hash(x) == hash(y) and x != z
@@ -236,6 +243,20 @@ def test_cyclic_pairs_are_equal_when_they_unfold_alike():
     other = Pair(A, NIL)
     unsafe_set_tail(other, Pair(other, NIL))
     assert head_cycle == other and hash(head_cycle) == hash(other)
+
+
+def test_copies_of_cyclic_values_keep_their_sharing():
+    p = Pair(A, NIL)
+    inner = ProperList((p, A))
+    unsafe_set_tail(p, Pair(p, inner))  # p's tail holds p, and a list holding p
+    for twin in (copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+        assert twin is not p and twin == p
+        assert twin.tail.head is twin and twin.tail.tail.head is twin
+    shared = ProperList((A, B))
+    twin = copy.deepcopy(ProperList((shared, shared)))
+    assert twin.head is twin.tail.head and twin.head == shared
+    twin = pickle.loads(pickle.dumps(Pair(shared, shared)))
+    assert twin.head is twin.tail and twin.head == shared
 
 
 def test_cyclic_pairs_are_unequal_when_they_unfold_differently():
