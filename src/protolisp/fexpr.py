@@ -25,6 +25,13 @@ whitespace: a "[" that begins a line (nothing but blanks and comments
 before it on that line) begins a new item, so an item that ends a line
 is never applied to a conditional on the next.  Inside brackets, and in
 read_fexpr, such a "[" still applies what precedes it.
+
+The reader takes each token, with the blanks and comments before it, in
+one match of a compiled regex: a word, or a single character.  It keeps
+one frame per open application, conditional clause, abstraction or
+recursion form on its own stack, so any nesting depth reads; an embedded
+(...) constant is read by the S-expression reader at its offset.  Offsets
+become line:column positions only when an error is reported.
 """
 
 from __future__ import annotations
@@ -32,15 +39,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .errors import ParseError, ParseErrorKind
-from .scanner import Scanner
+from .errors import ParseErrorKind
+from .scanner import BLANKS, error_at
 from .sexpr import parse_sexpr, print_sexpr
 from .values import Dialect, Symbol
 
 RESERVED_WORDS = frozenset({"lambda", "label"})
-
-_IDENT_RE = re.compile(r"[a-z][a-z0-9]*\Z")
-_ATOM_RE = re.compile(r"[A-Z][A-Z0-9]*\Z")
 
 
 @dataclass(frozen=True)
@@ -113,16 +117,16 @@ class Definition:
 
 def read_fexpr(text: str):
     """Parse exactly one F-expression from text."""
-    sc = Scanner(text)
-    sc.skip_blank()
-    if sc.peek() is None:
-        raise ParseError(ParseErrorKind.EMPTY_INPUT, sc.position())
-    e = _parse_fexpr(sc)
-    sc.skip_blank()
-    if sc.peek() is not None:
-        raise ParseError(
+    m = _NEXT(text)
+    if not m[1]:
+        raise error_at(text, m.start(1), ParseErrorKind.EMPTY_INPUT)
+    e, pos = _parse(text, m.start(1))
+    m = _NEXT(text, pos)
+    if m[1]:
+        raise error_at(
+            text,
+            m.start(1),
             ParseErrorKind.TRAILING_INPUT,
-            sc.position(),
             "text continues after a complete expression",
         )
     return e
@@ -130,259 +134,246 @@ def read_fexpr(text: str):
 
 def read_program(text: str):
     """Parse a program file: a list of Definition and expression items."""
-    sc = Scanner(text)
     items = []
+    pos = 0
     while True:
-        sc.skip_blank()
-        c = sc.peek()
-        if c is None:
-            return items
-        if c.isalpha() and c.islower():
-            kind, word, wpos = _read_word(sc)
-            sc.skip_blank()
-            if sc.peek() == "=" and kind == "ident" and word not in RESERVED_WORDS:
-                sc.advance()
-                items.append(Definition(word, _parse_fexpr(sc, item=True)))
+        m = _TOKEN(text, pos)
+        word = m[1]
+        if word and word not in RESERVED_WORDS:
+            eq = _NEXT(text, m.end())
+            if eq[1] == "=":
+                body, pos = _parse(text, eq.end(), item=True)
+                items.append(Definition(word, body))
                 continue
-            seed = _primary_from_word(sc, kind, word, wpos)
-            items.append(_postfix(sc, seed, item=True))
-        else:
-            items.append(_parse_fexpr(sc, item=True))
+        elif m[3] == "":
+            return items
+        e, pos = _parse(text, m.start(m.lastindex), item=True)
+        items.append(e)
 
 
-def _read_word(sc):
-    pos = sc.position()
-    chars = [sc.advance()]
+# An identifier, an atom, or else one character ("" at the end of the
+# text); [^\W_] is exactly str.isalnum, so a word that is neither an
+# identifier nor an atom comes as its first character.
+_TOKEN = re.compile(
+    BLANKS + r"(?:([a-z][a-z0-9]*)(?![^\W_])|([A-Z][A-Z0-9]*)(?![^\W_])|(.|))", re.S
+).match
+_NEXT = re.compile(BLANKS + r"(.|)", re.S).match  # the next character
+_WORD = re.compile(r"[^\W_]+").match
+_APP, _TEST, _RESULT, _BODY = range(4)  # the kinds of frame
+
+
+def _parse(text, pos, item=False):
+    """Parse one F-expression at offset pos; return it and the offset after it.
+
+    Any expression followed by [...] is an application of it, except that
+    a top-level item of a program (item) ends before a "[" that begins a
+    line.  A frame is [_APP, function, arguments so far], [_TEST or
+    _RESULT, clauses so far, test] or [_BODY, Lambda or Label, its
+    parameters or name, the error detail when "]" does not close it].
+    """
+    stack = []
     while True:
-        c = sc.peek()
-        if c is not None and c.isalnum():
-            chars.append(sc.advance())
+        # a primary
+        m = _TOKEN(text, pos)
+        i = m.lastindex
+        tok = m[i]
+        pos = m.end()
+        if i == 1:
+            if tok == "lambda":
+                params, pos = _lambda_head(text, pos)
+                stack.append([_BODY, Lambda, params, "abstraction"])
+                continue
+            if tok == "label":
+                name, pos = _label_head(text, pos)
+                stack.append([_BODY, Label, name, "recursion form"])
+                continue
+            e = Var(tok)
+        elif i == 2:
+            e = Const(Symbol(tok))
+        elif tok == "(":
+            value, pos = parse_sexpr(text, m.start(3), Dialect.AIM8)
+            e = Const(value)
+        elif tok == "[":
+            m = _NEXT(text, pos)
+            if m[1] == "]":
+                raise error_at(
+                    text,
+                    m.start(1),
+                    ParseErrorKind.UNEXPECTED_CHAR,
+                    "a conditional needs at least one clause",
+                )
+            stack.append([_TEST, [], None])
+            continue
         else:
-            break
-    word = "".join(chars)
-    if _IDENT_RE.match(word):
-        return "ident", word, pos
-    if _ATOM_RE.match(word):
-        return "atom", word, pos
-    if word[0].isdigit():
-        raise ParseError(
-            ParseErrorKind.UNEXPECTED_CHAR, pos, "a word may not start with a digit"
-        )
-    raise ParseError(ParseErrorKind.MIXED_CASE, pos, repr(word))
+            raise _bad_primary(text, m.start(3), tok)
+        # e is complete: apply it to each [...] after it, then give it to
+        # the innermost frame, which may complete in turn
+        while True:
+            m = _NEXT(text, pos)
+            c = m[1]
+            if c == "[" and (stack or not item or not _begins_line(text, m.start(1))):
+                pos = m.end()
+                m = _NEXT(text, pos)
+                if m[1] == "]":
+                    e = App(e, ())
+                    pos = m.end()
+                    continue
+                stack.append([_APP, e, []])
+                break
+            if not stack:
+                return e, pos
+            frame = stack[-1]
+            kind = frame[0]
+            if kind == _APP:
+                frame[2].append(e)
+                if c == ";":
+                    pos = m.end()
+                    break
+                if c != "]":
+                    raise _bad_separator(text, m.start(1), c)
+                e = App(frame[1], tuple(frame[2]))
+            elif kind == _TEST:
+                detail = "expected '->' after the test"
+                pos = _expect(text, m, "-", detail)
+                pos = _expect(text, _NEXT(text, pos), ">", detail)
+                frame[0], frame[2] = _RESULT, e
+                break
+            elif kind == _RESULT:
+                frame[1].append((frame[2], e))
+                if c == ";":
+                    frame[0] = _TEST
+                    pos = m.end()
+                    break
+                if c != "]":
+                    raise _bad_separator(text, m.start(1), c)
+                e = Cond(tuple(frame[1]))
+            else:
+                _expect(text, m, "]", f"expected ']' closing the {frame[3]}")
+                e = frame[1](frame[2], e)
+            pos = m.end()
+            stack.pop()
 
 
-def _parse_fexpr(sc, item=False):
-    return _postfix(sc, _parse_primary(sc), item)
+def _begins_line(text, offset):
+    # Only blanks before offset on its line (a comment runs to the end of
+    # its line, so none can come before offset on the same line).
+    return not text[text.rfind("\n", 0, offset) + 1 : offset].strip()
 
 
-def _postfix(sc, e, item=False):
-    # Any expression followed by [...] is an application of it, except
-    # that a top-level item of a program ends before a "[" that begins a
-    # line.
-    while True:
-        sc.skip_blank()
-        if sc.peek() == "[" and not (item and _begins_line(sc)):
-            e = App(e, tuple(_parse_bracket_args(sc)))
-        else:
-            return e
+def _bad_primary(text, offset, c):
+    """The error for a character that cannot begin an expression."""
+    if not c:
+        kind, detail = ParseErrorKind.UNBALANCED_PAREN, "unexpected end of input"
+    elif c.isalpha():
+        kind, detail = ParseErrorKind.MIXED_CASE, repr(_WORD(text, offset)[0])
+    elif c == ".":
+        kind, detail = ParseErrorKind.DOT_MISUSE, "this notation has no dot"
+    else:
+        kind, detail = ParseErrorKind.UNEXPECTED_CHAR, repr(c)
+    return error_at(text, offset, kind, detail)
 
 
-def _begins_line(sc):
-    # Only blanks before the cursor on its line (a comment runs to the end
-    # of its line, so none can come before the cursor on the same line).
-    return not sc.text[sc.pos - sc.column + 1 : sc.pos].strip()
+def _bad_separator(text, offset, c):
+    """The error for what follows an element of a [...] list instead of ; or ]."""
+    if not c:
+        return error_at(text, offset, ParseErrorKind.UNBALANCED_PAREN, "unclosed '['")
+    detail = f"{c!r} (expected ';' or ']')"
+    return error_at(text, offset, ParseErrorKind.UNEXPECTED_CHAR, detail)
 
 
-def _parse_primary(sc):
-    sc.skip_blank()
-    pos = sc.position()
-    c = sc.peek()
-    if c is None:
-        raise ParseError(
-            ParseErrorKind.UNBALANCED_PAREN, pos, "unexpected end of input"
-        )
-    if c == "(":
-        return Const(parse_sexpr(sc, Dialect.AIM8))
-    if c == "[":
-        return _parse_cond(sc)
-    if c.isalpha():
-        kind, word, wpos = _read_word(sc)
-        return _primary_from_word(sc, kind, word, wpos)
-    if c == ".":
-        raise ParseError(
-            ParseErrorKind.DOT_MISUSE, pos, "this notation has no dot"
-        )
-    raise ParseError(ParseErrorKind.UNEXPECTED_CHAR, pos, repr(c))
+def _expect(text, m, ch, detail, kind=ParseErrorKind.UNEXPECTED_CHAR):
+    """The offset after m, a _NEXT match, if it found ch; else the error."""
+    if m[1] == ch:
+        return m.end()
+    if not m[1]:
+        kind, detail = ParseErrorKind.UNBALANCED_PAREN, "unexpected end of input"
+    raise error_at(text, m.start(1), kind, detail)
 
 
-def _primary_from_word(sc, kind, word, pos):
-    if kind == "atom":
-        return Const(Symbol(word))
-    if word == "lambda":
-        return _parse_lambda(sc)
-    if word == "label":
-        return _parse_label(sc)
-    return Var(word)
+def _param(text, pos, what):
+    """A parameter or label name at pos, and the offset after it."""
+    m = _TOKEN(text, pos)
+    i = m.lastindex
+    word, offset = m[i], m.start(i)
+    if i == 1 and word not in RESERVED_WORDS:
+        return word, m.end()
+    if i == 1:
+        kind, detail = ParseErrorKind.RESERVED_WORD, f"'{word}' cannot name {what}"
+    elif i == 2:
+        kind = ParseErrorKind.UNEXPECTED_CHAR
+        detail = f"{what} must be a lowercase identifier"
+    elif not word or word.isalpha():
+        raise _bad_primary(text, offset, word)
+    else:
+        kind, detail = ParseErrorKind.UNEXPECTED_CHAR, f"expected {what}"
+    raise error_at(text, offset, kind, detail)
 
 
-def _expect_char(sc, ch, detail, kind=ParseErrorKind.UNEXPECTED_CHAR):
-    sc.skip_blank()
-    pos = sc.position()
-    if sc.peek() is None:
-        raise ParseError(
-            ParseErrorKind.UNBALANCED_PAREN, pos, "unexpected end of input"
-        )
-    if sc.peek() != ch:
-        raise ParseError(kind, pos, detail)
-    sc.advance()
-
-
-def _parse_cond(sc):
-    sc.advance()  # "["
-    sc.skip_blank()
-    if sc.peek() == "]":
-        raise ParseError(
-            ParseErrorKind.UNEXPECTED_CHAR,
-            sc.position(),
-            "a conditional needs at least one clause",
-        )
-    clauses = []
-    while True:
-        test = _parse_fexpr(sc)
-        _expect_char(sc, "-", "expected '->' after the test")
-        _expect_char(sc, ">", "expected '->' after the test")
-        result = _parse_fexpr(sc)
-        clauses.append((test, result))
-        sc.skip_blank()
-        pos = sc.position()
-        c = sc.peek()
-        if c == ";":
-            sc.advance()
-        elif c == "]":
-            sc.advance()
-            return Cond(tuple(clauses))
-        elif c is None:
-            raise ParseError(ParseErrorKind.UNBALANCED_PAREN, pos, "unclosed '['")
-        else:
-            raise ParseError(
-                ParseErrorKind.UNEXPECTED_CHAR, pos, f"{c!r} (expected ';' or ']')"
-            )
-
-
-def _parse_bracket_args(sc):
-    sc.advance()  # "["
-    sc.skip_blank()
-    if sc.peek() == "]":
-        sc.advance()
-        return []
-    args = []
-    while True:
-        args.append(_parse_fexpr(sc))
-        sc.skip_blank()
-        pos = sc.position()
-        c = sc.peek()
-        if c == ";":
-            sc.advance()
-        elif c == "]":
-            sc.advance()
-            return args
-        elif c is None:
-            raise ParseError(ParseErrorKind.UNBALANCED_PAREN, pos, "unclosed '['")
-        else:
-            raise ParseError(
-                ParseErrorKind.UNEXPECTED_CHAR, pos, f"{c!r} (expected ';' or ']')"
-            )
-
-
-def _parse_param_name(sc, what):
-    sc.skip_blank()
-    pos = sc.position()
-    c = sc.peek()
-    if c is None:
-        raise ParseError(
-            ParseErrorKind.UNBALANCED_PAREN, pos, "unexpected end of input"
-        )
-    if not c.isalpha():
-        raise ParseError(ParseErrorKind.UNEXPECTED_CHAR, pos, f"expected {what}")
-    kind, word, wpos = _read_word(sc)
-    if word in RESERVED_WORDS:
-        raise ParseError(
-            ParseErrorKind.RESERVED_WORD, wpos, f"'{word}' cannot name {what}"
-        )
-    if kind != "ident":
-        raise ParseError(
-            ParseErrorKind.UNEXPECTED_CHAR,
-            wpos,
-            f"{what} must be a lowercase identifier",
-        )
-    return word
-
-
-def _parse_lambda(sc):
-    _expect_char(
-        sc, "[", "'lambda' is reserved and must open an abstraction",
-        kind=ParseErrorKind.RESERVED_WORD,
-    )
-    _expect_char(sc, "[", "expected '[' opening the parameter list")
+def _lambda_head(text, pos):
+    """Read "[[params];" after lambda; return the parameters and the offset after."""
+    detail = "'lambda' is reserved and must open an abstraction"
+    pos = _expect(text, _NEXT(text, pos), "[", detail, ParseErrorKind.RESERVED_WORD)
+    detail = "expected '[' opening the parameter list"
+    pos = _expect(text, _NEXT(text, pos), "[", detail)
     params = []
-    sc.skip_blank()
-    if sc.peek() == "]":
-        sc.advance()
+    m = _NEXT(text, pos)
+    if m[1] == "]":
+        pos = m.end()
     else:
         while True:
-            params.append(_parse_param_name(sc, "a parameter"))
-            sc.skip_blank()
-            pos = sc.position()
-            c = sc.peek()
-            if c == ";":
-                sc.advance()
-            elif c == "]":
-                sc.advance()
+            name, pos = _param(text, pos, "a parameter")
+            params.append(name)
+            m = _NEXT(text, pos)
+            pos = m.end()
+            if m[1] == "]":
                 break
-            elif c is None:
-                raise ParseError(
-                    ParseErrorKind.UNBALANCED_PAREN, pos, "unclosed '['"
-                )
-            else:
-                raise ParseError(
-                    ParseErrorKind.UNEXPECTED_CHAR,
-                    pos,
-                    f"{c!r} (expected ';' or ']')",
-                )
-    _expect_char(sc, ";", "expected ';' between parameter list and body")
-    body = _parse_fexpr(sc)
-    _expect_char(sc, "]", "expected ']' closing the abstraction")
-    return Lambda(tuple(params), body)
+            if m[1] != ";":
+                raise _bad_separator(text, m.start(1), m[1])
+    detail = "expected ';' between parameter list and body"
+    return tuple(params), _expect(text, _NEXT(text, pos), ";", detail)
 
 
-def _parse_label(sc):
-    _expect_char(
-        sc, "[", "'label' is reserved and must open a recursion form",
-        kind=ParseErrorKind.RESERVED_WORD,
-    )
-    name = _parse_param_name(sc, "a label")
-    _expect_char(sc, ";", "expected ';' between label name and body")
-    body = _parse_fexpr(sc)
-    _expect_char(sc, "]", "expected ']' closing the recursion form")
-    return Label(name, body)
+def _label_head(text, pos):
+    """Read "[name;" after label; return the name and the offset after."""
+    detail = "'label' is reserved and must open a recursion form"
+    pos = _expect(text, _NEXT(text, pos), "[", detail, ParseErrorKind.RESERVED_WORD)
+    name, pos = _param(text, pos, "a label")
+    detail = "expected ';' between label name and body"
+    return name, _expect(text, _NEXT(text, pos), ";", detail)
 
 
 def print_fexpr(e) -> str:
-    """Render an F-expression canonically; read_fexpr inverts this."""
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, Const):
-        return print_sexpr(e.value, Dialect.AIM8)
-    if isinstance(e, App):
-        args = "; ".join(print_fexpr(a) for a in e.args)
-        return f"{print_fexpr(e.fn)}[{args}]"
-    if isinstance(e, Cond):
-        clauses = "; ".join(
-            f"{print_fexpr(t)} -> {print_fexpr(r)}" for t, r in e.clauses
-        )
-        return f"[{clauses}]"
-    if isinstance(e, Lambda):
-        return f"lambda[[{'; '.join(e.params)}]; {print_fexpr(e.body)}]"
-    if isinstance(e, Label):
-        return f"label[{e.name}; {print_fexpr(e.body)}]"
-    raise TypeError(f"not an F-expression: {e!r}")
+    """Render an F-expression canonically; read_fexpr inverts this.
+
+    The walk keeps its own stack, so any nesting depth prints.  todo holds
+    what is still to print, last first: F-expressions, and literal text
+    as a one-element tuple.
+    """
+    todo, out = [e], []
+    while todo:
+        e = todo.pop()
+        if type(e) is tuple:
+            out.append(e[0])
+        elif isinstance(e, Var):
+            out.append(e.name)
+        elif isinstance(e, Const):
+            out.append(print_sexpr(e.value, Dialect.AIM8))
+        elif isinstance(e, App):
+            todo.append(("]",))
+            for i in range(len(e.args) - 1, -1, -1):
+                todo += (e.args[i], ("; ",)) if i else (e.args[i],)
+            todo += (("[",), e.fn)
+        elif isinstance(e, Cond):
+            todo.append(("]",))
+            for i in range(len(e.clauses) - 1, -1, -1):
+                test, result = e.clauses[i]
+                todo += (result, (" -> ",), test, ("; " if i else "[",))
+        elif isinstance(e, Lambda):
+            out.append(f"lambda[[{'; '.join(e.params)}]; ")
+            todo += (("]",), e.body)
+        elif isinstance(e, Label):
+            out.append(f"label[{e.name}; ")
+            todo += (("]",), e.body)
+        else:
+            raise TypeError(f"not an F-expression: {e!r}")
+    return "".join(out)

@@ -1,6 +1,16 @@
-"""Character-level cursor shared by the S-expression and F-expression readers."""
+"""Blanks and source positions shared by the S-expression and F-expression readers.
+
+The readers work on offsets into the text and turn an offset into a line
+and a column only when they report an error.
+"""
 
 from dataclasses import dataclass
+
+from .errors import ParseError
+
+# Whitespace and "#" comments, which run to the end of their line.  In a
+# str pattern \s is exactly str.isspace, code point for code point.
+BLANKS = r"(?:\s|#[^\n]*)*"
 
 
 @dataclass(frozen=True)
@@ -14,43 +24,8 @@ class SourcePosition:
         return f"{self.line}:{self.column}"
 
 
-class Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.line = 1
-        self.column = 1
-
-    def peek(self):
-        if self.pos >= len(self.text):
-            return None
-        return self.text[self.pos]
-
-    def advance(self):
-        c = self.peek()
-        if c is None:
-            return None
-        self.pos += 1
-        if c == "\n":
-            self.line += 1
-            self.column = 1
-        else:
-            self.column += 1
-        return c
-
-    def position(self) -> SourcePosition:
-        return SourcePosition(self.line, self.column)
-
-    def skip_blank(self):
-        """Skip whitespace and '#' comments, which run to end of line."""
-        while True:
-            c = self.peek()
-            if c is None:
-                return
-            if c.isspace():
-                self.advance()
-            elif c == "#":
-                while self.peek() not in (None, "\n"):
-                    self.advance()
-            else:
-                return
+def error_at(text, offset, kind, detail=""):
+    """The ParseError at an offset of text; only "\\n" ends a line."""
+    line = text.count("\n", 0, offset) + 1
+    column = offset - text.rfind("\n", 0, offset)
+    return ParseError(kind, SourcePosition(line, column), detail)

@@ -10,32 +10,45 @@ skip "#" comments to end of line.  The printers are canonical: ", " between
 elements in aim8; single spaces, maximal list sugar and a dot only for an
 improper tail in classic.  Reading a canonical printout yields the original
 value, and printing a freshly parsed text is idempotent after one round.
+
+The reader takes each token, with the blanks and comments before it, in
+one match of a compiled regex: an atom, or a single character.  It keeps
+one frame per open list on its own stack, so any nesting depth reads, and
+works on offsets into the text; a position is worked out only for an error.
 """
 
-import string
+import re
 
-from .errors import ParseError, ParseErrorKind
+from .errors import ParseErrorKind
+from .scanner import BLANKS, error_at
 from .values import NIL, NULL, Dialect, Pair, ProperList, Symbol, _text
 from .values import CYCLE_MARKER  # noqa: F401  (what the printers write at a cycle)
-from .scanner import Scanner
 
-_ATOM_START = frozenset(string.ascii_uppercase)
-_ATOM_CHARS = frozenset(string.ascii_uppercase + string.digits)
+# An atom, one other character, or "" at the end of the text.
+_TOKEN = re.compile(BLANKS + r"([A-Z][A-Z0-9]*|.|)", re.S).match
+_DOT = object()  # the last element of a classic list whose tail comes next
+
+_END = ParseErrorKind.UNBALANCED_PAREN, "unexpected end of input"
+_UNCLOSED = ParseErrorKind.UNBALANCED_PAREN, "unclosed '('"
+_DOT_FIRST = ParseErrorKind.DOT_MISUSE, "dot before any list element"
+_DOT_LAST = ParseErrorKind.DOT_MISUSE, "dot must be followed by exactly one expression"
+_AFTER_TAIL = ParseErrorKind.DOT_MISUSE, "more than one expression after dot"
+_SEP_CLOSE = ParseErrorKind.UNEXPECTED_CHAR, "')' directly after a separator"
 
 
 def read_sexpr(text: str, dialect=Dialect.AIM8):
     """Parse exactly one S-expression from text."""
     dialect = Dialect(dialect)
-    sc = Scanner(text)
-    sc.skip_blank()
-    if sc.peek() is None:
-        raise ParseError(ParseErrorKind.EMPTY_INPUT, sc.position())
-    value = parse_sexpr(sc, dialect)
-    sc.skip_blank()
-    if sc.peek() is not None:
-        raise ParseError(
+    m = _TOKEN(text)
+    if not m[1]:
+        raise error_at(text, m.start(1), ParseErrorKind.EMPTY_INPUT)
+    value, pos = parse_sexpr(text, m.start(1), dialect)
+    m = _TOKEN(text, pos)
+    if m[1]:
+        raise error_at(
+            text,
+            m.start(1),
             ParseErrorKind.TRAILING_INPUT,
-            sc.position(),
             "text continues after a complete expression",
         )
     return value
@@ -44,141 +57,94 @@ def read_sexpr(text: str, dialect=Dialect.AIM8):
 def read_sexprs(text: str, dialect=Dialect.AIM8):
     """Parse a whole sequence of S-expressions (a .sexp file)."""
     dialect = Dialect(dialect)
-    sc = Scanner(text)
     values = []
+    pos = 0
     while True:
-        sc.skip_blank()
-        if sc.peek() is None:
+        m = _TOKEN(text, pos)
+        if not m[1]:
             return values
-        values.append(parse_sexpr(sc, dialect))
+        value, pos = parse_sexpr(text, m.start(1), dialect)
+        values.append(value)
 
 
-def parse_sexpr(sc: Scanner, dialect: Dialect):
-    """Parse one expression starting at the scanner's cursor.
+def parse_sexpr(text: str, pos: int, dialect: Dialect):
+    """Parse one expression at offset pos; return it and the offset after it.
 
     Exposed so the F-expression reader can parse embedded constants from
-    the same character stream.
+    the same text.  m is always the match of the token to act on next.
     """
-    sc.skip_blank()
-    pos = sc.position()
-    c = sc.peek()
-    if c is None:
-        raise ParseError(
-            ParseErrorKind.UNBALANCED_PAREN, pos, "unexpected end of input"
-        )
-    if c in _ATOM_START:
-        return _parse_atom(sc)
-    if c == "(":
-        if dialect is Dialect.AIM8:
-            return _parse_aim8_list(sc)
-        return _parse_classic_list(sc)
-    if c == ".":
+    classic = dialect is Dialect.CLASSIC
+    stack = []  # the elements so far of each open list, innermost last
+    m = _TOKEN(text, pos)
+    while True:
+        tok = m[1]
+        pos = m.end()
+        if "A" <= tok < "[":
+            value = Symbol(tok)
+        elif tok == "(":
+            m = _TOKEN(text, pos)
+            if m[1] != ")":
+                stack.append([])
+                continue
+            value = NIL if classic else NULL
+            pos = m.end()
+        elif tok == "." and classic and stack and _DOT not in stack[-1][-1:]:
+            if not stack[-1]:
+                raise error_at(text, m.start(1), *_DOT_FIRST)
+            m = _TOKEN(text, pos)
+            if m[1] == ")":
+                raise error_at(text, m.start(1), *_DOT_LAST)
+            stack[-1].append(_DOT)
+            continue
+        else:
+            raise _bad_start(text, m.start(1), tok, classic)
+        # value is complete: close each list it completes
+        while stack:
+            items = stack[-1]
+            m = _TOKEN(text, pos)
+            sep = m[1]
+            if classic and items and items[-1] is _DOT:
+                if sep != ")":
+                    error = _AFTER_TAIL if sep else _UNCLOSED
+                    raise error_at(text, m.start(1), *error)
+                items.pop()  # value is the tail
+            else:
+                items.append(value)
+                value = NIL  # the tail of a classic list without a dot
+                if sep == ",":
+                    m = _TOKEN(text, m.end())
+                    if m[1] == ")":
+                        raise error_at(text, m.start(1), *_SEP_CLOSE)
+                    break
+                if not sep:
+                    raise error_at(text, m.start(1), *_UNCLOSED)
+                if sep != ")":
+                    break  # the next element begins with this token
+            pos = m.end()
+            stack.pop()
+            if classic:
+                for item in reversed(items):
+                    value = Pair(item, value)
+            else:
+                value = ProperList(items)
+        else:
+            return value, pos
+
+
+def _bad_start(text, offset, tok, classic):
+    """The error for a token that cannot begin an expression."""
+    if not tok:
+        kind, detail = _END
+    elif tok == ".":
+        kind = ParseErrorKind.DOT_MISUSE
         detail = (
-            "this dialect has no dot notation"
-            if dialect is Dialect.AIM8
-            else "a dot cannot begin an expression"
+            "a dot cannot begin an expression"
+            if classic
+            else "this dialect has no dot notation"
         )
-        raise ParseError(ParseErrorKind.DOT_MISUSE, pos, detail)
-    raise ParseError(ParseErrorKind.UNEXPECTED_CHAR, pos, repr(c))
-
-
-def _parse_atom(sc):
-    chars = [sc.advance()]
-    while sc.peek() in _ATOM_CHARS:
-        chars.append(sc.advance())
-    return Symbol("".join(chars))
-
-
-def _parse_aim8_list(sc):
-    sc.advance()  # "("
-    sc.skip_blank()
-    if sc.peek() == ")":
-        sc.advance()
-        return NULL
-    items = []
-    while True:
-        items.append(parse_sexpr(sc, Dialect.AIM8))
-        sc.skip_blank()
-        pos = sc.position()
-        c = sc.peek()
-        if c == ",":
-            sc.advance()
-            sc.skip_blank()
-            if sc.peek() == ")":
-                raise ParseError(
-                    ParseErrorKind.UNEXPECTED_CHAR,
-                    sc.position(),
-                    "')' directly after a separator",
-                )
-        elif c == ")":
-            sc.advance()
-            return ProperList(tuple(items))
-        elif c is None:
-            raise ParseError(ParseErrorKind.UNBALANCED_PAREN, pos, "unclosed '('")
-        # anything else: next element follows after plain whitespace
-
-
-def _parse_classic_list(sc):
-    sc.advance()  # "("
-    sc.skip_blank()
-    if sc.peek() == ")":
-        sc.advance()
-        return NIL
-    items = []
-    tail = NIL
-    while True:
-        sc.skip_blank()
-        pos = sc.position()
-        c = sc.peek()
-        if c == ".":
-            if not items:
-                raise ParseError(
-                    ParseErrorKind.DOT_MISUSE, pos, "dot before any list element"
-                )
-            sc.advance()
-            sc.skip_blank()
-            if sc.peek() == ")":
-                raise ParseError(
-                    ParseErrorKind.DOT_MISUSE,
-                    sc.position(),
-                    "dot must be followed by exactly one expression",
-                )
-            tail = parse_sexpr(sc, Dialect.CLASSIC)
-            sc.skip_blank()
-            pos = sc.position()
-            if sc.peek() == ")":
-                sc.advance()
-                break
-            if sc.peek() is None:
-                raise ParseError(
-                    ParseErrorKind.UNBALANCED_PAREN, pos, "unclosed '('"
-                )
-            raise ParseError(
-                ParseErrorKind.DOT_MISUSE, pos, "more than one expression after dot"
-            )
-        items.append(parse_sexpr(sc, Dialect.CLASSIC))
-        sc.skip_blank()
-        pos = sc.position()
-        c = sc.peek()
-        if c == ",":
-            sc.advance()
-            sc.skip_blank()
-            if sc.peek() == ")":
-                raise ParseError(
-                    ParseErrorKind.UNEXPECTED_CHAR,
-                    sc.position(),
-                    "')' directly after a separator",
-                )
-        elif c == ")":
-            sc.advance()
-            break
-        elif c is None:
-            raise ParseError(ParseErrorKind.UNBALANCED_PAREN, pos, "unclosed '('")
-        # anything else: next element, or a dot handled at the loop top
-    out = tail
-    for item in reversed(items):
-        out = Pair(item, out)
-    return out
+    else:
+        kind, detail = ParseErrorKind.UNEXPECTED_CHAR, repr(tok)
+    return error_at(text, offset, kind, detail)
 
 
 def print_sexpr(value, dialect=Dialect.AIM8) -> str:

@@ -30,34 +30,40 @@ def name_symbol(name: str) -> Symbol:
 
 
 def translate(e) -> ProperList:
-    """Translate one F-expression; the result is always a proper structure."""
-    match e:
-        case Var(name):
-            return name_symbol(name)
-        case Const(value):
-            return ProperList((_QUOTE, value))
-        case App(fn, args):
-            return ProperList(
-                (translate(fn),) + tuple(translate(a) for a in args)
-            )
-        case Cond(clauses):
-            return ProperList(
-                (_COND,)
-                + tuple(
-                    ProperList((translate(t), translate(r))) for t, r in clauses
-                )
-            )
-        case Lambda(params, body):
-            return ProperList(
-                (
-                    _LAMBDA,
-                    ProperList(tuple(name_symbol(p) for p in params)),
-                    translate(body),
-                )
-            )
-        case Label(name, body):
-            return ProperList((_LABEL, name_symbol(name), translate(body)))
-    raise TypeError(f"not an F-expression: {e!r}")
+    """Translate one F-expression; the result is always a proper structure.
+
+    The walk keeps its own stack, so any nesting depth translates.  todo
+    holds the F-expressions still to translate, last first, and between
+    them counts: a count k makes the last k forms in out into one list.
+    Names are checked in the order the expression is written.
+    """
+    todo, out = [e], []
+    while todo:
+        e = todo.pop()
+        if type(e) is int:
+            out[-e:] = [ProperList(out[-e:])]
+        elif isinstance(e, Var):
+            out.append(name_symbol(e.name))
+        elif isinstance(e, Const):
+            out.append(ProperList((_QUOTE, e.value)))
+        elif isinstance(e, App):
+            todo.append(1 + len(e.args))
+            todo.extend(reversed(e.args))
+            todo.append(e.fn)
+        elif isinstance(e, Cond):
+            out.append(_COND)
+            todo.append(1 + len(e.clauses))
+            for test, result in reversed(e.clauses):
+                todo += (2, result, test)
+        elif isinstance(e, Lambda):
+            out += (_LAMBDA, ProperList(tuple(name_symbol(p) for p in e.params)))
+            todo += (3, e.body)
+        elif isinstance(e, Label):
+            out += (_LABEL, name_symbol(e.name))
+            todo += (3, e.body)
+        else:
+            raise TypeError(f"not an F-expression: {e!r}")
+    return out[0]
 
 
 def translate_program(definitions):

@@ -344,6 +344,105 @@ def test_run_ends_in_a_value_or_a_documented_exit_code(
         assert out.getvalue() == ""
 
 
+def deep_case(case, n):
+    """(run file name, its text, run flags, stdout), (translate text, flags, stdout)."""
+    nest = "(" * n + "A" + ")" * n
+    app = "f = lambda[[x]; x]\n" + "f[" * n + "A" + "]" * n + "\n"
+    cond = "[T -> " * n + "A" + "]" * n + "\n"
+    deep_depth = ["--max-depth", "1000000"]
+    return {
+        "aim8 list": (
+            ("deep.sexp", f"(QUOTE, {nest})\n", [], nest),
+            (nest, [], f"(QUOTE, {nest})"),
+        ),
+        "classic list": (
+            ("deep.sexp", f"(QUOTE {nest})\n", ["--kernel", "pair"], nest),
+            (nest, ["--dialect", "classic"], f"(QUOTE {nest})"),
+        ),
+        "F-application": (
+            ("deep.mexp", app, deep_depth, "A"),
+            (app, [], "(F, (LAMBDA, (X), X))\n" + "(F, " * n + "(QUOTE, A)" + ")" * n),
+        ),
+        "F-conditional": (
+            ("deep.mexp", cond, deep_depth, "A"),
+            (cond, [], "(COND, ((QUOTE, T), " * n + "(QUOTE, A)" + "))" * n),
+        ),
+    }[case]
+
+
+@pytest.mark.parametrize(
+    "case", ["aim8 list", "classic list", "F-application", "F-conditional"]
+)
+def test_run_and_translate_nesting_100000_deep(cli, case):
+    (name, text, flags, value), (source, tr_flags, translation) = deep_case(case, 10**5)
+    assert cli("run", src(cli.path, text, name=name), *flags) == (0, value + "\n", "")
+    path = src(cli.path, source, name="deep.mexp")
+    assert cli("translate", path, *tr_flags) == (0, translation + "\n", "")
+
+
+FUZZ_TOKENS = (
+    "(", ")", "[", "]", ",", ";", ".", "->", "=", " ", "\n", "\t", "# c\n",
+    "A", "NIL", "T", "QUOTE", "x", "f", "lambda", "label", "quote", "Ab", "9",
+    "first", "rest", "combine", "car", "cdr", "cons", "eq", "atom", "null",
+    "lambda[[x]; ", "label[f; ", "[T -> ", "f[", "(A, B)", "(A . B)", "()",
+)
+
+
+@st.composite
+def cli_inputs(draw):
+    """File contents: text nested up to 3000 deep at times, and not UTF-8 at times."""
+    pieces = st.sampled_from(FUZZ_TOKENS) | st.text(max_size=4)
+    text = "".join(draw(st.lists(pieces, max_size=30)))
+    if draw(st.booleans()):
+        openers = ["(", "[", "f[", "(QUOTE, ", "[T -> ", "lambda[[x]; "]
+        opener = draw(st.sampled_from(openers))
+        closer = draw(st.sampled_from([")", "]", "", "; A]"]))
+        depth = draw(st.integers(0, 3000))
+        text = opener * depth + text + closer * draw(st.integers(0, depth))
+    data = text.encode("utf-8")
+    if draw(st.integers(0, 9)) == 0:
+        data = draw(st.binary(max_size=20)) + data
+    return data
+
+
+@settings(
+    max_examples=120,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+@given(
+    data=cli_inputs(),
+    command=st.sampled_from(["run", "translate", "repl"]),
+    suffix=st.sampled_from([".mexp", ".sexp", ".txt"]),
+    missing=st.integers(0, 19).map(lambda k: k == 0),
+    kernel=st.none() | st.sampled_from(["list", "pair"]),
+    dialect=st.none() | st.sampled_from(["aim8", "classic"]),
+    lang=st.none() | st.sampled_from(["mexpr", "sexpr"]),
+    max_depth=st.none() | st.integers(-3, 5000),
+)
+def test_any_text_and_flags_end_in_a_documented_exit_code(
+    tmp_path, monkeypatch, data, command, suffix, missing, kernel, dialect, lang,
+    max_depth,
+):
+    path = tmp_path / ("prog" + suffix)
+    path.unlink(missing_ok=True)
+    if not missing:
+        path.write_bytes(data)
+    argv = [command] if command == "repl" else [command, str(path)]
+    for flag, value in (
+        ("--kernel", kernel), ("--dialect", dialect), ("--lang", lang),
+        ("--max-depth", max_depth),
+    ):
+        if value is not None:
+            argv += [flag, str(value)]
+    monkeypatch.setattr("sys.stdin", io.StringIO(data.decode("utf-8", "replace")))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 65, 70, 74)
+    assert code != 1 or command == "translate"
+
+
 def test_run_warns_on_junk_depth_env_var(cli, monkeypatch):
     monkeypatch.setenv("AIM8_MAX_DEPTH", "lots")
     code, out, err = cli("run", src(cli.path, "T"))

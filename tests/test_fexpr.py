@@ -222,3 +222,30 @@ def test_read_program_a_bracket_inside_a_line_or_brackets_applies():
     assert read_program("f[A]\n") == [f_of_a]
     assert read_program("g[f\n[A]]") == [App(Var("g"), (f_of_a,))]
     assert read_fexpr("f\n[A]") == f_of_a
+
+
+# --- character classes ---------------------------------------------------------
+
+def test_character_classes_agree_with_str_methods_on_every_code_point():
+    # Blanks are str.isspace; a word is a run of str.isalnum characters and
+    # begins with a str.isalpha one.  Only an alphanumeric code point can be
+    # in a word, so the start of a word is checked through the reader on
+    # those; a class built from \w would differ on, for example, "²".
+    from protolisp.fexpr import _NEXT, _TOKEN, _WORD
+
+    mismatches = []
+    for cp in range(0x110000):
+        c = chr(cp)
+        if c != "#" and (_NEXT(c).start(1) == 1) != c.isspace():
+            mismatches.append(("blank", c))
+        if not ("a" <= c <= "z" or "0" <= c <= "9"):
+            if (_TOKEN("x" + c)[1] == "x") == c.isalnum():
+                mismatches.append(("word boundary", c))
+        if (_WORD("x" + c)[0] == "x" + c) != c.isalnum():
+            mismatches.append(("word", c))
+        if c.isalnum() and not c.isascii():
+            with pytest.raises(ParseError) as exc:
+                read_fexpr(c)
+            if (exc.value.kind is ParseErrorKind.MIXED_CASE) != c.isalpha():
+                mismatches.append(("word start", c))
+    assert mismatches == []
