@@ -54,6 +54,22 @@ does.  Looking up is all that happens before that choice, so nothing is
 evaluated twice, and the plan keeps the order, the primitive calls, the
 errors and the trace of the tasks it stands in for.
 
+A plan remembers what its heads resolved to, for one closure: the
+inline cache of Deutsch and Schiffman ("Efficient implementation of the
+Smalltalk-80 system", POPL 1984).  Applying a closure makes a frame that
+binds its parameters, then its LABEL name (to the closure itself), then
+the environment the closure captured, which never changes; the closure
+is that frame's owner.  A head that is not a parameter therefore means
+the same in every frame of one owner, so a plan whose heads include no
+parameter of the owner keeps the owner and its answer (primitives, or
+None) and skips the lookup while it meets frames of that owner.  A
+recursive function and the meta evaluator re-enter one closure object
+on every call, so nearly every lookup is skipped.  The key is the
+closure and not the scope: one form object can sit in several scopes,
+and one LAMBDA form makes closures over different environments, but each
+frame has exactly one owner.  Any other environment has no owner, and
+its lookups are not kept.
+
 Evaluation depth is the number of expressions under evaluation, capped
 (default 10000, configurable); passing the cap raises an EvalError of kind
 DEPTH_EXCEEDED.  Any cap works, since only memory bounds that loop's
@@ -89,12 +105,22 @@ _SPECIAL = frozenset((_QUOTE, _COND, _LAMBDA, _LABEL))
 # The height of the highest tree of applications that has a plan; see _plan.
 _PLAN_HEIGHT = 8
 
+# The owner of a plan's empty cache: no environment has it (see _plan).
+_UNOWNED = object()
+
 
 @dataclass(frozen=True)
 class Env:
-    """Association-list environment: innermost bindings first."""
+    """Association-list environment: innermost bindings first.
+
+    The frame that applying a closure makes also records that closure as
+    its owner (see _Interp.apply); owner is not a field, so it takes no
+    part in construction, equality, hashing or repr, and every other
+    environment has None.
+    """
 
     bindings: tuple = ()
+    owner = None
 
     def lookup(self, name: Symbol):
         for sym, value in self.bindings:
@@ -246,9 +272,20 @@ class _Interp:
                     stack.pop()
                     continue
                 if plan is not None and len(stack) + plan[0] <= max_depth:
-                    fns = _primitives(plan[1], env)
+                    cache, owner = plan[3], env.owner
+                    if cache[0] is owner:
+                        fns = cache[1]
+                    else:
+                        fns = _primitives(plan[1], env)
+                        if owner is not None and not any(
+                            sym in owner.params for sym, _ in plan[1]
+                        ):
+                            cache[:] = owner, fns
                     if fns is not None:
-                        value = plan[2](env, fns)
+                        try:
+                            value = plan[2](env, fns)
+                        except StopIteration as e:  # as in a task (PEP 479)
+                            raise RuntimeError("generator raised StopIteration") from e
                         stack.pop()
                         continue
                 tasks.append(start(env))
@@ -410,13 +447,16 @@ class _Interp:
         An application has a plan when its head is a symbol and each
         operand is a symbol, a quoted constant or an application with a
         plan, and the tree of them is at most _PLAN_HEIGHT high.  A plan is
-        (height, heads, run).  heads holds each head symbol of the tree
-        once, with the number of operands it takes there: if each is bound
-        to a Primitive of that arity, run(env, fns), given the fns of those
-        primitives by symbol (see _primitives), evaluates the tree in env
-        and returns its value.  The height is the number of levels the
+        (height, heads, run, cache).  heads holds each head symbol of the
+        tree once, with the number of operands it takes there: if each is
+        bound to a Primitive of that arity, run(env, fns), given the fns of
+        those primitives by symbol (see _primitives), evaluates the tree in
+        env and returns its value.  The height is the number of levels the
         evaluation would push on self.stack above the application, so the
-        tree fits under the cap when len(self.stack) + height does.
+        tree fits under the cap when len(self.stack) + height does.  cache
+        is [owner, fns]: the result of _primitives in a frame of owner,
+        which _Interp.run reuses in every frame of that owner (see the
+        module docstring); it starts with an owner no environment has.
 
         run takes the steps the tasks would take, in the same order: each
         nested application and each operand symbol is on self.stack while
@@ -442,7 +482,7 @@ class _Interp:
                 continue
             if plan is None:
                 return None
-            sub_height, sub_heads, sub_run = plan
+            sub_height, sub_heads, sub_run, _ = plan
             for sym, arity in sub_heads:
                 if heads.setdefault(sym, arity) != arity:
                     return None
@@ -450,7 +490,8 @@ class _Interp:
             gets.append(self._get_nested(x, sub_run))
         if height > _PLAN_HEIGHT:
             return None
-        return height, tuple(heads.items()), self._call(head, gets)
+        run = self._call(head, gets)
+        return height, tuple(heads.items()), run, [_UNOWNED, None]
 
     def _get_symbol(self, sym):
         stack, free = self.stack, self._free
@@ -527,7 +568,9 @@ class _Interp:
             pairs = list(zip(fn.params, args))
             if fn.self_name is not None:
                 pairs.append((fn.self_name, fn))
-            return (yield fn.body, fn.env.extend(pairs))
+            env = fn.env.extend(pairs)
+            object.__setattr__(env, "owner", fn)
+            return (yield fn.body, env)
         raise self._error(Fault.NOT_CALLABLE, f"not callable: {fn!r}")
 
 

@@ -361,6 +361,15 @@ def test_env_lookup_is_innermost_first():
         env.lookup(Symbol("Y"))
 
 
+def test_a_frame_compares_like_any_environment_with_its_bindings():
+    # The inner closure captures the frame made by applying the outer one.
+    inner = evf("lambda[[x]; lambda[[y]; combine[x; y]]][(A)]")
+    frame, plain = inner.env, Env(inner.env.bindings)
+    assert (frame, hash(frame), repr(frame)) == (plain, hash(plain), repr(plain))
+    assert inner == Closure(inner.params, inner.body, plain)
+    assert inner.env.extend([]).lookup(Symbol("X")) == ProperList((A,))
+
+
 def test_default_env_binds_both_naming_generations():
     for kernel in (Kernel.LIST, Kernel.PAIR):
         env = default_env(kernel)
@@ -612,6 +621,79 @@ def test_one_form_object_can_sit_in_two_scopes():
     assert eval_sexpr(program, max_depth=DEPTH) == read_sexpr("((A), (B))")
 
 
+def test_a_primitive_that_raises_stop_iteration_fails_alike_on_every_path():
+    # The first application runs in one step, the second and apply_fn as tasks.
+    def evf_in(env, text):
+        return eval_fexpr(read_fexpr(text), env, max_depth=DEPTH)
+
+    def bad(x):
+        raise StopIteration
+
+    prim = Primitive("BAD", 1, bad)
+    env = default_env().extend([(Symbol("BAD"), prim)])
+    runs = [
+        lambda: evf_in(env, "bad[(A)]"),
+        lambda: evf_in(env, "bad[lambda[[x]; x][(A)]]"),
+        lambda: apply_fn(prim, [A], max_depth=DEPTH),
+    ]
+    message = "^generator raised StopIteration$"
+    for run in runs:
+        with pytest.raises(RuntimeError, match=message) as exc:
+            run()
+        assert isinstance(exc.value.__cause__, StopIteration)
+
+
+# Each plan remembers the primitives its heads resolved to in the frame of
+# one closure.  These pin that a remembered answer is reused only where it
+# still holds.
+
+_FIRST, _REST, _LAMBDA = Symbol("FIRST"), Symbol("REST"), Symbol("LAMBDA")
+
+
+@pytest.mark.parametrize("kernel", [Kernel.LIST, Kernel.PAIR])
+def test_a_shared_body_resolves_a_parameter_head_in_each_frame(kernel):
+    # G binds FIRST and H does not, and they have one body object.  G is
+    # applied to REST and then to FIRST, so its head FIRST means REST in
+    # one frame of G and FIRST in the next.
+    g, h = Symbol("G"), Symbol("H")
+    body = form(kernel, _FIRST, quoted(kernel, ProperList((A, B))))
+    fn_g = form(kernel, _LAMBDA, form(kernel, _FIRST), body)
+    fn_h = form(kernel, _LAMBDA, form(kernel, Symbol("X")), body)
+    calls = [(g, _REST), (g, _FIRST), (h, quoted(kernel, C)), (g, _REST), (h, _REST)]
+    chain = quoted(kernel, NULL)
+    for call in reversed(calls):
+        chain = form(kernel, COMBINE, form(kernel, *call), chain)
+    program = form(kernel, form(kernel, _LAMBDA, form(kernel, g, h), chain), fn_g, fn_h)
+    value = eval_sexpr(program, kernel=kernel, max_depth=DEPTH)
+    assert value == in_kernel(kernel, read_sexpr("((B), A, A, (B), A)"))
+
+
+@pytest.mark.parametrize("kernel", [Kernel.LIST, Kernel.PAIR])
+def test_closures_of_one_lambda_form_resolve_heads_in_their_own_bindings(kernel):
+    # f and g are closures of the inner LAMBDA form; first is FIRST in the
+    # environment of f and REST in that of g.
+    src = (
+        "lambda[[mk]; lambda[[f; g]; combine[f[(A, B)]; combine[g[(A, B)];"
+        " combine[f[(A, B)]; combine[g[(A, B)]; ()]]]]][mk[first]; mk[rest]]]"
+        "[lambda[[first]; lambda[[x]; first[x]]]]"
+    )
+    expected = read_sexpr("(A, (B), A, (B))")
+    assert evf(src, kernel) == in_kernel(kernel, expected)
+
+
+@pytest.mark.parametrize("kernel", [Kernel.LIST, Kernel.PAIR])
+def test_a_relabelled_closure_resolves_its_self_name(kernel):
+    # h is g named null, so null[A] in their one body is the primitive in
+    # a frame of g and h itself in a frame of h.
+    src = (
+        "lambda[[g]; lambda[[h]; combine[g[C]; combine[h[C]; combine[g[C];"
+        " combine[h[C]; ()]]]]][label[null; g]]]"
+        "[lambda[[x]; [eq[x; A] -> B; T -> null[A]]]]"
+    )
+    expected = read_sexpr("(F, B, F, B)")
+    assert evf(src, kernel) == in_kernel(kernel, expected)
+
+
 _OPS = [Symbol(n) for n in "FIRST REST COMBINE CONS CAR CDR ATOM EQ NULL".split()]
 _X, _Y = Symbol("X"), Symbol("Y")
 
@@ -680,3 +762,115 @@ def test_eval_sexpr_agrees_with_the_recursive_reference(expr, x, y, kernel, max_
     except RecursionError:  # the reference ran out of host stack
         assume(False)
     assert outcome(eval_sexpr, expr, env, kernel, max_depth) == expected
+
+
+# Closures of one body object, each applied more than once, against the
+# same reference.
+
+_W, _EQ = Symbol("W"), Symbol("EQ")
+_DRIVERS = [Symbol(n) for n in ("F1", "F2", "F3")]
+_ARITY = {_FIRST: 1, _REST: 1, _EQ: 2, COMBINE: 2}
+# Lists that are not empty, so that FIRST and REST of them are defined.
+_LISTS = st.lists(helpers.list_values, min_size=1, max_size=4).map(
+    lambda xs: ProperList(tuple(xs))
+)
+_QUOTED = _LISTS.map(lambda v: ProperList((QUOTE, v)))
+
+
+def _applications(operands):
+    return st.sampled_from(list(_ARITY.items())).flatmap(
+        lambda t: st.lists(operands, min_size=t[1], max_size=t[1]).map(
+            lambda args: ProperList((t[0], *args))
+        )
+    )
+
+
+# Primitive trees over X and Y whose heads FIRST and EQ may be parameters.
+primitive_trees = _applications(
+    st.recursive(st.sampled_from([_X, _Y]) | _QUOTED, _applications, max_leaves=3)
+)
+
+# The arguments of each parameter.  X and Y take values and closures;
+# FIRST and EQ take primitives, so that one closure runs its body with
+# several meanings of a head, and sometimes values and closures too.
+_VALUE_ARGS = st.sampled_from([_X, _Y, *_DRIVERS[:2], _W]) | _QUOTED
+_ARGS = {
+    _X: _VALUE_ARGS,
+    _Y: _VALUE_ARGS,
+    _FIRST: st.sampled_from([_FIRST, _REST, Symbol("ATOM"), Symbol("NULL")]),
+    _EQ: st.sampled_from([_EQ, COMBINE]),
+}
+
+
+@st.composite
+def shared_body_programs(draw):
+    """(body, params, calls): closures of one body, each applied again.
+
+    The program (see _shared_body_program) binds F1, F2 (and F3) to
+    closures of one body object with parameters drawn from X, Y, FIRST
+    and EQ, and W to a LABEL recursion that evaluates that body on every
+    level.  It then makes the calls, each a name and its arguments, in
+    turn or in a drawn order: each closure two or three times, W once or
+    twice.
+    """
+    # Mostly a primitive tree, whose plan is what the closures share.
+    body = draw(st.one_of(primitive_trees, primitive_trees, primitive_trees, sforms))
+    names = st.sampled_from([_X, _Y, _FIRST, _EQ])
+    params = draw(
+        st.lists(st.lists(names, max_size=2, unique=True), min_size=2, max_size=3)
+    )
+    calls = []
+    for name, ps in zip(_DRIVERS, params):
+        args = [_ARGS[p] for p in ps]
+        if draw(st.booleans()):
+            args = [a | _VALUE_ARGS for a in args]
+        for _ in range(draw(st.integers(2, 3))):
+            calls.append((name, *draw(st.tuples(*args))))
+    walks = st.tuples(st.just(_W), _VALUE_ARGS, _VALUE_ARGS)
+    calls += draw(st.lists(walks, min_size=1, max_size=2))
+    return body, params, draw(st.just(calls) | st.permutations(calls))
+
+
+def _shared_body_program(kernel, body, params, calls):
+    def f(*items):  # a form of the kernel; list-kernel items are carried over
+        return form(kernel, *(carry(x) for x in items))
+
+    def carry(x):
+        return in_kernel(kernel, x) if isinstance(x, ProperList) else x
+
+    if kernel is Kernel.PAIR:
+        body = list_to_pair(body)  # once, so the body stays one object
+    atom, null, empty = Symbol("ATOM"), Symbol("NULL"), quoted(kernel, NULL)
+    walk = f(
+        Symbol("COND"),
+        f(f(atom, _X), empty),
+        f(f(null, _X), empty),
+        f(T, f(COMBINE, body, f(_W, f(_REST, _X), _Y))),
+    )
+    fns = [f(_LAMBDA, f(*p), body) for p in params]
+    fns.append(f(Symbol("LABEL"), _W, f(_LAMBDA, f(_X, _Y), walk)))
+    chain = empty
+    for call in reversed(calls):
+        chain = f(COMBINE, f(*call), chain)
+    names = _DRIVERS[: len(params)] + [_W]
+    return f(f(_LAMBDA, f(*names), chain), *fns)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    shared_body_programs(),
+    _LISTS,
+    _LISTS,
+    st.sampled_from([Kernel.LIST, Kernel.PAIR]),
+)
+def test_reapplied_closures_agree_with_the_recursive_reference(program, x, y, kernel):
+    # The depth cap is fixed and ample; the test above covers the limit.
+    expr = _shared_body_program(kernel, *program)
+    if kernel is Kernel.PAIR:
+        x, y = list_to_pair(x), list_to_pair(y)
+    env = default_env(kernel).extend([(_X, x), (_Y, y)])
+    try:
+        expected = outcome(helpers.reference_eval, expr, env, kernel, 250)
+    except RecursionError:  # the reference ran out of host stack
+        assume(False)
+    assert outcome(eval_sexpr, expr, env, kernel, 250) == expected
