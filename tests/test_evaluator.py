@@ -1,7 +1,9 @@
 """The universal interpreter over both kernels."""
 
+import inspect
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import assume, given, settings
@@ -36,7 +38,7 @@ from protolisp import (
     translate,
     unsafe_set_tail,
 )
-from protolisp.evaluator import Env
+from protolisp.evaluator import Env, _Interp
 
 A, B, C = helpers.A, helpers.B, helpers.C
 DEPTH = 500  # ample for everything in this file, cheap on the host stack
@@ -622,7 +624,9 @@ def test_one_form_object_can_sit_in_two_scopes():
 
 
 def test_a_primitive_that_raises_stop_iteration_fails_alike_on_every_path():
-    # The first application runs in one step, the second and apply_fn as tasks.
+    # The first application runs in one step, the second and apply_fn as
+    # tasks; the last two fail in a COND test and in an operand of f, each
+    # chosen or applied in the turn that applied f.
     def evf_in(env, text):
         return eval_fexpr(read_fexpr(text), env, max_depth=DEPTH)
 
@@ -635,6 +639,8 @@ def test_a_primitive_that_raises_stop_iteration_fails_alike_on_every_path():
         lambda: evf_in(env, "bad[(A)]"),
         lambda: evf_in(env, "bad[lambda[[x]; x][(A)]]"),
         lambda: apply_fn(prim, [A], max_depth=DEPTH),
+        lambda: evf_in(env, "lambda[[f]; f[(A)]][lambda[[x]; [bad[x] -> A; T -> B]]]"),
+        lambda: evf_in(env, "lambda[[f]; f[bad[(A)]]][lambda[[x]; x]]"),
     ]
     message = "^generator raised StopIteration$"
     for run in runs:
@@ -874,3 +880,171 @@ def test_reapplied_closures_agree_with_the_recursive_reference(program, x, y, ke
     except RecursionError:  # the reference ran out of host stack
         assume(False)
     assert outcome(eval_sexpr, expr, env, kernel, 250) == expected
+
+
+# --- closures applied and COND clauses chosen by the loop itself ---------------
+#
+# Each case runs three ways: through eval_sexpr, through the same interpreter
+# with every operand and test evaluated by a task (no plans, so no steps),
+# and through the recursive reference.  All three must agree on the value,
+# or on the kind, message and trace of the error.
+
+
+def by_tasks(*args):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_Interp, "_operands", lambda self, forms: None)
+        return outcome(eval_sexpr, *args)
+
+
+def three_ways(expr, env, kernel, max_depth):
+    got = outcome(eval_sexpr, expr, env, kernel, max_depth)
+    assert by_tasks(expr, env, kernel, max_depth) == got
+    assert outcome(helpers.reference_eval, expr, env, kernel, max_depth) == got
+    return got
+
+
+def program(kernel, text):
+    expr = read_sexpr(text) if text.startswith("(") else translate(read_fexpr(text))
+    return in_kernel(kernel, expr)
+
+
+@pytest.mark.parametrize("kernel", [Kernel.LIST, Kernel.PAIR])
+@pytest.mark.parametrize(
+    "text, kind, message",
+    [
+        # f[(A)] applies a closure of two parameters to one argument.
+        ("lambda[[f]; f[(A)]][lambda[[x; y]; x]]", Fault.ARITY,
+         "closure expects 2 argument(s), got 1"),
+        ("lambda[[f]; f[(A); (B)]][lambda[[x]; x]]", Fault.ARITY,
+         "closure expects 1 argument(s), got 2"),
+        ("lambda[[x]; first[x; x]][(A)]", Fault.ARITY,
+         "FIRST expects 1 argument(s), got 2"),
+        # Heads that are unbound, or bound to no function, fall back to tasks.
+        ("lambda[[x]; g[x]][(A)]", Fault.UNBOUND, "unbound symbol: G"),
+        ("lambda[[g]; g[rest[g]]][(A)]", Fault.NOT_CALLABLE, "not callable: (A)"),
+        # The COND of f's body is chosen in the turn that applied f.
+        ("lambda[[f]; f[(C)]][lambda[[x]; [atom[x] -> A; first[x] -> B]]]",
+         Fault.BAD_TRUTH_VALUE, "COND test produced C, which is neither T nor F"),
+        ("lambda[[f]; f[(C)]][lambda[[x]; [atom[x] -> A; null[x] -> B]]]",
+         Fault.COND_EXHAUSTED, "no COND test evaluated to T"),
+        # The third clause, (X), is reached after two tests gave F.
+        ("((LAMBDA, (F), (F, (QUOTE, (C)))), (LAMBDA, (X),"
+         " (COND, ((ATOM, X), (QUOTE, A)), ((NULL, X), (QUOTE, B)), (X))))",
+         Fault.MALFORMED, "each COND clause must be a two-element list"),
+    ],
+)
+def test_a_chained_step_fails_as_its_task_does(kernel, text, kind, message):
+    expr = program(kernel, text)
+    got = three_ways(expr, default_env(kernel), kernel, DEPTH)
+    if kernel is Kernel.PAIR:
+        message = message.replace("(A)", "(A . NIL)")
+    assert got[:2] == (kind, message)
+
+
+@pytest.mark.parametrize("kernel", [Kernel.LIST, Kernel.PAIR])
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        # first is a parameter of g and a head inside f's operand or test.
+        ("lambda[[g]; combine[g[rest; (A, B)]; combine[g[first; (A, B)]; ()]]]"
+         "[lambda[[first; x]; combine[first[x]; ()]]]", "(((B)), (A))"),
+        ("lambda[[g]; combine[g[atom; (A)]; combine[g[first; (T)]; ()]]]"
+         "[lambda[[first; x]; [first[x] -> Y; T -> N]]]", "(N, Y)"),
+    ],
+)
+def test_a_parameter_inside_a_step_is_resolved_in_each_frame(kernel, text, expected):
+    got = three_ways(program(kernel, text), default_env(kernel), kernel, DEPTH)
+    assert got == ("value", in_kernel(kernel, read_sexpr(expected)))
+
+
+@pytest.mark.parametrize("kernel", [Kernel.LIST, Kernel.PAIR])
+def test_the_depth_limit_of_a_chained_recursion_is_exact(kernel):
+    expr = program(kernel, corpus.REVERSE + "[(A, B, C, D, E); ()]")
+    env = default_env(kernel)
+    kinds = [three_ways(expr, env, kernel, d)[0] for d in range(1, 41)]
+    # The program, then an application of rv and the COND of its body for
+    # each of six lists; the last COND's test null[x] needs two more levels.
+    assert kinds == [Fault.DEPTH_EXCEEDED] * 13 + ["value"] * 27
+
+
+@pytest.mark.parametrize("kernel", [Kernel.LIST, Kernel.PAIR])
+def test_a_chained_recursion_100000_deep_keeps_off_the_host_stack(kernel):
+    n = 100_000
+    expr = program(kernel, corpus.WALK + "[(" + ", ".join(["A"] * n) + ")]")
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        value = eval_sexpr(expr, kernel=kernel, max_depth=10**6)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert value == in_kernel(kernel, NULL)
+    e = fault_of(eval_sexpr, expr, kernel=kernel, max_depth=2 * n)
+    assert e.kind is Fault.DEPTH_EXCEEDED
+
+
+# Recursive closures whose bodies are CONDs: tests and operands that a step
+# can take, that it declines at run time (H is a closure, X and Y values)
+# and that it cannot take (COND, LAMBDA and W applications inside them).
+
+_H, _W, _Z = Symbol("H"), Symbol("W"), Symbol("Z")
+
+
+def _s(*items):
+    return ProperList(items)
+
+
+_leaves = st.sampled_from([_X, _Y, T, F]) | _QUOTED | st.just(_s(QUOTE, NULL))
+
+
+def _chained(ch):
+    return st.one_of(
+        _applications(ch),
+        st.tuples(st.sampled_from([_H, _X]), ch).map(lambda t: _s(*t)),
+        ch.map(lambda x: _s(_W, _s(_REST, _X), x)),
+        st.tuples(ch, ch).map(lambda t: _s(Symbol("COND"), _s(*t), _s(T, t[1]))),
+        ch.map(lambda x: _s(_s(_LAMBDA, _s(_Z), _s(Symbol("ATOM"), _Z)), x)),
+    )
+
+
+_cond_parts = st.recursive(_leaves, _chained, max_leaves=4)
+# Tests that mostly give T or F, and recursions that mostly shorten X.
+_tests = st.one_of(
+    st.tuples(st.sampled_from([Symbol("ATOM"), Symbol("NULL"), _H]), _cond_parts),
+    st.tuples(st.just(_EQ), _cond_parts, _cond_parts),
+).map(lambda t: _s(*t)) | _cond_parts
+_recursions = st.tuples(st.just(_X) | _cond_parts, _cond_parts).map(
+    lambda t: _s(_W, _s(_REST, t[0]), t[1])
+)
+
+
+@st.composite
+def recursive_conds(draw):
+    """A W of X and Y whose body is a COND, applied, with H a closure."""
+    base = draw(st.sampled_from([Symbol("ATOM"), Symbol("NULL"), Symbol("NULL")]))
+    clauses = [_s(_s(base, _X), draw(_cond_parts))]
+    clauses += draw(
+        st.lists(st.tuples(_tests, _recursions | _cond_parts).map(lambda t: _s(*t)),
+                 max_size=2)
+    )
+    if draw(st.sampled_from(range(4))) != 3:
+        clauses.append(_s(T, draw(_recursions)))
+    if draw(st.sampled_from(range(10))) == 9:
+        clauses.insert(draw(st.integers(1, len(clauses))), _s(_X))  # malformed
+    w = _s(Symbol("LABEL"), _W, _s(_LAMBDA, _s(_X, _Y), _s(Symbol("COND"), *clauses)))
+    h = _s(_LAMBDA, _s(_Z), _s(Symbol("NULL"), _Z))
+    return _s(_s(_LAMBDA, _s(_H), _s(w, _X, _Y)), h)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    recursive_conds(),
+    _LISTS,
+    _LISTS,
+    st.sampled_from([Kernel.LIST, Kernel.PAIR]),
+    st.integers(3, 60) | st.sampled_from(range(60, 2, -1)),  # not mostly 3
+)
+def test_recursive_conds_agree_with_the_recursive_reference(expr, x, y, kernel, max_depth):
+    if kernel is Kernel.PAIR:
+        expr, x, y = list_to_pair(expr), list_to_pair(x), list_to_pair(y)
+    env = default_env(kernel).extend([(_X, x), (_Y, y)])
+    three_ways(expr, env, kernel, max_depth)
