@@ -30,57 +30,59 @@ dispatch and variable lookup are identity tests.  Malformed syntax
 analyses to a node that raises, so it still fails only when it is
 evaluated.
 
-Evaluation runs on its own stack, not the host's.  A node makes a
-generator that yields the (expression, environment) pairs whose values it
-needs, so where the universal function would recurse it says
-(yield x, env).  One loop, _Interp.run, keeps the suspended generators
-and, beside them, the expressions under evaluation, outermost first; it
-looks symbols up and returns quoted constants itself, and sends each
-value back to the generator that asked.
+Evaluation runs on its own stack, not the host's.  One loop,
+_Interp.run, takes an expression to its value.  Where the universal
+function recurses for the value of an operand, a COND test or a LABEL
+body, the loop pushes a frame and goes on with that expression, and
+resumes the frame with the value: the recursion's continuation,
+defunctionalized (Danvy and Nielsen, "Defunctionalization at work", PPDP
+2001), which makes the loop a CEK machine (Felleisen and Friedman, 1986).
+A frame holds the form's node, the environment, what the form's heads
+resolved to, the values so far, and the height of the stack of
+expressions under evaluation with the form on top.  A closure body and a
+COND's chosen result need no frame; their value is the form's.
 
 Most of the universal function is primitives applied to primitives:
-eq[first[e]; QUOTE], first[rest[rest[fn]]].  Such a tree is applied in one
-step, without a task per application or a turn of the loop per operand,
-the superinstruction of Piumarta and Riccardi ("Optimizing direct
-threaded code by selective inlining", PLDI 1998).  An application whose
-head is a symbol and whose operands are symbols, quoted constants and
-such applications, at most eight high, gets a plan when it is analysed.
+eq[first[e]; QUOTE], first[rest[rest[fn]]].  An application whose head is
+a symbol and whose operands are symbols, quoted constants and such
+applications, at most eight high, gets a plan when it is analysed, which
+applies the tree in one go: the superinstruction of Piumarta and
+Riccardi ("Optimizing direct threaded code by selective inlining", PLDI
+1998).
 
-The two steps of the universal function, evcon choosing a COND clause
-and apply binding parameters to evaluate a body, are taken by the loop
-itself when they can be, without a task.  An application whose operands
-could each be evaluated by a plan, and a COND whose tests could, has a
-step.  When the loop meets it, it looks up the head and the heads of
-those plans first; if the plans' heads are bound to primitives of the
-arity used, the head (of an application) to a closure or a primitive,
-and the form fits under the depth cap, the loop evaluates the operands
-or tests through the plans.  It then calls the primitive, or makes the
-closure's frame and goes on with its body, or goes on with the chosen
-result, in the same turn.  Else the form's task does it all.  Looking up
-is all that happens before that choice, so nothing is evaluated twice,
-and the steps keep the order, the primitive calls, the errors and the
-trace of the tasks they stand in for.  There is no tail-call
-elimination: the form a step goes on from stays on the stack until the
-form it goes on with has its value, so that the depth, where it runs
-out and every trace stay those of the universal function, which
-evaluates a closure body inside the application that called it.
+An application with a symbol head, and a COND, is a step.  The loop
+first reads the bindings of its head and of its plans' heads, and
+nothing else.  It evaluates the operands or tests in place, symbols,
+quoted constants and plans whose heads are primitives of the arity used,
+up to the first that is none of these, such as append's app[rest[x]; y]
+in combine[first[x]; app[rest[x]; y]].  There the step suspends: the
+loop pushes its frame and goes on with that operand, and resumes the
+step in place when the value comes back.  It then calls the primitive,
+or binds the closure's parameters and goes on with its body, or goes on
+with the chosen result.  Where the plans' height does not fit under the
+depth cap, or an application's head is unbound or not a symbol, the loop
+evaluates each operand, head or test itself, checking the cap at each.
+So the order, the primitive calls, the errors and the traces are those
+of the universal function.  There is no tail-call elimination: a form
+stays on the stack until the body or result it goes on with has its
+value, as in the universal function, so the depth, where it runs out
+and every trace stay the same.
 
-A step remembers what its heads resolved to, for one closure: the
-inline cache of Deutsch and Schiffman ("Efficient implementation of the
-Smalltalk-80 system", POPL 1984).  Applying a closure makes a frame that
-binds its parameters, then its LABEL name (to the closure itself), then
-the environment the closure captured, which never changes; the closure
-is that frame's owner.  A head that is not a parameter therefore means
-the same in every frame of one owner.  A step whose plans' heads include
-no parameter keeps the owner and its answer (primitives, or None), and
-so does one whose answer is None because of a head that is no parameter;
-then it skips the lookup while it meets frames of that owner, all but
-that of an application's head if that is a parameter.  A recursive
-function and the meta evaluator re-enter one closure object on every
-call, so nearly every lookup is skipped.  The key is the closure and
-not the scope: one form object can sit in several scopes, and one LAMBDA
-form makes closures over different environments, but each frame has
-exactly one owner.  Any other environment has no owner, and its lookups
+A step remembers what its heads resolved to: the inline cache of Deutsch
+and Schiffman ("Efficient implementation of the Smalltalk-80 system",
+POPL 1984).  Applying a closure binds its parameters, then its LABEL
+name (to the closure itself), in front of the environment it captured;
+the closure owns the environment this makes.  A head that is not a
+parameter means the same in every environment of one owner, and one
+that is means the same wherever it has the same value.  So a step keeps
+its answer under the owner and the value, by identity, of each of its
+heads that is a parameter, and skips the lookup while it meets that key.
+A recursive function and the meta evaluator re-enter one closure object
+on every call, and the meta evaluator passes itself on as its parameter
+ev, so nearly every lookup is skipped.  The key is the closure and not
+the scope: one form object can sit in several scopes, and one LAMBDA
+form makes closures over different environments, but each environment
+has at most one owner.  Other environments have none, and their lookups
 are not kept.
 
 Evaluation depth is the number of expressions under evaluation, capped
@@ -116,12 +118,16 @@ _LABEL = Symbol("LABEL")
 # The special forms whose nodes are made from no inner form (see _analyse).
 _LEAVES = frozenset((_QUOTE, _LAMBDA, _LABEL))
 
-# The height of the highest tree of applications that has a plan; see _steps.
+# The height of the highest tree of applications that has a plan; see _step.
 _PLAN_HEIGHT = 8
 
-# The owner of a step's empty cache: no environment has it (see _steps).
+# The kinds of node (see _Interp._node): what the loop does with the form.
+# The two whose node holds a step come first (see _Interp.run).
+_APPLY, _CHOOSE, _CONSTANT, _CLOSE, _NAME, _FAIL = range(6)
+
+# The owner of a step's empty cache: no environment has it (see _step).
 _UNOWNED = object()
-# A cached head that is a parameter of the owner, so looked up in each frame.
+# A cached head that is a parameter of the owner, so looked up each time.
 _PARAM = object()
 
 
@@ -129,10 +135,10 @@ _PARAM = object()
 class Env:
     """Association-list environment: innermost bindings first.
 
-    The frame that applying a closure makes also records that closure as
-    its owner (see _Interp._frame); owner is not a field, so it takes no
-    part in construction, equality, hashing or repr, and every other
-    environment has None.
+    The environment that applying a closure makes also records that
+    closure as its owner (see _Interp._bind); owner is not a field, so it
+    takes no part in construction, equality, hashing or repr, and every
+    other environment has None.
     """
 
     bindings: tuple = ()
@@ -162,7 +168,7 @@ class Closure:
     self_name: Symbol | None = None
 
     def __repr__(self):
-        return f"#<closure ({' '.join(p.name for p in self.params)})>"
+        return f"#<closure ({' '.join([p.name for p in self.params])})>"
 
 
 @dataclass(frozen=True)
@@ -209,10 +215,7 @@ def default_env(kernel=Kernel.LIST) -> Env:
             "NULL": (1, lambda x: _truth(x is NIL)),
         }
     return Env(
-        tuple(
-            (Symbol(name), Primitive(name, arity, fn))
-            for name, (arity, fn) in ops.items()
-        )
+        tuple([(Symbol(n), Primitive(n, a, fn)) for n, (a, fn) in ops.items()])
     )
 
 
@@ -246,88 +249,140 @@ class _Interp:
             v = v.tail
         return items if v is NIL else None
 
-    def run(self, task):
-        """Drive task, a generator that yields (expr, env), to its value.
+    def run(self, expr, env):
+        """The value of expr in env.
 
-        Each yielded expression is pushed on self.stack and evaluated: a
-        symbol or a quoted constant here, an application or a COND with a
-        step here too when its step applies (see _steps), and any other
-        compound form by the task its node makes, suspended above the one
-        that asked.  A step that ends in another expression, a closure
-        body or a COND's chosen result, pushes that one and goes on.  A
-        task's expression stays on the stack while the task runs, and each
-        value it is sent finds the stack cut back to that height.
+        Each expression is pushed on self.stack and evaluated: a symbol, a
+        quoted constant and a LAMBDA at once, an application or a COND as
+        a step (see _step), a LABEL by its body.  What a form does not
+        evaluate in place is evaluated above its frame, (node, env, fns,
+        gets, values, level): fns and gets are what _resolve gave the step
+        (all gets are None where the loop evaluates every item), values
+        holds the head's and the operands' values so far, or an F for each
+        test that gave F, and level is len(self.stack) with the form on
+        top, to which the stack is cut back before the frame resumes.
         """
-        tasks = [task]
-        levels = [len(self.stack)]  # len(stack) as each task was made
+        frames = []
         stack = self.stack
         nodes = self._nodes
         max_depth = self.max_depth
-        value = None
         try:
             while True:
-                del stack[levels[-1] :]
-                try:
-                    expr, env = tasks[-1].send(value)
-                except StopIteration as done:
-                    tasks.pop()
-                    levels.pop()
-                    if not tasks:
-                        return done.value
-                    value = done.value
-                    continue
-                try:
-                    while True:
-                        stack.append(expr)
-                        if len(stack) > max_depth:
-                            raise self._error(
-                                Fault.DEPTH_EXCEEDED,
-                                f"recursion depth exceeded ({max_depth})",
-                            )
-                        if isinstance(expr, Symbol):
-                            value = self._lookup(expr, env)
-                            break
-                        node = nodes.get(id(expr)) or self._analyse(expr)
-                        start, constant, _, _, step = node
-                        if start is None:
-                            value = constant
-                            break
-                        if step is not None and len(stack) + step[0] <= max_depth:
-                            _, _, gets, cache, head, cond = step
-                            if cache[0] is env.owner:
-                                _, fn, fns = cache
-                                if fn is _PARAM:
-                                    fn = _binding(head, env)
+                while True:  # evaluate expr in env, or go on with another
+                    stack.append(expr)
+                    if len(stack) > max_depth:
+                        detail = f"recursion depth exceeded ({max_depth})"
+                        raise self._error(Fault.DEPTH_EXCEEDED, detail)
+                    if isinstance(expr, Symbol):
+                        value = self._lookup(expr, env)
+                        break
+                    node = nodes.get(id(expr)) or self._analyse(expr)
+                    kind, step, body, _ = node
+                    if kind <= _CHOOSE:
+                        height, head, cache, forms, _, _, _, choice = step
+                        if len(stack) + height > max_depth:
+                            fn, fns, gets = None, None, (None,) * len(forms)
+                        elif cache[0] is env.owner and (
+                            not cache[1] or _holds(cache[1], env)
+                        ):
+                            _, _, fn, fns, gets = cache
+                            if fn is _PARAM:
+                                fn = _binding(head, env)
+                        else:
+                            fn, fns, gets = _resolve(step, env)
+                        if choice is not None:
+                            for i, get in enumerate(gets):
+                                if get is None:
+                                    break
+                                t = get(env, fns)
+                                if t is T:
+                                    break
+                                if t is not F:
+                                    raise self._not_truth(t)
                             else:
-                                fn, fns = _resolve(step, env)
-                            if fns is not None:
-                                if cond is not None:
-                                    results, end = cond
-                                    for get, result in zip(gets, results):
-                                        t = get(env, fns)
-                                        if t is T:
-                                            break
-                                        if t is not F:
-                                            raise self._not_truth(t)
-                                    else:
-                                        raise self._error(*end)
-                                    expr = result
-                                    continue
+                                raise self._error(*choice[1])
+                            if get is not None:
+                                expr = choice[0][i]
+                                continue
+                            values = [F] * i
+                        elif fn is not None:
+                            args = []
+                            for get in gets:
+                                if get is None:
+                                    break
+                                args.append(get(env, fns))
+                            else:
                                 if isinstance(fn, Closure):
-                                    args = [get(env, fns) for get in gets]
-                                    env = self._frame(fn, args)
+                                    env = self._bind(fn, args)
                                     expr = fn.body
                                     continue
-                                if isinstance(fn, Primitive):
-                                    args = [get(env, fns) for get in gets]
-                                    value = self._primitive(fn, args)
-                                    break
-                        tasks.append(start(env))
-                        levels.append(len(stack))
-                        value = None
+                                value = self._apply(fn, args)
+                                break
+                            values = [fn, *args]
+                        else:  # the loop evaluates the head and each operand
+                            gets, values = (None,) * len(forms), []
+                        frames.append((node, env, fns, gets, values, len(stack)))
+                        expr = forms[len(values)]
+                        continue
+                    if kind == _CONSTANT:
+                        value = step
                         break
-                except StopIteration as e:  # as in a task (PEP 479)
-                    raise RuntimeError("generator raised StopIteration") from e
+                    if kind == _CLOSE:
+                        value = Closure(step, body, env)
+                        break
+                    if kind == _NAME:
+                        frames.append((node, env, None, None, None, len(stack)))
+                        expr = body
+                        continue
+                    raise self._error(Fault.MALFORMED, step)
+                while frames:  # resume the top frame with value
+                    node, env, fns, gets, values, level = frames[-1]
+                    del stack[level:]
+                    kind, step, _, _ = node
+                    if kind == _APPLY:
+                        forms = step[3]
+                        values.append(value)
+                        i = len(values)
+                        while i < len(forms) and gets[i - 1] is not None:
+                            values.append(gets[i - 1](env, fns))
+                            i += 1
+                        if i < len(forms):
+                            expr = forms[i]
+                            break
+                        frames.pop()
+                        fn, *args = values
+                        if isinstance(fn, Closure):
+                            env = self._bind(fn, args)
+                            expr = fn.body
+                            break
+                        value = self._apply(fn, args)
+                    elif kind == _CHOOSE:
+                        forms, (results, end) = step[3], step[7]
+                        i = len(values)  # the test whose value this is
+                        while value is F and i + 1 < len(forms) and gets[i + 1]:
+                            i += 1
+                            value = gets[i](env, fns)
+                        if value is T:
+                            frames.pop()
+                            expr = results[i]
+                            break
+                        if value is not F:
+                            raise self._not_truth(value)
+                        if i + 1 == len(forms):
+                            raise self._error(*end)
+                        values[:] = [F] * (i + 1)
+                        expr = forms[i + 1]
+                        break
+                    else:
+                        frames.pop()
+                        if not isinstance(value, Closure):
+                            detail = "LABEL body must produce a closure"
+                            raise self._error(Fault.MALFORMED, detail)
+                        value = replace(value, self_name=step)
+                else:
+                    return value
+        except StopIteration as e:  # a primitive's, raised as PEP 479 has it
+            raise RuntimeError("generator raised StopIteration") from e
         finally:
             # The nodes' closures refer back to this interpreter; dropping
             # them here frees it at once, not at the next cycle collection.
@@ -352,22 +407,13 @@ class _Interp:
     def _analyse(self, form):
         """The node of a compound form, made on its first evaluation.
 
-        A node is (start, constant, form, plan, step).  For QUOTE start is
-        None and the constant is the value; for any other form start(env)
-        makes the task that evaluates the form in env.  Malformed syntax
-        gives a start that raises, so it fails only where it is evaluated.
-        An application may also have a plan (see _steps), and an
-        application or a COND a step; any other node has None.  The node
-        keeps the form alive, so that no other object can take the id it
-        is cached by.
-
-        The operands of an application and the tests of a COND are
-        analysed before it, so that its plan and step can be made from
-        their nodes: every form reached from form through them gets its
-        node here, before its own first evaluation, on an explicit stack.
-        A form met again inside itself (a cyclic pair-kernel form) has no
-        node yet where it is reached, so the forms around it get no plan
-        and no step.
+        The operands of an application with a symbol head and the tests of
+        a COND are analysed before it, so that its plan and step can be
+        made from their nodes: every form reached from form through them
+        gets its node here, before its own first evaluation, on an explicit
+        stack.  A form met again inside itself (a cyclic pair-kernel form)
+        has no node yet where it is reached, so the loop always evaluates
+        it there.
         """
         nodes = self._nodes
         todo = [(form, None)]  # (form, its items once its inner forms are queued)
@@ -392,35 +438,45 @@ class _Interp:
         return nodes[id(form)]
 
     def _node(self, form, items):
-        start = constant = plan = step = None
+        """(kind, a, b, form): what the loop does with form (see run).
+
+        _CONSTANT: QUOTE, a is the value.  _CLOSE: LAMBDA, a and b are the
+        parameters and the body.  _NAME: LABEL, a and b are the name and
+        the body.  _CHOOSE: COND, a is its step.  _APPLY: any other form, a
+        is its step and b its plan or None (see _step).  _FAIL: malformed
+        syntax, a is the message, so it fails only where it is evaluated.
+        The node keeps the form alive, so that no other object can take the
+        id it is cached by.
+        """
         if items is None:
-            start = self._malformed(
-                f"not an expression of the {self.kernel.value} kernel: {form!r}"
-            )
+            detail = f"not an expression of the {self.kernel.value} kernel: {form!r}"
         elif not items:
-            start = self._malformed("the empty list is not a form")
+            detail = "the empty list is not a form"
         elif items[0] is _QUOTE:
             if len(items) == 2:
-                constant = items[1]
-            else:
-                start = self._malformed("QUOTE takes exactly one operand")
+                return (_CONSTANT, items[1], None, form)
+            detail = "QUOTE takes exactly one operand"
         elif items[0] is _COND:
-            start, step = self._cond(items[1:])
+            tests, results, end = self._clauses(items[1:])
+            return (_CHOOSE, self._step(tests, (results, end))[1], None, form)
         elif items[0] is _LAMBDA:
-            start = self._lambda(items)
+            params = self._sequence(items[1]) if len(items) == 3 else None
+            if len(items) != 3:
+                detail = "LAMBDA takes a parameter list and a body"
+            elif params is None or not all([isinstance(p, Symbol) for p in params]):
+                detail = "LAMBDA parameters must be a list of atoms"
+            elif len(set(params)) != len(params):
+                detail = "LAMBDA parameters must be distinct"
+            else:
+                return (_CLOSE, tuple(params), items[2], form)
         elif items[0] is _LABEL:
-            start = self._label(items)
+            if len(items) == 3 and isinstance(items[1], Symbol):
+                return (_NAME, items[1], items[2], form)
+            detail = "LABEL takes an atom and a body"
         else:
-            start = self._application(items[0], items[1:])
-            if isinstance(items[0], Symbol):
-                plan, step = self._steps(items[0], items[1:])
-        return (start, constant, form, plan, step)
-
-    def _malformed(self, detail):
-        def start(env):
-            raise self._error(Fault.MALFORMED, detail)
-
-        return start
+            plan, step = self._step(items)
+            return (_APPLY, step, plan, form)
+        return (_FAIL, detail, None, form)
 
     def _clauses(self, clauses):
         """(tests, results, end): the clauses up to the first malformed one.
@@ -443,111 +499,54 @@ class _Interp:
             Fault.BAD_TRUTH_VALUE, f"COND test produced {t!r}, which is neither T nor F"
         )
 
-    def _cond(self, clauses):
-        tests, results, end = self._clauses(clauses)
+    def _step(self, forms, choice=None):
+        """(plan, step) of an application, whose items are forms, or a COND.
 
-        def start(env):
-            for test, result in zip(tests, results):
-                t = yield test, env
-                if t is T:
-                    return (yield result, env)
-                if t is not F:
-                    raise self._not_truth(t)
-            raise self._error(*end)
+        A step is (height, head, cache, forms, heads, gets, needs, choice).
+        For a COND, forms are its tests, choice is (results, end) (see
+        _clauses) and head is None.  For an application, forms are its
+        items, head first, choice is None, and head is None unless a symbol.
+        gets and needs are those of the operands or tests (see _operands),
+        heads the (symbol, arity) pairs of their plans, and height the levels
+        the gets push on self.stack above the form.  cache is [owner, key,
+        fn, fns, gets]: what _resolve found in an environment of owner whose
+        parameters in key had the values beside them; it starts with an
+        owner no environment has.
 
-        found = self._operands(tests)
-        if found is None:
-            return start, None
-        height, heads, gets = found
-        cache = [_UNOWNED, None, None]
-        step = (height, tuple(heads.items()), gets, cache, None, (results, end))
-        return start, step
-
-    def _lambda(self, items):
-        if len(items) != 3:
-            return self._malformed("LAMBDA takes a parameter list and a body")
-        params = self._sequence(items[1])
-        if params is None or not all(isinstance(p, Symbol) for p in params):
-            return self._malformed("LAMBDA parameters must be a list of atoms")
-        if len(set(params)) != len(params):
-            return self._malformed("LAMBDA parameters must be distinct")
-        params, body = tuple(params), items[2]
-
-        def start(env):
-            yield from ()  # a task that needs no values
-            return Closure(params, body, env)
-
-        return start
-
-    def _label(self, items):
-        if len(items) != 3 or not isinstance(items[1], Symbol):
-            return self._malformed("LABEL takes an atom and a body")
-        name, body = items[1], items[2]
-
-        def start(env):
-            value = yield body, env
-            if not isinstance(value, Closure):
-                raise self._error(Fault.MALFORMED, "LABEL body must produce a closure")
-            return replace(value, self_name=name)
-
-        return start
-
-    def _application(self, head, operands):
-        def start(env):
-            fn = yield head, env
-            args = []
-            for a in operands:
-                args.append((yield a, env))
-            return (yield from self.apply(fn, args))
-
-        return start
-
-    def _steps(self, head, operands):
-        """(plan, step) of an application with a symbol head; each may be None.
-
-        A step is (height, heads, gets, cache, head, None) for an
-        application and (height, heads, gets, cache, None, (results, end))
-        for a COND (see _clauses).  It is made when the operands, or the
-        tests, can each be evaluated without a task (see _operands): gets
-        evaluates them, in order, given the fns of heads.  The height is the
-        number of levels that evaluation pushes on self.stack above the
-        form, so it fits under the cap when len(self.stack) + height does.
-        cache is [owner, fn, fns]: what _resolve found in a frame of owner,
-        which _Interp.run reuses in every frame of that owner (see the
-        module docstring); it starts with an owner no environment has.
-
-        When the head is bound to a closure, the step makes the frame that
-        applying it makes, and run goes on with its body; when the head is
-        bound to a primitive, the step calls it.  Either way the arity is
-        checked after the operands, as in the task.
-
-        A plan is (height, heads, run), and the operands of the step of
-        another application or COND may have one: run(env, fns) evaluates
-        the application in env, given the fns of heads, which here include
-        the head.  An application has a plan when its height is at most
-        _PLAN_HEIGHT and its head is used at one arity throughout the tree.
+        A plan is (height, heads, run): run(env, fns) evaluates the
+        application given the fns of heads, which here include the head.
+        An application has a plan when each operand has a get, its height
+        is at most _PLAN_HEIGHT and its head has one arity in the whole tree.
         """
-        found = self._operands(operands)
-        if found is None:
-            return None, None
-        height, heads, gets = found
-        step = (height, tuple(heads.items()), gets, [_UNOWNED, None, None], head, None)
-        if height > _PLAN_HEIGHT or heads.setdefault(head, len(gets)) != len(gets):
+        cache = [_UNOWNED, (), None, None, None]
+        head = forms[0] if choice is None else None
+        if choice is None and not isinstance(head, Symbol):
+            return None, (0, None, cache, tuple(forms), (), (), (), None)
+        operands = forms if head is None else forms[1:]
+        height, heads, gets, needs = self._operands(operands)
+        step = (
+            height, head, cache, tuple(forms), tuple(heads.items()), gets, needs, choice
+        )
+        if (
+            choice is not None
+            or None in gets
+            or height > _PLAN_HEIGHT
+            or heads.setdefault(head, len(gets)) != len(gets)
+        ):
             return None, step
         return (height, tuple(heads.items()), self._call(head, gets)), step
 
     def _operands(self, forms):
-        """(height, heads, gets) of forms, or None if one needs a task.
+        """(height, heads, gets, needs) of the operands or tests forms.
 
-        Each form must be a symbol, a quoted constant or an application with
-        a plan.  heads holds each head symbol of those plans once, with the
-        number of operands it takes there, and None is returned if one
-        takes two numbers.  If each head is bound to a Primitive of that
-        arity, gets[i](env, fns), given the fns of those primitives by
-        symbol (see _resolve), evaluates forms[i] in env.  The height is at
-        least 1, the level of the forms themselves.
+        gets[i](env, fns) evaluates forms[i] in env without the loop, given
+        fns (see _resolve): forms[i] is a symbol, a quoted constant or an
+        application with a plan, whose heads are needs[i].  Any other form
+        has None, as has a plan that uses a head at another arity than an
+        earlier one.  heads maps each symbol of needs to its arity, and the
+        height is the highest level the gets reach, at least 1.
 
-        The gets take the steps the tasks would take, in the same order:
+        The gets take the steps the loop would take, in the same order:
         each nested application and each operand symbol is on self.stack
         while it is evaluated, each primitive is called once through its
         fn, and a KernelError becomes the same KERNEL_FAULT.  They recurse
@@ -555,27 +554,25 @@ class _Interp:
         """
         heads = {}
         height = 1
-        gets = []
+        gets, needs = [], []
         for x in forms:
+            get, need = None, frozenset()
             if isinstance(x, Symbol):
-                gets.append(self._get_symbol(x))
-                continue
-            node = self._nodes.get(id(x))
-            if node is None:  # x is a form inside itself
-                return None
-            start, constant, _, plan, _ = node
-            if start is None:
-                gets.append(lambda env, fns, constant=constant: constant)
-                continue
-            if plan is None:
-                return None
-            sub_height, sub_heads, sub_run = plan
-            for sym, arity in sub_heads:
-                if heads.setdefault(sym, arity) != arity:
-                    return None
-            height = max(height, sub_height + 1)
-            gets.append(self._get_nested(x, sub_run))
-        return height, heads, gets
+                get = self._get_symbol(x)
+            elif id(x) in self._nodes:  # else x is a form inside itself
+                kind, a, plan, _ = self._nodes[id(x)]
+                if kind == _CONSTANT:
+                    get = lambda env, fns, constant=a: constant  # noqa: E731
+                elif kind == _APPLY and plan is not None:
+                    sub_height, sub_heads, sub_run = plan
+                    if all([heads.get(sym, n) == n for sym, n in sub_heads]):
+                        heads.update(sub_heads)
+                        height = max(height, sub_height + 1)
+                        get = self._get_nested(x, sub_run)
+                        need = frozenset(dict(sub_heads))
+            gets.append(get)
+            needs.append(need)
+        return height, heads, tuple(gets), tuple(needs)
 
     def _get_symbol(self, sym):
         stack, free = self.stack, self._free
@@ -631,15 +628,10 @@ class _Interp:
 
         return run
 
-    def apply(self, fn, args):
-        """Apply fn to evaluated args; a closure body is yielded, not run."""
-        if isinstance(fn, Closure):
-            return (yield fn.body, self._frame(fn, args))
-        if isinstance(fn, Primitive):
-            return self._primitive(fn, args)
-        raise self._error(Fault.NOT_CALLABLE, f"not callable: {fn!r}")
-
-    def _primitive(self, fn, args):
+    def _apply(self, fn, args):
+        """The value of fn, which is no closure, applied to evaluated args."""
+        if not isinstance(fn, Primitive):
+            raise self._error(Fault.NOT_CALLABLE, f"not callable: {fn!r}")
         if len(args) != fn.arity:
             raise self._error(
                 Fault.ARITY,
@@ -650,8 +642,8 @@ class _Interp:
         except KernelError as ke:
             raise self._fault(ke) from ke
 
-    def _frame(self, fn, args):
-        """The frame that applying closure fn to args makes; fn owns it."""
+    def _bind(self, fn, args):
+        """The environment that applying closure fn to args makes; fn owns it."""
         if len(args) != len(fn.params):
             raise self._error(
                 Fault.ARITY,
@@ -673,43 +665,44 @@ def _binding(sym, env):
     return None
 
 
+def _holds(key, env):
+    """Whether env binds each symbol of key to the very value beside it."""
+    for sym, value in key:
+        if _binding(sym, env) is not value:
+            return False
+    return True
+
+
 def _resolve(step, env):
-    """(fn, fns) of a step in env, kept in its cache where that is sound.
+    """(fn, fns, gets) of a step in env, kept in its cache where that is sound.
 
-    fn is the head's binding (None for a COND, or if unbound).  fns is the
-    fn of each Primitive of heads by symbol, or None unless env binds every
-    (symbol, arity) of heads to a Primitive of that arity.  Only bindings
-    are read, so nothing is evaluated.
+    fn is the head's binding (None for a COND, or if unbound).  fns maps
+    each symbol of heads that env binds to a Primitive of the arity used to
+    its fn.  gets is the step's, with None for each operand or test whose
+    plan needs a head that fns lacks.  Only bindings are read.
 
-    In a frame, a symbol that is not a parameter of the owner means the
-    same in every frame of that owner.  So the answer is kept when no head
-    is a parameter, or when it is None because of a head that is not one;
-    fn is kept unless the head is a parameter, and _PARAM stands for it.
+    In an environment of an owner, a symbol that is no parameter means the
+    same in every environment of that owner, and a parameter the same
+    wherever it has the same value.  So the answer is kept under the owner
+    and the values of the heads that are parameters; fn is kept unless the
+    head is a parameter, and _PARAM stands for it.
     """
-    _, heads, _, cache, head, _ = step
+    _, head, cache, _, heads, gets, needs, _ = step
     fn = None if head is None else _binding(head, env)
-    fns = {}
+    owner = env.owner
+    params = () if owner is None else owner.params
+    fns, key = {}, []
     for sym, arity in heads:
         value = _binding(sym, env)
-        if not isinstance(value, Primitive) or value.arity != arity:
-            fns = None
-            break
-        fns[sym] = value.fn
-    owner = env.owner
+        if sym in params:
+            key.append((sym, value))
+        if isinstance(value, Primitive) and value.arity == arity:
+            fns[sym] = value.fn
+    if len(fns) < len(heads):
+        gets = tuple([g if n <= fns.keys() else None for g, n in zip(gets, needs)])
     if owner is not None:
-        params = owner.params
-        if fns is None:
-            kept = sym not in params
-        else:
-            kept = not any(s in params for s, _ in heads)
-        if kept:
-            cache[:] = owner, _PARAM if head in params else fn, fns
-    return fn, fns
-
-
-def _value_of(expr, env):
-    """The task whose value is that of expr in env."""
-    return (yield expr, env)
+        cache[:] = owner, tuple(key), _PARAM if head in params else fn, fns, gets
+    return fn, fns, gets
 
 
 def eval_sexpr(expr, env=None, kernel=Kernel.LIST, max_depth=DEFAULT_MAX_DEPTH):
@@ -721,13 +714,19 @@ def eval_sexpr(expr, env=None, kernel=Kernel.LIST, max_depth=DEFAULT_MAX_DEPTH):
     kernel = Kernel(kernel)
     if env is None:
         env = default_env(kernel)
-    return _Interp(kernel, max_depth).run(_value_of(expr, env))
+    return _Interp(kernel, max_depth).run(expr, env)
 
 
 def apply_fn(fn, args, kernel=Kernel.LIST, max_depth=DEFAULT_MAX_DEPTH):
     """Apply an already-evaluated function value to evaluated arguments."""
     interp = _Interp(kernel, max_depth)
-    return interp.run(interp.apply(fn, list(args)))
+    args = list(args)
+    if isinstance(fn, Closure):
+        return interp.run(fn.body, interp._bind(fn, args))
+    try:
+        return interp._apply(fn, args)
+    except StopIteration as e:  # as in _Interp.run
+        raise RuntimeError("generator raised StopIteration") from e
 
 
 def eval_fexpr(e, env=None, kernel=Kernel.LIST, max_depth=DEFAULT_MAX_DEPTH):

@@ -1,5 +1,6 @@
 """The universal interpreter over both kernels."""
 
+import ast
 import inspect
 import itertools
 import random
@@ -38,6 +39,7 @@ from protolisp import (
     translate,
     unsafe_set_tail,
 )
+from protolisp import evaluator
 from protolisp.evaluator import Env, _Interp
 
 A, B, C = helpers.A, helpers.B, helpers.C
@@ -624,9 +626,10 @@ def test_one_form_object_can_sit_in_two_scopes():
 
 
 def test_a_primitive_that_raises_stop_iteration_fails_alike_on_every_path():
-    # The first application runs in one step, the second and apply_fn as
-    # tasks; the last two fail in a COND test and in an operand of f, each
-    # chosen or applied in the turn that applied f.
+    # The first application runs in one step, the second suspends on its
+    # operand, a closure call, and apply_fn calls the primitive itself; the
+    # last two fail in a COND test and in an operand of f, each chosen or
+    # applied in the turn that applied f.
     def evf_in(env, text):
         return eval_fexpr(read_fexpr(text), env, max_depth=DEPTH)
 
@@ -885,20 +888,24 @@ def test_reapplied_closures_agree_with_the_recursive_reference(program, x, y, ke
 # --- closures applied and COND clauses chosen by the loop itself ---------------
 #
 # Each case runs three ways: through eval_sexpr, through the same interpreter
-# with every operand and test evaluated by a task (no plans, so no steps),
-# and through the recursive reference.  All three must agree on the value,
-# or on the kind, message and trace of the error.
+# with every operand and test evaluated through the loop (no gets, so no plans
+# and nothing evaluated in place), and through the recursive reference.  All
+# three must agree on the value, or on the kind, message and trace of the error.
 
 
-def by_tasks(*args):
+def _no_gets(self, forms):
+    return 1, {}, (None,) * len(forms), (frozenset(),) * len(forms)
+
+
+def through_the_loop(*args):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_Interp, "_operands", lambda self, forms: None)
+        mp.setattr(_Interp, "_operands", _no_gets)
         return outcome(eval_sexpr, *args)
 
 
 def three_ways(expr, env, kernel, max_depth):
     got = outcome(eval_sexpr, expr, env, kernel, max_depth)
-    assert by_tasks(expr, env, kernel, max_depth) == got
+    assert through_the_loop(expr, env, kernel, max_depth) == got
     assert outcome(helpers.reference_eval, expr, env, kernel, max_depth) == got
     return got
 
@@ -919,7 +926,7 @@ def program(kernel, text):
          "closure expects 1 argument(s), got 2"),
         ("lambda[[x]; first[x; x]][(A)]", Fault.ARITY,
          "FIRST expects 1 argument(s), got 2"),
-        # Heads that are unbound, or bound to no function, fall back to tasks.
+        # An unbound head fails in the loop, one bound to no function when applied.
         ("lambda[[x]; g[x]][(A)]", Fault.UNBOUND, "unbound symbol: G"),
         ("lambda[[g]; g[rest[g]]][(A)]", Fault.NOT_CALLABLE, "not callable: (A)"),
         # The COND of f's body is chosen in the turn that applied f.
@@ -931,13 +938,37 @@ def program(kernel, text):
         ("((LAMBDA, (F), (F, (QUOTE, (C)))), (LAMBDA, (X),"
          " (COND, ((ATOM, X), (QUOTE, A)), ((NULL, X), (QUOTE, B)), (X))))",
          Fault.MALFORMED, "each COND clause must be a two-element list"),
+        # A closure call as the first, middle and last operand of a primitive:
+        # the step suspends there, resumes, and fails on the arity at the end.
+        ("lambda[[f]; eq[f[(A)]; (B); (C)]][lambda[[x]; x]]", Fault.ARITY,
+         "EQ expects 2 argument(s), got 3"),
+        ("lambda[[f]; eq[(A); f[(B)]; (C)]][lambda[[x]; x]]", Fault.ARITY,
+         "EQ expects 2 argument(s), got 3"),
+        ("lambda[[f]; eq[(A); (B); f[(C)]]][lambda[[x]; x]]", Fault.ARITY,
+         "EQ expects 2 argument(s), got 3"),
+        # The closure itself fails, inside a suspended first operand.
+        ("lambda[[f]; combine[f[A]; ()]][lambda[[x]; first[x]]]", Fault.KERNEL_FAULT,
+         "first: undefined on atoms"),
+        # A kernel fault in an operand before the suspended call, and after it.
+        ("lambda[[f]; combine[first[A]; f[(B)]]][lambda[[x]; x]]", Fault.KERNEL_FAULT,
+         "first: undefined on atoms"),
+        ("lambda[[f]; combine[f[(B)]; first[A]]][lambda[[x]; x]]", Fault.KERNEL_FAULT,
+         "first: undefined on atoms"),
+        # A closure-call COND test that gives no truth value, and ones that
+        # give F until the clauses run out, after and before a test in place.
+        ("lambda[[f]; [f[(A)] -> B; T -> C]][lambda[[x]; x]]", Fault.BAD_TRUTH_VALUE,
+         "COND test produced (A), which is neither T nor F"),
+        ("lambda[[f]; [atom[(A)] -> B; f[C] -> D]][lambda[[x]; F]]",
+         Fault.COND_EXHAUSTED, "no COND test evaluated to T"),
+        ("lambda[[f]; [f[C] -> D; atom[(A)] -> B]][lambda[[x]; F]]",
+         Fault.COND_EXHAUSTED, "no COND test evaluated to T"),
     ],
 )
 def test_a_chained_step_fails_as_its_task_does(kernel, text, kind, message):
     expr = program(kernel, text)
     got = three_ways(expr, default_env(kernel), kernel, DEPTH)
     if kernel is Kernel.PAIR:
-        message = message.replace("(A)", "(A . NIL)")
+        message = message.replace("(A)", "(A . NIL)").replace("first:", "car:")
     assert got[:2] == (kind, message)
 
 
@@ -957,34 +988,97 @@ def test_a_parameter_inside_a_step_is_resolved_in_each_frame(kernel, text, expec
     assert got == ("value", in_kernel(kernel, read_sexpr(expected)))
 
 
-@pytest.mark.parametrize("kernel", [Kernel.LIST, Kernel.PAIR])
-def test_the_depth_limit_of_a_chained_recursion_is_exact(kernel):
-    expr = program(kernel, corpus.REVERSE + "[(A, B, C, D, E); ()]")
-    env = default_env(kernel)
-    kinds = [three_ways(expr, env, kernel, d)[0] for d in range(1, 41)]
+def _per_kernel(name, *args):
+    """The args once per kernel, with ids that name the kernel, then name."""
+    return [
+        pytest.param(k, *args, id="-".join(filter(None, (str(k), name))))
+        for k in (Kernel.LIST, Kernel.PAIR)
+    ]
+
+
+@pytest.mark.parametrize(
+    "kernel, source, call, exceeded",
     # The program, then an application of rv and the COND of its body for
     # each of six lists; the last COND's test null[x] needs two more levels.
-    assert kinds == [Fault.DEPTH_EXCEEDED] * 13 + ["value"] * 27
+    _per_kernel("", corpus.REVERSE, "[(A, B, C, D, E); ()]", 13)
+    # Three levels for each atom, an application of app, the COND of its
+    # body and the combine it chooses, whose operand app[rest[x]; y] is the
+    # next application; then four for the empty list, as in rv.
+    + _per_kernel("append", corpus.APPEND, "[(A, B, C, D, E); (F)]", 18)
+    # Two levels for each call of eql, its application and its COND.  The
+    # call on B and B is the test of the call on (B) and (B), itself the
+    # test of the call on the rests, which the first call chose: four
+    # calls; then the COND atom[x] chooses, eq[x; y] and x need three more.
+    + _per_kernel("equal", corpus.EQUAL, "[(A, (B), C); (A, (B), C)]", 10),
+)
+def test_the_depth_limit_of_a_chained_recursion_is_exact(
+    kernel, source, call, exceeded
+):
+    expr = program(kernel, source + call)
+    env = default_env(kernel)
+    kinds = [three_ways(expr, env, kernel, d)[0] for d in range(1, 41)]
+    assert kinds == [Fault.DEPTH_EXCEEDED] * exceeded + ["value"] * (40 - exceeded)
 
 
-@pytest.mark.parametrize("kernel", [Kernel.LIST, Kernel.PAIR])
-def test_a_chained_recursion_100000_deep_keeps_off_the_host_stack(kernel):
-    n = 100_000
-    expr = program(kernel, corpus.WALK + "[(" + ", ".join(["A"] * n) + ")]")
+def _off_the_host_stack(*args, **kwargs):
+    """eval_sexpr with the recursion limit 100 frames above this call."""
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack(0)) + 100)
     try:
-        value = eval_sexpr(expr, kernel=kernel, max_depth=10**6)
+        return eval_sexpr(*args, **kwargs)
     finally:
         sys.setrecursionlimit(limit)
-    assert value == in_kernel(kernel, NULL)
+
+
+_ATOMS = ProperList((A,) * 100_000)
+
+
+@pytest.mark.parametrize(
+    "kernel, source, call, expected",
+    _per_kernel("", corpus.WALK, "[{}]", NULL)
+    # app's recursion runs through the second operand of combine.
+    + _per_kernel("append", corpus.APPEND, "[{}; ()]", _ATOMS),
+)
+def test_a_chained_recursion_100000_deep_keeps_off_the_host_stack(
+    kernel, source, call, expected
+):
+    n = 100_000
+    expr = program(kernel, source + call.format(print_sexpr(_ATOMS, Dialect.AIM8)))
+    value = _off_the_host_stack(expr, kernel=kernel, max_depth=10**6)
+    assert value == in_kernel(kernel, expected)
     e = fault_of(eval_sexpr, expr, kernel=kernel, max_depth=2 * n)
     assert e.kind is Fault.DEPTH_EXCEEDED
 
 
+@pytest.mark.parametrize("kernel", [Kernel.LIST, Kernel.PAIR])
+def test_a_combine_tree_100000_deep_keeps_off_the_host_stack(kernel):
+    # Above the plan height no level has a plan, so each suspends on its
+    # first operand.
+    n = 100_000
+    empty = quoted(kernel, NULL)
+    tree = empty
+    for _ in range(n):
+        tree = form(kernel, COMBINE, tree, empty)
+    value = _off_the_host_stack(tree, kernel=kernel, max_depth=10**6)
+    expected = NULL
+    for _ in range(n):
+        expected = ProperList((expected,))
+    assert value == in_kernel(kernel, expected)
+    e = fault_of(eval_sexpr, tree, kernel=kernel, max_depth=n)
+    assert (e.kind, len(e.trace)) == (Fault.DEPTH_EXCEEDED, 8)
+
+
+def test_the_evaluator_makes_no_generator():
+    # Evaluation suspends in frames on the loop's own list, never in a
+    # generator: no yield, and no generator expression either.
+    tree = ast.parse(inspect.getsource(evaluator))
+    kinds = (ast.Yield, ast.YieldFrom, ast.GeneratorExp)
+    assert [type(n).__name__ for n in ast.walk(tree) if isinstance(n, kinds)] == []
+
+
 # Recursive closures whose bodies are CONDs: tests and operands that a step
-# can take, that it declines at run time (H is a closure, X and Y values)
-# and that it cannot take (COND, LAMBDA and W applications inside them).
+# evaluates in place, that it suspends on at run time (H is a closure, X and
+# Y values) and that it always suspends on (COND, LAMBDA and W applications).
 
 _H, _W, _Z = Symbol("H"), Symbol("W"), Symbol("Z")
 
