@@ -22,13 +22,18 @@ is the unconstrained cons.
 Each compound form is analysed once, into a node that has already
 decided what the form is: a quoted constant, a COND clause list, a
 LAMBDA, a LABEL or an application.  A form is analysed on its first
-evaluation, or with the application it is an operand of.  The nodes are cached
-by the identity of the form, per interpreter (one per eval_sexpr or
-apply_fn call, so per kernel), and every later evaluation of the form
-starts from its node.  Head atoms, like every symbol, are interned, so
-dispatch and variable lookup are identity tests.  Malformed syntax
-analyses to a node that raises, so it still fails only when it is
-evaluated.
+evaluation, or with the application it is an operand of, and keeps its
+node for as long as it lives, so every later evaluation of the form, in
+this eval_sexpr or apply_fn call or a later one, starts from its node:
+the meta evaluator's bodies are analysed once, not once per meta_eval.
+A ProperList is only ever a form of the list kernel and a Pair only one
+of the pair kernel, so the node a form keeps is its own kernel's; a form
+of the other kernel, or any other value, is analysed afresh each time it
+is evaluated, into a node that raises.  A node refers to the inner forms
+of its form and to no interpreter, so it is freed with its form.  Head
+atoms, like every symbol, are interned, so dispatch and variable lookup
+are identity tests.  Malformed syntax analyses to a node that raises, so
+it still fails only when it is evaluated.
 
 Evaluation runs on its own stack, not the host's.  One loop,
 _Interp.run, takes an expression to its value.  Where the universal
@@ -48,7 +53,13 @@ a symbol and whose operands are symbols, quoted constants and such
 applications, at most eight high, gets a plan when it is analysed, which
 applies the tree in one go: the superinstruction of Piumarta and
 Riccardi ("Optimizing direct threaded code by selective inlining", PLDI
-1998).
+1998).  A plan pushes nothing on the stack of expressions under
+evaluation, since its nesting is fixed and its height is checked against
+the depth cap before it runs.  Where a primitive faults or a symbol is
+unbound inside it, the error is raised as a signal that each nested
+application it leaves adds itself to, and the loop rebuilds the trace
+from that path: what the trace costs is paid on the raise, not on the way
+in, as with the zero-cost exceptions of CPython 3.11.
 
 An application with a symbol head, and a COND, is a step.  The loop
 first reads the bindings of its head and of its plans' heads, and
@@ -83,7 +94,13 @@ ev, so nearly every lookup is skipped.  The key is the closure and not
 the scope: one form object can sit in several scopes, and one LAMBDA
 form makes closures over different environments, but each environment
 has at most one owner.  Other environments have none, and their lookups
-are not kept.
+are not kept.  The cache lives on the step, so it outlives a run: a
+closure that a later call applies again, such as the meta evaluator of a
+universal_env, finds its heads resolved.  It refers to its owner weakly,
+so that a closure's body does not keep the closure, and so itself, alive.
+Its entry is one tuple, read once and replaced whole, so a thread that
+evaluates a form another thread evaluates too sees one owner's answer,
+never parts of two.
 
 Evaluation depth is the number of expressions under evaluation, capped
 (default 10000, configurable); passing the cap raises an EvalError of kind
@@ -99,6 +116,7 @@ from .translate import translate
 from .values import NIL, Pair, ProperList, Symbol, list_to_pair
 
 import enum
+import weakref
 
 
 class Kernel(enum.Enum):
@@ -121,14 +139,17 @@ _LEAVES = frozenset((_QUOTE, _LAMBDA, _LABEL))
 # The height of the highest tree of applications that has a plan; see _step.
 _PLAN_HEIGHT = 8
 
-# The kinds of node (see _Interp._node): what the loop does with the form.
+# The kinds of node (see _node): what the loop does with the form.
 # The two whose node holds a step come first (see _Interp.run).
 _APPLY, _CHOOSE, _CONSTANT, _CLOSE, _NAME, _FAIL = range(6)
 
-# The owner of a step's empty cache: no environment has it (see _step).
-_UNOWNED = object()
+# The entry of a step's empty cache: its owner is None, which owns nothing
+# (see _step).
+_NO_ENTRY = (lambda: None, (), None, None, None)
 # A cached head that is a parameter of the owner, so looked up each time.
 _PARAM = object()
+# A cached head bound to the owner itself, as a LABEL name is.
+_OWNER = object()
 
 
 @dataclass(frozen=True)
@@ -220,11 +241,17 @@ def default_env(kernel=Kernel.LIST) -> Env:
 
 
 class _Interp:
+    """One eval_sexpr or apply_fn call.
+
+    It holds the kernel, the depth cap and the stack of expressions under
+    evaluation, and nothing that analysis makes refers to it, so it is
+    freed when the call returns (see _analyse).
+    """
+
     def __init__(self, kernel, max_depth):
         self.kernel = Kernel(kernel)
         self.max_depth = max_depth
         self.stack = []
-        self._nodes = {}  # id(form) -> its node, see _analyse
 
     def _error(self, kind, detail, kernel_error=None):
         return EvalError(kind, detail, trace=self.stack[-8:], kernel_error=kernel_error)
@@ -232,22 +259,8 @@ class _Interp:
     def _fault(self, ke):
         return self._error(Fault.KERNEL_FAULT, str(ke), kernel_error=ke)
 
-    def _sequence(self, v):
-        """The items of v if it is a proper list of the active kernel, else None.
-
-        A chain of pairs is one only if it ends at NIL without meeting a
-        pair twice, so a cyclic form is malformed, not endless.
-        """
-        if self.kernel is Kernel.LIST:
-            return v.items if isinstance(v, ProperList) else None
-        items, seen = [], set()
-        while isinstance(v, Pair):
-            if id(v) in seen:
-                return None
-            seen.add(id(v))
-            items.append(v.head)
-            v = v.tail
-        return items if v is NIL else None
+    def _unbound(self, sym):
+        return self._error(Fault.UNBOUND, f"unbound symbol: {sym.name}")
 
     def run(self, expr, env):
         """The value of expr in env.
@@ -260,11 +273,15 @@ class _Interp:
         (all gets are None where the loop evaluates every item), values
         holds the head's and the operands' values so far, or an F for each
         test that gave F, and level is len(self.stack) with the form on
-        top, to which the stack is cut back before the frame resumes.
+        top, to which the stack is cut back before the frame resumes.  A
+        form's node is the one it keeps from an earlier evaluation, in this
+        run or another, or is made now (see _analyse).  A _Signal from a
+        get becomes its EvalError here, with the trace rebuilt.
         """
         frames = []
         stack = self.stack
-        nodes = self._nodes
+        kernel = self.kernel
+        form_class = _FORM[kernel]
         max_depth = self.max_depth
         try:
             while True:
@@ -276,18 +293,26 @@ class _Interp:
                     if isinstance(expr, Symbol):
                         value = self._lookup(expr, env)
                         break
-                    node = nodes.get(id(expr)) or self._analyse(expr)
-                    kind, step, body, _ = node
+                    if expr.__class__ is form_class:
+                        try:
+                            node = expr._node
+                        except AttributeError:  # not analysed yet
+                            node = _analyse(expr, kernel)
+                    else:
+                        node = _analyse(expr, kernel)
+                    kind, step, body = node
                     if kind <= _CHOOSE:
                         height, head, cache, forms, _, _, _, choice = step
+                        owner, key, fn, fns, gets = cache[0]
                         if len(stack) + height > max_depth:
                             fn, fns, gets = None, None, (None,) * len(forms)
-                        elif cache[0] is env.owner and (
-                            not cache[1] or _holds(cache[1], env)
+                        elif owner() is env.owner is not None and (
+                            not key or _holds(key, env)
                         ):
-                            _, _, fn, fns, gets = cache
                             if fn is _PARAM:
                                 fn = _binding(head, env)
+                            elif fn is _OWNER:
+                                fn = env.owner
                         else:
                             fn, fns, gets = _resolve(step, env)
                         if choice is not None:
@@ -338,7 +363,7 @@ class _Interp:
                 while frames:  # resume the top frame with value
                     node, env, fns, gets, values, level = frames[-1]
                     del stack[level:]
-                    kind, step, _, _ = node
+                    kind, step, _ = node
                     if kind == _APPLY:
                         forms = step[3]
                         values.append(value)
@@ -383,250 +408,30 @@ class _Interp:
                     return value
         except StopIteration as e:  # a primitive's, raised as PEP 479 has it
             raise RuntimeError("generator raised StopIteration") from e
-        finally:
-            # The nodes' closures refer back to this interpreter; dropping
-            # them here frees it at once, not at the next cycle collection.
-            nodes.clear()
+        except _Signal as s:
+            cause, path = s.args
+        # A get signalled: the trace is stack as the gets would have left it,
+        # with the forms they were inside, outermost first, on top.
+        stack.extend(reversed(path))
+        if isinstance(cause, Symbol):
+            raise self._unbound(cause)
+        error = self._fault(cause)
+        error.__cause__ = error.__context__ = cause  # as raise ... from cause
+        raise error
 
     def _lookup(self, sym, env):
         for name, value in env.bindings:
             if name is sym:
                 return value
-        return self._free(sym)
-
-    def _free(self, sym):
-        # A binding wins over self-evaluation, so a LABEL named T or F
-        # still works; unbound, the truth atoms (and NIL in the pair
-        # kernel) stand for themselves.  sym is on top of self.stack.
-        if sym is T or sym is F:
-            return sym
-        if self.kernel is Kernel.PAIR and sym is NIL:
-            return sym
-        raise self._error(Fault.UNBOUND, f"unbound symbol: {sym.name}")
-
-    def _analyse(self, form):
-        """The node of a compound form, made on its first evaluation.
-
-        The operands of an application with a symbol head and the tests of
-        a COND are analysed before it, so that its plan and step can be
-        made from their nodes: every form reached from form through them
-        gets its node here, before its own first evaluation, on an explicit
-        stack.  A form met again inside itself (a cyclic pair-kernel form)
-        has no node yet where it is reached, so the loop always evaluates
-        it there.
-        """
-        nodes = self._nodes
-        todo = [(form, None)]  # (form, its items once its inner forms are queued)
-        opened = set()  # ids of the forms whose inner forms are queued
-        while todo:
-            f, items = todo.pop()
-            if id(f) in nodes or (items is None and id(f) in opened):
-                continue
-            if items is None:
-                items = self._sequence(f)
-                if items and isinstance(items[0], Symbol) and items[0] not in _LEAVES:
-                    opened.add(id(f))
-                    todo.append((f, items))
-                    inner = items[1:]
-                    if items[0] is _COND:
-                        inner = self._clauses(inner)[0]
-                    for x in inner:
-                        if not isinstance(x, Symbol):
-                            todo.append((x, None))
-                    continue
-            nodes[id(f)] = self._node(f, items)
-        return nodes[id(form)]
-
-    def _node(self, form, items):
-        """(kind, a, b, form): what the loop does with form (see run).
-
-        _CONSTANT: QUOTE, a is the value.  _CLOSE: LAMBDA, a and b are the
-        parameters and the body.  _NAME: LABEL, a and b are the name and
-        the body.  _CHOOSE: COND, a is its step.  _APPLY: any other form, a
-        is its step and b its plan or None (see _step).  _FAIL: malformed
-        syntax, a is the message, so it fails only where it is evaluated.
-        The node keeps the form alive, so that no other object can take the
-        id it is cached by.
-        """
-        if items is None:
-            detail = f"not an expression of the {self.kernel.value} kernel: {form!r}"
-        elif not items:
-            detail = "the empty list is not a form"
-        elif items[0] is _QUOTE:
-            if len(items) == 2:
-                return (_CONSTANT, items[1], None, form)
-            detail = "QUOTE takes exactly one operand"
-        elif items[0] is _COND:
-            tests, results, end = self._clauses(items[1:])
-            return (_CHOOSE, self._step(tests, (results, end))[1], None, form)
-        elif items[0] is _LAMBDA:
-            params = self._sequence(items[1]) if len(items) == 3 else None
-            if len(items) != 3:
-                detail = "LAMBDA takes a parameter list and a body"
-            elif params is None or not all([isinstance(p, Symbol) for p in params]):
-                detail = "LAMBDA parameters must be a list of atoms"
-            elif len(set(params)) != len(params):
-                detail = "LAMBDA parameters must be distinct"
-            else:
-                return (_CLOSE, tuple(params), items[2], form)
-        elif items[0] is _LABEL:
-            if len(items) == 3 and isinstance(items[1], Symbol):
-                return (_NAME, items[1], items[2], form)
-            detail = "LABEL takes an atom and a body"
-        else:
-            plan, step = self._step(items)
-            return (_APPLY, step, plan, form)
-        return (_FAIL, detail, None, form)
-
-    def _clauses(self, clauses):
-        """(tests, results, end): the clauses up to the first malformed one.
-
-        end is the error of a COND whose tests there all give F: a
-        malformed clause raises only once the clauses before it are tried.
-        """
-        tests, results = [], []
-        for c in clauses:
-            c = self._sequence(c)
-            if c is None or len(c) != 2:
-                detail = "each COND clause must be a two-element list"
-                return tests, results, (Fault.MALFORMED, detail)
-            tests.append(c[0])
-            results.append(c[1])
-        return tests, results, (Fault.COND_EXHAUSTED, "no COND test evaluated to T")
+        value = _FREE[self.kernel](sym)
+        if value is None:
+            raise self._unbound(sym)
+        return value
 
     def _not_truth(self, t):
         return self._error(
             Fault.BAD_TRUTH_VALUE, f"COND test produced {t!r}, which is neither T nor F"
         )
-
-    def _step(self, forms, choice=None):
-        """(plan, step) of an application, whose items are forms, or a COND.
-
-        A step is (height, head, cache, forms, heads, gets, needs, choice).
-        For a COND, forms are its tests, choice is (results, end) (see
-        _clauses) and head is None.  For an application, forms are its
-        items, head first, choice is None, and head is None unless a symbol.
-        gets and needs are those of the operands or tests (see _operands),
-        heads the (symbol, arity) pairs of their plans, and height the levels
-        the gets push on self.stack above the form.  cache is [owner, key,
-        fn, fns, gets]: what _resolve found in an environment of owner whose
-        parameters in key had the values beside them; it starts with an
-        owner no environment has.
-
-        A plan is (height, heads, run): run(env, fns) evaluates the
-        application given the fns of heads, which here include the head.
-        An application has a plan when each operand has a get, its height
-        is at most _PLAN_HEIGHT and its head has one arity in the whole tree.
-        """
-        cache = [_UNOWNED, (), None, None, None]
-        head = forms[0] if choice is None else None
-        if choice is None and not isinstance(head, Symbol):
-            return None, (0, None, cache, tuple(forms), (), (), (), None)
-        operands = forms if head is None else forms[1:]
-        height, heads, gets, needs = self._operands(operands)
-        step = (
-            height, head, cache, tuple(forms), tuple(heads.items()), gets, needs, choice
-        )
-        if (
-            choice is not None
-            or None in gets
-            or height > _PLAN_HEIGHT
-            or heads.setdefault(head, len(gets)) != len(gets)
-        ):
-            return None, step
-        return (height, tuple(heads.items()), self._call(head, gets)), step
-
-    def _operands(self, forms):
-        """(height, heads, gets, needs) of the operands or tests forms.
-
-        gets[i](env, fns) evaluates forms[i] in env without the loop, given
-        fns (see _resolve): forms[i] is a symbol, a quoted constant or an
-        application with a plan, whose heads are needs[i].  Any other form
-        has None, as has a plan that uses a head at another arity than an
-        earlier one.  heads maps each symbol of needs to its arity, and the
-        height is the highest level the gets reach, at least 1.
-
-        The gets take the steps the loop would take, in the same order:
-        each nested application and each operand symbol is on self.stack
-        while it is evaluated, each primitive is called once through its
-        fn, and a KernelError becomes the same KERNEL_FAULT.  They recurse
-        on the host stack once per level, which _PLAN_HEIGHT bounds.
-        """
-        heads = {}
-        height = 1
-        gets, needs = [], []
-        for x in forms:
-            get, need = None, frozenset()
-            if isinstance(x, Symbol):
-                get = self._get_symbol(x)
-            elif id(x) in self._nodes:  # else x is a form inside itself
-                kind, a, plan, _ = self._nodes[id(x)]
-                if kind == _CONSTANT:
-                    get = lambda env, fns, constant=a: constant  # noqa: E731
-                elif kind == _APPLY and plan is not None:
-                    sub_height, sub_heads, sub_run = plan
-                    if all([heads.get(sym, n) == n for sym, n in sub_heads]):
-                        heads.update(sub_heads)
-                        height = max(height, sub_height + 1)
-                        get = self._get_nested(x, sub_run)
-                        need = frozenset(dict(sub_heads))
-            gets.append(get)
-            needs.append(need)
-        return height, heads, tuple(gets), tuple(needs)
-
-    def _get_symbol(self, sym):
-        stack, free = self.stack, self._free
-
-        def get(env, fns):
-            for name, value in env.bindings:
-                if name is sym:
-                    return value
-            stack.append(sym)
-            value = free(sym)
-            stack.pop()
-            return value
-
-        return get
-
-    def _get_nested(self, form, run):
-        stack = self.stack
-
-        def get(env, fns):
-            stack.append(form)
-            value = run(env, fns)
-            stack.pop()
-            return value
-
-        return get
-
-    def _call(self, head, gets):
-        if len(gets) == 1:
-            (get,) = gets
-
-            def run(env, fns):
-                try:
-                    return fns[head](get(env, fns))
-                except KernelError as ke:
-                    raise self._fault(ke) from ke
-
-        elif len(gets) == 2:
-            get0, get1 = gets
-
-            def run(env, fns):
-                try:
-                    return fns[head](get0(env, fns), get1(env, fns))
-                except KernelError as ke:
-                    raise self._fault(ke) from ke
-
-        else:
-
-            def run(env, fns):
-                try:
-                    return fns[head](*[get(env, fns) for get in gets])
-                except KernelError as ke:
-                    raise self._fault(ke) from ke
-
-        return run
 
     def _apply(self, fn, args):
         """The value of fn, which is no closure, applied to evaluated args."""
@@ -657,6 +462,308 @@ class _Interp:
         return env
 
 
+def _free_list(sym):
+    # A binding wins over self-evaluation, so a LABEL named T or F still
+    # works; unbound, the truth atoms stand for themselves.  None: unbound.
+    return sym if sym is T or sym is F else None
+
+
+def _free_pair(sym):
+    # As _free_list, and NIL stands for itself too.
+    return sym if sym is T or sym is F or sym is NIL else None
+
+
+# Per kernel: the class of its compound forms, the only ones that keep a
+# node (see _analyse), and the value of an unbound symbol.
+_FORM = {Kernel.LIST: ProperList, Kernel.PAIR: Pair}
+_FREE = {Kernel.LIST: _free_list, Kernel.PAIR: _free_pair}
+
+
+class _Signal(Exception):
+    """A kernel fault or an unbound symbol inside a plan, on its way to the loop.
+
+    args are (cause, path): cause is the KernelError or the unbound symbol,
+    and path the forms the loop would have had on its stack above the
+    step's form, innermost first.  Each get it leaves adds its form (see
+    _get_nested), and _Interp.run makes it the EvalError.
+    """
+
+
+def _sequence(v, kernel):
+    """The items of v if it is a proper list of kernel, else None.
+
+    A chain of pairs is one only if it ends at NIL without meeting a pair
+    twice, so a cyclic form is malformed, not endless.
+    """
+    if kernel is Kernel.LIST:
+        return v.items if isinstance(v, ProperList) else None
+    items, seen = [], set()
+    while isinstance(v, Pair):
+        if id(v) in seen:
+            return None
+        seen.add(id(v))
+        items.append(v.head)
+        v = v.tail
+    return items if v is NIL else None
+
+
+def _kept(form, kernel):
+    """The node form keeps for kernel, or None if it keeps none."""
+    if form.__class__ is _FORM[kernel]:
+        try:
+            return form._node
+        except AttributeError:
+            pass
+    return None
+
+
+def _analyse(form, kernel):
+    """The node of a compound form of kernel, made on its first evaluation.
+
+    The node is kept on the form: in a list cell's _node slot, or as a
+    Pair's _node attribute, which is no field.  A ProperList is only ever
+    a form of the list kernel and a Pair one of the pair kernel, so the
+    node a form keeps is its kernel's; a form of the other kernel, and
+    any other value, is analysed again each time, into a node that raises.
+
+    The operands of an application with a symbol head and the tests of a
+    COND are analysed before it, so that its plan and step can be made
+    from their nodes: every form reached from form through them gets its
+    node here, before its own first evaluation, on an explicit stack.  A
+    form met again inside itself (a cyclic pair-kernel form) has no node
+    yet where it is reached, so the loop always evaluates it there.
+    """
+    todo = [(form, None)]  # (form, its items once its inner forms are queued)
+    opened = set()  # ids of the forms whose inner forms are queued
+    while todo:
+        f, items = todo.pop()
+        if items is None:
+            if id(f) in opened or (f is not form and _kept(f, kernel) is not None):
+                continue
+            items = _sequence(f, kernel)
+            if items and isinstance(items[0], Symbol) and items[0] not in _LEAVES:
+                opened.add(id(f))
+                todo.append((f, items))
+                inner = items[1:]
+                if items[0] is _COND:
+                    inner = _clauses(inner, kernel)[0]
+                for x in inner:
+                    if not isinstance(x, Symbol):
+                        todo.append((x, None))
+                continue
+        node = _node(f, items, kernel)
+        if f.__class__ is _FORM[kernel]:
+            object.__setattr__(f, "_node", node)  # past __setattr__
+    return node  # form's, which is made last
+
+
+def _node(form, items, kernel):
+    """(kind, a, b): what the loop does with form (see _Interp.run).
+
+    _CONSTANT: QUOTE, a is the value.  _CLOSE: LAMBDA, a and b are the
+    parameters and the body.  _NAME: LABEL, a and b are the name and the
+    body.  _CHOOSE: COND, a is its step.  _APPLY: any other form, a is its
+    step and b its plan or None (see _step).  _FAIL: malformed syntax, a
+    is the message, so it fails only where it is evaluated.  A node refers
+    to form's inner forms, never to form itself, so it is freed with form.
+    """
+    if items is None:
+        detail = f"not an expression of the {kernel.value} kernel: {form!r}"
+    elif not items:
+        detail = "the empty list is not a form"
+    elif items[0] is _QUOTE:
+        if len(items) == 2:
+            return (_CONSTANT, items[1], None)
+        detail = "QUOTE takes exactly one operand"
+    elif items[0] is _COND:
+        tests, results, end = _clauses(items[1:], kernel)
+        return (_CHOOSE, _step(tests, kernel, (results, end))[1], None)
+    elif items[0] is _LAMBDA:
+        params = _sequence(items[1], kernel) if len(items) == 3 else None
+        if len(items) != 3:
+            detail = "LAMBDA takes a parameter list and a body"
+        elif params is None or not all([isinstance(p, Symbol) for p in params]):
+            detail = "LAMBDA parameters must be a list of atoms"
+        elif len(set(params)) != len(params):
+            detail = "LAMBDA parameters must be distinct"
+        else:
+            return (_CLOSE, tuple(params), items[2])
+    elif items[0] is _LABEL:
+        if len(items) == 3 and isinstance(items[1], Symbol):
+            return (_NAME, items[1], items[2])
+        detail = "LABEL takes an atom and a body"
+    else:
+        plan, step = _step(items, kernel)
+        return (_APPLY, step, plan)
+    return (_FAIL, detail, None)
+
+
+def _clauses(clauses, kernel):
+    """(tests, results, end): the clauses up to the first malformed one.
+
+    end is the error of a COND whose tests there all give F: a malformed
+    clause raises only once the clauses before it are tried.
+    """
+    tests, results = [], []
+    for c in clauses:
+        c = _sequence(c, kernel)
+        if c is None or len(c) != 2:
+            detail = "each COND clause must be a two-element list"
+            return tests, results, (Fault.MALFORMED, detail)
+        tests.append(c[0])
+        results.append(c[1])
+    return tests, results, (Fault.COND_EXHAUSTED, "no COND test evaluated to T")
+
+
+def _step(forms, kernel, choice=None):
+    """(plan, step) of an application, whose items are forms, or a COND.
+
+    A step is (height, head, cache, forms, heads, gets, needs, choice).
+    For a COND, forms are its tests, choice is (results, end) (see
+    _clauses) and head is None.  For an application, forms are its items,
+    head first, choice is None, and head is None unless a symbol.  gets
+    and needs are those of the operands or tests (see _operands), heads
+    the (symbol, arity) pairs of their plans, and height the levels the
+    gets reach above the form.  cache is a list of one entry, (owner, key,
+    fn, fns, gets): what _resolve found in an environment of owner() whose
+    parameters in key had the values beside them (owner is a weak
+    reference; see _resolve).  The entry is read once
+    and replaced whole, so a thread never sees half of another's; it
+    starts as _NO_ENTRY.
+
+    A plan is (height, heads, head, gets): the application applies head
+    to what its operands' gets give, and heads, which here include head,
+    are what it needs of fns.  An application has a plan when each
+    operand has a get, its height is at most _PLAN_HEIGHT and its head has
+    one arity in the whole tree.
+    """
+    cache = [_NO_ENTRY]
+    head = forms[0] if choice is None else None
+    if choice is None and not isinstance(head, Symbol):
+        return None, (0, None, cache, tuple(forms), (), (), (), None)
+    operands = forms if head is None else forms[1:]
+    height, heads, gets, needs = _operands(operands, kernel)
+    step = (
+        height, head, cache, tuple(forms), tuple(heads.items()), gets, needs, choice
+    )
+    if (
+        choice is not None
+        or None in gets
+        or height > _PLAN_HEIGHT
+        or heads.setdefault(head, len(gets)) != len(gets)
+    ):
+        return None, step
+    return (height, tuple(heads.items()), head, gets), step
+
+
+def _operands(forms, kernel):
+    """(height, heads, gets, needs) of the operands or tests forms.
+
+    gets[i](env, fns) evaluates forms[i] in env without the loop, given
+    fns (see _resolve): forms[i] is a symbol, a quoted constant or an
+    application with a plan, whose heads are needs[i].  Any other form
+    has None, as has a plan that uses a head at another arity than an
+    earlier one.  heads maps each symbol of needs to its arity, and the
+    height is the highest level the gets reach, at least 1.
+
+    The gets take the steps the loop would take, in the same order, and
+    each primitive is called once through its fn.  They push nothing on
+    the loop's stack: a plan's nesting is fixed, and the loop checks its
+    height against the cap before it runs a get.  A KernelError or an
+    unbound symbol raises a _Signal instead, which each nested get adds
+    its form to on the way out, so the trace is rebuilt only when there is
+    an error.  The gets recurse on the host stack once per level, which
+    _PLAN_HEIGHT bounds.
+    """
+    heads = {}
+    height = 1
+    gets, needs = [], []
+    for x in forms:
+        get, need = None, _NO_HEADS
+        if isinstance(x, Symbol):
+            get = _get_symbol(x, kernel)
+        else:  # with no node, x is a form inside itself or none of kernel
+            kind, a, plan = _kept(x, kernel) or (_FAIL, None, None)
+            if kind == _CONSTANT:
+                get = lambda env, fns, constant=a: constant  # noqa: E731
+            elif kind == _APPLY and plan is not None:
+                sub_height, sub_heads, sub_head, sub_gets = plan
+                if all([heads.get(sym, n) == n for sym, n in sub_heads]):
+                    heads.update(sub_heads)
+                    height = max(height, sub_height + 1)
+                    get = _get_nested(x, sub_head, sub_gets)
+                    need = frozenset(dict(sub_heads))
+        gets.append(get)
+        needs.append(need)
+    return height, heads, tuple(gets), tuple(needs)
+
+
+# The needs of a get that needs no head (see _operands).
+_NO_HEADS = frozenset()
+# (symbol, kernel) -> its get: one per symbol, which lives as long.
+_SYMBOL_GETS = {}
+
+
+def _get_symbol(sym, kernel):
+    """The get of sym in kernel, made once and kept in _SYMBOL_GETS."""
+    get = _SYMBOL_GETS.get((sym, kernel))
+    if get is not None:
+        return get
+    free = _FREE[kernel]
+
+    def lookup(env, fns):
+        for name, value in env.bindings:
+            if name is sym:
+                return value
+        value = free(sym)
+        if value is None:
+            raise _Signal(sym, [sym])
+        return value
+
+    # setdefault: of two threads making the same get, both keep the first.
+    return _SYMBOL_GETS.setdefault((sym, kernel), lookup)
+
+
+def _get_nested(form, head, gets):
+    """The get of form, an application with a plan: head applied to gets'."""
+    if len(gets) == 1:
+        (get,) = gets
+
+        def nested(env, fns):
+            try:
+                return fns[head](get(env, fns))
+            except KernelError as ke:
+                raise _Signal(ke, [form])
+            except _Signal as s:
+                s.args[1].append(form)
+                raise
+
+    elif len(gets) == 2:
+        get0, get1 = gets
+
+        def nested(env, fns):
+            try:
+                return fns[head](get0(env, fns), get1(env, fns))
+            except KernelError as ke:
+                raise _Signal(ke, [form])
+            except _Signal as s:
+                s.args[1].append(form)
+                raise
+
+    else:
+
+        def nested(env, fns):
+            try:
+                return fns[head](*[get(env, fns) for get in gets])
+            except KernelError as ke:
+                raise _Signal(ke, [form])
+            except _Signal as s:
+                s.args[1].append(form)
+                raise
+
+    return nested
+
+
 def _binding(sym, env):
     """The value env binds sym to, or None if it binds none."""
     for name, value in env.bindings:
@@ -685,7 +792,11 @@ def _resolve(step, env):
     same in every environment of that owner, and a parameter the same
     wherever it has the same value.  So the answer is kept under the owner
     and the values of the heads that are parameters; fn is kept unless the
-    head is a parameter, and _PARAM stands for it.
+    head is a parameter, and _PARAM stands for it.  The entry holds the
+    owner by a weak reference and puts _OWNER for an fn that is the owner,
+    as a recursive function's own name is: the owner's body holds the
+    step, and through the step's entry it would hold itself, so the form
+    and the closure would outlive their last use until a cycle collection.
     """
     _, head, cache, _, heads, gets, needs, _ = step
     fn = None if head is None else _binding(head, env)
@@ -701,7 +812,8 @@ def _resolve(step, env):
     if len(fns) < len(heads):
         gets = tuple([g if n <= fns.keys() else None for g, n in zip(gets, needs)])
     if owner is not None:
-        cache[:] = owner, tuple(key), _PARAM if head in params else fn, fns, gets
+        kept = _PARAM if head in params else _OWNER if fn is owner else fn
+        cache[0] = weakref.ref(owner), tuple(key), kept, fns, gets
     return fn, fns, gets
 
 

@@ -61,7 +61,9 @@ def meta_eval(expr, env=None, max_depth=DEFAULT_MAX_DEPTH):
     """Evaluate a list-kernel program with the meta evaluator.
 
     Builds (METAEVAL, (QUOTE, expr), (QUOTE, ())) and hands it to the
-    host.  Pass env=universal_env() to amortize loading over many calls.
+    host.  Pass env=universal_env() to load the definitions once for many
+    calls: their forms keep what the host made of them on the first call
+    (see evaluator), so later calls neither load nor analyse them again.
     """
     if env is None:
         env = universal_env(max_depth)

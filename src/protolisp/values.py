@@ -70,7 +70,7 @@ class Symbol:
 class _Cell:
     """A list cell while it is being made; see _cell."""
 
-    __slots__ = ("head", "tail", "length", "_items")
+    __slots__ = ("head", "tail", "length", "_node")
 
 
 class ProperList(_Cell):
@@ -80,9 +80,12 @@ class ProperList(_Cell):
     to last, ending at NULL; ProperList(()) is NULL itself.  A cell has
     head, its first element, tail, the sequence of the rest, and length;
     NULL has length 0 and no head or tail.  None of them can be assigned.
-    items is the tuple of the elements, made on first use and kept.
-    Equality and hashing are structural (see equal_values); copy and
-    pickle take any nesting depth (see _graph).
+    items is the tuple of the elements, made on each use: a cell keeps no
+    copy of it, so that it has four slots.  A list evaluated as a form
+    keeps its analysis in _node, which is set past __setattr__ and is no
+    part of the value (see evaluator._analyse).  Equality and hashing are
+    structural (see equal_values); copy and pickle take any nesting depth
+    (see _graph), and neither carries _node.
     """
 
     __slots__ = ()
@@ -100,12 +103,7 @@ class ProperList(_Cell):
 
     @property
     def items(self):
-        try:
-            return self._items
-        except AttributeError:
-            items = tuple(_heads(self))
-            _Cell._items.__set__(self, items)  # past __setattr__
-            return items
+        return tuple(_heads(self))
 
     def __setattr__(self, attr, value):
         raise AttributeError(f"cannot assign to field {attr!r} of a list")
@@ -144,7 +142,7 @@ def _cell(head, tail):
 
 
 NULL = _Cell()
-NULL.length, NULL._items = 0, ()
+NULL.length = 0
 NULL.__class__ = ProperList
 
 
@@ -160,7 +158,9 @@ class Pair:
     """An ordered pair; the only compound value of the pair kernel.
 
     Equality and hashing are structural (see equal_values); copy and
-    pickle take any nesting depth and keep cycles (see _graph).
+    pickle take any nesting depth and keep cycles (see _graph).  A pair
+    evaluated as a form keeps its analysis in _node, which is no field,
+    as a list does (see ProperList).
     """
 
     head: object

@@ -1,10 +1,15 @@
 """The universal interpreter over both kernels."""
 
 import ast
+import copy
+import gc
 import inspect
 import itertools
+import pickle
 import random
 import sys
+import threading
+import weakref
 
 import pytest
 from hypothesis import assume, given, settings
@@ -33,10 +38,12 @@ from protolisp import (
     eval_fexpr,
     eval_sexpr,
     list_to_pair,
+    meta_eval,
     print_sexpr,
     read_fexpr,
     read_sexpr,
     translate,
+    universal_env,
     unsafe_set_tail,
 )
 from protolisp import evaluator
@@ -891,16 +898,42 @@ def test_reapplied_closures_agree_with_the_recursive_reference(program, x, y, ke
 # with every operand and test evaluated through the loop (no gets, so no plans
 # and nothing evaluated in place), and through the recursive reference.  All
 # three must agree on the value, or on the kind, message and trace of the error.
+# A form keeps its node from one run to the next, so the second path runs on
+# deep copies, which keep none: each path analyses forms of its own.
 
 
-def _no_gets(self, forms):
+def _no_gets(forms, kernel):
     return 1, {}, (None,) * len(forms), (frozenset(),) * len(forms)
 
 
-def through_the_loop(*args):
+def _nodes_under(*roots):
+    """The nodes kept on the forms reachable from roots, closures included."""
+    todo, seen, nodes = list(roots), set(), []
+    while todo:
+        v = todo.pop()
+        if id(v) in seen:
+            continue
+        seen.add(id(v))
+        if isinstance(v, (ProperList, Pair)):
+            if getattr(v, "_node", None) is not None:
+                nodes.append(v._node)
+            todo.extend(v.items if isinstance(v, ProperList) else (v.head, v.tail))
+        elif isinstance(v, Closure):
+            todo += [v.body, v.env]
+        elif isinstance(v, Env):
+            todo.extend([value for _, value in v.bindings])
+    return nodes
+
+
+def through_the_loop(expr, env, kernel, max_depth):
+    expr, env = copy.deepcopy((expr, env))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_Interp, "_operands", _no_gets)
-        return outcome(eval_sexpr, *args)
+        mp.setattr(evaluator, "_operands", _no_gets)
+        got = outcome(eval_sexpr, expr, env, kernel, max_depth)
+    for kind, step, plan in _nodes_under(expr, env):  # so it ran no plan
+        if kind in (evaluator._APPLY, evaluator._CHOOSE):
+            assert plan is None and set(step[5]) <= {None}
+    return got
 
 
 def three_ways(expr, env, kernel, max_depth):
@@ -1142,3 +1175,238 @@ def test_recursive_conds_agree_with_the_recursive_reference(expr, x, y, kernel, 
         expr, x, y = list_to_pair(expr), list_to_pair(x), list_to_pair(y)
     env = default_env(kernel).extend([(_X, x), (_Y, y)])
     three_ways(expr, env, kernel, max_depth)
+
+
+# --- nodes kept on forms from one run to the next --------------------------------
+
+
+def _error_of(e):
+    """What an error shows beyond outcome: its kernel error, cause and context."""
+
+    def described(x):
+        return None if x is None else (type(x), str(x), getattr(x, "kind", None))
+
+    return described(e.kernel_error), described(e.__cause__), described(e.__context__)
+
+
+def full_outcome(fn, *args):
+    try:
+        return "value", fn(*args)
+    except EvalError as e:
+        return (e.kind, str(e), e.trace, *_error_of(e))
+
+
+def _plan_case(kernel, cause, level, wrapped):
+    """An error level applications deep inside a plan, an operand of a step."""
+    inner = "(QUOTE, A)" if cause == "fault" else "ZZ"
+    for _ in range(level):
+        inner = f"(CAR, {inner})"
+    text = f"(CONS, {inner}, (QUOTE, ()))"
+    if wrapped:  # under an application and a closure body, so the stack is higher
+        text = f"((LAMBDA, (X), (CONS, X, {text})), (QUOTE, B))"
+    return program(kernel, text)
+
+
+@pytest.mark.parametrize("kernel", [Kernel.LIST, Kernel.PAIR])
+@pytest.mark.parametrize("level", range(1, 9))
+@pytest.mark.parametrize("cause", ["fault", "unbound"])
+@pytest.mark.parametrize("wrapped", [False, True], ids=["top", "wrapped"])
+def test_an_error_inside_a_plan_has_the_trace_of_the_universal_function(
+    kernel, level, cause, wrapped
+):
+    # The plan pushes nothing; the trace is rebuilt from the forms the error
+    # left on its way out.  At level 8 with an unbound symbol that path alone
+    # is nine forms long, so the trace keeps the innermost eight of it.
+    expr = _plan_case(kernel, cause, level, wrapped)
+    env = default_env(kernel)
+    kinds = [outcome(helpers.reference_eval, expr, env, kernel, d)[0] for d in range(1, 16)]
+    boundary = 1 + kinds.index(Fault.KERNEL_FAULT if cause == "fault" else Fault.UNBOUND)
+    assert kinds[: boundary - 1] == [Fault.DEPTH_EXCEEDED] * (boundary - 1)
+    for max_depth in (boundary - 1, boundary, DEFAULT_MAX_DEPTH):
+        expected = full_outcome(helpers.reference_eval, expr, env, kernel, max_depth)
+        fresh = copy.deepcopy(expr)
+        for e in (fresh, fresh, expr):  # made now, then kept
+            assert full_outcome(eval_sexpr, e, env, kernel, max_depth) == expected
+        assert through_the_loop(expr, env, kernel, max_depth) == expected[:3]
+    if cause == "unbound" and level == 8:
+        assert len(expected[2]) == 8 and expected[2][-1] is Symbol("ZZ")
+    if not wrapped:  # the step evaluated its operands in place, the tree as a plan
+        assert None not in expr._node[1][5]
+
+
+def test_a_second_meta_eval_analyses_only_its_own_program(monkeypatch):
+    made, real = [], evaluator._node
+
+    def counted(form, items, kernel):
+        made.append(form)
+        return real(form, items, kernel)
+
+    monkeypatch.setattr(evaluator, "_node", counted)
+    env = universal_env()
+    made.clear()
+    app = translate(read_fexpr(
+        "label[app; lambda[[x; y]; [null[x] -> y;"
+        " T -> combine[first[x]; app[rest[x]; y]]]]][(A, B); (C)]"
+    ))
+    assert meta_eval(app, env) == read_sexpr("(A, B, C)")
+    first = len(made)
+    for expr in (app, translate(read_fexpr("first[(A, B)]"))):
+        made.clear()
+        meta_eval(expr, env)
+        # (METAEVAL, (QUOTE, expr), (QUOTE, ())), its operands first.
+        program = made[-1]
+        assert program.items[0] is Symbol("METAEVAL") and program.items[1].items[1] is expr
+        assert sorted(map(id, made[:-1])) == sorted(map(id, program.items[1:]))
+    assert first > 3
+
+
+def test_a_run_leaves_nothing_that_holds_its_interpreter(monkeypatch):
+    refs, real = [], _Interp.run
+
+    def run(self, expr, env):
+        refs.append(weakref.ref(self))
+        return real(self, expr, env)
+
+    monkeypatch.setattr(_Interp, "run", run)
+    app = program(Kernel.LIST, "label[app; lambda[[x; y]; [null[x] -> y;"
+                  " T -> combine[first[combine[first[x]; ()]]; app[rest[x]; y]]]]]")
+    call = program(Kernel.LIST, "lambda[[f]; f[(A, B); (C)]]")
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        fn = eval_sexpr(app)
+        assert apply_fn(eval_sexpr(call), [fn]) == read_sexpr("(A, B, C)")
+        assert eval_sexpr(ProperList((call, app))) == read_sexpr("(A, B, C)")
+        assert len(refs) == 4 and [r() for r in refs] == [None] * 4
+    finally:
+        if enabled:
+            gc.enable()
+    assert app._node is not None and fn.body._node[0] == evaluator._CHOOSE
+
+
+@pytest.mark.parametrize("kernel", [Kernel.LIST, Kernel.PAIR])
+def test_an_evaluated_form_is_the_same_value_and_its_copy_is_analysed_afresh(
+    kernel, monkeypatch
+):
+    expr = program(kernel, "label[app; lambda[[x; y]; [null[x] -> y;"
+                   " T -> combine[first[x]; app[rest[x]; y]]]]][(A, B); (C)]")
+    before = pickle.dumps(expr), hash(expr), repr(expr), copy.deepcopy(expr)
+    made, real = [], evaluator._node
+    monkeypatch.setattr(
+        evaluator, "_node", lambda *args: made.append(args[0]) or real(*args)
+    )
+    value = eval_sexpr(expr, kernel=kernel)
+    analysed = len(made)
+    assert analysed > 0 and eval_sexpr(expr, kernel=kernel) == value
+    assert len(made) == analysed  # the second run made no node
+    assert (pickle.dumps(expr), hash(expr), repr(expr)) == before[:3]
+    assert expr == before[3] and before[3] == expr
+    for other in (copy.copy(expr), copy.deepcopy(expr), pickle.loads(before[0])):
+        assert other == expr and hash(other) == hash(expr) and other is not expr
+        assert not hasattr(other, "_node")
+        made.clear()
+        assert eval_sexpr(other, kernel=kernel) == value
+        assert len(made) == analysed
+
+
+@pytest.mark.parametrize("kernel", [Kernel.LIST, Kernel.PAIR])
+def test_a_form_keeps_no_node_for_the_other_kernel(kernel):
+    other = Kernel.PAIR if kernel is Kernel.LIST else Kernel.LIST
+    expr = program(kernel, "(CAR, (CDR, (QUOTE, (A, B))))")
+    operand = expr.items[1] if kernel is Kernel.LIST else expr.tail.head
+    env = default_env(other)
+    for _ in range(2):
+        assert eval_sexpr(expr, kernel=kernel) == B
+        got = outcome(eval_sexpr, expr, env, other, DEPTH)
+        assert got[:2] == (Fault.MALFORMED, f"not an expression of the {other.value}"
+                           f" kernel: {expr!r}")
+        assert got == outcome(helpers.reference_eval, expr, env, other, DEPTH)
+    # The operand, analysed with expr, sits in a form of the other kernel.
+    outer = (
+        ProperList((Symbol("ATOM"), operand)) if other is Kernel.LIST
+        else Pair(Symbol("ATOM"), Pair(operand, NIL))
+    )
+    got = outcome(eval_sexpr, outer, env, other, DEPTH)
+    assert got[0] is Fault.MALFORMED and got[2] == (outer, operand)
+    assert got == outcome(helpers.reference_eval, outer, env, other, DEPTH)
+    assert eval_sexpr(expr, kernel=kernel) == B
+
+
+def test_threads_share_nodes_and_step_caches():
+    # Two closures of one LAMBDA form, whose heads H and G mean different
+    # things in each, share their body's steps; so does one closure whose
+    # parameter H is a head, applied with different values; and two
+    # meta_eval calls share universal.mexp's forms through one environment.
+    lam = read_sexpr("(LAMBDA, (X), (COMBINE, (H, (G, X)), (COMBINE, (G, X), (QUOTE, ()))))")
+    env = default_env()
+    first, rest = env.lookup(Symbol("FIRST")), env.lookup(Symbol("REST"))
+    closures = [
+        eval_sexpr(lam, env.extend([(Symbol("H"), h), (Symbol("G"), g)]))
+        for h, g in ((first, rest), (rest, first))
+    ]
+    by_param = eval_sexpr(read_sexpr("(LAMBDA, (H, X), (COMBINE, (H, (H, X)), (QUOTE, ())))"))
+    data = read_sexpr("((A, B), (C, D), E)")
+    universal = universal_env()
+    programs = [
+        translate(read_fexpr(text))
+        for text in (
+            "label[app; lambda[[x; y]; [null[x] -> y;"
+            " T -> combine[first[x]; app[rest[x]; y]]]]][(A, B); (C)]",
+            "label[rev; lambda[[x; acc]; [null[x] -> acc;"
+            " T -> rev[rest[x]; combine[first[x]; acc]]]]][(A, B, C); ()]",
+        )
+    ]
+
+    def calls(i):
+        return [
+            lambda: apply_fn(closures[i], [data]),
+            lambda: apply_fn(by_param, [(first, rest)[i], data]),
+        ] * 20 + [lambda: meta_eval(programs[i], universal)]
+
+    expected = [[call() for call in calls(i)] for i in range(2)]
+    assert expected[0] != expected[1]
+    results = [[], []]
+
+    def work(i):
+        for _ in range(150):
+            results[i].append([call() for call in calls(i)])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    finally:
+        sys.setswitchinterval(interval)
+    for i in range(2):
+        assert results[i] == [expected[i]] * 150
+
+
+def test_a_closure_is_freed_with_its_last_reference_though_its_body_kept_steps():
+    # The steps of its body hold it weakly, and its own name as a marker, so
+    # no cycle runs from the body back to the closure.
+    app = program(Kernel.LIST, "label[app; lambda[[x; y]; [null[x] -> y;"
+                  " T -> combine[first[x]; app[rest[x]; y]]]]]")
+    x, y = read_sexpr("(A, B)"), read_sexpr("(C)")
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        fn = eval_sexpr(app)
+        assert apply_fn(fn, [x, y]) == read_sexpr("(A, B, C)")
+        ref, body = weakref.ref(fn), fn.body
+        del fn
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
+    # The body's entries now name a dead owner: in an environment of no
+    # owner, and with APP bound to another function, nothing kept is used.
+    env = default_env().extend(
+        [(Symbol("X"), x), (Symbol("Y"), y), (Symbol("APP"), default_env().lookup(COMBINE))]
+    )
+    got = three_ways(body, env, Kernel.LIST, DEPTH)
+    assert got == ("value", read_sexpr("(A, (B), C)"))
+    assert apply_fn(eval_sexpr(app), [x, y]) == read_sexpr("(A, B, C)")
