@@ -11,6 +11,7 @@ other error is reported on stderr and the next line is read.  Each exits
 """
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -49,7 +50,9 @@ MAX_DEPTH_ENV_VAR = "AIM8_MAX_DEPTH"
 _CONVERSION_ERRORS = (ImproperStructureError, CyclicStructureError, KindMismatchError)
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built on the first call and kept: it is never changed."""
     parser = argparse.ArgumentParser(
         prog="protolisp",
         description="Two tiny Lisp kernels with an F-expression front end.",

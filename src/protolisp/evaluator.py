@@ -23,9 +23,10 @@ Each compound form is analysed once, into a node that has already
 decided what the form is: a quoted constant, a COND clause list, a
 LAMBDA, a LABEL or an application.  A form is analysed on its first
 evaluation, or with the application it is an operand of, and keeps its
-node for as long as it lives, so every later evaluation of the form, in
-this eval_sexpr or apply_fn call or a later one, starts from its node:
-the meta evaluator's bodies are analysed once, not once per meta_eval.
+node in its _node slot for as long as it lives, so every later
+evaluation of the form, in this eval_sexpr or apply_fn call or a later
+one, starts from its node: the meta evaluator's bodies are analysed
+once, not once per meta_eval.
 A ProperList is only ever a form of the list kernel and a Pair only one
 of the pair kernel, so the node a form keeps is its own kernel's; a form
 of the other kernel, or any other value, is analysed afresh each time it
@@ -520,8 +521,8 @@ def _kept(form, kernel):
 def _analyse(form, kernel):
     """The node of a compound form of kernel, made on its first evaluation.
 
-    The node is kept on the form: in a list cell's _node slot, or as a
-    Pair's _node attribute, which is no field.  A ProperList is only ever
+    The node is kept on the form, in the _node slot of its list cell or
+    pair, which is no part of the value.  A ProperList is only ever
     a form of the list kernel and a Pair one of the pair kernel, so the
     node a form keeps is its kernel's; a form of the other kernel, and
     any other value, is analysed again each time, into a node that raises.

@@ -11,21 +11,30 @@ elements in aim8; single spaces, maximal list sugar and a dot only for an
 improper tail in classic.  Reading a canonical printout yields the original
 value, and printing a freshly parsed text is idempotent after one round.
 
-The reader takes each token, with the blanks and comments before it, in
-one match of a compiled regex: an atom, or a single character.  It keeps
-one frame per open list on its own stack, so any nesting depth reads, and
-works on offsets into the text; a position is worked out only for an error.
+The reader takes each token in one match of a compiled regex, with the
+blanks and comments before it and the comma before it, if any: an atom,
+or a single character.  So an element and the separator in front of it
+cost one match.  A comma is taken only directly after an element of a
+list; anywhere else it is the unexpected character it always was.  The
+reader keeps one frame per open list on its own stack, so any nesting
+depth reads, and works on offsets into the text; a position is worked
+out only for an error.
 """
 
 import re
 
 from .errors import ParseErrorKind
 from .scanner import BLANKS, error_at
-from .values import NIL, NULL, Dialect, Pair, ProperList, Symbol, _text
+from .values import NIL, NULL, Dialect, Pair, ProperList, Symbol
+from .values import _SYMBOLS, _Cell, _PairCell, _text
 from .values import CYCLE_MARKER  # noqa: F401  (what the printers write at a cycle)
 
-# An atom, one other character, or "" at the end of the text.
-_TOKEN = re.compile(BLANKS + r"([A-Z][A-Z0-9]*|.|)", re.S).match
+# The comma before a token, with the blanks after it, if there is one, and
+# the token: an atom, one other character, or "" at the end of the text.
+# Group 1 starts where the blanks before it end, at the comma if any.
+_TOKEN = re.compile(
+    BLANKS + r"((?:," + BLANKS + r")?)([A-Z][A-Z0-9]*|.|)", re.S
+).match
 _DOT = object()  # the last element of a classic list whose tail comes next
 
 _END = ParseErrorKind.UNBALANCED_PAREN, "unexpected end of input"
@@ -34,17 +43,18 @@ _DOT_FIRST = ParseErrorKind.DOT_MISUSE, "dot before any list element"
 _DOT_LAST = ParseErrorKind.DOT_MISUSE, "dot must be followed by exactly one expression"
 _AFTER_TAIL = ParseErrorKind.DOT_MISUSE, "more than one expression after dot"
 _SEP_CLOSE = ParseErrorKind.UNEXPECTED_CHAR, "')' directly after a separator"
+_COMMA = ParseErrorKind.UNEXPECTED_CHAR, "','"  # a comma where no element ends
 
 
 def read_sexpr(text: str, dialect=Dialect.AIM8):
     """Parse exactly one S-expression from text."""
     dialect = Dialect(dialect)
     m = _TOKEN(text)
-    if not m[1]:
-        raise error_at(text, m.start(1), ParseErrorKind.EMPTY_INPUT)
+    if not (m[1] or m[2]):
+        raise error_at(text, m.start(2), ParseErrorKind.EMPTY_INPUT)
     value, pos = parse_sexpr(text, m.start(1), dialect)
     m = _TOKEN(text, pos)
-    if m[1]:
+    if m[1] or m[2]:
         raise error_at(
             text,
             m.start(1),
@@ -61,7 +71,7 @@ def read_sexprs(text: str, dialect=Dialect.AIM8):
     pos = 0
     while True:
         m = _TOKEN(text, pos)
-        if not m[1]:
+        if not (m[1] or m[2]):
             return values
         value, pos = parse_sexpr(text, m.start(1), dialect)
         values.append(value)
@@ -71,62 +81,79 @@ def parse_sexpr(text: str, pos: int, dialect: Dialect):
     """Parse one expression at offset pos; return it and the offset after it.
 
     Exposed so the F-expression reader can parse embedded constants from
-    the same text.  m is always the match of the token to act on next.
+    the same text.  m is always the match of the token to act on next; a
+    comma in it is taken only where it ends an element of a list.
     """
     classic = dialect is Dialect.CLASSIC
     stack = []  # the elements so far of each open list, innermost last
     m = _TOKEN(text, pos)
+    if m[1]:
+        raise error_at(text, m.start(1), *_COMMA)
     while True:
-        tok = m[1]
+        tok = m[2]
         pos = m.end()
         if "A" <= tok < "[":
-            value = Symbol(tok)
+            value = _SYMBOLS.get(tok) or Symbol(tok)
         elif tok == "(":
             m = _TOKEN(text, pos)
-            if m[1] != ")":
+            if m[1]:
+                raise error_at(text, m.start(1), *_COMMA)
+            if m[2] != ")":
                 stack.append([])
                 continue
             value = NIL if classic else NULL
             pos = m.end()
         elif tok == "." and classic and stack and _DOT not in stack[-1][-1:]:
             if not stack[-1]:
-                raise error_at(text, m.start(1), *_DOT_FIRST)
+                raise error_at(text, m.start(2), *_DOT_FIRST)
             m = _TOKEN(text, pos)
-            if m[1] == ")":
-                raise error_at(text, m.start(1), *_DOT_LAST)
+            if m[1]:
+                raise error_at(text, m.start(1), *_COMMA)
+            if m[2] == ")":
+                raise error_at(text, m.start(2), *_DOT_LAST)
             stack[-1].append(_DOT)
             continue
         else:
-            raise _bad_start(text, m.start(1), tok, classic)
+            raise _bad_start(text, m.start(2), tok, classic)
         # value is complete: close each list it completes
         while stack:
             items = stack[-1]
             m = _TOKEN(text, pos)
-            sep = m[1]
+            tok = m[2]
             if classic and items and items[-1] is _DOT:
-                if sep != ")":
-                    error = _AFTER_TAIL if sep else _UNCLOSED
+                if m[1] or tok != ")":
+                    error = _AFTER_TAIL if m[1] or tok else _UNCLOSED
                     raise error_at(text, m.start(1), *error)
                 items.pop()  # value is the tail
             else:
                 items.append(value)
-                value = NIL  # the tail of a classic list without a dot
-                if sep == ",":
+                while "A" <= tok < "[":  # the atoms after it, one match each
+                    items.append(_SYMBOLS.get(tok) or Symbol(tok))
                     m = _TOKEN(text, m.end())
-                    if m[1] == ")":
-                        raise error_at(text, m.start(1), *_SEP_CLOSE)
-                    break
-                if not sep:
-                    raise error_at(text, m.start(1), *_UNCLOSED)
-                if sep != ")":
+                    tok = m[2]
+                if tok != ")":
+                    if not (tok or m[1]):
+                        raise error_at(text, m.start(2), *_UNCLOSED)
                     break  # the next element begins with this token
+                if m[1]:
+                    raise error_at(text, m.start(2), *_SEP_CLOSE)
+                value = NIL  # the tail of a classic list without a dot
             pos = m.end()
             stack.pop()
             if classic:
-                for item in reversed(items):
-                    value = Pair(item, value)
+                for item in reversed(items):  # Pair(item, value), inlined
+                    pair = _PairCell()
+                    pair.head, pair.tail = item, value
+                    pair.__class__ = Pair
+                    value = pair
             else:
-                value = ProperList(items)
+                value, length = NULL, 0
+                for item in reversed(items):  # ProperList(items), inlined
+                    length += 1
+                    cell = _Cell()
+                    cell.head, cell.tail, cell.length = item, value, length
+                    cell.__class__ = ProperList
+                    value = cell
         else:
             return value, pos
 

@@ -11,9 +11,14 @@ or circular structure simply cannot be expressed.  Cells are shared, not
 copied: the rest of a sequence is its tail, and putting an element in
 front of a sequence makes one new cell.
 
-The pair kernel knows atomic symbols and ordered pairs.  The atom NIL is
+The pair kernel knows atomic symbols and ordered pairs.  A pair is a cell
+of the same make as a list cell, with two slots, head and tail, that may
+hold any values and cannot be assigned once it is made.  The atom NIL is
 ordinary data that by convention marks the end of a list, so a chain of
 pairs may be a proper list, or may end somewhere else entirely.
+
+Each cell and pair has one more slot, _node, which is no part of its
+value: the evaluator keeps a form's analysis there.
 
 `list_to_pair` embeds the first world in the second; `pair_to_list` goes
 back when the structure allows it.
@@ -23,7 +28,6 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
 
 from .errors import CyclicStructureError, ImproperStructureError, KindMismatchError
 
@@ -153,18 +157,40 @@ def _heads(seq):
         seq = seq.tail
 
 
-@dataclass(frozen=True, eq=False)
-class Pair:
+class _PairCell:
+    """A pair while it is being made; see Pair."""
+
+    __slots__ = ("head", "tail", "_node")
+
+
+class Pair(_PairCell):
     """An ordered pair; the only compound value of the pair kernel.
 
-    Equality and hashing are structural (see equal_values); copy and
-    pickle take any nesting depth and keep cycles (see _graph).  A pair
-    evaluated as a form keeps its analysis in _node, which is no field,
-    as a list does (see ProperList).
+    Pair(head, tail) makes one cell with two fields, head and tail, which
+    may be any values; neither can be assigned.  As with a list cell (see
+    _cell), the cell is made as a plain _PairCell, its fields are set, and
+    it becomes a Pair, whose __setattr__ refuses every assignment,
+    __class__ included.  A pair evaluated as a form keeps its analysis in
+    its _node slot, set past __setattr__, which is no part of the value
+    (see evaluator._analyse).  Equality and hashing are structural (see
+    equal_values); copy and pickle take any nesting depth and keep cycles
+    (see _graph), and neither carries _node.
     """
 
-    head: object
-    tail: object
+    __slots__ = ()
+    __match_args__ = ("head", "tail")
+
+    def __new__(cls, head, tail):
+        pair = _PairCell()
+        pair.head, pair.tail = head, tail
+        pair.__class__ = Pair
+        return pair
+
+    def __setattr__(self, attr, value):
+        raise AttributeError(f"cannot assign to field {attr!r} of a pair")
+
+    def __delattr__(self, attr):
+        raise AttributeError(f"cannot delete field {attr!r} of a pair")
 
     def __eq__(self, other):
         if other.__class__ is not Pair:
@@ -209,73 +235,100 @@ def _text(v, dialect=None):
     value of the other kernel raises KindMismatchError.  Either way a pair
     met again inside itself prints as #cycle.
 
-    Each open compound value has a frame on the stack: [its elements
-    still to print, the separator written before each, the index in out
-    of its first separator, which becomes "(", its closing text, and the
-    ids of its pairs, which are on the path while it is open].
+    Each open compound value has a frame on the stack: [the cell or pair
+    whose head is being written, and for a classic chain the ids of its
+    pairs].  A sequence's frame moves along its cells.  A classic chain's
+    frame moves along its pairs, each of which joins the path as the walk
+    reaches it, and closes with ")" at NIL, " . A)" at another atom and
+    " . #cycle)" at a pair already on the path.  A pair's repr frame stays
+    at the pair, with None in place of ids until its tail is reached; its
+    pair is on the path while it is open.
     """
-    out, path = [], set()
-    frames = [[iter((v,)), "", 0, "", ()]]
+    out, path, frames = [], set(), []
+    aim8, classic = dialect is Dialect.AIM8, dialect is Dialect.CLASSIC
     while True:
-        frame = frames[-1]
-        sep = frame[1]
-        for x in frame[0]:
-            out.append(sep)
-            if isinstance(x, Symbol):
-                out.append(x.name)
-            elif isinstance(x, ProperList) and dialect is not Dialect.CLASSIC:
-                frames.append([_heads(x), ", ", len(out), ")", ()])
-                break
-            elif isinstance(x, Pair) and dialect is not Dialect.AIM8:
-                if id(x) in path:
-                    out.append(CYCLE_MARKER)
-                    continue
-                if dialect is None:
-                    path.add(id(x))
-                    frames.append(
-                        [iter((x.head, x.tail)), " . ", len(out), ")", (id(x),)]
-                    )
+        # write v, opening each compound value down its first heads
+        while True:
+            cls = v.__class__
+            if cls is Symbol:
+                out.append(v.name)
+            elif cls is ProperList and not classic:
+                if v is NULL:
+                    out.append("()")
                 else:
-                    spine = [None, " ", len(out), ")", []]
-                    spine[0] = _spine(x, path, spine)
-                    frames.append(spine)
-                break
+                    out.append("(")
+                    frames.append([v, None])
+                    v = v.head
+                    continue
+            elif cls is Pair and not aim8:
+                if id(v) in path:
+                    out.append(CYCLE_MARKER)
+                else:
+                    path.add(id(v))
+                    out.append("(")
+                    frames.append([v, [id(v)] if classic else None])
+                    v = v.head
+                    continue
             elif dialect is None:
-                out.append(repr(x))
+                out.append(repr(v))
             else:
-                raise _mismatch(x, dialect)
+                raise _mismatch(v, dialect)
+            break
+        # v is written: write the atoms after it up to the next compound
+        # element, which becomes v, closing each frame that ends on the way
+        while frames:
+            frame = frames[-1]
+            at = frame[0]
+            if at.__class__ is ProperList:
+                at = at.tail
+                while at is not NULL:
+                    out.append(", ")
+                    v = at.head
+                    if v.__class__ is not Symbol:
+                        break
+                    out.append(v.name)
+                    at = at.tail
+                else:
+                    out.append(")")
+                    frames.pop()
+                    continue
+            elif classic:
+                ids = frame[1]
+                at = at.tail
+                while at.__class__ is Pair and (i := id(at)) not in path:
+                    path.add(i)
+                    ids.append(i)
+                    out.append(" ")
+                    v = at.head
+                    if v.__class__ is not Symbol:
+                        break
+                    out.append(v.name)
+                    at = at.tail
+                else:
+                    if at.__class__ is Pair:
+                        out.append(f" . {CYCLE_MARKER})")
+                    elif at is NIL:
+                        out.append(")")
+                    elif at.__class__ is Symbol:
+                        out.append(f" . {at.name})")
+                    else:
+                        raise _mismatch(at, dialect)
+                    path.difference_update(ids)
+                    frames.pop()
+                    continue
+            elif frame[1] is None:  # a pair's repr, its head written
+                frame[1] = ()
+                out.append(" . ")
+                v = at.tail
+            else:  # a pair's repr, its tail written
+                out.append(")")
+                path.discard(id(at))
+                frames.pop()
+                continue
+            frame[0] = at
+            break
         else:
-            frames.pop()
-            if not frames:
-                return "".join(out)
-            _, _, first, close, ids = frame
-            if first < len(out):
-                out[first] = "("
-            else:
-                out.append("(")
-            out.append(close)
-            path.difference_update(ids)
-
-
-def _spine(pair, path, frame):
-    """The heads along pair's tail chain, for a classic list's frame.
-
-    Each pair joins the path as its head is reached.  Where the chain
-    ends, the frame's closing text is set: ")" at NIL, " . A)" at another
-    atom, " . #cycle)" at a pair already on the path.
-    """
-    node = pair
-    while isinstance(node, Pair) and id(node) not in path:
-        path.add(id(node))
-        frame[4].append(id(node))
-        yield node.head
-        node = node.tail
-    if isinstance(node, Pair):
-        frame[3] = f" . {CYCLE_MARKER})"
-    elif isinstance(node, Symbol):
-        frame[3] = ")" if node is NIL else f" . {node.name})"
-    else:
-        raise _mismatch(node, Dialect.CLASSIC)
+            return "".join(out)
 
 
 def _mismatch(v, dialect):
@@ -471,9 +524,12 @@ def list_to_pair(v):
     items, out = reversed([*_heads(v)]), NIL
     while True:
         for x in items:
-            if isinstance(x, Symbol):
-                out = Pair(x, out)
-            elif isinstance(x, ProperList):
+            if x.__class__ is Symbol:
+                pair = _PairCell()  # Pair(x, out), inlined
+                pair.head, pair.tail = x, out
+                pair.__class__ = Pair
+                out = pair
+            elif x.__class__ is ProperList:
                 stack.append((items, out))
                 items, out = reversed([*_heads(x)]), NIL
                 break
@@ -483,7 +539,10 @@ def list_to_pair(v):
             if not stack:
                 return out
             items, chain = stack.pop()
-            out = Pair(out, chain)
+            pair = _PairCell()
+            pair.head, pair.tail = out, chain
+            pair.__class__ = Pair
+            out = pair
 
 
 def pair_to_list(v):

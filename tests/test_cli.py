@@ -178,6 +178,22 @@ def test_run_pair_kernel_prints_classic(cli):
     assert (code, out) == (0, "(A . B)\n")
 
 
+def test_one_process_runs_main_again_and_again(cli, capsys):
+    path = src(cli.path, "x = cons[A; B]\ncons[x; x]\n")
+    assert cli("run", path, "--kernel", "pair") == (0, "((A . B) A . B)\n", "")
+    code, out, err = cli("run", path)
+    assert (code, out) == (70, "") and "second argument is atomic" in err
+    path = src(cli.path, "first[(A, B)]\n")
+    assert cli("run", path, "--kernel", "pair") == (0, "A\n", "")
+    assert cli("run", path) == (0, "A\n", "")
+    with pytest.raises(SystemExit) as exc:
+        main(["run", path, "--max-depth", "many"])
+    assert exc.value.code == 2 and "--max-depth" in capsys.readouterr().err
+    assert cli("run", path, "--max-depth", "5") == (0, "A\n", "")
+    assert cli("translate", path) == (0, "(FIRST, (QUOTE, (A, B)))\n", "")
+    assert cli("run", path, "--dialect", "classic") == (0, "A\n", "")
+
+
 def test_run_list_kernel_rejects_dotted_input(cli):
     path = src(cli.path, "(FIRST (QUOTE (A . B)))", name="prog.sexp")
     code, out, err = cli("run", path, "--kernel", "list", "--dialect", "classic")

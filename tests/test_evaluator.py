@@ -1284,6 +1284,21 @@ def test_a_run_leaves_nothing_that_holds_its_interpreter(monkeypatch):
     assert app._node is not None and fn.body._node[0] == evaluator._CHOOSE
 
 
+def test_a_pair_form_keeps_its_node_in_a_slot_and_its_copies_have_none():
+    expr = program(Kernel.PAIR, "cons[first[(A, B)]; rest[(C)]]")
+    assert not hasattr(expr, "_node")
+    assert print_sexpr(eval_sexpr(expr, kernel=Kernel.PAIR), "classic") == "(A)"
+    node = expr._node
+    assert node is not None and not hasattr(expr, "__dict__")
+    with pytest.raises(AttributeError):
+        expr._node = None
+    assert expr._node is node
+    copies = copy.copy(expr), copy.deepcopy(expr), pickle.loads(pickle.dumps(expr))
+    for other in copies:
+        assert other == expr and other is not expr
+        assert not hasattr(other, "_node") and not hasattr(other, "__dict__")
+
+
 @pytest.mark.parametrize("kernel", [Kernel.LIST, Kernel.PAIR])
 def test_an_evaluated_form_is_the_same_value_and_its_copy_is_analysed_afresh(
     kernel, monkeypatch

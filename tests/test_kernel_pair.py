@@ -18,6 +18,25 @@ def test_cons_is_unconstrained():
     assert cons(A, Pair(B, C)) == Pair(A, Pair(B, C))
 
 
+def test_pairs_cannot_be_assigned():
+    x = Pair(A, Pair(B, NIL))
+    for field, value in (
+        ("head", B), ("tail", NIL), ("_node", None), ("__class__", object),
+    ):
+        with pytest.raises(AttributeError):
+            setattr(x, field, value)
+        with pytest.raises(AttributeError):
+            delattr(x, field)
+    assert not hasattr(x, "__dict__") and not hasattr(x, "_node")
+    assert (x.head, x.tail.head, x.tail.tail) == (A, B, NIL)
+    match x:
+        case Pair(head, Pair(_, tail)):
+            assert (head, tail) == (A, NIL)
+        case _:
+            pytest.fail("a pair does not match Pair(head, tail)")
+    assert Pair(tail=B, head=A) == Pair(A, B)
+
+
 def test_car_cdr_examples():
     assert car(Pair(A, B)) == A
     assert cdr(Pair(A, B)) == B

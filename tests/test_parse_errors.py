@@ -45,6 +45,18 @@ ERRORS = [
     ('aim8', '(a)', "1:2: unexpected character: 'a'"),
     ('aim8', '(A,\n  # c\n  )', "3:3: unexpected character: ')' directly after a separator"),
     ('aim8', '(A,\r\n)', "2:1: unexpected character: ')' directly after a separator"),
+    ('aim8', '(,A)', "1:2: unexpected character: ','"),
+    ('classic', '(\n  , A)', "2:3: unexpected character: ','"),
+    ('aim8', ', A', "1:1: unexpected character: ','"),
+    ('classics', 'A\n# c\n, B', "3:1: unexpected character: ','"),
+    ('aim8', 'A, B', '1:2: trailing input: text continues after a complete expression'),
+    ('aim8', '(A,,B)', "1:4: unexpected character: ','"),
+    ('classic', '(A, ,B)', "1:5: unexpected character: ','"),
+    ('aim8', '(A, B,', '1:7: unbalanced parenthesis: unexpected end of input'),
+    ('classic', '(A . , B)', "1:6: unexpected character: ','"),
+    ('classic', '(A .,)', "1:5: unexpected character: ','"),
+    ('classic', '(A . B, C)', '1:7: dot misuse: more than one expression after dot'),
+    ('classic', '(A . B,)', '1:7: dot misuse: more than one expression after dot'),
     ('aim8', '(A, B  # c', "1:11: unbalanced parenthesis: unclosed '('"),
     ('aim8s', '(A, (B,\n C)', "2:4: unbalanced parenthesis: unclosed '('"),
     ('classic', '( . A)', '1:3: dot misuse: dot before any list element'),

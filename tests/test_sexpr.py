@@ -85,6 +85,11 @@ def test_classic_reads_improper_sugar():
     assert read_sexpr("(A B . C)", Dialect.CLASSIC) == Pair(A, Pair(B, C))
 
 
+def test_classic_takes_a_comma_before_the_dot():
+    assert read_sexpr("(A, . B)", Dialect.CLASSIC) == Pair(A, B)
+    assert read_sexpr("(A B,\n  . C)", Dialect.CLASSIC) == Pair(A, Pair(B, C))
+
+
 def test_classic_null_notations():
     assert read_sexpr("()", Dialect.CLASSIC) == NIL
     assert read_sexpr("NIL", Dialect.CLASSIC) == NIL
