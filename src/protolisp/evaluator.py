@@ -50,9 +50,9 @@ COND's chosen result need no frame; their value is the form's.
 
 Most of the universal function is primitives applied to primitives:
 eq[first[e]; QUOTE], first[rest[rest[fn]]].  An application whose head is
-a symbol and whose operands are symbols, quoted constants and such
-applications, at most eight high, gets a plan when it is analysed, which
-applies the tree in one go: the superinstruction of Piumarta and
+a symbol and whose one or two operands are symbols, quoted constants and
+such applications, at most eight high, gets a plan when it is analysed,
+which applies the tree in one go: the superinstruction of Piumarta and
 Riccardi ("Optimizing direct threaded code by selective inlining", PLDI
 1998).  A plan pushes nothing on the stack of expressions under
 evaluation, since its nesting is fixed and its height is checked against
@@ -424,10 +424,9 @@ class _Interp:
         for name, value in env.bindings:
             if name is sym:
                 return value
-        value = _FREE[self.kernel](sym)
-        if value is None:
-            raise self._unbound(sym)
-        return value
+        if sym in _SELF[self.kernel]:
+            return sym
+        raise self._unbound(sym)
 
     def _not_truth(self, t):
         return self._error(
@@ -463,21 +462,11 @@ class _Interp:
         return env
 
 
-def _free_list(sym):
-    # A binding wins over self-evaluation, so a LABEL named T or F still
-    # works; unbound, the truth atoms stand for themselves.  None: unbound.
-    return sym if sym is T or sym is F else None
-
-
-def _free_pair(sym):
-    # As _free_list, and NIL stands for itself too.
-    return sym if sym is T or sym is F or sym is NIL else None
-
-
 # Per kernel: the class of its compound forms, the only ones that keep a
-# node (see _analyse), and the value of an unbound symbol.
+# node (see _analyse), and the atoms that stand for themselves unbound.  A
+# binding wins over self-evaluation, so a LABEL named T or F still works.
 _FORM = {Kernel.LIST: ProperList, Kernel.PAIR: Pair}
-_FREE = {Kernel.LIST: _free_list, Kernel.PAIR: _free_pair}
+_SELF = {Kernel.LIST: (T, F), Kernel.PAIR: (T, F, NIL)}
 
 
 class _Signal(Exception):
@@ -493,19 +482,12 @@ class _Signal(Exception):
 def _sequence(v, kernel):
     """The items of v if it is a proper list of kernel, else None.
 
-    A chain of pairs is one only if it ends at NIL without meeting a pair
-    twice, so a cyclic form is malformed, not endless.
+    A cyclic chain of pairs is none (see kernel_pair.heads), so a cyclic
+    form is malformed, not endless.
     """
     if kernel is Kernel.LIST:
         return v.items if isinstance(v, ProperList) else None
-    items, seen = [], set()
-    while isinstance(v, Pair):
-        if id(v) in seen:
-            return None
-        seen.add(id(v))
-        items.append(v.head)
-        v = v.tail
-    return items if v is NIL else None
+    return kernel_pair.heads(v)
 
 
 def _kept(form, kernel):
@@ -634,9 +616,10 @@ def _step(forms, kernel, choice=None):
 
     A plan is (height, heads, head, gets): the application applies head
     to what its operands' gets give, and heads, which here include head,
-    are what it needs of fns.  An application has a plan when each
-    operand has a get, its height is at most _PLAN_HEIGHT and its head has
-    one arity in the whole tree.
+    are what it needs of fns.  An application has a plan when it has one
+    or two operands, as every primitive takes, each operand has a get, its
+    height is at most _PLAN_HEIGHT and its head has one arity in the whole
+    tree.
     """
     cache = [_NO_ENTRY]
     head = forms[0] if choice is None else None
@@ -649,6 +632,7 @@ def _step(forms, kernel, choice=None):
     )
     if (
         choice is not None
+        or len(gets) not in (1, 2)
         or None in gets
         or height > _PLAN_HEIGHT
         or heads.setdefault(head, len(gets)) != len(gets)
@@ -710,23 +694,23 @@ def _get_symbol(sym, kernel):
     get = _SYMBOL_GETS.get((sym, kernel))
     if get is not None:
         return get
-    free = _FREE[kernel]
+    stands = sym in _SELF[kernel]
 
     def lookup(env, fns):
         for name, value in env.bindings:
             if name is sym:
                 return value
-        value = free(sym)
-        if value is None:
-            raise _Signal(sym, [sym])
-        return value
+        if stands:
+            return sym
+        raise _Signal(sym, [sym])
 
     # setdefault: of two threads making the same get, both keep the first.
     return _SYMBOL_GETS.setdefault((sym, kernel), lookup)
 
 
 def _get_nested(form, head, gets):
-    """The get of form, an application with a plan: head applied to gets'."""
+    """The get of form, an application with a plan: head applied to gets',
+    of which there are one or two (see _step)."""
     if len(gets) == 1:
         (get,) = gets
 
@@ -739,23 +723,12 @@ def _get_nested(form, head, gets):
                 s.args[1].append(form)
                 raise
 
-    elif len(gets) == 2:
+    else:
         get0, get1 = gets
 
         def nested(env, fns):
             try:
                 return fns[head](get0(env, fns), get1(env, fns))
-            except KernelError as ke:
-                raise _Signal(ke, [form])
-            except _Signal as s:
-                s.args[1].append(form)
-                raise
-
-    else:
-
-        def nested(env, fns):
-            try:
-                return fns[head](*[get(env, fns) for get in gets])
             except KernelError as ke:
                 raise _Signal(ke, [form])
             except _Signal as s:

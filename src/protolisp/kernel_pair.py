@@ -2,9 +2,11 @@
 
 cons is unconstrained: anything may sit in either field.  Lists are a
 convention (chains ending in the atom NIL), so properness is a property a
-consumer has to check, not one the constructor grants.  proper() is that
-check; it runs in linear time and answers False rather than looping when
-handed a circular structure.
+consumer has to check, not one the constructor grants.  heads() is that
+check: it gives a chain's heads only if the chain ends at NIL, runs in
+linear time, and answers None rather than looping when handed a
+circular structure.  proper() is whether it gives them, and the
+evaluator reads its pair-kernel forms through it.
 
 atom and eq are the list kernel's own: a symbol is an atom in both
 kernels, so NIL is an atom here.
@@ -31,17 +33,23 @@ def cdr(x):
     return x.tail
 
 
-def proper(x) -> bool:
-    """True iff the tail chain from x reaches NIL.
+def heads(x):
+    """The heads of the tail chain from x if it ends at NIL, else None.
 
-    False for non-NIL atoms, for chains ending at any other atom, and for
-    circular chains (detected by revisit, so this always terminates).
+    A list of them, first to last; None for a non-NIL atom, for a chain
+    ending at any other atom, and for a circular chain (detected by
+    revisit, so this always terminates).
     """
-    seen = set()
-    node = x
-    while isinstance(node, Pair):
-        if id(node) in seen:
-            return False
-        seen.add(id(node))
-        node = node.tail
-    return node is NIL
+    items, seen = [], set()
+    while isinstance(x, Pair):
+        if id(x) in seen:
+            return None
+        seen.add(id(x))
+        items.append(x.head)
+        x = x.tail
+    return items if x is NIL else None
+
+
+def proper(x) -> bool:
+    """True iff the tail chain from x reaches NIL (see heads)."""
+    return heads(x) is not None

@@ -18,15 +18,16 @@ cost one match.  A comma is taken only directly after an element of a
 list; anywhere else it is the unexpected character it always was.  The
 reader keeps one frame per open list on its own stack, so any nesting
 depth reads, and works on offsets into the text; a position is worked
-out only for an error.
+out only for an error.  A closed list becomes its cells, or its pairs,
+in one call of a chain builder of the values module, the one module
+that makes cells; the printers are that module's _text walk.
 """
 
 import re
 
 from .errors import ParseErrorKind
 from .scanner import BLANKS, error_at
-from .values import NIL, NULL, Dialect, Pair, ProperList, Symbol
-from .values import _SYMBOLS, _Cell, _PairCell, _text
+from .values import NIL, NULL, Dialect, Symbol, _SYMBOLS, _list, _pairs, _text
 from .values import CYCLE_MARKER  # noqa: F401  (what the printers write at a cycle)
 
 # The comma before a token, with the blanks after it, if there is one, and
@@ -140,20 +141,7 @@ def parse_sexpr(text: str, pos: int, dialect: Dialect):
                 value = NIL  # the tail of a classic list without a dot
             pos = m.end()
             stack.pop()
-            if classic:
-                for item in reversed(items):  # Pair(item, value), inlined
-                    pair = _PairCell()
-                    pair.head, pair.tail = item, value
-                    pair.__class__ = Pair
-                    value = pair
-            else:
-                value, length = NULL, 0
-                for item in reversed(items):  # ProperList(items), inlined
-                    length += 1
-                    cell = _Cell()
-                    cell.head, cell.tail, cell.length = item, value, length
-                    cell.__class__ = ProperList
-                    value = cell
+            value = _pairs(items, value) if classic else _list(items)
         else:
             return value, pos
 

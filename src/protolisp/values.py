@@ -20,6 +20,13 @@ pairs may be a proper list, or may end somewhere else entirely.
 Each cell and pair has one more slot, _node, which is no part of its
 value: the evaluator keeps a form's analysis there.
 
+This module alone makes and walks cells and pairs.  A cell is made as a
+plain slotted _Cell or _PairCell and becomes a ProperList or a Pair once
+its fields are set: _cell and Pair make one, _list and _pairs a chain of
+them from a list of items.  What a sequence and a pair share, immutability,
+structural equality, a hash, copy, pickle and repr, is one base class,
+_Compound.
+
 `list_to_pair` embeds the first world in the second; `pair_to_list` goes
 back when the structure allows it.
 """
@@ -71,52 +78,25 @@ class Symbol:
         return self.name
 
 
-class _Cell:
-    """A list cell while it is being made; see _cell."""
+class _Compound:
+    """What a sequence and a pair share.
 
-    __slots__ = ("head", "tail", "length", "_node")
-
-
-class ProperList(_Cell):
-    """A finite sequence of values; the only compound value of the list kernel.
-
-    ProperList(iterable) makes the cells of the iterable's elements, first
-    to last, ending at NULL; ProperList(()) is NULL itself.  A cell has
-    head, its first element, tail, the sequence of the rest, and length;
-    NULL has length 0 and no head or tail.  None of them can be assigned.
-    items is the tuple of the elements, made on each use: a cell keeps no
-    copy of it, so that it has four slots.  A list evaluated as a form
-    keeps its analysis in _node, which is set past __setattr__ and is no
-    part of the value (see evaluator._analyse).  Equality and hashing are
-    structural (see equal_values); copy and pickle take any nesting depth
-    (see _graph), and neither carries _node.
+    No field can be assigned or deleted; _noun names the value in the
+    messages.  Equality and hashing are structural (see equal_values and
+    _hash), copy and pickle take any nesting depth and keep sharing (see
+    _graph), and the repr is the value's text (see _text).
     """
 
     __slots__ = ()
-    __match_args__ = ("items",)
-
-    def __new__(cls, items):
-        seq, length = NULL, 0
-        for x in reversed(tuple(items)):  # _cell, inlined
-            length += 1
-            cell = _Cell()
-            cell.head, cell.tail, cell.length = x, seq, length
-            cell.__class__ = ProperList
-            seq = cell
-        return seq
-
-    @property
-    def items(self):
-        return tuple(_heads(self))
 
     def __setattr__(self, attr, value):
-        raise AttributeError(f"cannot assign to field {attr!r} of a list")
+        raise AttributeError(f"cannot assign to field {attr!r} of a {self._noun}")
 
     def __delattr__(self, attr):
-        raise AttributeError(f"cannot delete field {attr!r} of a list")
+        raise AttributeError(f"cannot delete field {attr!r} of a {self._noun}")
 
     def __eq__(self, other):
-        if other.__class__ is not ProperList:
+        if other.__class__ is not self.__class__:
             return NotImplemented
         return equal_values(self, other)
 
@@ -130,11 +110,42 @@ class ProperList(_Cell):
         return _text(self)
 
 
+class _Cell:
+    """A list cell while it is being made; see _cell."""
+
+    __slots__ = ("head", "tail", "length", "_node")
+
+
+class ProperList(_Compound, _Cell):
+    """A finite sequence of values; the only compound value of the list kernel.
+
+    ProperList(iterable) makes the cells of the iterable's elements, last
+    to first, ending at NULL (see _list); ProperList(()) is NULL itself.
+    A cell has head, its first element, tail, the sequence of the rest,
+    and length; NULL has length 0 and no head or tail.  None of them can
+    be assigned.  items is the tuple of the elements, made on each use: a
+    cell keeps no copy of it, so that it has four slots.  A list evaluated
+    as a form keeps its analysis in _node, which is set past __setattr__
+    and is no part of the value (see evaluator._analyse), nor of what copy
+    and pickle carry.
+    """
+
+    __slots__ = ()
+    __match_args__ = ("items",)
+    _noun = "list"
+
+    def __new__(cls, items):
+        return _list(tuple(items))
+
+    @property
+    def items(self):
+        return tuple(_heads(self))
+
+
 def _cell(head, tail):
     """The sequence whose first element is head and whose rest is tail.
 
-    tail must be a ProperList, which combine checks; ProperList(iterable)
-    takes the same steps inline, starting from NULL.  The cell is made as
+    tail must be a ProperList, which combine checks.  The cell is made as
     a plain _Cell, whose fields take the interpreter's fastest stores, and
     becomes a ProperList once they are set; from then on __setattr__
     refuses every assignment, __class__ included.
@@ -143,6 +154,18 @@ def _cell(head, tail):
     cell.head, cell.tail, cell.length = head, tail, tail.length + 1
     cell.__class__ = ProperList
     return cell
+
+
+def _list(items):
+    """The sequence of items, a list or a tuple: _cell's steps, last to first."""
+    seq, length = NULL, 0
+    for x in reversed(items):
+        length += 1
+        cell = _Cell()
+        cell.head, cell.tail, cell.length = x, seq, length
+        cell.__class__ = ProperList
+        seq = cell
+    return seq
 
 
 NULL = _Cell()
@@ -163,7 +186,7 @@ class _PairCell:
     __slots__ = ("head", "tail", "_node")
 
 
-class Pair(_PairCell):
+class Pair(_Compound, _PairCell):
     """An ordered pair; the only compound value of the pair kernel.
 
     Pair(head, tail) makes one cell with two fields, head and tail, which
@@ -172,13 +195,12 @@ class Pair(_PairCell):
     it becomes a Pair, whose __setattr__ refuses every assignment,
     __class__ included.  A pair evaluated as a form keeps its analysis in
     its _node slot, set past __setattr__, which is no part of the value
-    (see evaluator._analyse).  Equality and hashing are structural (see
-    equal_values); copy and pickle take any nesting depth and keep cycles
-    (see _graph), and neither carries _node.
+    (see evaluator._analyse).  Copy and pickle keep cycles (see _graph).
     """
 
     __slots__ = ()
     __match_args__ = ("head", "tail")
+    _noun = "pair"
 
     def __new__(cls, head, tail):
         pair = _PairCell()
@@ -186,25 +208,15 @@ class Pair(_PairCell):
         pair.__class__ = Pair
         return pair
 
-    def __setattr__(self, attr, value):
-        raise AttributeError(f"cannot assign to field {attr!r} of a pair")
 
-    def __delattr__(self, attr):
-        raise AttributeError(f"cannot delete field {attr!r} of a pair")
-
-    def __eq__(self, other):
-        if other.__class__ is not Pair:
-            return NotImplemented
-        return equal_values(self, other)
-
-    def __hash__(self):
-        return _hash(self)
-
-    def __reduce__(self):
-        return _rebuild, _graph(self)
-
-    def __repr__(self):
-        return _text(self)
+def _pairs(items, tail):
+    """The chain of pairs of items, a list or a tuple, ending at tail: Pair's steps."""
+    for x in reversed(items):
+        pair = _PairCell()
+        pair.head, pair.tail = x, tail
+        pair.__class__ = Pair
+        tail = pair
+    return tail
 
 
 NIL = Symbol("NIL")
@@ -394,46 +406,36 @@ def _root(union, pair):
     return pair
 
 
-# The hash of every value that reaches a pair cycle.
-_CYCLE_HASH = hash(CYCLE_MARKER)
+# The most parts of a value that _hash reads.
+_HASH_PARTS = 64
 
 
 def _hash(v):
-    """A hash of v that agrees with equal_values.
+    """A hash of v that agrees with equal_values, read from a bounded prefix.
 
-    A sequence hashes its elements and a pair its head and tail, each
-    shared part once; any other value hashes itself.  A value that reaches
-    a pair cycle unfolds to an infinite tree, which no finite value
-    equals, so all such values hash alike.  The walk keeps its own stack,
-    so any nesting depth hashes.
+    v is unfolded in pre-order into parts: the length of each sequence,
+    -1 for each pair, and hash(x) for any other value x, each followed by
+    the parts of its elements or of its head and tail.  The hash is that
+    of the first _HASH_PARTS parts.  Equal values, cyclic pairs included,
+    unfold alike, so they read the same parts and hash alike; and the walk
+    ends, at any nesting depth or length and on any cycle, since it stops
+    after _HASH_PARTS parts.  Values that agree on those parts collide.
     """
-    done, path = {}, set()  # hashes of finished parts; ids of open ones
-    frames = []  # (value, parts still to hash, hashes of those hashed) above
-    parts, hashes = iter((v,)), []
-    while True:
-        for x in parts:
-            if x.__class__ is not ProperList and x.__class__ is not Pair:
-                hashes.append(hash(x))
-            elif id(x) in done:
-                hashes.append(done[id(x)])
-            elif id(x) in path:
-                return _CYCLE_HASH
+    parts, todo = [], [iter((v,))]  # the parts read; the rest of each open value
+    while todo and len(parts) < _HASH_PARTS:
+        for x in todo[-1]:
+            if x.__class__ is ProperList:
+                parts.append(x.length)
+                todo.append(_heads(x))
+            elif x.__class__ is Pair:
+                parts.append(-1)
+                todo.append(iter((x.head, x.tail)))
             else:
-                path.add(id(x))
-                frames.append((x, parts, hashes))
-                if x.__class__ is ProperList:
-                    parts, hashes = _heads(x), [x.length]
-                else:
-                    parts, hashes = iter((x.head, x.tail)), [-1]
-                break
+                parts.append(hash(x))
+            break
         else:
-            if not frames:
-                return hashes[0]
-            x, parts, outer = frames.pop()
-            path.discard(id(x))
-            done[id(x)] = h = hash(tuple(hashes))
-            outer.append(h)
-            hashes = outer
+            todo.pop()
+    return hash(tuple(parts))
 
 
 def _graph(v):
@@ -583,7 +585,7 @@ def pair_to_list(v):
                         f"tail chain ends at atom {node.name}, not NIL"
                     )
                 path.difference_update(ids)
-                out = ProperList(tuple(items))
+                out = _list(items)
                 items, ids, pair = stack.pop()
         # node is the next pair of the innermost chain: convert its head
         if id(node) in path:

@@ -394,6 +394,15 @@ def test_primitive_repr():
     assert repr(env.lookup(Symbol("FIRST"))) == "#<primitive FIRST>"
 
 
+def test_a_list_or_a_pair_shows_the_functions_it_holds():
+    prim = default_env(Kernel.LIST).lookup(Symbol("FIRST"))
+    fn = ev("(LAMBDA, (X, Y), X)")
+    assert repr(ProperList((A, prim, fn))) == (
+        "(A, #<primitive FIRST>, #<closure (X Y)>)"
+    )
+    assert repr(Pair(fn, prim)) == "(#<closure (X Y)> . #<primitive FIRST>)"
+
+
 # --- apply ------------------------------------------------------------------------
 
 def test_apply_primitive_combine():
@@ -1003,6 +1012,27 @@ def test_a_chained_step_fails_as_its_task_does(kernel, text, kind, message):
     if kernel is Kernel.PAIR:
         message = message.replace("(A)", "(A . NIL)").replace("first:", "car:")
     assert got[:2] == (kind, message)
+
+
+@pytest.mark.parametrize("kernel", [Kernel.LIST, Kernel.PAIR])
+def test_a_primitive_of_three_operands_is_a_step_inside_a_planned_tree(kernel):
+    # Every kernel primitive takes one or two operands, and only such
+    # applications get plans: PICK's, though its operands all have gets,
+    # is a step of its own, under a COMBINE and over planned operands.
+    first = default_env(kernel).lookup(Symbol("FIRST")).fn
+    pick = Primitive("PICK", 3, lambda x, y, z: first(z))
+    env = default_env(kernel).extend(
+        [(Symbol("PICK"), pick), (_X, in_kernel(kernel, read_sexpr("(A, B, C)")))]
+    )
+    expr = program(kernel, "combine[pick[first[x]; x; rest[x]]; ()]")
+    got = three_ways(expr, env, kernel, DEPTH)
+    assert got == ("value", in_kernel(kernel, read_sexpr("(B)")))
+    assert expr.tail.head._node[2] is None  # PICK's application has no plan
+    # A kernel fault inside PICK, and inside one of its operands.
+    for text in ("pick[x; x; first[x]]", "pick[x; first[A]; x]"):
+        got = three_ways(program(kernel, f"combine[{text}; ()]"), env, kernel, DEPTH)
+        assert got[0] is Fault.KERNEL_FAULT
+        assert program(kernel, text) in got[2]
 
 
 @pytest.mark.parametrize("kernel", [Kernel.LIST, Kernel.PAIR])

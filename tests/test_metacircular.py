@@ -115,6 +115,11 @@ def test_an_evaluator_under_the_evaluator(env):
     assert v == Symbol("A")
 
 
+def test_meta_eval_with_no_env_loads_the_definitions_itself():
+    form = translate(read_fexpr(corpus.APPEND + "[(A, B); (C)]"))
+    assert meta_eval(form) == read_sexpr("(A, B, C)")
+
+
 def test_meta_faults_surface_as_host_faults(env):
     with pytest.raises(EvalError):
         meta("ZZ", env)  # unbound at the meta level: assoc runs off the end

@@ -1,6 +1,8 @@
 """Value models and the mapping between the two kernels."""
 
+import ast
 import copy
+import pathlib
 import pickle
 import random
 import re
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import given
 
 import helpers
+import protolisp
 from protolisp import (
     NIL,
     NULL,
@@ -24,6 +27,7 @@ from protolisp import (
     print_sexpr,
     unsafe_set_tail,
 )
+from protolisp import values
 
 A, B, C = helpers.A, helpers.B, helpers.C
 
@@ -274,3 +278,60 @@ def test_values_of_different_kinds_are_never_equal():
     assert NULL != NIL and not equal_values(NULL, NIL)
     assert ProperList((A,)) != (A,)
     assert Pair(A, B) != (A, B)
+
+
+class _Unhashable:
+    def __hash__(self):
+        raise TypeError("unhashable")
+
+
+def test_hashing_reads_a_bounded_prefix():
+    # A hash reads at most 64 parts in pre-order, so the 100th element of
+    # a list or a chain is never hashed; one near the front still is.
+    items = (A,) * 99 + (_Unhashable(),)
+    chain = NIL
+    for x in reversed(items):
+        chain = Pair(x, chain)
+    assert isinstance(hash(ProperList(items)), int)
+    assert isinstance(hash(chain), int)
+    with pytest.raises(TypeError):
+        hash(ProperList((A, _Unhashable())))
+
+
+def test_cyclic_pairs_that_unfold_alike_hash_alike():
+    assert hash(cycle(A, A, A)) == hash(cycle(A, A)) == hash(cycle(A))
+    assert hash(cycle(A, B)) == hash(Pair(A, cycle(B, A)))
+    assert hash(cycle(A, B, A, B)) == hash(cycle(A, B))
+    assert hash(ProperList((cycle(A),))) == hash(ProperList((cycle(A, A),)))
+
+
+def test_lists_and_pairs_take_what_they_share_from_one_base():
+    shared = {
+        "__setattr__", "__delattr__", "__eq__", "__hash__", "__reduce__", "__repr__"
+    }
+    assert shared <= vars(values._Compound).keys()
+    for cls in (ProperList, Pair):
+        assert issubclass(cls, values._Compound)
+        assert not shared & vars(cls).keys()
+
+
+def test_only_the_values_module_makes_cells():
+    # A cell is a _Cell or a _PairCell until its class is set: no other
+    # module names those classes or assigns __class__, so every list and
+    # pair is made by the values module's constructors and chain builders.
+    found = []
+    for path in sorted(pathlib.Path(protolisp.__file__).parent.glob("*.py")):
+        if path.name == "values.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+            if isinstance(node, ast.alias):
+                name = node.name
+            elif isinstance(node, ast.Constant):
+                name = node.value
+            if name in ("_Cell", "_PairCell") or (
+                name == "__class__"
+                and not isinstance(getattr(node, "ctx", None), ast.Load)
+            ):
+                found.append(f"{path.name}:{node.lineno}: {name}")
+    assert found == []
