@@ -80,28 +80,29 @@ stays on the stack until the body or result it goes on with has its
 value, as in the universal function, so the depth, where it runs out
 and every trace stay the same.
 
-A step remembers what its heads resolved to: the inline cache of Deutsch
+A step remembers where its heads are bound: the inline cache of Deutsch
 and Schiffman ("Efficient implementation of the Smalltalk-80 system",
 POPL 1984).  Applying a closure binds its parameters, then its LABEL
 name (to the closure itself), in front of the environment it captured;
-the closure owns the environment this makes.  A head that is not a
-parameter means the same in every environment of one owner, and one
-that is means the same wherever it has the same value.  So a step keeps
-its answer under the owner and the value, by identity, of each of its
-heads that is a parameter, and skips the lookup while it meets that key.
-A recursive function and the meta evaluator re-enter one closure object
-on every call, and the meta evaluator passes itself on as its parameter
-ev, so nearly every lookup is skipped.  The key is the closure and not
+the closure owns the environment this makes.  Every environment of one
+owner has that layout, so a symbol's innermost binding sits at one index
+in all of them, its lexical address (SICP, section 5.5.6), and only the
+parameters' values differ.  So a step keeps, under the owner, its head's
+address, through which it reads the head on every hit, and the functions
+of the primitives its plans' heads are bound to; a plan whose head is a
+parameter gets no get there, and runs as a step.  A recursive function
+and the meta evaluator re-enter one closure object on every call, so
+nearly every lookup of a head is skipped.  The key is the closure and not
 the scope: one form object can sit in several scopes, and one LAMBDA
 form makes closures over different environments, but each environment
 has at most one owner.  Other environments have none, and their lookups
 are not kept.  The cache lives on the step, so it outlives a run: a
 closure that a later call applies again, such as the meta evaluator of a
-universal_env, finds its heads resolved.  It refers to its owner weakly,
-so that a closure's body does not keep the closure, and so itself, alive.
-Its entry is one tuple, read once and replaced whole, so a thread that
-evaluates a form another thread evaluates too sees one owner's answer,
-never parts of two.
+universal_env, finds its heads resolved.  It keeps no value a head is
+bound to, and refers to its owner weakly, so that a closure's body keeps
+no closure alive, itself included.  Its entry is one tuple, read once and
+replaced whole, so a thread that evaluates a form another thread
+evaluates too sees one owner's answer, never parts of two.
 
 Evaluation depth is the number of expressions under evaluation, capped
 (default 10000, configurable); passing the cap raises an EvalError of kind
@@ -146,11 +147,7 @@ _APPLY, _CHOOSE, _CONSTANT, _CLOSE, _NAME, _FAIL = range(6)
 
 # The entry of a step's empty cache: its owner is None, which owns nothing
 # (see _step).
-_NO_ENTRY = (lambda: None, (), None, None, None)
-# A cached head that is a parameter of the owner, so looked up each time.
-_PARAM = object()
-# A cached head bound to the owner itself, as a LABEL name is.
-_OWNER = object()
+_NO_ENTRY = (lambda: None, None, None, None)
 
 
 @dataclass(frozen=True)
@@ -167,10 +164,10 @@ class Env:
     owner = None
 
     def lookup(self, name: Symbol):
-        for sym, value in self.bindings:
-            if sym is name:
-                return value
-        raise LookupError(name.name)
+        at = _address(name, self.bindings)
+        if at is None:
+            raise LookupError(name.name)
+        return self.bindings[at][1]
 
     def extend(self, pairs) -> "Env":
         return Env(tuple(pairs) + self.bindings)
@@ -303,19 +300,13 @@ class _Interp:
                         node = _analyse(expr, kernel)
                     kind, step, body = node
                     if kind <= _CHOOSE:
-                        height, head, cache, forms, _, _, _, choice = step
-                        owner, key, fn, fns, gets = cache[0]
+                        height, _, cache, forms, _, _, _, choice = step
+                        owner, at, fns, gets = cache[0]
                         if len(stack) + height > max_depth:
-                            fn, fns, gets = None, None, (None,) * len(forms)
-                        elif owner() is env.owner is not None and (
-                            not key or _holds(key, env)
-                        ):
-                            if fn is _PARAM:
-                                fn = _binding(head, env)
-                            elif fn is _OWNER:
-                                fn = env.owner
-                        else:
-                            fn, fns, gets = _resolve(step, env)
+                            at, fns, gets = None, None, (None,) * len(forms)
+                        elif not (owner() is env.owner is not None):
+                            at, fns, gets = _resolve(step, env)
+                        fn = None if at is None else env.bindings[at][1]
                         if choice is not None:
                             for i, get in enumerate(gets):
                                 if get is None:
@@ -421,9 +412,9 @@ class _Interp:
         raise error
 
     def _lookup(self, sym, env):
-        for name, value in env.bindings:
-            if name is sym:
-                return value
+        at = _address(sym, env.bindings)
+        if at is not None:
+            return env.bindings[at][1]
         if sym in _SELF[self.kernel]:
             return sym
         raise self._unbound(sym)
@@ -607,12 +598,11 @@ def _step(forms, kernel, choice=None):
     head first, choice is None, and head is None unless a symbol.  gets
     and needs are those of the operands or tests (see _operands), heads
     the (symbol, arity) pairs of their plans, and height the levels the
-    gets reach above the form.  cache is a list of one entry, (owner, key,
-    fn, fns, gets): what _resolve found in an environment of owner() whose
-    parameters in key had the values beside them (owner is a weak
-    reference; see _resolve).  The entry is read once
-    and replaced whole, so a thread never sees half of another's; it
-    starts as _NO_ENTRY.
+    gets reach above the form.  cache is a list of one entry, (owner, at,
+    fns, gets): what _resolve found in an environment of owner(), with at
+    the index of the head's binding there (owner is a weak reference; see
+    _resolve).  The entry is read once and replaced whole, so a thread
+    never sees half of another's; it starts as _NO_ENTRY.
 
     A plan is (height, heads, head, gets): the application applies head
     to what its operands' gets give, and heads, which here include head,
@@ -738,57 +728,58 @@ def _get_nested(form, head, gets):
     return nested
 
 
-def _binding(sym, env):
-    """The value env binds sym to, or None if it binds none."""
-    for name, value in env.bindings:
+def _address(sym, bindings):
+    """The index of sym's innermost binding in bindings, or None if unbound.
+
+    The one walk of an environment: Env.lookup, _Interp._lookup and
+    _resolve read through it.  A symbol's get walks inline (see
+    _get_symbol), since every owner shares it, so it has no address.
+    """
+    for at, (name, _) in enumerate(bindings):
         if name is sym:
-            return value
+            return at
     return None
 
 
-def _holds(key, env):
-    """Whether env binds each symbol of key to the very value beside it."""
-    for sym, value in key:
-        if _binding(sym, env) is not value:
-            return False
-    return True
-
-
 def _resolve(step, env):
-    """(fn, fns, gets) of a step in env, kept in its cache where that is sound.
+    """(at, fns, gets) of a step in env, kept in its cache where that is sound.
 
-    fn is the head's binding (None for a COND, or if unbound).  fns maps
-    each symbol of heads that env binds to a Primitive of the arity used to
-    its fn.  gets is the step's, with None for each operand or test whose
-    plan needs a head that fns lacks.  Only bindings are read.
+    at is the index of the head's binding in env.bindings (None for a
+    COND, or if unbound), so the head is env.bindings[at][1].  fns maps
+    each symbol of heads that env binds to a Primitive of the arity used,
+    and that is no parameter of env's owner, to its fn.  gets is the
+    step's, with None for each operand or test whose plan needs a head
+    that fns lacks, so that the operand runs as a step.  Only bindings are
+    read.
 
-    In an environment of an owner, a symbol that is no parameter means the
-    same in every environment of that owner, and a parameter the same
-    wherever it has the same value.  So the answer is kept under the owner
-    and the values of the heads that are parameters; fn is kept unless the
-    head is a parameter, and _PARAM stands for it.  The entry holds the
-    owner by a weak reference and puts _OWNER for an fn that is the owner,
-    as a recursive function's own name is: the owner's body holds the
-    step, and through the step's entry it would hold itself, so the form
-    and the closure would outlive their last use until a cycle collection.
+    Every environment of one owner has one layout (see _Interp._bind): the
+    owner's parameters, its LABEL name if it has one, then the bindings it
+    captured, the same tuple each time.  So a symbol's innermost binding
+    sits at one index in each, and a symbol that is no parameter is bound
+    to one value in each: the entry, (owner, at, fns, gets), serves every
+    environment of its owner, since fns leaves the parameters out.  It
+    holds the owner by a weak reference, and no value a head is bound to:
+    the owner's body holds the step, so a strong reference there would
+    make a cycle, and the closure and its forms would outlive their last
+    use until a cycle collection.
     """
     _, head, cache, _, heads, gets, needs, _ = step
-    fn = None if head is None else _binding(head, env)
+    bindings = env.bindings
+    at = None if head is None else _address(head, bindings)
     owner = env.owner
     params = () if owner is None else owner.params
-    fns, key = {}, []
+    fns = {}
     for sym, arity in heads:
-        value = _binding(sym, env)
-        if sym in params:
-            key.append((sym, value))
-        if isinstance(value, Primitive) and value.arity == arity:
-            fns[sym] = value.fn
+        i = _address(sym, bindings)
+        if i is not None and sym not in params:
+            value = bindings[i][1]
+            if isinstance(value, Primitive) and value.arity == arity:
+                fns[sym] = value.fn
     if len(fns) < len(heads):
         gets = tuple([g if n <= fns.keys() else None for g, n in zip(gets, needs)])
     if owner is not None:
-        kept = _PARAM if head in params else _OWNER if fn is owner else fn
-        cache[0] = weakref.ref(owner), tuple(key), kept, fns, gets
-    return fn, fns, gets
+        cache[0] = weakref.ref(owner), at, fns, gets
+    return at, fns, gets
 
 
 def eval_sexpr(expr, env=None, kernel=Kernel.LIST, max_depth=DEFAULT_MAX_DEPTH):

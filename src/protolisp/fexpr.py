@@ -68,20 +68,12 @@ class App:
     fn: object
     args: tuple
 
-    def __post_init__(self):
-        if not isinstance(self.args, tuple):
-            object.__setattr__(self, "args", tuple(self.args))
-
 
 @dataclass(frozen=True)
 class Cond:
     """A conditional: (test, result) clauses tried in order."""
 
     clauses: tuple
-
-    def __post_init__(self):
-        if not isinstance(self.clauses, tuple):
-            object.__setattr__(self, "clauses", tuple(self.clauses))
 
 
 @dataclass(frozen=True)
@@ -91,10 +83,6 @@ class Lambda:
     params: tuple
     body: object
 
-    def __post_init__(self):
-        if not isinstance(self.params, tuple):
-            object.__setattr__(self, "params", tuple(self.params))
-
 
 @dataclass(frozen=True)
 class Label:
@@ -102,9 +90,6 @@ class Label:
 
     name: str
     body: object
-
-
-FExpr = (Var, Const, App, Cond, Lambda, Label)
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import random
+import runpy
 
 import hypothesis.strategies as st
 import pytest
@@ -523,6 +524,35 @@ def test_every_flag_combination_is_accepted(cli, monkeypatch):
                 assert (code, out, err) == (0, "A\n", ""), (kernel, dialect, lang)
 
 
+def scripted_input(monkeypatch, *steps):
+    """Make input() give each step in turn: a line, or an exception it raises."""
+    steps = iter(steps)
+
+    def scripted(prompt=""):
+        step = next(steps)
+        if isinstance(step, BaseException):
+            raise step
+        return step
+
+    monkeypatch.setattr("builtins.input", scripted)
+
+
+def test_repl_ends_at_eof_with_a_newline_after_an_interactive_prompt(cli, monkeypatch):
+    repl_input(monkeypatch, "first[(A, B)]\n")
+    monkeypatch.setattr("sys.stdin.isatty", lambda: True)
+    assert cli("repl") == (0, "> A\n> \n", "")
+
+
+def test_repl_reads_on_after_ctrl_c(cli, monkeypatch):
+    scripted_input(monkeypatch, KeyboardInterrupt(), "first[(A, B)]", EOFError())
+    assert cli("repl") == (0, "A\n", "\n")
+
+
+def test_repl_exits_74_when_stdin_fails(cli, monkeypatch):
+    scripted_input(monkeypatch, "first[(A, B)]", OSError("stdin is gone"))
+    assert cli("repl") == (74, "A\n", "")
+
+
 def test_repl_echoed_results_reread_to_equal_values(cli, monkeypatch):
     rng = random.Random(23)
     for _ in range(25):
@@ -534,3 +564,16 @@ def test_repl_echoed_results_reread_to_equal_values(cli, monkeypatch):
         line = out.rstrip("\n")
         assert line == rendered
         assert read_sexpr(line) == v
+
+
+# --- python -m protolisp ----------------------------------------------------------
+
+def test_python_m_protolisp_runs_the_cli_and_exits_with_its_code(
+    tmp_path, monkeypatch, capsys
+):
+    path = src(tmp_path, "id = lambda[[x]; x]\nid[(A, B)]\n")
+    monkeypatch.setattr("sys.argv", ["protolisp", "run", path])
+    with pytest.raises(SystemExit) as exit:
+        runpy.run_module("protolisp", run_name="__main__")
+    assert exit.value.code == 0
+    assert capsys.readouterr() == ("(A, B)\n", "")

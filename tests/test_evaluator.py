@@ -1455,3 +1455,46 @@ def test_a_closure_is_freed_with_its_last_reference_though_its_body_kept_steps()
     got = three_ways(body, env, Kernel.LIST, DEPTH)
     assert got == ("value", read_sexpr("(A, (B), C)"))
     assert apply_fn(eval_sexpr(app), [x, y]) == read_sexpr("(A, B, C)")
+
+
+def test_a_closure_that_an_inner_closure_calls_by_name_is_freed_with_its_last_reference():
+    # The inner LAMBDA's body applies WALK, bound to the outer closure, in
+    # an environment the inner closure owns: its step keeps where WALK is
+    # bound there, not the closure, so the form it lives in keeps no
+    # closure alive.
+    form = program(Kernel.LIST, "label[walk; lambda[[x]; [null[x] -> ();"
+                   " T -> lambda[[y]; walk[y]][rest[x]]]]]")
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        walk = eval_sexpr(form)
+        assert apply_fn(walk, [read_sexpr("(A, B)")]) == NULL
+        ref = weakref.ref(walk)
+        del walk
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
+    assert form._node is not None
+    assert apply_fn(eval_sexpr(form), [read_sexpr("(A, B, C)")]) == NULL
+
+
+@pytest.mark.parametrize("kernel", [Kernel.LIST, Kernel.PAIR])
+def test_a_plan_headed_by_a_parameter_runs_as_a_step(kernel):
+    # f is a parameter of the owner, so the step of combine[f[x]; ()] keeps
+    # no function for it, and f[x] runs as a step in every frame, whatever
+    # f is bound to there; the head COMBINE is kept as its address.
+    fn = eval_sexpr(program(kernel, "lambda[[f; x]; combine[f[x]; ()]]"), kernel=kernel)
+    prims = default_env(kernel)
+    ab = in_kernel(kernel, read_sexpr("(A, B)"))
+    for f, expected in ((_FIRST, "(A)"), (_REST, "((B))"), (_FIRST, "(A)")):
+        got = apply_fn(fn, [prims.lookup(f), ab], kernel, DEPTH)
+        assert got == in_kernel(kernel, read_sexpr(expected))
+    owner, at, fns, gets = fn.body._node[1][2][0]
+    assert owner() is fn and fns == {} and gets[0] is None
+    assert prims.bindings[at - len(fn.params)][0] is COMBINE
+    # A fault inside f[x] has the trace of the universal function.
+    text = ("lambda[[g]; combine[g[first; (A, B)]; g[first; A]]]"
+            "[lambda[[f; x]; combine[f[x]; ()]]]")
+    got = three_ways(program(kernel, text), None, kernel, DEPTH)
+    assert got[0] is Fault.KERNEL_FAULT and got[2][-1] == program(kernel, "f[x]")

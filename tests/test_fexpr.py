@@ -152,6 +152,15 @@ def test_print_examples():
     assert print_fexpr(App(Var("f"), ())) == "f[]"
 
 
+@pytest.mark.parametrize(
+    "e, shown",
+    [(A, "A"), ("x", "'x'"), (None, "None"), (Lambda(("x",), B), "B")],
+)
+def test_printing_a_value_that_is_no_f_expression_is_a_type_error(e, shown):
+    with pytest.raises(TypeError, match=f"^not an F-expression: {shown}$"):
+        print_fexpr(e)
+
+
 @given(helpers.fexprs)
 def test_read_print_round_trip(e):
     assert read_fexpr(print_fexpr(e)) == e

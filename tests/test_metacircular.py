@@ -2,11 +2,16 @@
 translation, agreement with the host on the shared corpus, and the
 structural check that its own text stays inside the subset it handles."""
 
+import gc
+import weakref
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import corpus
+import helpers
 from protolisp import (
     NULL,
     EvalError,
@@ -123,6 +128,87 @@ def test_meta_eval_with_no_env_loads_the_definitions_itself():
 def test_meta_faults_surface_as_host_faults(env):
     with pytest.raises(EvalError):
         meta("ZZ", env)  # unbound at the meta level: assoc runs off the end
+
+
+def test_a_universal_env_is_freed_with_its_last_reference():
+    # Its definitions' steps keep where their heads are bound, not the
+    # closures bound there, so nothing holds the meta evaluator but env.
+    # append goes through every definition, and metaevcon's body passes
+    # the meta evaluator on as ev.
+    form = translate(read_fexpr(corpus.APPEND + "[(A, B); (C)]"))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        env = universal_env(max_depth=META_DEPTH)
+        assert meta_eval(form, env, max_depth=META_DEPTH) == read_sexpr("(A, B, C)")
+        ref = weakref.ref(env.lookup(Symbol("METAEVAL")))
+        del env
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
+# Closed first-order programs: ((LAMBDA, (X, Y, Z), body), (QUOTE, a),
+# (QUOTE, b), (QUOTE, c)), whose body has the three variables, T, F and
+# quoted data at its leaves, and the nine primitives at their arity and
+# COND above them.  No inner LAMBDA or LABEL: the meta evaluator applies a
+# LAMBDA form in the caller's environment, which is dynamic scope, so a
+# closure that escapes its scope means something else there.  No
+# pair-kernel run either: atom[()] is F on the list kernel, where the meta
+# evaluator runs, and atom[NIL] is T on the pair kernel, so a program that
+# asks atom of an empty list ends in another value there.
+_VARIABLES = (Symbol("X"), Symbol("Y"), Symbol("Z"))
+_ARITIES = {Symbol(n): 2 if n in ("EQ", "COMBINE", "CONS") else 1
+            for n in ("ATOM", "NULL", "EQ", "FIRST", "CAR", "REST", "CDR",
+                      "COMBINE", "CONS")}
+
+
+def _quoted(v):
+    return ProperList((QUOTE, v))
+
+
+def _applications_and_conds(parts):
+    applications = st.sampled_from(sorted(_ARITIES, key=repr)).flatmap(
+        lambda head: st.lists(parts, min_size=_ARITIES[head], max_size=_ARITIES[head])
+        .map(lambda operands: ProperList((head, *operands)))
+    )
+    conds = st.lists(st.tuples(parts, parts), min_size=1, max_size=3).map(
+        lambda clauses: ProperList((COND, *map(ProperList, clauses)))
+    )
+    return applications | conds
+
+
+_bodies = st.recursive(
+    st.sampled_from((*_VARIABLES, T, F)) | helpers.list_values.map(_quoted),
+    _applications_and_conds,
+    max_leaves=12,
+)
+
+
+def _data(v):
+    """Whether v is made only of symbols and lists."""
+    todo = [v]
+    while todo:
+        v = todo.pop()
+        if isinstance(v, ProperList):
+            todo.extend(v.items)
+        elif not isinstance(v, Symbol):
+            return False
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(body=_bodies, args=st.tuples(*[helpers.list_values] * 3))
+def test_agrees_with_the_host_on_closed_first_order_programs(env, body, args):
+    function = ProperList((LAMBDA, ProperList(_VARIABLES), body))
+    program = ProperList((function, *map(_quoted, args)))
+    try:
+        hosted = eval_sexpr(program, max_depth=META_DEPTH)
+    except EvalError:
+        return  # a meta fault is whatever host fault gets stuck first
+    if _data(hosted):
+        assert meta_eval(program, env, max_depth=META_DEPTH) == hosted
 
 
 # --- the helper functions, called directly --------------------------------------

@@ -128,3 +128,12 @@ def test_output_survives_the_aim8_round_trip(e):
 def test_translation_is_deterministic():
     e = read_fexpr("label[f; lambda[[x; y]; [eq[x; A] -> y; T -> f[y; x]]]]")
     assert translate(e) == translate(e)
+
+
+@pytest.mark.parametrize(
+    "e, shown",
+    [(A, "A"), ("x", "'x'"), (None, "None"), (App(Var("f"), (Var("x"), B)), "B")],
+)
+def test_a_value_that_is_no_f_expression_is_a_type_error(e, shown):
+    with pytest.raises(TypeError, match=f"^not an F-expression: {shown}$"):
+        translate(e)

@@ -56,6 +56,13 @@ def test_symbols_are_interned():
         Symbol("a")
 
 
+def test_a_symbols_name_cannot_be_deleted():
+    a = Symbol("A")
+    with pytest.raises(AttributeError, match="^cannot delete field 'name' of a symbol$"):
+        del a.name
+    assert a.name == "A" and a is Symbol("A")
+
+
 def test_null_is_a_list_not_an_atom():
     assert NULL == ProperList(())
     assert not isinstance(NULL, Symbol)
