@@ -21,20 +21,21 @@ is the unconstrained cons.
 
 Each compound form is analysed once, into a node that has already
 decided what the form is: a quoted constant, a COND clause list, a
-LAMBDA, a LABEL or an application.  A form is analysed on its first
-evaluation, or with the application it is an operand of, and keeps its
-node in its _node slot for as long as it lives, so every later
-evaluation of the form, in this eval_sexpr or apply_fn call or a later
-one, starts from its node: the meta evaluator's bodies are analysed
-once, not once per meta_eval.
-A ProperList is only ever a form of the list kernel and a Pair only one
-of the pair kernel, so the node a form keeps is its own kernel's; a form
-of the other kernel, or any other value, is analysed afresh each time it
-is evaluated, into a node that raises.  A node refers to the inner forms
-of its form and to no interpreter, so it is freed with its form.  Head
-atoms, like every symbol, are interned, so dispatch and variable lookup
-are identity tests.  Malformed syntax analyses to a node that raises, so
-it still fails only when it is evaluated.
+LAMBDA, a LABEL or an application.  Analysis reads the form alone, and
+no binding.  A form is analysed on its first evaluation, or when the
+gets of a step it is an operand of are built, and keeps its node in its
+_node slot for as long as it lives, so every later evaluation of the
+form, in this eval_sexpr or apply_fn call or a later one, starts from
+its node: the meta evaluator's bodies are analysed once, not once per
+meta_eval.  A ProperList is only ever a form of the list kernel and a
+Pair only one of the pair kernel, so the node a form keeps is its own
+kernel's; a form of the other kernel, or any other value, is analysed
+afresh each time it is evaluated, into a node that raises.  A node
+refers to the inner forms of its form and to no interpreter, so it is
+freed with its form.  Head atoms, like every symbol, are interned, so
+dispatch and variable lookup are identity tests.  Malformed syntax
+analyses to a node that raises, so it still fails only when it is
+evaluated.
 
 Evaluation runs on its own stack, not the host's.  One loop,
 _Interp.run, takes an expression to its value.  Where the universal
@@ -43,66 +44,69 @@ body, the loop pushes a frame and goes on with that expression, and
 resumes the frame with the value: the recursion's continuation,
 defunctionalized (Danvy and Nielsen, "Defunctionalization at work", PPDP
 2001), which makes the loop a CEK machine (Felleisen and Friedman, 1986).
-A frame holds the form's node, the environment, what the form's heads
-resolved to, the values so far, and the height of the stack of
-expressions under evaluation with the form on top.  A closure body and a
-COND's chosen result need no frame; their value is the form's.
+A frame holds the form's node, the environment, the gets of its operands
+or tests, the values so far, and the height of the stack of expressions
+under evaluation with the form on top.  A closure body and a COND's
+chosen result need no frame; their value is the form's.
 
-Most of the universal function is primitives applied to primitives:
-eq[first[e]; QUOTE], first[rest[rest[fn]]].  An application whose head is
-a symbol and whose one or two operands are symbols, quoted constants and
-such applications, at most eight high, gets a plan when it is analysed,
-which applies the tree in one go: the superinstruction of Piumarta and
-Riccardi ("Optimizing direct threaded code by selective inlining", PLDI
-1998).  A plan pushes nothing on the stack of expressions under
-evaluation, since its nesting is fixed and its height is checked against
-the depth cap before it runs.  Where a primitive faults or a symbol is
-unbound inside it, the error is raised as a signal that each nested
-application it leaves adds itself to, and the loop rebuilds the trace
-from that path: what the trace costs is paid on the raise, not on the way
-in, as with the zero-cost exceptions of CPython 3.11.
+An application with a symbol head, and a COND, is a step.  Where the
+loop meets a step in an environment, it first resolves it there (see
+below): it reads the binding of its head, and builds a get for each
+operand or test that can be evaluated in place.  A symbol and a quoted
+constant have one.  So has a plan: an application of one or two
+operands that have gets, whose head is bound to a primitive of that
+arity, in a tree at most eight high.  Most of the universal function is
+primitives applied to primitives, eq[first[e]; QUOTE],
+first[rest[rest[fn]]], and a plan applies such a tree in one go: the
+superinstruction of Piumarta and Riccardi ("Optimizing direct threaded
+code by selective inlining", PLDI 1998), chosen here by the bindings
+rather than by the form alone.  The loop evaluates the operands or tests
+through their gets, up to the first that has none, such as append's
+app[rest[x]; y] in combine[first[x]; app[rest[x]; y]].  There the step
+suspends: the loop pushes its frame and goes on with that operand, and
+resumes the step in place when the value comes back.  It then calls the
+primitive, or binds the closure's parameters and goes on with its body,
+or goes on with the chosen result.
 
-An application with a symbol head, and a COND, is a step.  The loop
-first reads the bindings of its head and of its plans' heads, and
-nothing else.  It evaluates the operands or tests in place, symbols,
-quoted constants and plans whose heads are primitives of the arity used,
-up to the first that is none of these, such as append's app[rest[x]; y]
-in combine[first[x]; app[rest[x]; y]].  There the step suspends: the
-loop pushes its frame and goes on with that operand, and resumes the
-step in place when the value comes back.  It then calls the primitive,
-or binds the closure's parameters and goes on with its body, or goes on
-with the chosen result.  Where the plans' height does not fit under the
-depth cap, or an application's head is unbound or not a symbol, the loop
-evaluates each operand, head or test itself, checking the cap at each.
-So the order, the primitive calls, the errors and the traces are those
-of the universal function.  There is no tail-call elimination: a form
-stays on the stack until the body or result it goes on with has its
-value, as in the universal function, so the depth, where it runs out
-and every trace stay the same.
+A get pushes nothing on the stack of expressions under evaluation: its
+nesting is fixed, and the height the step's gets reach is checked
+against the depth cap before any runs.  Where it does not fit, or an
+application's head is unbound or not a symbol, the loop evaluates each
+operand, head or test itself, checking the cap at each.  Where a
+primitive faults or a symbol is unbound inside a get, the error is
+raised as a signal that each nested application it leaves adds itself
+to, and the loop rebuilds the trace from that path: what the trace costs
+is paid on the raise, not on the way in, as with the zero-cost
+exceptions of CPython 3.11.  So the order, the primitive calls, the
+errors and the traces are those of the universal function.  There is no
+tail-call elimination: a form stays on the stack until the body or
+result it goes on with has its value, as in the universal function, so
+the depth, where it runs out and every trace stay the same.
 
-A step remembers where its heads are bound: the inline cache of Deutsch
-and Schiffman ("Efficient implementation of the Smalltalk-80 system",
-POPL 1984).  Applying a closure binds its parameters, then its LABEL
-name (to the closure itself), in front of the environment it captured;
-the closure owns the environment this makes.  Every environment of one
-owner has that layout, so a symbol's innermost binding sits at one index
-in all of them, its lexical address (SICP, section 5.5.6), and only the
-parameters' values differ.  So a step keeps, under the owner, its head's
-address, through which it reads the head on every hit, and the functions
-of the primitives its plans' heads are bound to; a plan whose head is a
-parameter gets no get there, and runs as a step.  A recursive function
-and the meta evaluator re-enter one closure object on every call, so
-nearly every lookup of a head is skipped.  The key is the closure and not
-the scope: one form object can sit in several scopes, and one LAMBDA
+A step keeps what it resolved, per owning closure: the inline cache of
+Deutsch and Schiffman ("Efficient implementation of the Smalltalk-80
+system", POPL 1984).  Applying a closure binds its parameters, then its
+LABEL name (to the closure itself), in front of the environment it
+captured; the closure owns the environment this makes.  Every
+environment of one owner has that layout, so a symbol's innermost
+binding sits at one index in all of them, its lexical address (SICP,
+section 5.5.6), and only the parameters' values differ.  So a step
+keeps, under the owner, its head's address, through which it reads the
+head on every hit, and its gets; no get applies a parameter, so a plan
+whose head is a parameter gets no get, and runs as a step.  A recursive
+function and the meta evaluator re-enter one closure object on every
+call, so nearly every step is resolved once.  The key is the closure and
+not the scope: one form object can sit in several scopes, and one LAMBDA
 form makes closures over different environments, but each environment
-has at most one owner.  Other environments have none, and their lookups
-are not kept.  The cache lives on the step, so it outlives a run: a
-closure that a later call applies again, such as the meta evaluator of a
-universal_env, finds its heads resolved.  It keeps no value a head is
-bound to, and refers to its owner weakly, so that a closure's body keeps
-no closure alive, itself included.  Its entry is one tuple, read once and
-replaced whole, so a thread that evaluates a form another thread
-evaluates too sees one owner's answer, never parts of two.
+has at most one owner.  Other environments have none, and a step is
+resolved each time it is evaluated in one.  The cache lives on the step,
+so it outlives a run: a closure that a later call applies again, such as
+the meta evaluator of a universal_env, finds its steps resolved.  It
+keeps no value a head is bound to, only the functions of the primitives
+its plans apply, and refers to its owner weakly, so that a closure's
+body keeps no closure alive, itself included.  Its entry is one tuple,
+read once and replaced whole, so a thread that evaluates a form another
+thread evaluates too sees one owner's answer, never parts of two.
 
 Evaluation depth is the number of expressions under evaluation, capped
 (default 10000, configurable); passing the cap raises an EvalError of kind
@@ -125,6 +129,10 @@ class Kernel(enum.Enum):
     LIST = "list"
     PAIR = "pair"
 
+    # Members are singletons, equal only to themselves: hashing by identity
+    # keeps Enum's Python-level __hash__ off every per-kernel table lookup.
+    __hash__ = object.__hash__
+
 
 DEFAULT_MAX_DEPTH = 10_000
 
@@ -135,10 +143,8 @@ _QUOTE = Symbol("QUOTE")
 _COND = Symbol("COND")
 _LAMBDA = Symbol("LAMBDA")
 _LABEL = Symbol("LABEL")
-# The special forms whose nodes are made from no inner form (see _analyse).
-_LEAVES = frozenset((_QUOTE, _LAMBDA, _LABEL))
 
-# The height of the highest tree of applications that has a plan; see _step.
+# The height of the highest tree of applications that has a plan; see _get.
 _PLAN_HEIGHT = 8
 
 # The kinds of node (see _node): what the loop does with the form.
@@ -146,8 +152,8 @@ _PLAN_HEIGHT = 8
 _APPLY, _CHOOSE, _CONSTANT, _CLOSE, _NAME, _FAIL = range(6)
 
 # The entry of a step's empty cache: its owner is None, which owns nothing
-# (see _step).
-_NO_ENTRY = (lambda: None, None, None, None)
+# (see _resolve).
+_NO_ENTRY = (lambda: None, None, 1, ())
 
 
 @dataclass(frozen=True)
@@ -265,16 +271,16 @@ class _Interp:
 
         Each expression is pushed on self.stack and evaluated: a symbol, a
         quoted constant and a LAMBDA at once, an application or a COND as
-        a step (see _step), a LABEL by its body.  What a form does not
-        evaluate in place is evaluated above its frame, (node, env, fns,
-        gets, values, level): fns and gets are what _resolve gave the step
-        (all gets are None where the loop evaluates every item), values
-        holds the head's and the operands' values so far, or an F for each
-        test that gave F, and level is len(self.stack) with the form on
-        top, to which the stack is cut back before the frame resumes.  A
-        form's node is the one it keeps from an earlier evaluation, in this
-        run or another, or is made now (see _analyse).  A _Signal from a
-        get becomes its EvalError here, with the trace rebuilt.
+        a step (see _resolve), a LABEL by its body.  What a form does not
+        evaluate in place is evaluated above its frame, (node, env, gets,
+        values, level): gets are what _resolve gave the step (all None
+        where the loop evaluates every item), values holds the head's and
+        the operands' values so far, or an F for each test that gave F, and
+        level is len(self.stack) with the form on top, to which the stack
+        is cut back before the frame resumes.  A form's node is the one it
+        keeps from an earlier evaluation, in this run or another, or is
+        made now (see _analyse).  A _Signal from a get becomes its
+        EvalError here, with the trace rebuilt.
         """
         frames = []
         stack = self.stack
@@ -300,18 +306,18 @@ class _Interp:
                         node = _analyse(expr, kernel)
                     kind, step, body = node
                     if kind <= _CHOOSE:
-                        height, _, cache, forms, _, _, _, choice = step
-                        owner, at, fns, gets = cache[0]
+                        _, cache, forms, choice = step
+                        owner, at, height, gets = cache[0]
+                        if not (owner() is env.owner is not None):
+                            at, height, gets = _resolve(step, env, kernel)
                         if len(stack) + height > max_depth:
-                            at, fns, gets = None, None, (None,) * len(forms)
-                        elif not (owner() is env.owner is not None):
-                            at, fns, gets = _resolve(step, env)
+                            at, gets = None, (None,) * len(forms)
                         fn = None if at is None else env.bindings[at][1]
                         if choice is not None:
                             for i, get in enumerate(gets):
                                 if get is None:
                                     break
-                                t = get(env, fns)
+                                t = get(env)
                                 if t is T:
                                     break
                                 if t is not F:
@@ -327,7 +333,7 @@ class _Interp:
                             for get in gets:
                                 if get is None:
                                     break
-                                args.append(get(env, fns))
+                                args.append(get(env))
                             else:
                                 if isinstance(fn, Closure):
                                     env = self._bind(fn, args)
@@ -338,7 +344,7 @@ class _Interp:
                             values = [fn, *args]
                         else:  # the loop evaluates the head and each operand
                             gets, values = (None,) * len(forms), []
-                        frames.append((node, env, fns, gets, values, len(stack)))
+                        frames.append((node, env, gets, values, len(stack)))
                         expr = forms[len(values)]
                         continue
                     if kind == _CONSTANT:
@@ -348,20 +354,20 @@ class _Interp:
                         value = Closure(step, body, env)
                         break
                     if kind == _NAME:
-                        frames.append((node, env, None, None, None, len(stack)))
+                        frames.append((node, env, None, None, len(stack)))
                         expr = body
                         continue
                     raise self._error(Fault.MALFORMED, step)
                 while frames:  # resume the top frame with value
-                    node, env, fns, gets, values, level = frames[-1]
+                    node, env, gets, values, level = frames[-1]
                     del stack[level:]
                     kind, step, _ = node
                     if kind == _APPLY:
-                        forms = step[3]
+                        forms = step[2]
                         values.append(value)
                         i = len(values)
                         while i < len(forms) and gets[i - 1] is not None:
-                            values.append(gets[i - 1](env, fns))
+                            values.append(gets[i - 1](env))
                             i += 1
                         if i < len(forms):
                             expr = forms[i]
@@ -374,11 +380,11 @@ class _Interp:
                             break
                         value = self._apply(fn, args)
                     elif kind == _CHOOSE:
-                        forms, (results, end) = step[3], step[7]
+                        _, _, forms, (results, end) = step
                         i = len(values)  # the test whose value this is
                         while value is F and i + 1 < len(forms) and gets[i + 1]:
                             i += 1
-                            value = gets[i](env, fns)
+                            value = gets[i](env)
                         if value is T:
                             frames.pop()
                             expr = results[i]
@@ -461,7 +467,7 @@ _SELF = {Kernel.LIST: (T, F), Kernel.PAIR: (T, F, NIL)}
 
 
 class _Signal(Exception):
-    """A kernel fault or an unbound symbol inside a plan, on its way to the loop.
+    """A kernel fault or an unbound symbol inside a get, on its way to the loop.
 
     args are (cause, path): cause is the KernelError or the unbound symbol,
     and path the forms the loop would have had on its stack above the
@@ -481,65 +487,36 @@ def _sequence(v, kernel):
     return kernel_pair.heads(v)
 
 
-def _kept(form, kernel):
-    """The node form keeps for kernel, or None if it keeps none."""
-    if form.__class__ is _FORM[kernel]:
-        try:
-            return form._node
-        except AttributeError:
-            pass
-    return None
-
-
 def _analyse(form, kernel):
-    """The node of a compound form of kernel, made on its first evaluation.
+    """The node of form for kernel: the one it keeps, or one made now.
 
     The node is kept on the form, in the _node slot of its list cell or
-    pair, which is no part of the value.  A ProperList is only ever
-    a form of the list kernel and a Pair one of the pair kernel, so the
-    node a form keeps is its kernel's; a form of the other kernel, and
-    any other value, is analysed again each time, into a node that raises.
-
-    The operands of an application with a symbol head and the tests of a
-    COND are analysed before it, so that its plan and step can be made
-    from their nodes: every form reached from form through them gets its
-    node here, before its own first evaluation, on an explicit stack.  A
-    form met again inside itself (a cyclic pair-kernel form) has no node
-    yet where it is reached, so the loop always evaluates it there.
+    pair, which is no part of the value.  A ProperList is only ever a form
+    of the list kernel and a Pair one of the pair kernel, so the node a
+    form keeps is its kernel's; a form of the other kernel, and any other
+    value, is analysed again each time, into a node that raises.  Only
+    form itself is analysed: its inner forms get their nodes where they
+    are evaluated, or where a step's gets are built (see _get).
     """
-    todo = [(form, None)]  # (form, its items once its inner forms are queued)
-    opened = set()  # ids of the forms whose inner forms are queued
-    while todo:
-        f, items = todo.pop()
-        if items is None:
-            if id(f) in opened or (f is not form and _kept(f, kernel) is not None):
-                continue
-            items = _sequence(f, kernel)
-            if items and isinstance(items[0], Symbol) and items[0] not in _LEAVES:
-                opened.add(id(f))
-                todo.append((f, items))
-                inner = items[1:]
-                if items[0] is _COND:
-                    inner = _clauses(inner, kernel)[0]
-                for x in inner:
-                    if not isinstance(x, Symbol):
-                        todo.append((x, None))
-                continue
-        node = _node(f, items, kernel)
-        if f.__class__ is _FORM[kernel]:
-            object.__setattr__(f, "_node", node)  # past __setattr__
-    return node  # form's, which is made last
+    if form.__class__ is not _FORM[kernel]:
+        return _node(form, _sequence(form, kernel), kernel)
+    try:
+        return form._node
+    except AttributeError:
+        node = _node(form, _sequence(form, kernel), kernel)
+        object.__setattr__(form, "_node", node)  # past __setattr__
+        return node
 
 
 def _node(form, items, kernel):
     """(kind, a, b): what the loop does with form (see _Interp.run).
 
-    _CONSTANT: QUOTE, a is the value.  _CLOSE: LAMBDA, a and b are the
-    parameters and the body.  _NAME: LABEL, a and b are the name and the
-    body.  _CHOOSE: COND, a is its step.  _APPLY: any other form, a is its
-    step and b its plan or None (see _step).  _FAIL: malformed syntax, a
-    is the message, so it fails only where it is evaluated.  A node refers
-    to form's inner forms, never to form itself, so it is freed with form.
+    _CONSTANT: QUOTE, a is the value and b its get (see _get).  _CLOSE:
+    LAMBDA, a and b are the parameters and the body.  _NAME: LABEL, a and
+    b are the name and the body.  _CHOOSE: COND, and _APPLY: any other
+    form, a is its step (see _resolve).  _FAIL: malformed syntax, a is the
+    message, so it fails only where it is evaluated.  A node refers to
+    form's inner forms, never to form itself, so it is freed with form.
     """
     if items is None:
         detail = f"not an expression of the {kernel.value} kernel: {form!r}"
@@ -547,11 +524,12 @@ def _node(form, items, kernel):
         detail = "the empty list is not a form"
     elif items[0] is _QUOTE:
         if len(items) == 2:
-            return (_CONSTANT, items[1], None)
+            constant = items[1]
+            return (_CONSTANT, constant, lambda env: constant)
         detail = "QUOTE takes exactly one operand"
     elif items[0] is _COND:
         tests, results, end = _clauses(items[1:], kernel)
-        return (_CHOOSE, _step(tests, kernel, (results, end))[1], None)
+        return (_CHOOSE, (None, [_NO_ENTRY], tuple(tests), (results, end)), None)
     elif items[0] is _LAMBDA:
         params = _sequence(items[1], kernel) if len(items) == 3 else None
         if len(items) != 3:
@@ -567,8 +545,8 @@ def _node(form, items, kernel):
             return (_NAME, items[1], items[2])
         detail = "LABEL takes an atom and a body"
     else:
-        plan, step = _step(items, kernel)
-        return (_APPLY, step, plan)
+        head = items[0] if isinstance(items[0], Symbol) else None
+        return (_APPLY, (head, [_NO_ENTRY], tuple(items), None), None)
     return (_FAIL, detail, None)
 
 
@@ -589,104 +567,117 @@ def _clauses(clauses, kernel):
     return tests, results, (Fault.COND_EXHAUSTED, "no COND test evaluated to T")
 
 
-def _step(forms, kernel, choice=None):
-    """(plan, step) of an application, whose items are forms, or a COND.
+def _resolve(step, env, kernel):
+    """(at, height, gets) of a step in env, kept in its cache where that is sound.
 
-    A step is (height, head, cache, forms, heads, gets, needs, choice).
-    For a COND, forms are its tests, choice is (results, end) (see
-    _clauses) and head is None.  For an application, forms are its items,
-    head first, choice is None, and head is None unless a symbol.  gets
-    and needs are those of the operands or tests (see _operands), heads
-    the (symbol, arity) pairs of their plans, and height the levels the
-    gets reach above the form.  cache is a list of one entry, (owner, at,
-    fns, gets): what _resolve found in an environment of owner(), with at
-    the index of the head's binding there (owner is a weak reference; see
-    _resolve).  The entry is read once and replaced whole, so a thread
-    never sees half of another's; it starts as _NO_ENTRY.
+    A step is (head, cache, forms, choice).  For an application, forms
+    are its items, head first, head is that symbol or None, and choice is
+    None.  For a COND, forms are its tests, head is None and choice is
+    (results, end) (see _clauses).  cache is a list of one entry, (owner,
+    at, height, gets), which starts as _NO_ENTRY.
 
-    A plan is (height, heads, head, gets): the application applies head
-    to what its operands' gets give, and heads, which here include head,
-    are what it needs of fns.  An application has a plan when it has one
-    or two operands, as every primitive takes, each operand has a get, its
-    height is at most _PLAN_HEIGHT and its head has one arity in the whole
-    tree.
+    at is the index of the head's binding in env.bindings (None for a
+    COND, or if unbound), so the head is env.bindings[at][1].  gets holds
+    one get per operand or test, or None where the loop evaluates it (see
+    _get); an application whose head the loop evaluates gets none.
+    height is the highest level the gets reach above the step's form, and
+    at least 1, the level of the head or first test the loop would push
+    itself, so that a step on the cap leaves the cap to the loop.  Only
+    bindings are read.
+
+    Every environment of one owner has one layout (see _Interp._bind): the
+    owner's parameters, its LABEL name if it has one, then the bindings it
+    captured, the same tuple each time.  So a symbol's innermost binding
+    sits at one index in each, and a symbol that is no parameter is bound
+    to one value in each: the entry serves every environment of its owner,
+    since no plan applies a parameter.  It holds the owner by a weak
+    reference, and no value a head is bound to, only the functions of the
+    primitives its gets apply: the owner's body holds the step, so a
+    strong reference there would make a cycle, and the closure and its
+    forms would outlive their last use until a cycle collection.  The
+    entry is read once and replaced whole, so a thread never sees half of
+    another's.  An environment of no owner has its step resolved each
+    time.
     """
-    cache = [_NO_ENTRY]
-    head = forms[0] if choice is None else None
-    if choice is None and not isinstance(head, Symbol):
-        return None, (0, None, cache, tuple(forms), (), (), (), None)
-    operands = forms if head is None else forms[1:]
-    height, heads, gets, needs = _operands(operands, kernel)
-    step = (
-        height, head, cache, tuple(forms), tuple(heads.items()), gets, needs, choice
-    )
-    if (
-        choice is not None
-        or len(gets) not in (1, 2)
-        or None in gets
-        or height > _PLAN_HEIGHT
-        or heads.setdefault(head, len(gets)) != len(gets)
-    ):
-        return None, step
-    return (height, tuple(heads.items()), head, gets), step
+    head, cache, forms, choice = step
+    bindings, owner = env.bindings, env.owner
+    at = None if head is None else _address(head, bindings)
+    height, gets = 1, []
+    if at is not None or choice is not None:
+        params = () if owner is None else owner.params
+        for x in forms if choice is not None else forms[1:]:
+            get, reach = _get(x, _PLAN_HEIGHT + 1, bindings, params, kernel)
+            gets.append(get)
+            height = max(height, reach)
+    if owner is not None:
+        cache[0] = weakref.ref(owner), at, height, gets
+    return at, height, gets
 
 
-def _operands(forms, kernel):
-    """(height, heads, gets, needs) of the operands or tests forms.
+def _get(x, room, bindings, params, kernel):
+    """(get, reach): how an operand or test x of a step is evaluated in place.
 
-    gets[i](env, fns) evaluates forms[i] in env without the loop, given
-    fns (see _resolve): forms[i] is a symbol, a quoted constant or an
-    application with a plan, whose heads are needs[i].  Any other form
-    has None, as has a plan that uses a head at another arity than an
-    earlier one.  heads maps each symbol of needs to its arity, and the
-    height is the highest level the gets reach, at least 1.
+    get(env) evaluates x in env, an environment with bindings' layout,
+    without the loop, and reach is the highest level it takes above the
+    form x is an operand of, at most room; or get is None, and the loop
+    evaluates x.  x has a get when it is a symbol, a quoted constant, or a
+    plan: an application of one or two operands, each with a get, whose
+    head is no parameter of the owner (params) and is bound to a Primitive
+    of that arity.  A step's operands have room _PLAN_HEIGHT + 1, so a
+    plan's tree is at most _PLAN_HEIGHT high.
 
     The gets take the steps the loop would take, in the same order, and
     each primitive is called once through its fn.  They push nothing on
     the loop's stack: a plan's nesting is fixed, and the loop checks its
-    height against the cap before it runs a get.  A KernelError or an
+    reach against the cap before it runs a get.  A KernelError or an
     unbound symbol raises a _Signal instead, which each nested get adds
     its form to on the way out, so the trace is rebuilt only when there is
     an error.  The gets recurse on the host stack once per level, which
-    _PLAN_HEIGHT bounds.
+    _PLAN_HEIGHT bounds, as it bounds this walk.
     """
-    heads = {}
-    height = 1
-    gets, needs = [], []
-    for x in forms:
-        get, need = None, _NO_HEADS
-        if isinstance(x, Symbol):
-            get = _get_symbol(x, kernel)
-        else:  # with no node, x is a form inside itself or none of kernel
-            kind, a, plan = _kept(x, kernel) or (_FAIL, None, None)
-            if kind == _CONSTANT:
-                get = lambda env, fns, constant=a: constant  # noqa: E731
-            elif kind == _APPLY and plan is not None:
-                sub_height, sub_heads, sub_head, sub_gets = plan
-                if all([heads.get(sym, n) == n for sym, n in sub_heads]):
-                    heads.update(sub_heads)
-                    height = max(height, sub_height + 1)
-                    get = _get_nested(x, sub_head, sub_gets)
-                    need = frozenset(dict(sub_heads))
-        gets.append(get)
-        needs.append(need)
-    return height, heads, tuple(gets), tuple(needs)
+    if isinstance(x, Symbol):
+        return _get_symbol(x, kernel), 1
+    kind, step, get = _analyse(x, kernel)
+    if kind == _CONSTANT:
+        return get, 1
+    if kind != _APPLY or room < 2:
+        return None, 0
+    head, _, forms, _ = step
+    if head is None or head in params or not 2 <= len(forms) <= 3:
+        return None, 0
+    for name, prim in bindings:  # the value, not its address (see _address)
+        if name is head:
+            break
+    else:
+        return None, 0
+    if not (isinstance(prim, Primitive) and prim.arity == len(forms) - 1):
+        return None, 0
+    # The last operand first: lists nest there, so a tree too high for a
+    # plan fails before its other operand is walked.
+    last, reach = _get(forms[-1], room - 1, bindings, params, kernel)
+    if last is None:
+        return None, 0
+    if len(forms) == 2:
+        return _get_nested(x, prim.fn, [last]), reach + 1
+    first, first_reach = _get(forms[1], room - 1, bindings, params, kernel)
+    if first is None:
+        return None, 0
+    return _get_nested(x, prim.fn, [first, last]), max(reach, first_reach) + 1
 
 
-# The needs of a get that needs no head (see _operands).
-_NO_HEADS = frozenset()
-# (symbol, kernel) -> its get: one per symbol, which lives as long.
-_SYMBOL_GETS = {}
+# Per kernel, symbol -> its get: one per symbol, which lives as long.
+_SYMBOL_GETS = {kernel: {} for kernel in Kernel}
 
 
 def _get_symbol(sym, kernel):
     """The get of sym in kernel, made once and kept in _SYMBOL_GETS."""
-    get = _SYMBOL_GETS.get((sym, kernel))
+    gets = _SYMBOL_GETS[kernel]
+    get = gets.get(sym)
     if get is not None:
         return get
     stands = sym in _SELF[kernel]
 
-    def lookup(env, fns):
+    def lookup(env):
         for name, value in env.bindings:
             if name is sym:
                 return value
@@ -695,18 +686,18 @@ def _get_symbol(sym, kernel):
         raise _Signal(sym, [sym])
 
     # setdefault: of two threads making the same get, both keep the first.
-    return _SYMBOL_GETS.setdefault((sym, kernel), lookup)
+    return gets.setdefault(sym, lookup)
 
 
-def _get_nested(form, head, gets):
-    """The get of form, an application with a plan: head applied to gets',
-    of which there are one or two (see _step)."""
+def _get_nested(form, fn, gets):
+    """The get of form, a plan: fn applied to what gets give, of which there
+    are one or two (see _get)."""
     if len(gets) == 1:
         (get,) = gets
 
-        def nested(env, fns):
+        def nested(env):
             try:
-                return fns[head](get(env, fns))
+                return fn(get(env))
             except KernelError as ke:
                 raise _Signal(ke, [form])
             except _Signal as s:
@@ -716,9 +707,9 @@ def _get_nested(form, head, gets):
     else:
         get0, get1 = gets
 
-        def nested(env, fns):
+        def nested(env):
             try:
-                return fns[head](get0(env, fns), get1(env, fns))
+                return fn(get0(env), get1(env))
             except KernelError as ke:
                 raise _Signal(ke, [form])
             except _Signal as s:
@@ -731,55 +722,15 @@ def _get_nested(form, head, gets):
 def _address(sym, bindings):
     """The index of sym's innermost binding in bindings, or None if unbound.
 
-    The one walk of an environment: Env.lookup, _Interp._lookup and
-    _resolve read through it.  A symbol's get walks inline (see
-    _get_symbol), since every owner shares it, so it has no address.
+    The one walk of an environment for an address: Env.lookup,
+    _Interp._lookup and _resolve read through it.  A symbol's get, which
+    every owner shares, and _get, which wants the value a plan's head is
+    bound to, walk inline for the value.
     """
     for at, (name, _) in enumerate(bindings):
         if name is sym:
             return at
     return None
-
-
-def _resolve(step, env):
-    """(at, fns, gets) of a step in env, kept in its cache where that is sound.
-
-    at is the index of the head's binding in env.bindings (None for a
-    COND, or if unbound), so the head is env.bindings[at][1].  fns maps
-    each symbol of heads that env binds to a Primitive of the arity used,
-    and that is no parameter of env's owner, to its fn.  gets is the
-    step's, with None for each operand or test whose plan needs a head
-    that fns lacks, so that the operand runs as a step.  Only bindings are
-    read.
-
-    Every environment of one owner has one layout (see _Interp._bind): the
-    owner's parameters, its LABEL name if it has one, then the bindings it
-    captured, the same tuple each time.  So a symbol's innermost binding
-    sits at one index in each, and a symbol that is no parameter is bound
-    to one value in each: the entry, (owner, at, fns, gets), serves every
-    environment of its owner, since fns leaves the parameters out.  It
-    holds the owner by a weak reference, and no value a head is bound to:
-    the owner's body holds the step, so a strong reference there would
-    make a cycle, and the closure and its forms would outlive their last
-    use until a cycle collection.
-    """
-    _, head, cache, _, heads, gets, needs, _ = step
-    bindings = env.bindings
-    at = None if head is None else _address(head, bindings)
-    owner = env.owner
-    params = () if owner is None else owner.params
-    fns = {}
-    for sym, arity in heads:
-        i = _address(sym, bindings)
-        if i is not None and sym not in params:
-            value = bindings[i][1]
-            if isinstance(value, Primitive) and value.arity == arity:
-                fns[sym] = value.fn
-    if len(fns) < len(heads):
-        gets = tuple([g if n <= fns.keys() else None for g, n in zip(gets, needs)])
-    if owner is not None:
-        cache[0] = weakref.ref(owner), at, fns, gets
-    return at, fns, gets
 
 
 def eval_sexpr(expr, env=None, kernel=Kernel.LIST, max_depth=DEFAULT_MAX_DEPTH):

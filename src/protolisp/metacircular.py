@@ -9,11 +9,15 @@ kept for comparison so the shipped source and its S-form cannot drift.
 
 The meta evaluator has no closure objects of its own: abstractions and
 recursion forms evaluate to themselves and are applied as expressions, and
-meta-environments are association lists of two-element lists.  Programs
-whose value is plain data therefore evaluate to the same value under
-meta_eval and under the host directly.  Errors at the meta level (an
-unbound meta-variable, say) surface as whatever host fault the stuck
-kernel operation raises.
+meta-environments are association lists of two-element lists.  So it
+applies a LAMBDA in the caller's environment, not the one it was written
+in: dynamic scope, the "funarg" behaviour of LISP 1, where the host is
+lexical.  A closure applied where its free variable is bound again sees
+the new binding: lambda[[x]; lambda[[f]; lambda[[x]; f[C]][B]][lambda[[y];
+x]]][A] is A on the host and B under meta_eval.  First-order programs
+whose value is plain data evaluate to the same value under both.  Errors
+at the meta level (an unbound meta-variable, say) surface as whatever
+host fault the stuck kernel operation raises.
 """
 
 from importlib import resources

@@ -911,8 +911,8 @@ def test_reapplied_closures_agree_with_the_recursive_reference(program, x, y, ke
 # deep copies, which keep none: each path analyses forms of its own.
 
 
-def _no_gets(forms, kernel):
-    return 1, {}, (None,) * len(forms), (frozenset(),) * len(forms)
+def _no_get(*args):
+    return None, 0
 
 
 def _nodes_under(*roots):
@@ -937,11 +937,11 @@ def _nodes_under(*roots):
 def through_the_loop(expr, env, kernel, max_depth):
     expr, env = copy.deepcopy((expr, env))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(evaluator, "_operands", _no_gets)
+        mp.setattr(evaluator, "_get", _no_get)
         got = outcome(eval_sexpr, expr, env, kernel, max_depth)
-    for kind, step, plan in _nodes_under(expr, env):  # so it ran no plan
+    for kind, step, _ in _nodes_under(expr, env):  # so it ran no get
         if kind in (evaluator._APPLY, evaluator._CHOOSE):
-            assert plan is None and set(step[5]) <= {None}
+            assert set(step[1][0][3]) <= {None}
     return got
 
 
@@ -1027,7 +1027,8 @@ def test_a_primitive_of_three_operands_is_a_step_inside_a_planned_tree(kernel):
     expr = program(kernel, "combine[pick[first[x]; x; rest[x]]; ()]")
     got = three_ways(expr, env, kernel, DEPTH)
     assert got == ("value", in_kernel(kernel, read_sexpr("(B)")))
-    assert expr.tail.head._node[2] is None  # PICK's application has no plan
+    # PICK's application has no get, though COMBINE's step resolves.
+    assert evaluator._resolve(expr._node[1], env, kernel)[2][0] is None
     # A kernel fault inside PICK, and inside one of its operands.
     for text in ("pick[x; x; first[x]]", "pick[x; first[A]; x]"):
         got = three_ways(program(kernel, f"combine[{text}; ()]"), env, kernel, DEPTH)
@@ -1261,7 +1262,7 @@ def test_an_error_inside_a_plan_has_the_trace_of_the_universal_function(
     if cause == "unbound" and level == 8:
         assert len(expected[2]) == 8 and expected[2][-1] is Symbol("ZZ")
     if not wrapped:  # the step evaluated its operands in place, the tree as a plan
-        assert None not in expr._node[1][5]
+        assert None not in evaluator._resolve(expr._node[1], env, kernel)[2]
 
 
 def test_a_second_meta_eval_analyses_only_its_own_program(monkeypatch):
@@ -1283,10 +1284,10 @@ def test_a_second_meta_eval_analyses_only_its_own_program(monkeypatch):
     for expr in (app, translate(read_fexpr("first[(A, B)]"))):
         made.clear()
         meta_eval(expr, env)
-        # (METAEVAL, (QUOTE, expr), (QUOTE, ())), its operands first.
-        program = made[-1]
+        # (METAEVAL, (QUOTE, expr), (QUOTE, ())), then its operands.
+        program = made[0]
         assert program.items[0] is Symbol("METAEVAL") and program.items[1].items[1] is expr
-        assert sorted(map(id, made[:-1])) == sorted(map(id, program.items[1:]))
+        assert sorted(map(id, made[1:])) == sorted(map(id, program.items[1:]))
     assert first > 3
 
 
@@ -1431,8 +1432,8 @@ def test_threads_share_nodes_and_step_caches():
 
 
 def test_a_closure_is_freed_with_its_last_reference_though_its_body_kept_steps():
-    # The steps of its body hold it weakly, and its own name as a marker, so
-    # no cycle runs from the body back to the closure.
+    # The steps of its body hold it weakly, and keep where its name is
+    # bound, not the closure, so no cycle runs from the body back to it.
     app = program(Kernel.LIST, "label[app; lambda[[x; y]; [null[x] -> y;"
                   " T -> combine[first[x]; app[rest[x]; y]]]]]")
     x, y = read_sexpr("(A, B)"), read_sexpr("(C)")
@@ -1482,7 +1483,7 @@ def test_a_closure_that_an_inner_closure_calls_by_name_is_freed_with_its_last_re
 @pytest.mark.parametrize("kernel", [Kernel.LIST, Kernel.PAIR])
 def test_a_plan_headed_by_a_parameter_runs_as_a_step(kernel):
     # f is a parameter of the owner, so the step of combine[f[x]; ()] keeps
-    # no function for it, and f[x] runs as a step in every frame, whatever
+    # no get for f[x], which runs as a step in every frame, whatever
     # f is bound to there; the head COMBINE is kept as its address.
     fn = eval_sexpr(program(kernel, "lambda[[f; x]; combine[f[x]; ()]]"), kernel=kernel)
     prims = default_env(kernel)
@@ -1490,11 +1491,65 @@ def test_a_plan_headed_by_a_parameter_runs_as_a_step(kernel):
     for f, expected in ((_FIRST, "(A)"), (_REST, "((B))"), (_FIRST, "(A)")):
         got = apply_fn(fn, [prims.lookup(f), ab], kernel, DEPTH)
         assert got == in_kernel(kernel, read_sexpr(expected))
-    owner, at, fns, gets = fn.body._node[1][2][0]
-    assert owner() is fn and fns == {} and gets[0] is None
+    owner, at, height, gets = fn.body._node[1][1][0]
+    assert owner() is fn and gets[0] is None
     assert prims.bindings[at - len(fn.params)][0] is COMBINE
     # A fault inside f[x] has the trace of the universal function.
     text = ("lambda[[g]; combine[g[first; (A, B)]; g[first; A]]]"
             "[lambda[[f; x]; combine[f[x]; ()]]]")
     got = three_ways(program(kernel, text), None, kernel, DEPTH)
     assert got[0] is Fault.KERNEL_FAULT and got[2][-1] == program(kernel, "f[x]")
+
+
+@pytest.mark.parametrize("kernel", [Kernel.LIST, Kernel.PAIR])
+@pytest.mark.parametrize(
+    "text, last_of_arity_1",
+    [
+        ("combine[p[x]; p[x; x]]", "p[x; x]"),
+        ("combine[p[p[x]; x]; p[x]]", "p[p[x]; x]"),
+        ("p[first[x]; p[x]]", "p[first[x]; p[x]]"),
+    ],
+)
+@pytest.mark.parametrize("arity", [1, 2])
+def test_a_head_used_at_two_arities_in_one_tree_fails_where_the_arity_is_wrong(
+    kernel, text, last_of_arity_1, arity
+):
+    # P is applied to one operand and to two in one tree.  The applications
+    # of P's own arity may be plans; the others run as steps, and the first
+    # to be applied fails as in the universal function.  The closure is
+    # applied twice: once resolving its steps, once through its cache.
+    first = default_env(kernel).lookup(_FIRST).fn
+    p = Primitive("P", arity, first if arity == 1 else lambda x, y: first(x))
+    env = default_env(kernel).extend([(Symbol("P"), p)])
+    fn = eval_sexpr(program(kernel, f"lambda[[x]; {text}]"), env, kernel)
+    env = env.extend([(Symbol("F"), fn)])
+    last = program(kernel, last_of_arity_1 if arity == 1 else "p[x]")
+    for _ in range(2):
+        got = three_ways(program(kernel, "f[(A, B)]"), env, kernel, DEPTH)
+        assert got[:2] == (Fault.ARITY, f"P expects {arity} argument(s), got {3 - arity}")
+        assert got[2][-1] == last
+
+
+@pytest.mark.parametrize("kernel", [Kernel.LIST, Kernel.PAIR])
+@pytest.mark.parametrize(
+    "body, data, expected",
+    [
+        ("first[first[y]]", "(((A), B), ((C), D), ((E)))", "(A, C, E)"),
+        # first[first[(C, D)]] applies FIRST to the atom C.
+        ("first[first[y]]", "(((A), B), (C, D))", Fault.KERNEL_FAULT),
+        ("first[first[zz]]", "(((A), B))", Fault.UNBOUND),
+    ],
+)
+def test_a_plan_in_a_closure_made_anew_on_each_call(kernel, body, data, expected):
+    # Each call makes a new closure of the inner LAMBDA and applies it
+    # once, so its step is resolved, and its plan built, for each element.
+    text = (f"label[f; lambda[[x]; [null[x] -> (); T -> combine["
+            f"lambda[[y]; {body}][first[x]]; f[rest[x]]]]]][{data}]")
+    got = three_ways(program(kernel, text), None, kernel, DEPTH)
+    if expected is Fault.KERNEL_FAULT:
+        assert got[0] is expected and got[2][-1] == program(kernel, body)
+    elif expected is Fault.UNBOUND:
+        assert got[:2] == (expected, "unbound symbol: ZZ")
+        assert got[2][-3:] == (program(kernel, body), program(kernel, "first[zz]"), Symbol("ZZ"))
+    else:
+        assert got == ("value", in_kernel(kernel, read_sexpr(expected)))

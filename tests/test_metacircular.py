@@ -15,9 +15,11 @@ import helpers
 from protolisp import (
     NULL,
     EvalError,
+    Kernel,
     ProperList,
     Symbol,
     eval_sexpr,
+    list_to_pair,
     load_universal,
     meta_eval,
     print_sexpr,
@@ -88,6 +90,18 @@ def test_quoted_constant(env):
 def test_abstraction_application(env):
     v = meta("((LAMBDA, (X), (FIRST, X)), (QUOTE, (A, B)))", env)
     assert v == Symbol("A")
+
+
+def test_a_closure_sees_its_free_variable_rebound_only_under_the_meta_evaluator(env):
+    # The host closes the inner LAMBDA over X = A.  The meta evaluator
+    # applies the LAMBDA form in the caller's environment, where X is B:
+    # dynamic scope, LISP 1's funarg behaviour.
+    form = translate(read_fexpr(
+        "lambda[[x]; lambda[[f]; lambda[[x]; f[C]][B]][lambda[[y]; x]]][A]"
+    ))
+    assert eval_sexpr(form) == Symbol("A")
+    assert eval_sexpr(list_to_pair(form), kernel=Kernel.PAIR) == Symbol("A")
+    assert meta_eval(form, env, max_depth=META_DEPTH) == Symbol("B")
 
 
 def test_recursion_through_an_atom_named_after_a_truth_value(env):
