@@ -8,10 +8,14 @@ produced by its body a name visible inside that body.  Everything else is
 application: head and arguments evaluate left to right, then the head's
 value is applied.
 
-Environments are association lists: lookup returns the innermost binding
-and extension never touches the parent.  Closures capture their definition
-environment, so scope is lexical; LABEL (or a definition written with it)
-is what covers recursion.
+An environment is a chain of frames, as LISP 1.5's pairlis conses a
+call's bindings onto the a-list it shares: applying a closure makes one
+frame of its parameters (and its LABEL name) over the environment the
+closure captured, which is shared and never copied, so a call costs the
+same whatever is bound around it.  Lookup returns the innermost binding,
+and extension never touches the parent.  Closures capture their
+definition environment, so scope is lexical; LABEL (or a definition
+written with it) is what covers recursion.
 
 The same interpreter runs over either kernel.  Expressions are proper
 lists of the active kernel, and the primitive names FIRST/REST/COMBINE and
@@ -85,20 +89,22 @@ the depth, where it runs out and every trace stay the same.
 
 A step keeps what it resolved, per owning closure: the inline cache of
 Deutsch and Schiffman ("Efficient implementation of the Smalltalk-80
-system", POPL 1984).  Applying a closure binds its parameters, then its
-LABEL name (to the closure itself), in front of the environment it
-captured; the closure owns the environment this makes.  Every
-environment of one owner has that layout, so a symbol's innermost
-binding sits at one index in all of them, its lexical address (SICP,
+system", POPL 1984).  Applying a closure makes a frame of its
+parameters, then its LABEL name (bound to the closure itself), over the
+environment it captured; the closure owns the environment this makes.
+Every environment of one owner is such a frame over the same captured
+environment, so a symbol's innermost binding sits at one address in all
+of them, (frames up, index in that frame), its lexical address (SICP,
 section 5.5.6), and only the parameters' values differ.  So a step
-keeps, under the owner, its head's address, through which it reads the
-head on every hit, and its gets; no get applies a parameter, so a plan
-whose head is a parameter gets no get, and runs as a step.  A recursive
-function and the meta evaluator re-enter one closure object on every
-call, so nearly every step is resolved once.  The key is the closure and
-not the scope: one form object can sit in several scopes, and one LAMBDA
-form makes closures over different environments, but each environment
-has at most one owner.  Other environments have none, and a step is
+keeps, under the owner, a get of its head by that address, which reads
+the head on every hit, and its gets, of which a symbol's reads it by its
+address too; no get applies a parameter, so a plan whose head is a
+parameter gets no get, and runs as a step.  A recursive function and the
+meta evaluator re-enter one closure object on every call, so nearly
+every step is resolved once.  The key is the closure and not the scope:
+one form object can sit in several scopes, and one LAMBDA form makes
+closures over different environments, but each environment has at most
+one owner.  Other environments have none, and a step is
 resolved each time it is evaluated in one.  The cache lives on the step,
 so it outlives a run: a closure that a later call applies again, such as
 the meta evaluator of a universal_env, finds its steps resolved.  It
@@ -119,7 +125,7 @@ from dataclasses import dataclass, replace
 from . import kernel_list, kernel_pair
 from .errors import EvalError, Fault, KernelError
 from .translate import translate
-from .values import NIL, Pair, ProperList, Symbol, list_to_pair
+from .values import NIL, NULL, Pair, ProperList, Symbol, list_to_pair
 
 import enum
 import weakref
@@ -156,27 +162,84 @@ _APPLY, _CHOOSE, _CONSTANT, _CLOSE, _NAME, _FAIL = range(6)
 _NO_ENTRY = (lambda: None, None, 1, ())
 
 
-@dataclass(frozen=True)
 class Env:
-    """Association-list environment: innermost bindings first.
+    """An environment: a frame of bindings over the environment it extends.
 
-    The environment that applying a closure makes also records that
-    closure as its owner (see _Interp._bind); owner is not a field, so it
-    takes no part in construction, equality, hashing or repr, and every
-    other environment has None.
+    names and values are the frame's own bindings, first the innermost,
+    and parent is the environment it extends, or None: it is shared, never
+    copied.  The environment that applying a closure makes is one frame of
+    its parameters, then its LABEL name, over the environment the closure
+    captured, and records that closure as its owner (see _Interp._bind);
+    every other environment has owner None.  Env(bindings) is one frame of
+    bindings, and extend copies only the innermost frame, so that a
+    program's top level stays one frame.
+
+    bindings is every binding in scope, innermost first, the frames
+    flattened; equality, the hash and repr are those of bindings alone.
+    No slot can be assigned or deleted, and copy and pickle keep owner.
     """
 
-    bindings: tuple = ()
-    owner = None
+    __slots__ = ("names", "values", "parent", "owner")
+
+    def __new__(cls, bindings=()):
+        return _frame((), (), None, None).extend(bindings)
+
+    @property
+    def bindings(self):
+        out, env = [], self
+        while env is not None:
+            out += zip(env.names, env.values)
+            env = env.parent
+        return tuple(out)
 
     def lookup(self, name: Symbol):
-        at = _address(name, self.bindings)
+        at = _address(name, self)
         if at is None:
             raise LookupError(name.name)
-        return self.bindings[at][1]
+        return _get_at(at)(self)
 
     def extend(self, pairs) -> "Env":
-        return Env(tuple(pairs) + self.bindings)
+        pairs = tuple(pairs)
+        names = tuple([name for name, _ in pairs]) + self.names
+        values = tuple([value for _, value in pairs]) + self.values
+        return _frame(names, values, self.parent, None)
+
+    def __setattr__(self, attr, value):
+        raise AttributeError(f"cannot assign to field {attr!r} of an environment")
+
+    def __delattr__(self, attr):
+        raise AttributeError(f"cannot delete field {attr!r} of an environment")
+
+    def __eq__(self, other):
+        if other.__class__ is not Env:
+            return NotImplemented
+        return self.bindings == other.bindings
+
+    def __hash__(self):
+        return hash((self.bindings,))
+
+    def __repr__(self):
+        return f"Env(bindings={self.bindings!r})"
+
+    def __reduce__(self):
+        return _frame, (self.names, self.values, self.parent, self.owner)
+
+
+# The stores of Env's slots, which go round its __setattr__: only _frame and
+# _Interp._bind, which makes a frame on every closure call, use them.
+_NAMES, _VALUES, _PARENT, _OWNER = (
+    Env.names.__set__, Env.values.__set__, Env.parent.__set__, Env.owner.__set__
+)
+
+
+def _frame(names, values, parent, owner):
+    """The environment of those slots."""
+    env = object.__new__(Env)
+    _NAMES(env, names)
+    _VALUES(env, values)
+    _PARENT(env, parent)
+    _OWNER(env, owner)
+    return env
 
 
 @dataclass(frozen=True)
@@ -208,8 +271,22 @@ class Primitive:
         return f"#<primitive {self.name}>"
 
 
-def _truth(b: bool) -> Symbol:
-    return T if b else F
+def _atom(x):
+    return T if isinstance(x, Symbol) else F
+
+
+def _eq(x, y):
+    if x.__class__ is Symbol and y.__class__ is Symbol:
+        return T if x is y else F
+    return T if kernel_list.eq(x, y) else F  # raises the kernel's fault
+
+
+def _null(x):
+    return T if x is NULL else F
+
+
+def _nil(x):
+    return T if x is NIL else F
 
 
 def default_env(kernel=Kernel.LIST) -> Env:
@@ -223,9 +300,9 @@ def default_env(kernel=Kernel.LIST) -> Env:
             "CDR": (1, kernel_list.rest),
             "COMBINE": (2, kernel_list.combine),
             "CONS": (2, kernel_list.combine),
-            "ATOM": (1, lambda x: _truth(kernel_list.atom(x))),
-            "EQ": (2, lambda x, y: _truth(kernel_list.eq(x, y))),
-            "NULL": (1, lambda x: _truth(kernel_list.null(x))),
+            "ATOM": (1, _atom),
+            "EQ": (2, _eq),
+            "NULL": (1, _null),
         }
     else:
         ops = {
@@ -235,9 +312,9 @@ def default_env(kernel=Kernel.LIST) -> Env:
             "REST": (1, kernel_pair.cdr),
             "CONS": (2, kernel_pair.cons),
             "COMBINE": (2, kernel_pair.cons),
-            "ATOM": (1, lambda x: _truth(kernel_pair.atom(x))),
-            "EQ": (2, lambda x, y: _truth(kernel_pair.eq(x, y))),
-            "NULL": (1, lambda x: _truth(x is NIL)),
+            "ATOM": (1, _atom),
+            "EQ": (2, _eq),
+            "NULL": (1, _nil),
         }
     return Env(
         tuple([(Symbol(n), Primitive(n, a, fn)) for n, (a, fn) in ops.items()])
@@ -307,12 +384,12 @@ class _Interp:
                     kind, step, body = node
                     if kind <= _CHOOSE:
                         _, cache, forms, choice = step
-                        owner, at, height, gets = cache[0]
+                        owner, head, height, gets = cache[0]
                         if not (owner() is env.owner is not None):
-                            at, height, gets = _resolve(step, env, kernel)
+                            head, height, gets = _resolve(step, env, kernel)
                         if len(stack) + height > max_depth:
-                            at, gets = None, (None,) * len(forms)
-                        fn = None if at is None else env.bindings[at][1]
+                            head, gets = None, (None,) * len(forms)
+                        fn = None if head is None else head(env)
                         if choice is not None:
                             for i, get in enumerate(gets):
                                 if get is None:
@@ -418,9 +495,9 @@ class _Interp:
         raise error
 
     def _lookup(self, sym, env):
-        at = _address(sym, env.bindings)
+        at = _address(sym, env)
         if at is not None:
-            return env.bindings[at][1]
+            return _get_at(at)(env)
         if sym in _SELF[self.kernel]:
             return sym
         raise self._unbound(sym)
@@ -445,17 +522,27 @@ class _Interp:
             raise self._fault(ke) from ke
 
     def _bind(self, fn, args):
-        """The environment that applying closure fn to args makes; fn owns it."""
-        if len(args) != len(fn.params):
+        """The environment that applying closure fn to args makes; fn owns it.
+
+        It is one frame over fn.env, which is shared: the parameters bound
+        to args, then fn's LABEL name, if it has one, bound to fn.  This is
+        _frame, inline.
+        """
+        params = fn.params
+        if len(args) != len(params):
             raise self._error(
                 Fault.ARITY,
-                f"closure expects {len(fn.params)} argument(s), got {len(args)}",
+                f"closure expects {len(params)} argument(s), got {len(args)}",
             )
-        pairs = list(zip(fn.params, args))
-        if fn.self_name is not None:
-            pairs.append((fn.self_name, fn))
-        env = fn.env.extend(pairs)
-        object.__setattr__(env, "owner", fn)
+        env = object.__new__(Env)
+        if fn.self_name is None:
+            _NAMES(env, params)
+            _VALUES(env, tuple(args))
+        else:
+            _NAMES(env, (*params, fn.self_name))
+            _VALUES(env, (*args, fn))
+        _PARENT(env, fn.env)
+        _OWNER(env, fn)
         return env
 
 
@@ -568,63 +655,65 @@ def _clauses(clauses, kernel):
 
 
 def _resolve(step, env, kernel):
-    """(at, height, gets) of a step in env, kept in its cache where that is sound.
+    """(head, height, gets) of a step in env, kept in its cache where that is sound.
 
     A step is (head, cache, forms, choice).  For an application, forms
     are its items, head first, head is that symbol or None, and choice is
     None.  For a COND, forms are its tests, head is None and choice is
     (results, end) (see _clauses).  cache is a list of one entry, (owner,
-    at, height, gets), which starts as _NO_ENTRY.
+    head, height, gets), which starts as _NO_ENTRY.
 
-    at is the index of the head's binding in env.bindings (None for a
-    COND, or if unbound), so the head is env.bindings[at][1].  gets holds
-    one get per operand or test, or None where the loop evaluates it (see
-    _get); an application whose head the loop evaluates gets none.
+    The head resolves to the get of its binding's address (see _get_at),
+    so the head is head(env); it is None for a COND, or if unbound.  gets
+    holds one get per operand or test, or None where the loop evaluates it
+    (see _get); an application whose head the loop evaluates gets none.
     height is the highest level the gets reach above the step's form, and
     at least 1, the level of the head or first test the loop would push
     itself, so that a step on the cap leaves the cap to the loop.  Only
     bindings are read.
 
-    Every environment of one owner has one layout (see _Interp._bind): the
-    owner's parameters, its LABEL name if it has one, then the bindings it
-    captured, the same tuple each time.  So a symbol's innermost binding
-    sits at one index in each, and a symbol that is no parameter is bound
-    to one value in each: the entry serves every environment of its owner,
-    since no plan applies a parameter.  It holds the owner by a weak
-    reference, and no value a head is bound to, only the functions of the
-    primitives its gets apply: the owner's body holds the step, so a
-    strong reference there would make a cycle, and the closure and its
-    forms would outlive their last use until a cycle collection.  The
-    entry is read once and replaced whole, so a thread never sees half of
-    another's.  An environment of no owner has its step resolved each
-    time.
+    Every environment of one owner is a frame of the owner's parameters,
+    then its LABEL name if it has one, over the environment it captured,
+    the same object each time (see _Interp._bind).  So a symbol's
+    innermost binding sits at one address in each, and a symbol bound
+    above the frame is bound to one value in each: the entry serves every
+    environment of its owner, since no plan applies a parameter.  It holds
+    the owner by a weak reference, and no value a head is bound to, only
+    the functions of the primitives its gets apply: the owner's body holds
+    the step, so a strong reference there would make a cycle, and the
+    closure and its forms would outlive their last use until a cycle
+    collection.  The entry is read once and replaced whole, so a thread
+    never sees half of another's.  An environment of no owner has its step
+    resolved each time.
     """
     head, cache, forms, choice = step
-    bindings, owner = env.bindings, env.owner
-    at = None if head is None else _address(head, bindings)
+    owner = env.owner
+    at = None if head is None else _address(head, env)
     height, gets = 1, []
     if at is not None or choice is not None:
         params = () if owner is None else owner.params
         for x in forms if choice is not None else forms[1:]:
-            get, reach = _get(x, _PLAN_HEIGHT + 1, bindings, params, kernel)
+            get, reach = _get(x, _PLAN_HEIGHT + 1, env, params, kernel)
             gets.append(get)
             height = max(height, reach)
+    head = None if at is None else _get_at(at)
     if owner is not None:
-        cache[0] = weakref.ref(owner), at, height, gets
-    return at, height, gets
+        cache[0] = weakref.ref(owner), head, height, gets
+    return head, height, gets
 
 
-def _get(x, room, bindings, params, kernel):
+def _get(x, room, env, params, kernel):
     """(get, reach): how an operand or test x of a step is evaluated in place.
 
-    get(env) evaluates x in env, an environment with bindings' layout,
+    get(env) evaluates x in env, or in an environment of env's owner,
     without the loop, and reach is the highest level it takes above the
     form x is an operand of, at most room; or get is None, and the loop
-    evaluates x.  x has a get when it is a symbol, a quoted constant, or a
-    plan: an application of one or two operands, each with a get, whose
-    head is no parameter of the owner (params) and is bound to a Primitive
-    of that arity.  A step's operands have room _PLAN_HEIGHT + 1, so a
-    plan's tree is at most _PLAN_HEIGHT high.
+    evaluates x.  x has a get when it is a symbol (see _get_at and
+    _get_unbound), a quoted constant, or a plan: an application of one or
+    two operands, each with a get, whose head is no parameter of the owner
+    (params) and is bound to a Primitive of that arity.  A step's operands
+    have room _PLAN_HEIGHT + 1, so a plan's tree is at most _PLAN_HEIGHT
+    high.
 
     The gets take the steps the loop would take, in the same order, and
     each primitive is called once through its fn.  They push nothing on
@@ -636,7 +725,8 @@ def _get(x, room, bindings, params, kernel):
     _PLAN_HEIGHT bounds, as it bounds this walk.
     """
     if isinstance(x, Symbol):
-        return _get_symbol(x, kernel), 1
+        at = _address(x, env)
+        return (_get_unbound(x, kernel) if at is None else _get_at(at)), 1
     kind, step, get = _analyse(x, kernel)
     if kind == _CONSTANT:
         return get, 1
@@ -645,48 +735,86 @@ def _get(x, room, bindings, params, kernel):
     head, _, forms, _ = step
     if head is None or head in params or not 2 <= len(forms) <= 3:
         return None, 0
-    for name, prim in bindings:  # the value, not its address (see _address)
-        if name is head:
-            break
-    else:
-        return None, 0
-    if not (isinstance(prim, Primitive) and prim.arity == len(forms) - 1):
-        return None, 0
     # The last operand first: lists nest there, so a tree too high for a
-    # plan fails before its other operand is walked.
-    last, reach = _get(forms[-1], room - 1, bindings, params, kernel)
+    # plan fails after a visit to each node, before a binding is read.
+    last, reach = _get(forms[-1], room - 1, env, params, kernel)
     if last is None:
+        return None, 0
+    at = _address(head, env)
+    prim = None if at is None else _get_at(at)(env)
+    if not (isinstance(prim, Primitive) and prim.arity == len(forms) - 1):
         return None, 0
     if len(forms) == 2:
         return _get_nested(x, prim.fn, [last]), reach + 1
-    first, first_reach = _get(forms[1], room - 1, bindings, params, kernel)
+    first, first_reach = _get(forms[1], room - 1, env, params, kernel)
     if first is None:
         return None, 0
     return _get_nested(x, prim.fn, [first, last]), max(reach, first_reach) + 1
 
 
-# Per kernel, symbol -> its get: one per symbol, which lives as long.
-_SYMBOL_GETS = {kernel: {} for kernel in Kernel}
+# Address -> the get of the binding there: one per address, shared by every
+# owner, which lives as long as the module.
+_ADDRESS_GETS = {}
 
 
-def _get_symbol(sym, kernel):
-    """The get of sym in kernel, made once and kept in _SYMBOL_GETS."""
-    gets = _SYMBOL_GETS[kernel]
+def _get_at(at):
+    """The get of the binding at address at, made once and kept in _ADDRESS_GETS.
+
+    at is (up, i): the binding is the i-th of the frame up parents above
+    the innermost (see _address).
+    """
+    get = _ADDRESS_GETS.get(at)
+    if get is not None:
+        return get
+    up, i = at
+    if up == 0:
+
+        def get(env):
+            return env.values[i]
+
+    elif up == 1:
+
+        def get(env):
+            return env.parent.values[i]
+
+    else:
+
+        def get(env):
+            for _ in range(up):
+                env = env.parent
+            return env.values[i]
+
+    # setdefault: of two threads making the same get, both keep the first.
+    return _ADDRESS_GETS.setdefault(at, get)
+
+
+# Per kernel, symbol -> its get where it is unbound: one per symbol, which
+# lives as long.
+_UNBOUND_GETS = {kernel: {} for kernel in Kernel}
+
+
+def _get_unbound(sym, kernel):
+    """The get of sym where it is unbound in kernel, made once and kept.
+
+    It reads no binding: an entry serves only environments in which sym
+    is unbound too (see _resolve).  It gives sym where sym stands for
+    itself, and raises a _Signal otherwise.
+    """
+    gets = _UNBOUND_GETS[kernel]
     get = gets.get(sym)
     if get is not None:
         return get
-    stands = sym in _SELF[kernel]
+    if sym in _SELF[kernel]:
 
-    def lookup(env):
-        for name, value in env.bindings:
-            if name is sym:
-                return value
-        if stands:
+        def get(env):
             return sym
-        raise _Signal(sym, [sym])
 
-    # setdefault: of two threads making the same get, both keep the first.
-    return gets.setdefault(sym, lookup)
+    else:
+
+        def get(env):
+            raise _Signal(sym, [sym])
+
+    return gets.setdefault(sym, get)
 
 
 def _get_nested(form, fn, gets):
@@ -719,17 +847,20 @@ def _get_nested(form, fn, gets):
     return nested
 
 
-def _address(sym, bindings):
-    """The index of sym's innermost binding in bindings, or None if unbound.
+def _address(sym, env):
+    """The address (up, i) of sym's innermost binding in env, or None if unbound.
 
-    The one walk of an environment for an address: Env.lookup,
-    _Interp._lookup and _resolve read through it.  A symbol's get, which
-    every owner shares, and _get, which wants the value a plan's head is
-    bound to, walk inline for the value.
+    The binding is the i-th of the frame up parents above env (see Env).
+    This is the one search of an environment for a symbol: Env.lookup,
+    _Interp._lookup, _resolve and _get read through it.
     """
-    for at, (name, _) in enumerate(bindings):
-        if name is sym:
-            return at
+    up = 0
+    while env is not None:
+        names = env.names
+        if sym in names:
+            return up, names.index(sym)
+        env = env.parent
+        up += 1
     return None
 
 

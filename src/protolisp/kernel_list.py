@@ -23,13 +23,15 @@ def _need_nonempty_list(x, operation):
 
 def first(x):
     """First element of a non-null, non-atomic value."""
-    _need_nonempty_list(x, "first")
+    if x.__class__ is not ProperList or x is NULL:
+        _need_nonempty_list(x, "first")
     return x.head
 
 
 def rest(x):
     """x without its first element; the rest of a one-element list is ()."""
-    _need_nonempty_list(x, "rest")
+    if x.__class__ is not ProperList or x is NULL:
+        _need_nonempty_list(x, "rest")
     return x.tail
 
 

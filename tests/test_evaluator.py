@@ -9,6 +9,7 @@ import pickle
 import random
 import sys
 import threading
+import tracemalloc
 import weakref
 
 import pytest
@@ -379,6 +380,41 @@ def test_a_frame_compares_like_any_environment_with_its_bindings():
     assert (frame, hash(frame), repr(frame)) == (plain, hash(plain), repr(plain))
     assert inner == Closure(inner.params, inner.body, plain)
     assert inner.env.extend([]).lookup(Symbol("X")) == ProperList((A,))
+
+
+def test_a_call_makes_one_frame_over_the_environment_its_closure_captured():
+    fn = evf("label[f; lambda[[x; y]; x]]")
+    frame = _Interp(Kernel.LIST, DEPTH)._bind(fn, [A, B])
+    assert frame.parent is fn.env and frame.owner is fn
+    assert frame.names == (_X, _Y, Symbol("F")) and frame.values == (A, B, fn)
+    # The frame an inner closure captured: its owner made it, over its own env.
+    inner = evf("lambda[[x]; lambda[[y]; x]][(A)]")
+    assert inner.env.parent is inner.env.owner.env
+    # extend copies the innermost frame only, and the copy has no owner.
+    wider = inner.env.extend([(_Y, B)])
+    assert wider.parent is inner.env.parent and wider.owner is None
+    assert wider.names == (_Y, _X) and wider.values == (B, ProperList((A,)))
+
+
+def test_a_copied_or_pickled_frame_keeps_its_bindings_and_owner():
+    inner = evf("lambda[[x]; lambda[[y]; combine[x; y]]][(A)]")
+    frame = inner.env
+    for twin in (copy.deepcopy(frame), pickle.loads(pickle.dumps(frame))):
+        assert (twin, hash(twin), repr(twin)) == (frame, hash(frame), repr(frame))
+        assert twin.owner is not None and twin.owner == frame.owner
+        # The copy's frame extends its copied owner's environment, as a
+        # call's frame does.
+        assert twin.parent is twin.owner.env and twin.parent == frame.parent
+
+
+def test_no_slot_of_an_environment_can_be_assigned_or_deleted():
+    frame = evf("lambda[[x]; lambda[[y]; x]][(A)]").env
+    for slot in ("names", "values", "parent", "owner", "bindings", "other"):
+        with pytest.raises(AttributeError):
+            setattr(frame, slot, None)
+        with pytest.raises(AttributeError):
+            delattr(frame, slot)
+    assert not hasattr(frame, "__dict__")
 
 
 def test_default_env_binds_both_naming_generations():
@@ -1491,9 +1527,13 @@ def test_a_plan_headed_by_a_parameter_runs_as_a_step(kernel):
     for f, expected in ((_FIRST, "(A)"), (_REST, "((B))"), (_FIRST, "(A)")):
         got = apply_fn(fn, [prims.lookup(f), ab], kernel, DEPTH)
         assert got == in_kernel(kernel, read_sexpr(expected))
-    owner, at, height, gets = fn.body._node[1][1][0]
+    owner, head, height, gets = fn.body._node[1][1][0]
     assert owner() is fn and gets[0] is None
-    assert prims.bindings[at - len(fn.params)][0] is COMBINE
+    # COMBINE is bound in the frame the call's frame extends, fn.env.
+    frame = evaluator._Interp(kernel, DEPTH)._bind(fn, [prims.lookup(_REST), ab])
+    up, at = evaluator._address(COMBINE, frame)
+    assert up == 1 and fn.env.names[at] is COMBINE
+    assert head is evaluator._get_at((up, at)) and head(frame) is fn.env.values[at]
     # A fault inside f[x] has the trace of the universal function.
     text = ("lambda[[g]; combine[g[first; (A, B)]; g[first; A]]]"
             "[lambda[[f; x]; combine[f[x]; ()]]]")
@@ -1553,3 +1593,111 @@ def test_a_plan_in_a_closure_made_anew_on_each_call(kernel, body, data, expected
         assert got[2][-3:] == (program(kernel, body), program(kernel, "first[zz]"), Symbol("ZZ"))
     else:
         assert got == ("value", in_kernel(kernel, read_sexpr(expected)))
+
+
+# --- lexical addresses -------------------------------------------------------------
+#
+# A symbol is read at (frames up, index): from the innermost frame, a call's
+# own, to the primitives, some frames above.  These run three ways, on both
+# kernels, so the gets by address agree with the loop's walk and with the
+# reference's flat bindings.
+
+# Four nested closures: in the innermost, d is at depth 0, c at 1, b at 2,
+# a at 3, and the primitives at 4.  walk recurses, so its steps hit their
+# cache; its x and walk are at depth 0 and d at depth 1 in its frames.
+_NESTED = ("lambda[[a]; lambda[[b]; lambda[[c]; lambda[[d]; {body}][D]][C]][B]][A]")
+_WALK = ("label[walk; lambda[[x]; [null[x] -> combine[d; combine[c; combine[b;"
+         " combine[a; ()]]]]; T -> combine[first[x]; walk[rest[x]]]]]][(E, F)]")
+
+
+@pytest.mark.parametrize("kernel", [Kernel.LIST, Kernel.PAIR])
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        (_NESTED.format(body="combine[a; combine[b; combine[c; combine[d; ()]]]]"),
+         "(A, B, C, D)"),
+        (_NESTED.format(body=_WALK), "(E, F, D, C, B, A)"),
+        # A plan reading a, b and d at depths 3, 2 and 0.
+        (_NESTED.format(body="eq[first[combine[a; combine[b; ()]]]; first[combine[d; ()]]]"), "F"),
+        # A parameter that shadows its own LABEL name, and one that does not.
+        ("label[f; lambda[[f]; combine[f; ()]]][A]", "(A)"),
+        ("label[f; lambda[[x]; [atom[x] -> f[combine[x; ()]]; T -> x]]][A]", "(A)"),
+        # An inner LAMBDA's parameter shadows an outer one, at depth 0 and 1.
+        ("lambda[[x]; combine[lambda[[x]; x][B]; lambda[[y]; combine[x; y]][()]]][A]",
+         "(B, A)"),
+        ("lambda[[x; y]; lambda[[x]; combine[x; combine[y; ()]]][C]][A; B]", "(C, B)"),
+    ],
+)
+def test_variables_are_read_at_their_lexical_address(kernel, text, expected):
+    got = three_ways(program(kernel, text), None, kernel, DEPTH)
+    assert got == ("value", in_kernel(kernel, read_sexpr(expected)))
+
+
+@pytest.mark.parametrize("kernel", [Kernel.LIST, Kernel.PAIR])
+@pytest.mark.parametrize(
+    "body, inner, kind, message",
+    [
+        # A plan at depth 2 and deeper whose leaf faults or is unbound.
+        ("combine[first[rest[b]]; ()]", "rest[b]", Fault.KERNEL_FAULT,
+         "rest: undefined on atoms"),
+        ("combine[first[a]; combine[d; ()]]", "first[a]", Fault.KERNEL_FAULT,
+         "first: undefined on atoms"),
+        ("combine[rest[zz]; ()]", "zz", Fault.UNBOUND, "unbound symbol: ZZ"),
+        ("combine[c; first[combine[zz; d]]]", "zz", Fault.UNBOUND, "unbound symbol: ZZ"),
+    ],
+)
+def test_a_fault_inside_a_plan_at_depth_has_the_trace_of_the_universal_function(
+    kernel, body, inner, kind, message
+):
+    got = three_ways(program(kernel, _NESTED.format(body=body)), None, kernel, DEPTH)
+    if kernel is Kernel.PAIR:
+        message = message.replace("rest:", "cdr:").replace("first:", "car:")
+    assert got[:2] == (kind, message)
+    assert got[2][-1] == program(kernel, inner)
+
+
+@pytest.mark.parametrize("kernel", [Kernel.LIST, Kernel.PAIR])
+def test_an_environment_extended_over_a_call_frame_reads_both(kernel):
+    # inner.env is the frame of a call, X bound to (A), over the primitives;
+    # extend copies that frame with Y in front, so X and Y are at depth 0 of
+    # it, and at depth 1 of the frames of a closure made there.
+    inner = eval_sexpr(program(kernel, "lambda[[x]; lambda[[y]; y]][(A)]"), kernel=kernel)
+    env = inner.env.extend([(_Y, B)])
+    assert env.parent is inner.env.parent and env.owner is None
+    for text, expected in (
+        ("combine[y; x]", "(B, A)"),
+        ("lambda[[z]; combine[z; combine[y; x]]][C]", "(C, B, A)"),
+        ("label[g; lambda[[z]; [null[z] -> x; T -> combine[first[z]; g[rest[z]]]]]][(C, Y)]",
+         "(C, Y, A)"),
+    ):
+        got = three_ways(program(kernel, text), env, kernel, DEPTH)
+        assert got == ("value", in_kernel(kernel, read_sexpr(expected)))
+
+
+def _bytes_per_level(extra):
+    """tracemalloc's peak per level of a runaway recursion, extra bindings in scope."""
+    env = default_env().extend([(Symbol(f"V{i}"), A) for i in range(extra)])
+    expr = program(Kernel.LIST, "label[f; lambda[[x]; combine[x; f[x]]]][A]")
+    eval_sexpr(program(Kernel.LIST, "combine[A; ()]"), env)  # nothing left to make
+    peaks, enabled = [], gc.isenabled()
+    for depth in (1000, 3000):
+        # A full collection empties the free lists, whose blocks a run would
+        # take without tracemalloc seeing them; none runs while it counts.
+        gc.collect()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            e = fault_of(eval_sexpr, expr, env, max_depth=depth)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+            if enabled:
+                gc.enable()
+        assert e.kind is Fault.DEPTH_EXCEEDED
+    return (peaks[1] - peaks[0]) / 2000
+
+
+def test_a_call_costs_the_same_memory_whatever_is_bound_around_it():
+    # A call makes one frame of its own bindings over the captured
+    # environment, never a copy of it.
+    assert _bytes_per_level(1000) <= 1.25 * _bytes_per_level(0)
