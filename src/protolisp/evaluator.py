@@ -27,11 +27,11 @@ Each compound form is analysed once, into a node that has already
 decided what the form is: a quoted constant, a COND clause list, a
 LAMBDA, a LABEL or an application.  Analysis reads the form alone, and
 no binding.  A form is analysed on its first evaluation, or when the
-gets of a step it is an operand of are built, and keeps its node in its
-_node slot for as long as it lives, so every later evaluation of the
-form, in this eval_sexpr or apply_fn call or a later one, starts from
-its node: the meta evaluator's bodies are analysed once, not once per
-meta_eval.  A ProperList is only ever a form of the list kernel and a
+items of a step it is an operand of are described, and keeps its node
+in its _node slot for as long as it lives, so every later evaluation of
+the form, in this eval_sexpr or apply_fn call or a later one, starts
+from its node: the meta evaluator's bodies are analysed once, not once
+per meta_eval.  A ProperList is only ever a form of the list kernel and a
 Pair only one of the pair kernel, so the node a form keeps is its own
 kernel's; a form of the other kernel, or any other value, is analysed
 afresh each time it is evaluated, into a node that raises.  A node
@@ -48,44 +48,52 @@ body, the loop pushes a frame and goes on with that expression, and
 resumes the frame with the value: the recursion's continuation,
 defunctionalized (Danvy and Nielsen, "Defunctionalization at work", PPDP
 2001), which makes the loop a CEK machine (Felleisen and Friedman, 1986).
-A frame holds the form's node, the environment, the gets of its operands
+A frame holds the form's node, the environment, the runs of its operands
 or tests, the values so far, and the height of the stack of expressions
 under evaluation with the form on top.  A closure body and a COND's
 chosen result need no frame; their value is the form's.
 
 An application with a symbol head, and a COND, is a step.  Where the
 loop meets a step in an environment, it first resolves it there (see
-below): it reads the binding of its head, and builds a get for each
-operand or test that can be evaluated in place.  A symbol and a quoted
-constant have one.  So has a plan: an application of one or two
-operands that have gets, whose head is bound to a primitive of that
-arity, in a tree at most eight high.  Most of the universal function is
-primitives applied to primitives, eq[first[e]; QUOTE],
-first[rest[rest[fn]]], and a plan applies such a tree in one go: the
-superinstruction of Piumarta and Riccardi ("Optimizing direct threaded
-code by selective inlining", PLDI 1998), chosen here by the bindings
-rather than by the form alone.  The loop evaluates the operands or tests
-through their gets, up to the first that has none, such as append's
-app[rest[x]; y] in combine[first[x]; app[rest[x]; y]].  There the step
-suspends: the loop pushes its frame and goes on with that operand, and
-resumes the step in place when the value comes back.  It then calls the
-primitive, or binds the closure's parameters and goes on with its body,
-or goes on with the chosen result.
+below): it reads the binding of its head, and describes each operand or
+test that can be evaluated in place.  A symbol and a quoted constant
+can.  So can a plan: an application of one or two operands that can,
+whose head is bound to a primitive of that arity, in a tree at most
+eight high.  Most of the universal function is primitives applied to
+primitives, eq[first[e]; QUOTE], first[rest[rest[fn]]], and a plan
+applies such a tree in one go: the superinstruction of Piumarta and
+Riccardi ("Optimizing direct threaded code by selective inlining", PLDI
+1998), chosen here by the bindings rather than by the form alone.  The
+items are cut at each that the loop must evaluate itself, such as
+append's app[rest[x]; y] in combine[first[x]; app[rest[x]; y]], and
+each run of up to eight items between cuts becomes one Python function
+of straight-line code, which reads each symbol at its address and calls
+each primitive in turn: for an application it gives the items' values,
+for a COND the first test whose value is not F.  Its text is made from
+the run's shape alone, the addresses, the kinds of leaf and the
+arities, and compiled once per shape; the primitives, constants and
+forms are its arguments, never its text.  The loop calls the runs up to
+the first item that has none.  There the step suspends: the loop pushes
+its frame and goes on with that operand, and resumes the step in place
+when the value comes back.  It then calls the primitive, or binds the
+closure's parameters and goes on with its body, or goes on with the
+chosen result.
 
-A get pushes nothing on the stack of expressions under evaluation: its
-nesting is fixed, and the height the step's gets reach is checked
-against the depth cap before any runs.  Where it does not fit, or an
-application's head is unbound or not a symbol, the loop evaluates each
-operand, head or test itself, checking the cap at each.  Where a
-primitive faults or a symbol is unbound inside a get, the error is
-raised as a signal that each nested application it leaves adds itself
-to, and the loop rebuilds the trace from that path: what the trace costs
-is paid on the raise, not on the way in, as with the zero-cost
-exceptions of CPython 3.11.  So the order, the primitive calls, the
-errors and the traces are those of the universal function.  There is no
-tail-call elimination: a form stays on the stack until the body or
-result it goes on with has its value, as in the universal function, so
-the depth, where it runs out and every trace stay the same.
+A run pushes nothing on the stack of expressions under evaluation: its
+nesting is fixed, and the height the step's runs reach is checked
+against the depth cap before any is called.  Where it does not fit, or
+an application's head is unbound or not a symbol, the loop evaluates
+each operand, head or test itself, checking the cap at each.  Where a
+primitive faults or a symbol is unbound inside a run, the run raises a
+signal with the forms the loop would have had on its stack there, which
+it finds from the line the fault is on, and the loop rebuilds the trace
+from that path: what the trace costs is paid on the raise, not on the
+way in, as with the zero-cost exceptions of CPython 3.11.  So the order,
+the primitive calls, the errors and the traces are those of the
+universal function.  There is no tail-call elimination: a form stays on
+the stack until the body or result it goes on with has its value, as in
+the universal function, so the depth, where it runs out and every trace
+stay the same.
 
 A step keeps what it resolved, per owning closure: the inline cache of
 Deutsch and Schiffman ("Efficient implementation of the Smalltalk-80
@@ -97,9 +105,9 @@ environment, so a symbol's innermost binding sits at one address in all
 of them, (frames up, index in that frame), its lexical address (SICP,
 section 5.5.6), and only the parameters' values differ.  So a step
 keeps, under the owner, a get of its head by that address, which reads
-the head on every hit, and its gets, of which a symbol's reads it by its
-address too; no get applies a parameter, so a plan whose head is a
-parameter gets no get, and runs as a step.  A recursive function and the
+the head on every hit, and its runs, which read symbols by their
+addresses too; no run applies a parameter, so a plan whose head is a
+parameter is left to the loop, as a step.  A recursive function and the
 meta evaluator re-enter one closure object on every call, so nearly
 every step is resolved once.  The key is the closure and not the scope:
 one form object can sit in several scopes, and one LAMBDA form makes
@@ -109,7 +117,7 @@ resolved each time it is evaluated in one.  The cache lives on the step,
 so it outlives a run: a closure that a later call applies again, such as
 the meta evaluator of a universal_env, finds its steps resolved.  It
 keeps no value a head is bound to, only the functions of the primitives
-its plans apply, and refers to its owner weakly, so that a closure's
+its runs apply, and refers to its owner weakly, so that a closure's
 body keeps no closure alive, itself included.  Its entry is one tuple,
 read once and replaced whole, so a thread that evaluates a form another
 thread evaluates too sees one owner's answer, never parts of two.
@@ -128,7 +136,10 @@ from .translate import translate
 from .values import NIL, NULL, Pair, ProperList, Symbol, list_to_pair
 
 import enum
+import itertools
+import threading
 import weakref
+from types import FunctionType
 
 
 class Kernel(enum.Enum):
@@ -152,6 +163,13 @@ _LABEL = Symbol("LABEL")
 
 # The height of the highest tree of applications that has a plan; see _get.
 _PLAN_HEIGHT = 8
+
+# The most operands or tests one run evaluates; see _resolve.
+_RUN_ITEMS = 8
+
+# The shapes of a constant and of an unbound symbol, beside an address (up,
+# i) and a plan's (None, ...); see _get.
+_CONSTANT_LEAF, _UNBOUND_LEAF = 0, 1
 
 # The kinds of node (see _node): what the loop does with the form.
 # The two whose node holds a step come first (see _Interp.run).
@@ -349,15 +367,16 @@ class _Interp:
         Each expression is pushed on self.stack and evaluated: a symbol, a
         quoted constant and a LAMBDA at once, an application or a COND as
         a step (see _resolve), a LABEL by its body.  What a form does not
-        evaluate in place is evaluated above its frame, (node, env, gets,
-        values, level): gets are what _resolve gave the step (all None
+        evaluate in place is evaluated above its frame, (node, env, runs,
+        values, level): runs are what _resolve gave the step (all None
         where the loop evaluates every item), values holds the head's and
         the operands' values so far, or an F for each test that gave F, and
         level is len(self.stack) with the form on top, to which the stack
-        is cut back before the frame resumes.  A form's node is the one it
-        keeps from an earlier evaluation, in this run or another, or is
-        made now (see _analyse).  A _Signal from a get becomes its
-        EvalError here, with the trace rebuilt.
+        is cut back before the frame resumes.  From an item that has a run,
+        the loop calls the runs up to the next item that has none.  A
+        form's node is the one it keeps from an earlier evaluation, in this
+        run or another, or is made now (see _analyse).  A _Signal from a
+        run becomes its EvalError here, with the trace rebuilt.
         """
         frames = []
         stack = self.stack
@@ -384,33 +403,34 @@ class _Interp:
                     kind, step, body = node
                     if kind <= _CHOOSE:
                         _, cache, forms, choice = step
-                        owner, head, height, gets = cache[0]
+                        owner, head, height, runs = cache[0]
                         if not (owner() is env.owner is not None):
-                            head, height, gets = _resolve(step, env, kernel)
+                            head, height, runs = _resolve(step, env, kernel)
                         if len(stack) + height > max_depth:
-                            head, gets = None, (None,) * len(forms)
-                        fn = None if head is None else head(env)
+                            head, runs = None, (None,) * len(forms)
                         if choice is not None:
-                            for i, get in enumerate(gets):
-                                if get is None:
+                            i, t = 0, F
+                            while t is F and i < len(forms):
+                                run = runs[i]
+                                if run is None:
                                     break
-                                t = get(env)
-                                if t is T:
-                                    break
-                                if t is not F:
-                                    raise self._not_truth(t)
-                            else:
-                                raise self._error(*choice[1])
-                            if get is not None:
+                                j, t = run(env)
+                                i += j
+                            if t is T:
                                 expr = choice[0][i]
                                 continue
+                            if t is not F:
+                                raise self._not_truth(t)
+                            if i == len(forms):
+                                raise self._error(*choice[1])
                             values = [F] * i
-                        elif fn is not None:
-                            args = []
-                            for get in gets:
-                                if get is None:
+                        elif head is not None:
+                            fn, args = head(env), ()
+                            while len(args) + 1 < len(forms):
+                                run = runs[len(args)]
+                                if run is None:
                                     break
-                                args.append(get(env))
+                                args += run(env)
                             else:
                                 if isinstance(fn, Closure):
                                     env = self._bind(fn, args)
@@ -420,8 +440,8 @@ class _Interp:
                                 break
                             values = [fn, *args]
                         else:  # the loop evaluates the head and each operand
-                            gets, values = (None,) * len(forms), []
-                        frames.append((node, env, gets, values, len(stack)))
+                            runs, values = (None,) * len(forms), []
+                        frames.append((node, env, runs, values, len(stack)))
                         expr = forms[len(values)]
                         continue
                     if kind == _CONSTANT:
@@ -436,16 +456,19 @@ class _Interp:
                         continue
                     raise self._error(Fault.MALFORMED, step)
                 while frames:  # resume the top frame with value
-                    node, env, gets, values, level = frames[-1]
+                    node, env, runs, values, level = frames[-1]
                     del stack[level:]
                     kind, step, _ = node
                     if kind == _APPLY:
                         forms = step[2]
                         values.append(value)
                         i = len(values)
-                        while i < len(forms) and gets[i - 1] is not None:
-                            values.append(gets[i - 1](env))
-                            i += 1
+                        while i < len(forms):
+                            run = runs[i - 1]
+                            if run is None:
+                                break
+                            values += run(env)
+                            i = len(values)
                         if i < len(forms):
                             expr = forms[i]
                             break
@@ -458,20 +481,25 @@ class _Interp:
                         value = self._apply(fn, args)
                     elif kind == _CHOOSE:
                         _, _, forms, (results, end) = step
-                        i = len(values)  # the test whose value this is
-                        while value is F and i + 1 < len(forms) and gets[i + 1]:
+                        i, t = len(values), value  # the test whose value this is
+                        if t is F:
                             i += 1
-                            value = gets[i](env)
-                        if value is T:
+                            while t is F and i < len(forms):
+                                run = runs[i]
+                                if run is None:
+                                    break
+                                j, t = run(env)
+                                i += j
+                        if t is T:
                             frames.pop()
                             expr = results[i]
                             break
-                        if value is not F:
-                            raise self._not_truth(value)
-                        if i + 1 == len(forms):
+                        if t is not F:
+                            raise self._not_truth(t)
+                        if i == len(forms):
                             raise self._error(*end)
-                        values[:] = [F] * (i + 1)
-                        expr = forms[i + 1]
+                        values[:] = [F] * i
+                        expr = forms[i]
                         break
                     else:
                         frames.pop()
@@ -485,8 +513,8 @@ class _Interp:
             raise RuntimeError("generator raised StopIteration") from e
         except _Signal as s:
             cause, path = s.args
-        # A get signalled: the trace is stack as the gets would have left it,
-        # with the forms they were inside, outermost first, on top.
+        # A run signalled: the trace is stack as the loop would have left it,
+        # with the forms the fault was inside, outermost first, on top.
         stack.extend(reversed(path))
         if isinstance(cause, Symbol):
             raise self._unbound(cause)
@@ -554,12 +582,12 @@ _SELF = {Kernel.LIST: (T, F), Kernel.PAIR: (T, F, NIL)}
 
 
 class _Signal(Exception):
-    """A kernel fault or an unbound symbol inside a get, on its way to the loop.
+    """A kernel fault or an unbound symbol inside a run, on its way to the loop.
 
     args are (cause, path): cause is the KernelError or the unbound symbol,
     and path the forms the loop would have had on its stack above the
-    step's form, innermost first.  Each get it leaves adds its form (see
-    _get_nested), and _Interp.run makes it the EvalError.
+    step's form, innermost first, which the run knows from where the
+    fault is (see _source).  _Interp.run makes it the EvalError.
     """
 
 
@@ -583,7 +611,7 @@ def _analyse(form, kernel):
     form keeps is its kernel's; a form of the other kernel, and any other
     value, is analysed again each time, into a node that raises.  Only
     form itself is analysed: its inner forms get their nodes where they
-    are evaluated, or where a step's gets are built (see _get).
+    are evaluated, or where a step's items are described (see _get).
     """
     if form.__class__ is not _FORM[kernel]:
         return _node(form, _sequence(form, kernel), kernel)
@@ -598,7 +626,7 @@ def _analyse(form, kernel):
 def _node(form, items, kernel):
     """(kind, a, b): what the loop does with form (see _Interp.run).
 
-    _CONSTANT: QUOTE, a is the value and b its get (see _get).  _CLOSE:
+    _CONSTANT: QUOTE, a is the value and b what _get gives for it.  _CLOSE:
     LAMBDA, a and b are the parameters and the body.  _NAME: LABEL, a and
     b are the name and the body.  _CHOOSE: COND, and _APPLY: any other
     form, a is its step (see _resolve).  _FAIL: malformed syntax, a is the
@@ -611,8 +639,7 @@ def _node(form, items, kernel):
         detail = "the empty list is not a form"
     elif items[0] is _QUOTE:
         if len(items) == 2:
-            constant = items[1]
-            return (_CONSTANT, constant, lambda env: constant)
+            return (_CONSTANT, items[1], ((_CONSTANT_LEAF, (items[1],)), 1))
         detail = "QUOTE takes exactly one operand"
     elif items[0] is _COND:
         tests, results, end = _clauses(items[1:], kernel)
@@ -655,22 +682,29 @@ def _clauses(clauses, kernel):
 
 
 def _resolve(step, env, kernel):
-    """(head, height, gets) of a step in env, kept in its cache where that is sound.
+    """(head, height, runs) of a step in env, kept in its cache where that is sound.
 
     A step is (head, cache, forms, choice).  For an application, forms
     are its items, head first, head is that symbol or None, and choice is
     None.  For a COND, forms are its tests, head is None and choice is
     (results, end) (see _clauses).  cache is a list of one entry, (owner,
-    head, height, gets), which starts as _NO_ENTRY.
+    head, height, runs), which starts as _NO_ENTRY.
 
     The head resolves to the get of its binding's address (see _get_at),
-    so the head is head(env); it is None for a COND, or if unbound.  gets
-    holds one get per operand or test, or None where the loop evaluates it
-    (see _get); an application whose head the loop evaluates gets none.
-    height is the highest level the gets reach above the step's form, and
-    at least 1, the level of the head or first test the loop would push
-    itself, so that a step on the cap leaves the cap to the loop.  Only
-    bindings are read.
+    so the head is head(env); it is None for a COND, or if unbound.  runs
+    holds, per operand or test, the run that evaluates it in place, or
+    None where the loop evaluates it (see _get); an application whose head
+    the loop evaluates has none.  The items are cut at each that has none,
+    and after every _RUN_ITEMS, and each run of items between cuts is one
+    function, compiled for its shape (see _run): run(env) gives the values
+    of an application's items, left to right, and of a COND's, (j, t) for
+    the j-th of its tests, the first whose value t is not F, or (the
+    number of its tests, F).  Each item of a run holds it, and the loop
+    calls it at its first.  height is the highest level the runs
+    reach above the step's form, and at least 1, the level of the head or
+    first test the loop would push itself, so that a step on the cap
+    leaves the cap to the loop.  Only bindings are read, in one walk of
+    the items that describes them and builds their shape.
 
     Every environment of one owner is a frame of the owner's parameters,
     then its LABEL name if it has one, over the environment it captured,
@@ -679,7 +713,7 @@ def _resolve(step, env, kernel):
     above the frame is bound to one value in each: the entry serves every
     environment of its owner, since no plan applies a parameter.  It holds
     the owner by a weak reference, and no value a head is bound to, only
-    the functions of the primitives its gets apply: the owner's body holds
+    the functions of the primitives its runs apply: the owner's body holds
     the step, so a strong reference there would make a cycle, and the
     closure and its forms would outlive their last use until a cycle
     collection.  The entry is read once and replaced whole, so a thread
@@ -689,47 +723,70 @@ def _resolve(step, env, kernel):
     head, cache, forms, choice = step
     owner = env.owner
     at = None if head is None else _address(head, env)
-    height, gets = 1, []
+    height, runs = 1, []
     if at is not None or choice is not None:
         params = () if owner is None else owner.params
-        for x in forms if choice is not None else forms[1:]:
-            get, reach = _get(x, _PLAN_HEIGHT + 1, env, params, kernel)
-            gets.append(get)
-            height = max(height, reach)
+        choose = 0 if choice is None else 1
+        shape, objs = [choose], []
+        for x in forms if choose else forms[1:]:
+            item, reach = _get(x, _PLAN_HEIGHT + 1, env, params, kernel)
+            if item is None or len(shape) > _RUN_ITEMS:
+                if len(shape) > 1:  # the items so far make a run
+                    runs += [_run(shape, objs)] * (len(shape) - 1)
+                    del shape[1:], objs[:]
+                if item is None:
+                    runs.append(None)
+                    continue
+            shape.append(item[0])
+            objs += item[1]
+            if reach > height:
+                height = reach
+        if len(shape) > 1:
+            runs += [_run(shape, objs)] * (len(shape) - 1)
     head = None if at is None else _get_at(at)
     if owner is not None:
-        cache[0] = weakref.ref(owner), head, height, gets
-    return head, height, gets
+        cache[0] = weakref.ref(owner), head, height, runs
+    return head, height, runs
 
 
 def _get(x, room, env, params, kernel):
-    """(get, reach): how an operand or test x of a step is evaluated in place.
+    """(item, reach): how an operand or test x of a step is evaluated in place.
 
-    get(env) evaluates x in env, or in an environment of env's owner,
-    without the loop, and reach is the highest level it takes above the
-    form x is an operand of, at most room; or get is None, and the loop
-    evaluates x.  x has a get when it is a symbol (see _get_at and
-    _get_unbound), a quoted constant, or a plan: an application of one or
-    two operands, each with a get, whose head is no parameter of the owner
-    (params) and is bound to a Primitive of that arity.  A step's operands
-    have room _PLAN_HEIGHT + 1, so a plan's tree is at most _PLAN_HEIGHT
-    high.
+    item describes how x is evaluated in env, or in an environment of
+    env's owner, without the loop, and reach is the highest level that
+    takes above the form x is an operand of, at most room; or item is
+    None, and the loop evaluates x.  x has an item when it is a symbol, a
+    quoted constant, or a plan: an application of one or two operands,
+    each with an item, whose head is no parameter of the owner (params)
+    and is bound to a Primitive of that arity.  A step's operands have
+    room _PLAN_HEIGHT + 1, so a plan's tree is at most _PLAN_HEIGHT high.
 
-    The gets take the steps the loop would take, in the same order, and
-    each primitive is called once through its fn.  They push nothing on
-    the loop's stack: a plan's nesting is fixed, and the loop checks its
-    reach against the cap before it runs a get.  A KernelError or an
-    unbound symbol raises a _Signal instead, which each nested get adds
-    its form to on the way out, so the trace is rebuilt only when there is
-    an error.  The gets recurse on the host stack once per level, which
-    _PLAN_HEIGHT bounds, as it bounds this walk.
+    item is (shape, objs).  shape holds only ints, None and tuples: a
+    bound symbol's is its address (up, i) (see _address), a constant's
+    _CONSTANT_LEAF, an unbound symbol's _UNBOUND_LEAF, or a constant's
+    where the symbol stands for itself, and a plan's (None, shape of each
+    operand).  objs are the objects that code of that shape needs, in the
+    order the shape is walked: a constant or unbound symbol, and for a
+    plan the primitive's function and the plan's form, then its
+    operands'.  The shape and the objs are built in this one walk.
+
+    A run takes the steps the loop would take, in the same order, and
+    calls each primitive once through its fn.  It pushes nothing on the
+    loop's stack: a plan's nesting is fixed, and the loop checks its
+    reach against the cap before it calls a run.  A KernelError or an
+    unbound symbol raises a _Signal instead, with the forms the loop would
+    have pushed (see _source), so the trace is rebuilt only when there is
+    an error.  This walk recurses on the host stack once per level, which
+    _PLAN_HEIGHT bounds.
     """
     if isinstance(x, Symbol):
         at = _address(x, env)
-        return (_get_unbound(x, kernel) if at is None else _get_at(at)), 1
-    kind, step, get = _analyse(x, kernel)
+        if at is not None:
+            return (at, ()), 1
+        return ((_CONSTANT_LEAF if x in _SELF[kernel] else _UNBOUND_LEAF), (x,)), 1
+    kind, step, got = _analyse(x, kernel)
     if kind == _CONSTANT:
-        return get, 1
+        return got
     if kind != _APPLY or room < 2:
         return None, 0
     head, _, forms, _ = step
@@ -745,11 +802,12 @@ def _get(x, room, env, params, kernel):
     if not (isinstance(prim, Primitive) and prim.arity == len(forms) - 1):
         return None, 0
     if len(forms) == 2:
-        return _get_nested(x, prim.fn, [last]), reach + 1
+        return ((None, last[0]), (prim.fn, x) + last[1]), reach + 1
     first, first_reach = _get(forms[1], room - 1, env, params, kernel)
     if first is None:
         return None, 0
-    return _get_nested(x, prim.fn, [first, last]), max(reach, first_reach) + 1
+    shape = (None, first[0], last[0])
+    return (shape, (prim.fn, x) + first[1] + last[1]), max(reach, first_reach) + 1
 
 
 # Address -> the get of the binding there: one per address, shared by every
@@ -788,63 +846,111 @@ def _get_at(at):
     return _ADDRESS_GETS.setdefault(at, get)
 
 
-# Per kernel, symbol -> its get where it is unbound: one per symbol, which
-# lives as long.
-_UNBOUND_GETS = {kernel: {} for kernel in Kernel}
+# Shape -> the run of that shape with no objs, whose code every run of the
+# shape shares (see _run).  It holds no form and no value, so it keeps no
+# program alive, and at most _RUNS_KEPT runs: when it is full, the one
+# stored last gives way.  It is read without the lock and changed under it.
+_RUNS = {}
+_RUNS_KEPT = 4096
+_RUNS_LOCK = threading.Lock()
+_RUN_NUMBERS = itertools.count()
 
 
-def _get_unbound(sym, kernel):
-    """The get of sym where it is unbound in kernel, made once and kept.
+def _run(shape, objs):
+    """The run of the items whose shape and objs are these (see _resolve).
 
-    It reads no binding: an entry serves only environments in which sym
-    is unbound too (see _resolve).  It gives sym where sym stands for
-    itself, and raises a _Signal otherwise.
+    shape is (choose, shape of each item), choose 1 for a COND's tests and
+    0 for an application's operands, and objs are the items' objs (see
+    _get).  The code of a shape is compiled once (see _source) and kept in
+    _RUNS, as a run whose parameters have no defaults; the run is that code
+    made a function whose parameters after env default to objs, or that run
+    itself where there are none, as where every item is a symbol, so such
+    runs are made once.
     """
-    gets = _UNBOUND_GETS[kernel]
-    get = gets.get(sym)
-    if get is not None:
-        return get
-    if sym in _SELF[kernel]:
+    shape = tuple(shape)
+    run = _RUNS.get(shape)
+    if run is None:
+        with _RUNS_LOCK:
+            run = _RUNS.get(shape)
+            if run is None:
+                # A file name per shape, so that a profile tells shapes apart.
+                name = f"<run {next(_RUN_NUMBERS)}>"
+                namespace = {}
+                exec(compile(_source(shape), name, "exec"), namespace)
+                run = FunctionType(namespace["run"].__code__, _RUN_GLOBALS)
+                if len(_RUNS) >= _RUNS_KEPT:
+                    _RUNS.popitem()
+                _RUNS[shape] = run
+    if not objs:
+        return run
+    return FunctionType(run.__code__, _RUN_GLOBALS, None, tuple(objs))
 
-        def get(env):
-            return sym
 
-    else:
-
-        def get(env):
-            raise _Signal(sym, [sym])
-
-    return gets.setdefault(sym, get)
+# The only names a run reads beyond its parameters.
+_RUN_GLOBALS = {"S": _Signal, "E": KernelError, "F": F}
 
 
-def _get_nested(form, fn, gets):
-    """The get of form, a plan: fn applied to what gets give, of which there
-    are one or two (see _get)."""
-    if len(gets) == 1:
-        (get,) = gets
+def _source(shape):
+    """The Python source of the runs of shape (see _run).
 
-        def nested(env):
-            try:
-                return fn(get(env))
-            except KernelError as ke:
-                raise _Signal(ke, [form])
-            except _Signal as s:
-                s.args[1].append(form)
-                raise
+    It defines run(env, a0, a1, ...), whose parameters after env are the
+    objs of the items.  The run reads each frame it needs once, then
+    evaluates the items in order, one primitive call to a line, and reads
+    each address inline.  The text is made from the shape alone, so
+    from ints: no symbol, constant or form is ever part of it.  An unbound
+    symbol raises its _Signal where it is met; one except clause turns a
+    KernelError into its _Signal, with the forms the loop would have
+    pushed above the step's form, innermost first, found by the line the
+    call that raised is on.
+    """
+    choose, *items = shape
+    lines, paths, ups = [], {}, []
+    count = 0
 
-    else:
-        get0, get1 = gets
+    def tuple_of(indices):
+        return "(" + "".join([f"a{a}, " for a in indices]) + ")"
 
-        def nested(env):
-            try:
-                return fn(get0(env), get1(env))
-            except KernelError as ke:
-                raise _Signal(ke, [form])
-            except _Signal as s:
-                s.args[1].append(form)
-                raise
+    def value(k, outer):
+        # The expression of k's value, after the lines that compute it.
+        nonlocal count
+        if k.__class__ is tuple and k[0] is not None:  # an address
+            if k[0] not in ups:
+                ups.append(k[0])
+            return f"f{k[0]}[{k[1]}]"
+        a = count
+        if k == _CONSTANT_LEAF:
+            count += 1
+            return f"a{a}"
+        if k == _UNBOUND_LEAF:
+            count += 1
+            lines.append(f"raise S(a{a}, {tuple_of((a, *outer))})")
+            return "None"
+        count += 2  # the primitive's function and the plan's form
+        args = [value(o, (a + 1, *outer)) for o in k[1:]]
+        lines.append(f"n{a} = a{a}({', '.join(args)})")
+        paths[len(lines)] = (a + 1, *outer)
+        return f"n{a}"
 
-    return nested
+    results = []
+    for j, k in enumerate(items):
+        v = value(k, ())
+        if choose:
+            lines += [f"t = {v}", f"if t is not F: return ({j}, t)"]
+        else:
+            results.append(v + ", ")
+    end = f"return ({len(items)}, F)" if choose else f"return ({''.join(results)})"
+    head = [f"def run(env, {''.join([f'a{a}, ' for a in range(count)])}):"]
+    head += [f"    f{up} = env{'.parent' * up}.values" for up in ups]
+    if paths:  # the line of each call, in the text, and its forms
+        base = len(head) + 1
+        where = ", ".join([f"{base + n}: {tuple_of(p)}" for n, p in paths.items()])
+        head.append("    try:")
+        lines = [f"    {line}" for line in lines] + [
+            "except E as e:",
+            f"    raise S(e, {{{where}}}[e.__traceback__.tb_lineno])",
+        ]
+    lines.append(end)
+    return "\n".join(head + [f"    {line}" for line in lines]) + "\n"
 
 
 def _address(sym, env):

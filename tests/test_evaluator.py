@@ -1,7 +1,9 @@
 """The universal interpreter over both kernels."""
 
 import ast
+import builtins
 import copy
+import functools
 import gc
 import inspect
 import itertools
@@ -9,7 +11,9 @@ import pickle
 import random
 import sys
 import threading
+import time
 import tracemalloc
+import types
 import weakref
 
 import pytest
@@ -27,6 +31,7 @@ from protolisp import (
     EvalError,
     Fault,
     Kernel,
+    KernelError,
     KernelKind,
     Pair,
     Primitive,
@@ -1170,10 +1175,15 @@ def test_a_combine_tree_100000_deep_keeps_off_the_host_stack(kernel):
 
 def test_the_evaluator_makes_no_generator():
     # Evaluation suspends in frames on the loop's own list, never in a
-    # generator: no yield, and no generator expression either.
-    tree = ast.parse(inspect.getsource(evaluator))
+    # generator: no yield, and no generator expression either, in the
+    # module or in the code it compiles for the runs of a step.
+    eval_sexpr(program(Kernel.LIST, corpus.EQUAL + "[(A, (B)); (A, (B))]"))
+    sources = [inspect.getsource(evaluator), *_sources()]
+    assert len(sources) > 1
     kinds = (ast.Yield, ast.YieldFrom, ast.GeneratorExp)
-    assert [type(n).__name__ for n in ast.walk(tree) if isinstance(n, kinds)] == []
+    for source in sources:
+        tree = ast.parse(source)
+        assert [type(n).__name__ for n in ast.walk(tree) if isinstance(n, kinds)] == []
 
 
 # Recursive closures whose bodies are CONDs: tests and operands that a step
@@ -1701,3 +1711,334 @@ def test_a_call_costs_the_same_memory_whatever_is_bound_around_it():
     # A call makes one frame of its own bindings over the captured
     # environment, never a copy of it.
     assert _bytes_per_level(1000) <= 1.25 * _bytes_per_level(0)
+
+
+# --- runs: each stretch of a step's in-place items, one compiled function --------
+#
+# A resolved step's operands or tests that need no loop are cut into runs of
+# at most _RUN_ITEMS, each a Python function compiled from its shape alone.
+# The cases run three ways, so a run's values, faults, traces and primitive
+# calls are the loop's.
+
+_CAP = evaluator._RUN_ITEMS
+_ZZ = Symbol("ZZ")
+
+
+def _kinds_in(shape):
+    """The types of everything a shape holds, itself included."""
+    if shape.__class__ is tuple:
+        return {tuple}.union(*[_kinds_in(k) for k in shape])
+    return {type(shape)}
+
+
+def _sources():
+    """The text of the runs of every shape compiled so far."""
+    return [evaluator._source(shape) for shape in list(evaluator._RUNS)]
+
+
+def _off_symbol(name):
+    """A symbol of any name, made past the check of Symbol's constructor."""
+    sym = object.__new__(Symbol)
+    object.__setattr__(sym, "name", name)
+    return sym
+
+
+@pytest.mark.parametrize("kernel", [Kernel.LIST, Kernel.PAIR])
+@pytest.mark.parametrize("in_closure", [False, True], ids=["top", "closure"])
+def test_a_symbol_named_as_python_source_is_bound_read_and_quoted(kernel, in_closure):
+    # A run's text is made from its shape, ints only, so no name reaches it:
+    # not one bound and read inside plans and COND tests, nor a quoted one.
+    # Such symbols cannot be copied (Symbol rejects the name), so the loop's
+    # path runs on forms made afresh, not on deep copies.
+    bound = _off_symbol("x]; import os #")
+    atom = _off_symbol("QUOTE) or __import__('os').getcwd() #")
+    data = in_kernel(kernel, ProperList((A, B)))
+    combine, cond, eq_ = Symbol("COMBINE"), Symbol("COND"), Symbol("EQ")
+    first, rest = Symbol("FIRST"), Symbol("REST")
+
+    def made():
+        f = functools.partial(form, kernel)
+        q = f(QUOTE, atom)
+        test = f(eq_, f(first, bound), q)
+        body = f(combine, q, f(cond, f(test, q), f(f(eq_, f(first, f(rest, bound)), f(QUOTE, B)),
+                                                   f(combine, f(first, bound), f(rest, bound)))))
+        if in_closure:
+            return f(f(_LAMBDA, f(bound), body), f(QUOTE, data)), default_env(kernel)
+        return body, default_env(kernel).extend([(bound, data)])
+
+    expected = in_kernel(kernel, ProperList((atom, A, B)))
+    expr, env = made()
+    assert eval_sexpr(expr, env, kernel, DEPTH) == expected
+    assert eval_sexpr(expr, env, kernel, DEPTH) == expected  # the step's cache
+    assert helpers.reference_eval(*made(), kernel, DEPTH) == expected
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evaluator, "_get", _no_get)
+        assert eval_sexpr(*made(), kernel, DEPTH) == expected
+    sources = _sources()
+    assert sources
+    assert not [s for s in sources if bound.name in s or atom.name in s or "import" in s]
+
+
+def test_every_shape_holds_only_ints_none_and_tuples():
+    env = default_env()
+    for source in (corpus.REVERSE + "[(A, B); ()]", corpus.EQUAL + "[(A, (B)); (A, (B))]"):
+        eval_sexpr(program(Kernel.LIST, source), env)
+    meta_eval(program(Kernel.LIST, corpus.APPEND + "[(A); (B)]"))
+    assert evaluator._RUNS
+    for shape in evaluator._RUNS:
+        assert _kinds_in(shape) <= {int, type(None), tuple}, shape
+
+
+def _reachable(root):
+    """What root refers to, directly or not, short of types and modules."""
+    todo, seen, out = [root], {id(builtins.__dict__)}, []
+    while todo:
+        v = todo.pop()
+        if id(v) in seen or isinstance(v, (type, types.ModuleType)):
+            continue
+        seen.add(id(v))
+        out.append(v)
+        todo += gc.get_referents(v)
+    return out
+
+
+def test_the_shape_cache_is_bounded_and_keeps_no_program_alive(monkeypatch):
+    monkeypatch.setattr(evaluator, "_RUNS", {})
+    monkeypatch.setattr(evaluator, "_RUNS_KEPT", 4)
+    # Each program reads its own parameter at its own index: a shape each.
+    for n in range(1, 13):
+        params = "; ".join([f"x{i}" for i in range(n)])
+        args = "; ".join([f"(A{i})" for i in range(n)])
+        text = f"lambda[[{params}]; combine[first[x{n - 1}]; ()]][{args}]"
+        assert eval_sexpr(program(Kernel.LIST, text)) == read_sexpr(f"(A{n - 1})")
+        assert 0 < len(evaluator._RUNS) <= 4
+    fn = eval_sexpr(program(Kernel.LIST, "lambda[[x]; [eq[x; A] -> first[(B)]; T -> x]]"))
+    assert apply_fn(fn, [A]) is B
+    ref = weakref.ref(fn)
+    kept = _reachable(evaluator._RUNS)
+    kinds = (ProperList, Pair, Closure, Env, Primitive, EvalError, KernelError)
+    assert [v for v in kept if isinstance(v, kinds)] == []
+    assert [v for v in kept if isinstance(v, Symbol)] == [F]
+    del fn
+    gc.collect()
+    assert ref() is None
+
+
+def test_threads_that_compile_shapes_at_once_keep_the_cache_bounded(monkeypatch):
+    # Four threads, more than the cores here, each resolve steps of shapes
+    # the others need too, in closures made anew, with the cache smaller
+    # than the shapes: every value is right and the bound holds.
+    monkeypatch.setattr(evaluator, "_RUNS", {})
+    monkeypatch.setattr(evaluator, "_RUNS_KEPT", 3)
+    texts = [f"lambda[[{'; '.join([f'x{i}' for i in range(n)])}];"
+             f" combine[first[x{n - 1}]; ()]][{'; '.join([f'(A{i})' for i in range(n)])}]"
+             for n in range(1, 7)]
+    expected = [read_sexpr(f"(A{n - 1})") for n in range(1, 7)]
+    results, sizes = [[] for _ in range(4)], []
+
+    def work(i):
+        for _ in range(30):
+            order = texts[i:] + texts[:i]
+            results[i].append([eval_sexpr(program(Kernel.LIST, t)) for t in order])
+            sizes.append(len(evaluator._RUNS))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not [t for t in threads if t.is_alive()]
+    for i in range(4):
+        assert results[i] == [expected[i:] + expected[:i]] * 30
+    assert max(sizes) <= 3
+
+
+def _wide_cond(kernel, n, last="eq[first[x]; K{i}]"):
+    tests = [f"eq[first[x]; K{i}] -> K{i}" for i in range(n - 1)]
+    tests.append(last.format(i=n - 1) + f" -> K{n - 1}")
+    return program(kernel, "lambda[[x]; [" + "; ".join(tests) + "]]")
+
+
+def _first_application(kernel, fn_form, n, get=None):
+    """The best of three times of the first application of a wide COND.
+
+    Each closure of fn_form is new, so its first application resolves
+    the COND step, and the steps of its tests, afresh.
+    """
+    arg, times = in_kernel(kernel, read_sexpr(f"(K{n - 1})")), []
+    for _ in range(3):
+        fn = eval_sexpr(fn_form, kernel=kernel)
+        with pytest.MonkeyPatch.context() as mp:
+            if get is not None:
+                mp.setattr(evaluator, "_get", get)
+            start = time.perf_counter()
+            value = apply_fn(fn, [arg], kernel)
+            times.append(time.perf_counter() - start)
+        assert value is Symbol(f"K{n - 1}")
+    return min(times), fn
+
+
+@pytest.mark.parametrize("kernel", [Kernel.LIST, Kernel.PAIR])
+def test_a_cond_of_3000_clauses_compiles_a_bounded_run_per_8_tests(kernel):
+    n = 3000
+    _first_application(kernel, _wide_cond(kernel, 20), 20)  # its shapes, compiled
+    shapes = len(evaluator._RUNS)
+    fn_form = _wide_cond(kernel, n)
+    with_runs, fn = _first_application(kernel, fn_form, n)
+    # Every test has one shape, and 8 divides 3000: the runs of 8 tests
+    # that the COND of 20 clauses compiled serve it all.
+    assert len(evaluator._RUNS) == shapes
+    runs = fn.body._node[1][1][0][3]
+    assert len(runs) == n and len({id(r) for r in runs}) == -(-n // _CAP)
+    # Applied through the loop alone, each test is a step of its own.
+    through_the_loop_, _ = _first_application(kernel, fn_form, n, _no_get)
+    assert with_runs <= through_the_loop_
+
+
+@pytest.mark.parametrize("kernel", [Kernel.LIST, Kernel.PAIR])
+def test_a_fault_in_the_last_test_of_a_cond_of_3000_clauses(kernel):
+    fn_form = _wide_cond(kernel, 3000, last="eq[first[first[x]]; K{i}]")
+    expr = form(kernel, fn_form, quoted(kernel, read_sexpr("(Z)")))
+    got = three_ways(expr, default_env(kernel), kernel, DEPTH)
+    assert got[0] is Fault.KERNEL_FAULT
+    assert got[2][-1] == program(kernel, "first[first[x]]")
+
+
+@pytest.mark.parametrize("kernel", [Kernel.LIST, Kernel.PAIR])
+def test_an_application_of_300_operands(kernel):
+    n = 300
+    env = default_env(kernel).extend(
+        [(Symbol("P"), Primitive("P", n, lambda *args: args[-1])),
+         (_X, in_kernel(kernel, read_sexpr("(A)")))]
+    )
+    operands = "; ".join(
+        [("x", "first[x]", f"K{i}", "combine[x; ()]")[i % 4] for i in range(n)]
+    )
+    for text, expected in ((f"p[{operands}]", "((A))"),
+                           (f"lambda[[x]; p[{operands}]][(B)]", "((B))")):
+        got = three_ways(program(kernel, text), env, kernel, DEPTH)
+        assert got == ("value", in_kernel(kernel, read_sexpr(expected)))
+    # A closure of 300 parameters, applied to 300 operands.
+    params = "; ".join([f"v{i}" for i in range(n)])
+    text = f"lambda[[{params}]; combine[v{n - 1}; v0]][{operands}]"
+    got = three_ways(program(kernel, text), env, kernel, DEPTH)
+    assert got == ("value", in_kernel(kernel, read_sexpr("(((A)), A)")))
+
+
+def _faulty(cause, depth):
+    """An item depth applications high whose innermost faults or is unbound."""
+    inner = "A" if cause == "fault" else "zz"
+    for _ in range(depth):
+        inner = f"first[{inner}]"
+    return inner
+
+
+@pytest.mark.parametrize("kernel", [Kernel.LIST, Kernel.PAIR])
+@pytest.mark.parametrize("position", [0, _CAP - 1, _CAP, _CAP + 1])
+@pytest.mark.parametrize("depth", [1, 2, 3])
+@pytest.mark.parametrize("cause", ["fault", "unbound"])
+@pytest.mark.parametrize("choose", [False, True], ids=["apply", "cond"])
+def test_an_error_at_any_item_of_a_run_has_the_trace_of_the_loop(
+    kernel, position, depth, cause, choose
+):
+    # The error is in the first run, at its end, or in the second run; the
+    # items around it read x, apply primitives and quote constants.
+    n = _CAP + 3
+    fillers = ("x", "first[x]", "(K)", "combine[x; ()]")
+    if choose:  # tests that give F
+        fillers = ("eq[first[x]; K]", "atom[x]", "F", "eq[first[first[combine[(K); x]]]; A]")
+    items = [fillers[i % 4] for i in range(n)]
+    items[position] = _faulty(cause, depth)
+    if choose:
+        body = "[" + "; ".join([f"{item} -> C{i}" for i, item in enumerate(items)]) + "]"
+    else:
+        body = f"p[{'; '.join(items)}]"
+    env = default_env(kernel).extend(
+        [(Symbol("P"), Primitive("P", n, lambda *args: args[0]))]
+    )
+    message = "unbound symbol: ZZ" if cause == "unbound" else "undefined on atoms"
+    for text in (body, f"lambda[[x]; lambda[[y]; {body}][B]][(A)]"):
+        if text is body:
+            env = env.extend([(_X, in_kernel(kernel, read_sexpr("(A)")))])
+        expr = program(kernel, text)
+        got = three_ways(expr, env, kernel, DEPTH)
+        assert got[0] is (Fault.UNBOUND if cause == "unbound" else Fault.KERNEL_FAULT)
+        assert got[1].endswith(message)
+        innermost = _ZZ if cause == "unbound" else program(kernel, _faulty(cause, 1))
+        assert got[2][-1] == innermost
+        # The same error again, through the step's cache.
+        assert outcome(eval_sexpr, expr, env, kernel, DEPTH) == got
+
+
+def _counting(kernel, calls):
+    """FIRST, EQ, REST and COMBINE of kernel, as primitives that count their calls."""
+
+    def counted(name):
+        prim = default_env(kernel).lookup(Symbol(name))
+
+        def call(*args):
+            calls.append(name)
+            return prim.fn(*args)
+
+        return Primitive(name, prim.arity, call)
+
+    return [(Symbol(name), counted(name)) for name in ("FIRST", "EQ", "REST", "COMBINE")]
+
+
+@pytest.mark.parametrize("kernel", [Kernel.LIST, Kernel.PAIR])
+@pytest.mark.parametrize(
+    "source, call",
+    [(corpus.EQUAL, "[(A, (B), C); (A, (B), C)]"),
+     (corpus.APPEND, "[(A, B, C, D, E); (F)]"),
+     (corpus.EQUAL, "[(A, (B), C); (A, (B, C))]"),
+     # A fault part way: first[x] of the atom D, after the calls before it.
+     ("lambda[[x]; [eq[first[x]; A] -> A; eq[first[rest[x]]; B] -> B;"
+      " eq[first[first[rest[rest[x]]]]; C] -> C; T -> first[x]]]", "[(Z, Z, D)]")],
+)
+def test_a_primitive_is_called_as_often_as_under_the_loop(kernel, source, call):
+    calls = []
+    env = default_env(kernel).extend(_counting(kernel, calls))
+    expr = program(kernel, source + call)
+    got = outcome(eval_sexpr, expr, env, kernel, DEPTH)
+    compiled, calls[:] = list(calls), []
+    assert through_the_loop(expr, env, kernel, DEPTH) == got
+    assert calls == compiled and compiled
+    calls[:] = []
+    assert outcome(eval_sexpr, expr, env, kernel, DEPTH) == got  # through the cache
+    assert calls == compiled
+
+
+@pytest.mark.parametrize("kernel", [Kernel.LIST, Kernel.PAIR])
+@pytest.mark.parametrize("position", [0, _CAP + 1])
+def test_a_primitive_that_raises_inside_a_run_raises_as_under_the_loop(kernel, position):
+    # StopIteration becomes RuntimeError, as PEP 479 has it for a generator,
+    # and any other exception propagates unchanged, itself.
+    error = ValueError("not a kernel fault")
+
+    def stop(x):
+        raise StopIteration
+
+    def fail(x):
+        raise error
+
+    env = default_env(kernel).extend(
+        [(Symbol("STOP"), Primitive("STOP", 1, stop)),
+         (Symbol("FAIL"), Primitive("FAIL", 1, fail)),
+         (Symbol("P"), Primitive("P", _CAP + 2, lambda *args: args[0]))]
+    )
+    for name, expected in (("stop", RuntimeError), ("fail", ValueError)):
+        items = ["(A)"] * (_CAP + 2)
+        items[position] = f"first[{name}[(A)]]"
+        expr = program(kernel, f"lambda[[x]; p[{'; '.join(items)}]][(B)]")
+        for path in (eval_sexpr, eval_sexpr, through_the_loop):
+            with pytest.raises(expected) as info:
+                path(expr, env, kernel, DEPTH)
+            if expected is ValueError:
+                assert info.value is error
+        lam = expr.items[0] if kernel is Kernel.LIST else expr.head
+        assert None not in lam._node[2]._node[1][1][0][3]  # every operand in a run
