@@ -49,9 +49,9 @@ resumes the frame with the value: the recursion's continuation,
 defunctionalized (Danvy and Nielsen, "Defunctionalization at work", PPDP
 2001), which makes the loop a CEK machine (Felleisen and Friedman, 1986).
 A frame holds the form's node, the environment, the runs of its operands
-or tests, the values so far, and the height of the stack of expressions
-under evaluation with the form on top.  A closure body and a COND's
-chosen result need no frame; their value is the form's.
+or tests, a COND's exits, the values so far, and the height of the stack
+of expressions under evaluation with the form on top.  A closure body and
+a COND's chosen result need no frame; their value is the form's.
 
 An application with a symbol head, and a COND, is a step.  Where the
 loop meets a step in an environment, it first resolves it there (see
@@ -68,32 +68,44 @@ items are cut at each that the loop must evaluate itself, such as
 append's app[rest[x]; y] in combine[first[x]; app[rest[x]; y]], and
 each run of up to eight items between cuts becomes one Python function
 of straight-line code, which reads each symbol at its address and calls
-each primitive in turn: for an application it gives the items' values,
-for a COND the first test whose value is not F.  Its text is made from
-the run's shape alone, the addresses, the kinds of leaf and the
-arities, and compiled once per shape; the primitives, constants and
-forms are its arguments, never its text.  The loop calls the runs up to
-the first item that has none.  There the step suspends: the loop pushes
-its frame and goes on with that operand, and resumes the step in place
-when the value comes back.  It then calls the primitive, or binds the
-closure's parameters and goes on with its body, or goes on with the
-chosen result.
+each primitive in turn.  For an application it gives the items' values.
+A COND's run goes on into the clause it picks, whose result it
+describes too: a result that can be evaluated in place gives the COND's
+value; an application whose head is bound and whose operands can be is
+a tail exit, whose head the run reads and whose operands it evaluates,
+for the loop to push the form and bind or apply, as Steele's "Lambda:
+the ultimate GOTO" (MIT AI Memo 443, 1977) has a tail call be a jump
+with arguments; a nested COND whose tests can be folds into the run
+the same way; any other result the loop goes on with.  A clause whose
+test the loop evaluates has its result taken by an exit of its own, a
+run of that result alone, when the test gives T.  Its text is made from
+the run's shape alone, the addresses, the kinds of leaf and of result
+and the arities, and compiled once per shape; the primitives,
+constants and forms are its arguments, never its text.  The loop calls
+the runs up to the first item that has none.  There the step suspends:
+the loop pushes its frame and goes on with that operand, and resumes
+the step in place when the value comes back.  It then calls the
+primitive, or binds the closure's parameters and goes on with its body,
+or takes the chosen result as a run would.
 
 A run pushes nothing on the stack of expressions under evaluation: its
-nesting is fixed, and the height the step's runs reach is checked
-against the depth cap before any is called.  Where it does not fit, or
-an application's head is unbound or not a symbol, the loop evaluates
-each operand, head or test itself, checking the cap at each.  Where a
-primitive faults or a symbol is unbound inside a run, the run raises a
-signal with the forms the loop would have had on its stack there, which
-it finds from the line the fault is on, and the loop rebuilds the trace
-from that path: what the trace costs is paid on the raise, not on the
-way in, as with the zero-cost exceptions of CPython 3.11.  So the order,
-the primitive calls, the errors and the traces are those of the
-universal function.  There is no tail-call elimination: a form stays on
-the stack until the body or result it goes on with has its value, as in
-the universal function, so the depth, where it runs out and every trace
-stay the same.
+nesting is fixed, and the height the step's runs reach, chosen results
+included, is checked against the depth cap before any is called.  Where
+it does not fit, or an application's head is unbound or not a symbol,
+the loop evaluates each operand, head, test or result itself, checking
+the cap at each.  Where a primitive faults, a symbol is unbound, a test
+gives no truth value or a nested COND runs out of clauses inside a run,
+the run raises a signal with the forms the loop would have had on its
+stack there, which it finds from the line the fault is on, and the loop
+rebuilds the trace from that path: what the trace costs is paid on the
+raise, not on the way in, as with the zero-cost exceptions of CPython
+3.11.  A result the loop goes on with, and a tail exit, come back with
+the forms the loop would have pushed on the way, which it pushes.  So
+the order, the primitive calls, the errors and the traces are those of
+the universal function.  There is no tail-call elimination: a form
+stays on the stack until the body or result it goes on with has its
+value, as in the universal function, so the depth, where it runs out
+and every trace stay the same.
 
 A step keeps what it resolved, per owning closure: the inline cache of
 Deutsch and Schiffman ("Efficient implementation of the Smalltalk-80
@@ -118,7 +130,9 @@ so it outlives a run: a closure that a later call applies again, such as
 the meta evaluator of a universal_env, finds its steps resolved.  It
 keeps no value a head is bound to, only the functions of the primitives
 its runs apply, and refers to its owner weakly, so that a closure's
-body keeps no closure alive, itself included.  Its entry is one tuple,
+body keeps no closure alive, itself included.  A COND describes its
+results only for an owner: where it is resolved each time, the loop
+takes the result it picks.  Its entry is one tuple,
 read once and replaced whole, so a thread that evaluates a form another
 thread evaluates too sees one owner's answer, never parts of two.
 
@@ -170,6 +184,16 @@ _RUN_ITEMS = 8
 # The shapes of a constant and of an unbound symbol, beside an address (up,
 # i) and a plan's (None, ...); see _get.
 _CONSTANT_LEAF, _UNBOUND_LEAF = 0, 1
+
+# The most tests of nested CONDs that one run folds into its results; see
+# _exit.
+_FOLD_TESTS = 32
+
+# What a COND's run gives, (how, x, y) (see _source): _FELL, x tests gave
+# F; _VALUE, the COND's value x; _GO, push the forms x and go on with y;
+# _TAIL, push x and apply y's function to its arguments.  _NEST, beside
+# them, is the kind of a result that is a COND the run folds (see _exit).
+_FELL, _VALUE, _GO, _TAIL, _NEST = range(5)
 
 # The kinds of node (see _node): what the loop does with the form.
 # The two whose node holds a step come first (see _Interp.run).
@@ -368,15 +392,21 @@ class _Interp:
         quoted constant and a LAMBDA at once, an application or a COND as
         a step (see _resolve), a LABEL by its body.  What a form does not
         evaluate in place is evaluated above its frame, (node, env, runs,
-        values, level): runs are what _resolve gave the step (all None
-        where the loop evaluates every item), values holds the head's and
-        the operands' values so far, or an F for each test that gave F, and
-        level is len(self.stack) with the form on top, to which the stack
-        is cut back before the frame resumes.  From an item that has a run,
-        the loop calls the runs up to the next item that has none.  A
-        form's node is the one it keeps from an earlier evaluation, in this
-        run or another, or is made now (see _analyse).  A _Signal from a
-        run becomes its EvalError here, with the trace rebuilt.
+        exits, values, level): runs and a COND's exits are what _resolve
+        gave the step (all None where the loop evaluates every item),
+        values holds the head's and the operands' values so far, or an F
+        for each test that gave F, and level is len(self.stack) with the
+        form on top, to which the stack is cut back before the frame
+        resumes.  From an item that has a run, the loop calls the runs up
+        to the next item that has none.  A COND's run, and an exit, give
+        (how, x, y) (see _source), which the loop takes the same way at
+        the head of the loop and where a test's value resumes the frame;
+        each of the two then binds or applies in the one place where an
+        application's values are complete.  Where the step does not fit
+        under the cap, its runs and a COND's exits are all None.
+        A form's node is the one it keeps from an earlier evaluation, in
+        this run or another, or is made now (see _analyse).  A _Signal
+        from a run becomes its EvalError here, with the trace rebuilt.
         """
         frames = []
         stack = self.stack
@@ -403,47 +433,57 @@ class _Interp:
                     kind, step, body = node
                     if kind <= _CHOOSE:
                         _, cache, forms, choice = step
-                        owner, head, height, runs = cache[0]
+                        owner, head, height, runs = cache[0]  # a COND's head: its exits
                         if not (owner() is env.owner is not None):
                             head, height, runs = _resolve(step, env, kernel)
-                        if len(stack) + height > max_depth:
-                            head, runs = None, (None,) * len(forms)
+                        if len(stack) + height > max_depth:  # the loop takes every item
+                            runs = (None,) * len(forms)
+                            head = None if choice is None else runs  # and every result
                         if choice is not None:
-                            i, t = 0, F
-                            while t is F and i < len(forms):
+                            how, i = _FELL, 0
+                            while i < len(forms):
                                 run = runs[i]
                                 if run is None:
                                     break
-                                j, t = run(env)
-                                i += j
-                            if t is T:
-                                expr = choice[0][i]
+                                how, x, y = run(env)
+                                if how != _FELL:
+                                    break
+                                i += x
+                            if how == _FELL:
+                                if i == len(forms):
+                                    raise self._error(*choice[1])
+                                frames.append((node, env, runs, head, [F] * i, len(stack)))
+                                expr = forms[i]
                                 continue
-                            if t is not F:
-                                raise self._not_truth(t)
-                            if i == len(forms):
-                                raise self._error(*choice[1])
-                            values = [F] * i
-                        elif head is not None:
+                            if how == _VALUE:
+                                value = x
+                                break
+                            stack += x
+                            if how == _GO:
+                                expr = y
+                                continue
+                            fn, args = y  # a tail exit
+                        elif head is None:  # the loop evaluates the head and each operand
+                            frames.append((node, env, (None,) * len(forms), None, [], len(stack)))
+                            expr = forms[0]
+                            continue
+                        else:
                             fn, args = head(env), ()
                             while len(args) + 1 < len(forms):
                                 run = runs[len(args)]
                                 if run is None:
                                     break
                                 args += run(env)
-                            else:
-                                if isinstance(fn, Closure):
-                                    env = self._bind(fn, args)
-                                    expr = fn.body
-                                    continue
-                                value = self._apply(fn, args)
-                                break
-                            values = [fn, *args]
-                        else:  # the loop evaluates the head and each operand
-                            runs, values = (None,) * len(forms), []
-                        frames.append((node, env, runs, values, len(stack)))
-                        expr = forms[len(values)]
-                        continue
+                            if len(args) + 1 < len(forms):  # the loop evaluates that one
+                                frames.append((node, env, runs, None, [fn, *args], len(stack)))
+                                expr = forms[len(args) + 1]
+                                continue
+                        if isinstance(fn, Closure):
+                            env = self._bind(fn, args)
+                            expr = fn.body
+                            continue
+                        value = self._apply(fn, args)
+                        break
                     if kind == _CONSTANT:
                         value = step
                         break
@@ -451,12 +491,12 @@ class _Interp:
                         value = Closure(step, body, env)
                         break
                     if kind == _NAME:
-                        frames.append((node, env, None, None, len(stack)))
+                        frames.append((node, env, None, None, None, len(stack)))
                         expr = body
                         continue
                     raise self._error(Fault.MALFORMED, step)
                 while frames:  # resume the top frame with value
-                    node, env, runs, values, level = frames[-1]
+                    node, env, runs, exits, values, level = frames[-1]
                     del stack[level:]
                     kind, step, _ = node
                     if kind == _APPLY:
@@ -474,39 +514,54 @@ class _Interp:
                             break
                         frames.pop()
                         fn, *args = values
-                        if isinstance(fn, Closure):
-                            env = self._bind(fn, args)
-                            expr = fn.body
-                            break
-                        value = self._apply(fn, args)
                     elif kind == _CHOOSE:
                         _, _, forms, (results, end) = step
-                        i, t = len(values), value  # the test whose value this is
-                        if t is F:
-                            i += 1
-                            while t is F and i < len(forms):
+                        i = len(values)  # the test whose value this is
+                        if value is T:
+                            run = exits[i]
+                            if run is None:
+                                how, x, y = _GO, (), results[i]
+                            else:
+                                how, x, y = run(env)
+                        elif value is F:
+                            how, i = _FELL, i + 1
+                            while i < len(forms):
                                 run = runs[i]
                                 if run is None:
                                     break
-                                j, t = run(env)
-                                i += j
-                        if t is T:
-                            frames.pop()
-                            expr = results[i]
+                                how, x, y = run(env)
+                                if how != _FELL:
+                                    break
+                                i += x
+                        else:
+                            raise self._not_truth(value)
+                        if how == _FELL:
+                            if i == len(forms):
+                                raise self._error(*end)
+                            values += [F] * (i - len(values))
+                            expr = forms[i]
                             break
-                        if t is not F:
-                            raise self._not_truth(t)
-                        if i == len(forms):
-                            raise self._error(*end)
-                        values[:] = [F] * i
-                        expr = forms[i]
-                        break
+                        frames.pop()
+                        if how == _VALUE:
+                            value = x
+                            continue
+                        stack += x
+                        if how == _GO:
+                            expr = y
+                            break
+                        fn, args = y  # a tail exit
                     else:
                         frames.pop()
                         if not isinstance(value, Closure):
                             detail = "LABEL body must produce a closure"
                             raise self._error(Fault.MALFORMED, detail)
                         value = replace(value, self_name=step)
+                        continue
+                    if isinstance(fn, Closure):
+                        env = self._bind(fn, args)
+                        expr = fn.body
+                        break
+                    value = self._apply(fn, args)
                 else:
                     return value
         except StopIteration as e:  # a primitive's, raised as PEP 479 has it
@@ -518,6 +573,11 @@ class _Interp:
         stack.extend(reversed(path))
         if isinstance(cause, Symbol):
             raise self._unbound(cause)
+        if cause.__class__ is tuple:  # a COND's error: (kind, detail)
+            kind, detail = cause
+            if kind is Fault.BAD_TRUTH_VALUE:
+                raise self._not_truth(detail)
+            raise self._error(kind, detail)
         error = self._fault(cause)
         error.__cause__ = error.__context__ = cause  # as raise ... from cause
         raise error
@@ -582,12 +642,14 @@ _SELF = {Kernel.LIST: (T, F), Kernel.PAIR: (T, F, NIL)}
 
 
 class _Signal(Exception):
-    """A kernel fault or an unbound symbol inside a run, on its way to the loop.
+    """An error inside a run, on its way to the loop.
 
-    args are (cause, path): cause is the KernelError or the unbound symbol,
-    and path the forms the loop would have had on its stack above the
-    step's form, innermost first, which the run knows from where the
-    fault is (see _source).  _Interp.run makes it the EvalError.
+    args are (cause, path): cause is the KernelError, the unbound symbol,
+    or a COND's error as (kind, detail), whose detail is the value itself
+    for a bad truth value; path is the forms the loop would have had on
+    its stack above the step's form, innermost first, which the run knows
+    from where the error is (see _source).  _Interp.run makes it the
+    EvalError.
     """
 
 
@@ -682,29 +744,37 @@ def _clauses(clauses, kernel):
 
 
 def _resolve(step, env, kernel):
-    """(head, height, runs) of a step in env, kept in its cache where that is sound.
+    """(head or exits, height, runs) of a step in env, kept in its cache where sound.
 
     A step is (head, cache, forms, choice).  For an application, forms
     are its items, head first, head is that symbol or None, and choice is
     None.  For a COND, forms are its tests, head is None and choice is
     (results, end) (see _clauses).  cache is a list of one entry, (owner,
-    head, height, runs), which starts as _NO_ENTRY.
+    head, height, runs), which starts as _NO_ENTRY; for a COND the second
+    field is its exits.
 
-    The head resolves to the get of its binding's address (see _get_at),
-    so the head is head(env); it is None for a COND, or if unbound.  runs
-    holds, per operand or test, the run that evaluates it in place, or
-    None where the loop evaluates it (see _get); an application whose head
-    the loop evaluates has none.  The items are cut at each that has none,
-    and after every _RUN_ITEMS, and each run of items between cuts is one
+    An application's head resolves to the get of its binding's address
+    (see _get_at), so the head is head(env), or None if unbound.  A COND
+    has no head, and its entry holds its exits there instead.  runs holds,
+    per operand or test, the run that evaluates it in place, or None where
+    the loop evaluates it (see _get); an application whose head the loop
+    evaluates has none.  The items are cut at each that has none, and
+    after every _RUN_ITEMS, and each run of items between cuts is one
     function, compiled for its shape (see _run): run(env) gives the values
-    of an application's items, left to right, and of a COND's, (j, t) for
-    the j-th of its tests, the first whose value t is not F, or (the
-    number of its tests, F).  Each item of a run holds it, and the loop
-    calls it at its first.  height is the highest level the runs
-    reach above the step's form, and at least 1, the level of the head or
-    first test the loop would push itself, so that a step on the cap
-    leaves the cap to the loop.  Only bindings are read, in one walk of
-    the items that describes them and builds their shape.
+    of an application's items, left to right.  A COND's run takes its
+    tests in turn, and the result of the first that gives T as its
+    clause's result is described (see _exit): it gives (how, x, y) (see
+    _source).  exits holds, per clause whose test the loop evaluates, the
+    run of its result alone, which the loop calls when that test gives T,
+    or None where the loop goes on with that result itself.  Each item of
+    a run holds it, and the loop calls it at its first.  height is the
+    highest level the runs reach above the step's form, results
+    included, and at least 1, the level of the head or first test the
+    loop would push itself, so that a step on the cap leaves the cap to
+    the loop.  Only bindings are read, in one walk of the items and the
+    results that describes them and builds their shape.  In an
+    environment of no owner the entry serves once, so the results are
+    not described: the loop goes on with the one the run picks.
 
     Every environment of one owner is a frame of the owner's parameters,
     then its LABEL name if it has one, over the environment it captured,
@@ -723,34 +793,51 @@ def _resolve(step, env, kernel):
     head, cache, forms, choice = step
     owner = env.owner
     at = None if head is None else _address(head, env)
-    height, runs = 1, []
+    height, runs, exits = 1, [], []  # exits: a COND's, in its head's place
     if at is not None or choice is not None:
         params = () if owner is None else owner.params
         choose = 0 if choice is None else 1
-        shape, objs = [choose], []
-        for x in forms if choose else forms[1:]:
+        shape, objs, budget = [choose], [], _FOLD_TESTS
+        for j, x in enumerate(forms if choose else forms[1:]):
             item, reach = _get(x, _PLAN_HEIGHT + 1, env, params, kernel)
             if item is None or len(shape) > _RUN_ITEMS:
                 if len(shape) > 1:  # the items so far make a run
                     runs += [_run(shape, objs)] * (len(shape) - 1)
                     del shape[1:], objs[:]
-                if item is None:
-                    runs.append(None)
-                    continue
+                budget = _FOLD_TESTS
+            if choose:  # the clause's result, taken in the run that picks it
+                result = choice[0][j]
+                if owner is None:  # the loop takes it: this entry serves once
+                    got, exit_reach, tests = ((_GO, None), (result,)), 0, 0
+                else:
+                    got, exit_reach, tests = _exit(
+                        result, _PLAN_HEIGHT + 1, env, params, kernel, budget
+                    )
+                if exit_reach > height:
+                    height = exit_reach
+                if item is None:  # its own run, for when the loop's test gives T
+                    exits.append(None if got[0][0] == _GO else _run((2, got[0]), got[1]))
+                else:
+                    exits.append(None)
+                    budget -= tests
+                    item = (item[0], got[0]), item[1] + got[1]
+            if item is None:
+                runs.append(None)
+                continue
             shape.append(item[0])
             objs += item[1]
             if reach > height:
                 height = reach
         if len(shape) > 1:
             runs += [_run(shape, objs)] * (len(shape) - 1)
-    head = None if at is None else _get_at(at)
+    head = exits if choice is not None else None if at is None else _get_at(at)
     if owner is not None:
         cache[0] = weakref.ref(owner), head, height, runs
     return head, height, runs
 
 
 def _get(x, room, env, params, kernel):
-    """(item, reach): how an operand or test x of a step is evaluated in place.
+    """(item, reach): how an operand, test or result x of a step is evaluated in place.
 
     item describes how x is evaluated in env, or in an environment of
     env's owner, without the loop, and reach is the highest level that
@@ -777,7 +864,8 @@ def _get(x, room, env, params, kernel):
     unbound symbol raises a _Signal instead, with the forms the loop would
     have pushed (see _source), so the trace is rebuilt only when there is
     an error.  This walk recurses on the host stack once per level, which
-    _PLAN_HEIGHT bounds.
+    _PLAN_HEIGHT bounds.  A COND's result that has no item may still be
+    taken in the run, as a tail exit or a nested COND (see _exit).
     """
     if isinstance(x, Symbol):
         at = _address(x, env)
@@ -808,6 +896,86 @@ def _get(x, room, env, params, kernel):
         return None, 0
     shape = (None, first[0], last[0])
     return (shape, (prim.fn, x) + first[1] + last[1]), max(reach, first_reach) + 1
+
+
+def _exit(x, room, env, params, kernel, budget):
+    """(item, reach, tests): how a run takes x, the result of a COND's clause.
+
+    item is ((kind, shape), objs), as _get's (shape, objs), and kind is:
+
+    - _VALUE where x has an item (see _get), whose shape and objs it is;
+      a quoted constant's is read off the form (see _quoted);
+    - _TAIL for an application whose head is bound and whose operands,
+      at most _RUN_ITEMS, all have items: shape is (the head's address,
+      shape of each operand), objs x then the operands' objs;
+    - _NEST for a COND whose tests all have items, at most budget of them
+      with those of the CONDs its results fold in turn: shape holds (shape
+      of its test, (kind, shape) of its result) per clause, objs are x,
+      its end (see _clauses), then each test's objs and result's;
+    - _GO, shape None and objs (x,), where the loop evaluates x.
+
+    A nested COND's tests and results have one level less of room, so the
+    nesting is bounded.  reach is the highest level the run reaches to
+    take x, above the COND whose result x is, or 0 where the loop
+    evaluates x, which checks the cap itself; tests is the number of
+    nested tests folded.
+    """
+    quoted = _quoted(x, kernel)
+    if quoted is not None:
+        return ((_VALUE, _CONSTANT_LEAF), quoted), 1, 0
+    item, reach = _get(x, room, env, params, kernel)
+    if item is not None:
+        return ((_VALUE, item[0]), item[1]), reach, 0
+    go = ((_GO, None), (x,)), 0, 0
+    kind, step, _ = _analyse(x, kernel)
+    if kind == _APPLY:
+        head, _, forms, _ = step
+        if head is None or len(forms) > _RUN_ITEMS + 1:
+            return go
+        at, _ = _get(head, room, env, params, kernel)
+        if at is None or at[0].__class__ is not tuple:  # the head is unbound
+            return go
+        shape, objs, reach = [at[0]], [x], 1
+        for o in forms[1:]:
+            item, o_reach = _get(o, room, env, params, kernel)
+            if item is None:
+                return go
+            shape.append(item[0])
+            objs += item[1]
+            reach = max(reach, o_reach)
+        return ((_TAIL, tuple(shape)), tuple(objs)), reach + 1, 0
+    if kind != _CHOOSE or room < 2 or not 0 < len(step[2]) <= budget:
+        return go
+    _, _, tests, (results, end) = step
+    clauses, objs, reach, used = [], [x, end], 1, len(tests)
+    for test, result in zip(tests, results):
+        item, t_reach = _get(test, room - 1, env, params, kernel)
+        if item is None:
+            return go
+        got, r_reach, more = _exit(result, room - 1, env, params, kernel, budget - used)
+        used += more
+        clauses.append((item[0], got[0]))
+        objs += item[1] + got[1]
+        reach = max(reach, t_reach, r_reach)
+    return ((_NEST, tuple(clauses)), tuple(objs)), reach + 1, used
+
+
+def _quoted(x, kernel):
+    """(value,) where x is a form of kernel that quotes value, else None.
+
+    It reads the form's cells and makes no node, as _analyse would: a
+    COND's results are described where it is resolved, most are never
+    evaluated there, and analysing a new one costs several times what
+    the rest of its description does.
+    """
+    if kernel is Kernel.LIST:
+        if x.__class__ is ProperList and x.length == 2 and x.head is _QUOTE:
+            return (x.tail.head,)
+    elif x.__class__ is Pair and x.head is _QUOTE:
+        rest = x.tail
+        if rest.__class__ is Pair and rest.tail is NIL:
+            return (rest.head,)
+    return None
 
 
 # Address -> the get of the binding there: one per address, shared by every
@@ -859,13 +1027,15 @@ _RUN_NUMBERS = itertools.count()
 def _run(shape, objs):
     """The run of the items whose shape and objs are these (see _resolve).
 
-    shape is (choose, shape of each item), choose 1 for a COND's tests and
-    0 for an application's operands, and objs are the items' objs (see
-    _get).  The code of a shape is compiled once (see _source) and kept in
-    _RUNS, as a run whose parameters have no defaults; the run is that code
-    made a function whose parameters after env default to objs, or that run
-    itself where there are none, as where every item is a symbol, so such
-    runs are made once.
+    shape is (choose, shape of each item): choose 0 for an application's
+    operands, 1 for a COND's clauses, each (shape of its test, (kind,
+    shape) of its result), and 2 for an exit, whose one item is (kind,
+    shape) of a result (see _exit); objs are the items' objs.  The code
+    of a shape is compiled once (see _source) and kept in _RUNS, as a run
+    whose parameters have no defaults; the run is that code made a
+    function whose parameters after env default to objs, then T for a
+    COND's run or an exit, or that run itself where there are none, as
+    where every operand is a symbol, so such runs are made once.
     """
     shape = tuple(shape)
     run = _RUNS.get(shape)
@@ -881,65 +1051,110 @@ def _run(shape, objs):
                 if len(_RUNS) >= _RUNS_KEPT:
                     _RUNS.popitem()
                 _RUNS[shape] = run
+    if shape[0]:  # a COND's run, or a result's, tells T by its last parameter
+        objs = (*objs, T)
     if not objs:
         return run
     return FunctionType(run.__code__, _RUN_GLOBALS, None, tuple(objs))
 
 
 # The only names a run reads beyond its parameters.
-_RUN_GLOBALS = {"S": _Signal, "E": KernelError, "F": F}
+_RUN_GLOBALS = {"S": _Signal, "E": KernelError, "F": F, "N": Fault.BAD_TRUTH_VALUE}
 
 
 def _source(shape):
     """The Python source of the runs of shape (see _run).
 
     It defines run(env, a0, a1, ...), whose parameters after env are the
-    objs of the items.  The run reads each frame it needs once, then
-    evaluates the items in order, one primitive call to a line, and reads
-    each address inline.  The text is made from the shape alone, so
-    from ints: no symbol, constant or form is ever part of it.  An unbound
-    symbol raises its _Signal where it is met; one except clause turns a
-    KernelError into its _Signal, with the forms the loop would have
-    pushed above the step's form, innermost first, found by the line the
-    call that raised is on.
+    objs of the items, then T where a test is told from it.  The run
+    reads each frame it needs once, then evaluates the items in order,
+    one primitive call to a line, and reads each address inline.  An
+    application's run returns the items' values.  A COND's run, and an
+    exit, return (how, x, y): (_FELL, the number of its tests, None) when
+    every test gave F; (_VALUE, the value, None); (_GO, forms, form), the
+    loop pushes the forms, outermost first, and goes on with form; or
+    (_TAIL, forms, (function, arguments)), the loop pushes the forms and
+    binds or applies.  The text is made from the shape alone, so from
+    ints: no symbol, constant or form is ever part of it.  An unbound
+    symbol, a test that gives no truth value and a nested COND out of
+    clauses raise their _Signal where they are met; one except clause
+    turns a KernelError into its _Signal, with the forms the loop would
+    have pushed above the step's form, innermost first, found by the
+    line the call that raised is on.
     """
     choose, *items = shape
     lines, paths, ups = [], {}, []
-    count = 0
+    count, pad = 0, ""
+
+    def emit(line):
+        lines.append(pad + line)
+
+    def take(n):  # the index of the first of the next n objs
+        nonlocal count
+        count += n
+        return count - n
 
     def tuple_of(indices):
         return "(" + "".join([f"a{a}, " for a in indices]) + ")"
 
+    def address(k):
+        if k[0] not in ups:
+            ups.append(k[0])
+        return f"f{k[0]}[{k[1]}]"
+
     def value(k, outer):
         # The expression of k's value, after the lines that compute it.
-        nonlocal count
-        if k.__class__ is tuple and k[0] is not None:  # an address
-            if k[0] not in ups:
-                ups.append(k[0])
-            return f"f{k[0]}[{k[1]}]"
-        a = count
+        if k.__class__ is tuple and k[0] is not None:
+            return address(k)
+        a = take(1)
         if k == _CONSTANT_LEAF:
-            count += 1
             return f"a{a}"
         if k == _UNBOUND_LEAF:
-            count += 1
-            lines.append(f"raise S(a{a}, {tuple_of((a, *outer))})")
+            emit(f"raise S(a{a}, {tuple_of((a, *outer))})")
             return "None"
-        count += 2  # the primitive's function and the plan's form
+        take(1)  # the primitive's function and the plan's form
         args = [value(o, (a + 1, *outer)) for o in k[1:]]
-        lines.append(f"n{a} = a{a}({', '.join(args)})")
+        emit(f"n{a} = a{a}({', '.join(args)})")
         paths[len(lines)] = (a + 1, *outer)
         return f"n{a}"
 
-    results = []
-    for j, k in enumerate(items):
-        v = value(k, ())
-        if choose:
-            lines += [f"t = {v}", f"if t is not F: return ({j}, t)"]
-        else:
-            results.append(v + ", ")
-    end = f"return ({len(items)}, F)" if choose else f"return ({''.join(results)})"
-    head = [f"def run(env, {''.join([f'a{a}, ' for a in range(count)])}):"]
+    def choose_clause(clauses, outer):
+        # Each test in turn; the first that gives T takes its result.
+        nonlocal pad
+        for test, result in clauses:
+            emit(f"t = {value(test, outer)}")
+            emit("if t is T:")
+            pad += "    "
+            take_result(result, outer)
+            pad = pad[:-4]
+            emit(f"if t is not F: raise S((N, t), {tuple_of(outer)})")
+
+    def take_result(result, outer):
+        # Lines that return the outcome of a chosen result, or raise.
+        kind, k = result
+        if kind == _VALUE:
+            emit(f"return ({_VALUE}, {value(k, outer)}, None)")
+        elif kind == _GO:
+            emit(f"return ({_GO}, {tuple_of(outer[::-1])}, a{take(1)})")
+        elif kind == _TAIL:
+            a = take(1)
+            args = "".join([value(o, (a, *outer)) + ", " for o in k[1:]])
+            path = tuple_of((a, *outer)[::-1])
+            emit(f"return ({_TAIL}, {path}, ({address(k[0])}, ({args})))")
+        else:  # _NEST
+            a = take(2)  # the COND's form and its end
+            choose_clause(k, (a, *outer))
+            emit(f"raise S(a{a + 1}, {tuple_of((a, *outer))})")
+
+    if choose == 0:
+        emit(f"return ({''.join([value(k, ()) + ', ' for k in items])})")
+    elif choose == 1:
+        choose_clause(items, ())
+        emit(f"return ({_FELL}, {len(items)}, None)")
+    else:
+        take_result(items[0], ())
+    names = [f"a{a}, " for a in range(count)] + (["T, "] if choose else [])
+    head = [f"def run(env, {''.join(names)}):"]
     head += [f"    f{up} = env{'.parent' * up}.values" for up in ups]
     if paths:  # the line of each call, in the text, and its forms
         base = len(head) + 1
@@ -949,7 +1164,6 @@ def _source(shape):
             "except E as e:",
             f"    raise S(e, {{{where}}}[e.__traceback__.tb_lineno])",
         ]
-    lines.append(end)
     return "\n".join(head + [f"    {line}" for line in lines]) + "\n"
 
 

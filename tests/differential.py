@@ -1,0 +1,387 @@
+"""Differential runner: this checkout's evaluator against another revision's.
+
+    python3 tests/differential.py --base REV [--seeds 1,2,3] [--forms 300]
+
+The --base revision's src/ is taken with `git archive` into a temporary
+directory.  Each side then runs the same seeded cases in a process of
+its own, with its own protolisp and this checkout's tests/helpers.py and
+tests/corpus.py, and writes one outcome per case.  The runner compares
+the two lists and prints how many outcomes are identical and, for each
+class of outcome that differs, how many and one example.  It exits 0
+only when every outcome is identical and both sides ran to the end.
+
+A case is:
+
+- eval_sexpr on helpers.random_fexpr forms, on both kernels, at max
+  depths 3, 7, 40 and 10000, in three environments (the primitives;
+  data bound to the free names; FN1, G and Z bound to FIRST, COMBINE and
+  EQ), each evaluated twice, so that the second meets what the first
+  kept;
+- each such form closed over its free names and applied through apply_fn
+  four times, and meta_eval on every fifth form with one universal_env;
+- COND-heavy recursive closures (tests and results of every kind a run
+  may fold or leave to the loop: values, plans, tail calls to the
+  closure itself, to a parameter, to a primitive of the wrong arity or to
+  data, nested CONDs, bad truth values, unbound symbols, kernel faults),
+  applied several times on both kernels and evaluated at top level;
+- cli.main run (list; pair with aim8; --max-depth 30) and translate on
+  the corpus programs, and the corpus under meta_eval.
+
+An outcome is the value (closures with their parameters, body and
+environment), or the error's kind, message, trace, kernel error, cause
+and context, together with the sequence of primitive calls, each
+recorded with its arguments and its result or exception.  Only the
+standard library is used here; tests/helpers.py needs what the tests
+need.
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import random
+import shutil
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+ROOT = HERE.parent
+DEPTHS = (3, 7, 40, 10000)
+
+
+# ---------------------------------------------------------------- the runner
+
+
+def export(rev, into):
+    """The src/ directory of revision rev, unpacked under into."""
+    tar = subprocess.run(
+        ["git", "-C", str(ROOT), "archive", "--format=tar", rev, "src"],
+        check=True, capture_output=True,
+    ).stdout
+    with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
+        if hasattr(tarfile, "data_filter"):  # Python 3.12, and 3.10.12 and 3.11.4 on
+            archive.extractall(into, filter="data")
+        else:
+            archive.extractall(into)
+    return Path(into) / "src"
+
+
+def run_side(src, seed, forms, out):
+    """The outcomes of one side, from a process of its own, or None if it crashed."""
+    cmd = [sys.executable, str(Path(__file__).resolve()), "--worker", str(src),
+           "--seeds", str(seed), "--forms", str(forms), "--out", str(out)]
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONHASHSEED="0")
+    env.pop("PYTHONPATH", None)
+    done = subprocess.run(cmd, env=env, capture_output=True, text=True)
+    if done.returncode != 0:
+        print(f"side {src} crashed on seed {seed}:\n{done.stderr[-4000:]}")
+        return None
+    with open(out, encoding="utf-8") as fh:
+        return [json.loads(line) for line in fh]
+
+
+def compare(base, head):
+    """(identical, classes): classes maps a class of difference to [count, example]."""
+    classes, same = {}, 0
+    if [k for k, _ in base] != [k for k, _ in head]:
+        return 0, {("case lists differ",): [1, (len(base), len(head))]}
+    for (key, a), (_, b) in zip(base, head):
+        if a == b:
+            same += 1
+            continue
+        family = key.split("/")[0]
+        cls = (family, a.split(" ")[0], b.split(" ")[0])
+        entry = classes.setdefault(cls, [0, (key, a[:400], b[:400])])
+        entry[0] += 1
+    return same, classes
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--base", help="the revision to compare with, e.g. HEAD")
+    parser.add_argument("--seeds", default="1,2,3")
+    parser.add_argument("--forms", type=int, default=300,
+                        help="random forms per seed; the other cases scale with it")
+    parser.add_argument("--worker", metavar="SRC", help=argparse.SUPPRESS)
+    parser.add_argument("--out", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    seeds = [int(s) for s in args.seeds.split(",")]
+    if args.worker:
+        return worker(Path(args.worker), seeds[0], args.forms, Path(args.out))
+    if not args.base:
+        parser.error("--base is required")
+    tmp = Path(tempfile.mkdtemp(prefix="differential-"))
+    ok = True
+    try:
+        base_src = export(args.base, tmp / "base")
+        for seed in seeds:
+            base = run_side(base_src, seed, args.forms, tmp / "base.jsonl")
+            head = run_side(ROOT / "src", seed, args.forms, tmp / "head.jsonl")
+            if base is None or head is None:
+                ok = False
+                continue
+            same, classes = compare(base, head)
+            print(f"seed {seed}: {same} of {len(head)} outcomes identical")
+            for cls, (count, example) in sorted(classes.items()):
+                print(f"  differs {count}x {cls}: {example}")
+            ok = ok and not classes
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+    print("no difference" if ok else "DIFFERENCES OR CRASHES")
+    return 0 if ok else 1
+
+
+# ---------------------------------------------------------------- one side
+
+
+def worker(src, seed, forms, out):
+    sys.path[:0] = [str(src), str(HERE)]
+    import protolisp
+
+    if Path(protolisp.__file__).resolve().parent != src.resolve() / "protolisp":
+        raise SystemExit(f"protolisp imported from {protolisp.__file__}, not {src}")
+    side = _Side(seed)
+    with open(out, "w", encoding="utf-8") as fh, tempfile.TemporaryDirectory() as work:
+        os.chdir(work)  # the CLI's messages name the file: the same name on both sides
+        for key, text in side.cases(forms):
+            fh.write(json.dumps([key, text]) + "\n")
+    return 0
+
+
+class _Side:
+    def __init__(self, seed):
+        import corpus
+        import helpers
+        import protolisp as pl
+        from protolisp import cli, metacircular
+
+        self.pl, self.helpers, self.corpus = pl, helpers, corpus
+        self.seed = seed
+        self.calls = []
+        real = pl.default_env
+
+        def recorded(kernel=pl.Kernel.LIST):
+            # The kernel's primitives, each recording its calls.
+            return pl.Env([(name, self._record(p)) for name, p in real(kernel).bindings])
+
+        # The CLI and the meta evaluator build their environments through these.
+        cli.default_env = metacircular.default_env = recorded
+        self.prims = {k: recorded(k) for k in (pl.Kernel.LIST, pl.Kernel.PAIR)}
+
+    def _record(self, p):
+        calls, render = self.calls, self.render
+
+        def fn(*args):
+            try:
+                result = p.fn(*args)
+            except Exception as e:
+                calls.append(f"{p.name}{[render(a) for a in args]} raised {e!r}")
+                raise
+            calls.append(f"{p.name}{[render(a) for a in args]} = {render(result)}")
+            return result
+
+        return self.pl.Primitive(p.name, p.arity, fn)
+
+    # ----------------------------------------------------------- outcomes
+
+    def render(self, v, depth=0):
+        pl = self.pl
+        if isinstance(v, pl.Closure):
+            if depth > 3:
+                return "closure ..."
+            params = " ".join([p.name for p in v.params])
+            return (f"closure(({params}) {v.body!r} self={v.self_name!r}"
+                    f" env={self.render(v.env, depth + 1)})")
+        if isinstance(v, pl.Env):
+            return "{" + ", ".join(
+                [f"{n.name}: {self.render(x, depth + 1)}" for n, x in v.bindings]
+            ) + "}"
+        if isinstance(v, pl.Primitive):
+            return f"primitive {v.name}/{v.arity}"
+        return repr(v)
+
+    def _error(self, e):
+        if e is None:
+            return "None"
+        if isinstance(e, self.pl.KernelError):
+            return f"{type(e).__name__}({e}; {e.kind}; {e.operation}; {self.render(e.offending)})"
+        return f"{type(e).__name__}({e})"
+
+    def outcome(self, thunk):
+        self.calls.clear()
+        try:
+            text = "value " + self.render(thunk())
+        except self.pl.EvalError as e:
+            trace = [self.render(t) for t in e.trace]
+            text = (f"{e.kind.name} {e} trace={trace} kernel_error={self._error(e.kernel_error)}"
+                    f" cause={self._error(e.__cause__)} context={self._error(e.__context__)}")
+        except Exception as e:
+            text = f"exception {self._error(e)}"
+        digest = hashlib.md5("\n".join(self.calls).encode()).hexdigest()
+        return f"{text} calls={len(self.calls)}:{digest}"
+
+    # ---------------------------------------------------------------- cases
+
+    def cases(self, forms):
+        yield from self.random_forms(forms)
+        yield from self.cond_programs(max(forms // 3, 1))
+        yield from self.corpus_runs()
+
+    def _in(self, kernel, v):
+        pl = self.pl
+        return pl.list_to_pair(v) if kernel is pl.Kernel.PAIR else v
+
+    def _envs(self, rng):
+        pl, h = self.pl, self.helpers
+        names = [pl.Symbol(n) for n in ("X", "Y", "Z", "FN1", "G", "ACC")]
+        data = [h.random_list_value(rng, 3) for _ in names]
+        envs = {}
+        for kernel in (pl.Kernel.LIST, pl.Kernel.PAIR):
+            prims = self.prims[kernel]
+            bound = [(n, self._in(kernel, d)) for n, d in zip(names, data)]
+            heads = dict(bound)
+            for name, prim in (("FN1", "FIRST"), ("G", "COMBINE"), ("Z", "EQ")):
+                heads[pl.Symbol(name)] = prims.lookup(pl.Symbol(prim))
+            envs[kernel] = {"prims": prims, "data": prims.extend(bound),
+                            "heads": prims.extend(heads.items())}
+        return names, data, envs
+
+    def random_forms(self, forms):
+        pl, h = self.pl, self.helpers
+        rng = random.Random(f"forms/{self.seed}")
+        names, data, envs = self._envs(rng)
+        universal = pl.universal_env()
+        for n in range(forms):
+            form = pl.translate(h.random_fexpr(rng, rng.randrange(1, 5)))
+            for kernel in (pl.Kernel.LIST, pl.Kernel.PAIR):
+                expr = self._in(kernel, form)
+                k = kernel.value
+                for env_name, env in envs[kernel].items():
+                    for depth in DEPTHS:
+                        for rep in (0, 1):
+                            yield (f"eval/{n}/{k}/{env_name}/{depth}/{rep}",
+                                   self.outcome(lambda: pl.eval_sexpr(expr, env, kernel, depth)))
+                # The form closed over its free names, applied with data and heads.
+                lam = self._in(kernel, pl.ProperList(
+                    (pl.Symbol("LAMBDA"), pl.ProperList(tuple(names)), form)))
+                fn = pl.eval_sexpr(lam, self.prims[kernel], kernel)
+                heads = envs[kernel]["heads"]
+                argsets = [[self._in(kernel, d) for d in data],
+                           [heads.lookup(x) for x in names]]
+                for rep in range(4):
+                    args = argsets[rep % 2]
+                    for depth in (7, 10000):
+                        yield (f"apply/{n}/{k}/{rep}/{depth}",
+                               self.outcome(lambda: pl.apply_fn(fn, args, kernel, depth)))
+            if n % 5 == 0:
+                for depth in (7, 40, 10000):
+                    yield (f"meta/{n}/{depth}",
+                           self.outcome(lambda: pl.meta_eval(form, universal, depth)))
+
+    def cond_programs(self, count):
+        pl = self.pl
+        rng = random.Random(f"conds/{self.seed}")
+        gs = ("lambda[[z]; [atom[z] -> T; T -> F]]", "lambda[[z]; z]",
+              "lambda[[z; w]; z]", "first", "atom", "(A, B)", "lambda[[z]; [null[z] -> A]]")
+        for n in range(count):
+            text = _cond_program(rng)
+            g = rng.choice(gs)
+            for kernel in (pl.Kernel.LIST, pl.Kernel.PAIR):
+                k = kernel.value
+                prims = self.prims[kernel]
+                fn = pl.eval_fexpr(pl.read_fexpr(text), prims, kernel)
+                gv = pl.eval_fexpr(pl.read_fexpr(g), prims, kernel)
+                for rep in range(3):
+                    x = self._in(kernel, self.helpers.random_list_value(rng, 3))
+                    y = self._in(kernel, self.helpers.random_list_value(rng, 2))
+                    for depth in (3, 7, 12, 40, 10000):
+                        yield (f"cond/{n}/{k}/{rep}/{depth}",
+                               self.outcome(lambda: pl.apply_fn(fn, [x, y, gv], kernel, depth)))
+                # The same COND at top level, in an environment of no owner.
+                body = pl.translate(pl.read_fexpr(text)).items[2].items[2]
+                env = prims.extend([(pl.Symbol("X"), x), (pl.Symbol("Y"), y),
+                                    (pl.Symbol("G"), gv), (pl.Symbol("F1"), fn)])
+                body = self._in(kernel, body)
+                for depth in (3, 7, 40):
+                    yield (f"cond-top/{n}/{k}/{depth}",
+                           self.outcome(lambda: pl.eval_sexpr(body, env, kernel, depth)))
+
+    def corpus_runs(self):
+        pl = self.pl
+        from protolisp import cli
+
+        universal = pl.universal_env()
+        options = ([], ["--kernel", "pair", "--dialect", "aim8"], ["--max-depth", "30"])
+        for prog in self.corpus.PROGRAMS:
+            path = f"{prog.name}.mexp"
+            Path(path).write_text(prog.source + "\n", encoding="utf-8")
+            for i, opts in enumerate(options):
+                yield f"run/{prog.name}/{i}", self.outcome(lambda: _cli(cli, ["run", path, *opts]))
+            yield f"translate/{prog.name}", self.outcome(lambda: _cli(cli, ["translate", path]))
+            form = pl.translate(pl.read_fexpr(prog.source))
+            yield f"meta-corpus/{prog.name}", self.outcome(lambda: pl.meta_eval(form, universal))
+
+
+def _cli(cli, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return f"exit {code} out {out.getvalue()!r} err {err.getvalue()!r}"
+
+
+def _cond_program(rng, depth=2):
+    """F-language text of label[f1; lambda[[x; y; g]; COND]], COND made at random.
+
+    The tests and results cover what a run may fold and what it leaves to
+    the loop; f1 recurses on rest[x], so it ends by a fault, a chosen
+    result or the depth cap.
+    """
+
+    def tree(d):  # a primitive tree over x and y
+        leaves = ("x", "y", "(A)", "A", "()")
+        if d <= 0 or rng.random() < 0.3:
+            return rng.choice(leaves)
+        op = rng.choice(("first", "rest", "combine", "atom", "null", "eq"))
+        if op in ("combine", "eq"):
+            return f"{op}[{tree(d - 1)}; {tree(d - 1)}]"
+        return f"{op}[{tree(d - 1)}]"
+
+    def test(d):
+        return rng.choice((
+            lambda: f"atom[{tree(d)}]", lambda: f"null[{tree(d)}]",
+            lambda: f"eq[{tree(d)}; {tree(d)}]", lambda: "T", lambda: "F",
+            lambda: tree(d),  # most often no truth value
+            lambda: "g[x]", lambda: "zz", lambda: f"atom[g[{tree(1)}]]",
+            lambda: "f1[rest[x]; y; g]",
+        ))()
+
+    def result(d):
+        kinds = [
+            lambda: rng.choice(("x", "y", "T", "zz", "(A, B)")),
+            lambda: tree(2),
+            lambda: "f1[rest[x]; y; g]", lambda: f"f1[rest[x]; {tree(1)}; g]",
+            lambda: f"g[{tree(1)}]", lambda: "first[x; y]", lambda: "y[x]",
+            lambda: f"combine[first[x]; f1[rest[x]; y; g]]",
+            lambda: "lambda[[z]; z]", lambda: f"first[{tree(1)}]",
+        ]
+        if d > 0:
+            kinds.append(lambda: cond(d - 1))
+        return rng.choice(kinds)()
+
+    def cond(d):
+        clauses = [f"{test(1)} -> {result(d)}" for _ in range(rng.randrange(1, 5))]
+        for guard in ("atom[x]", "null[x]"):  # so that more runs end in a value
+            if rng.random() < 0.6:
+                clauses.insert(0, f"{guard} -> {result(0)}")
+        return "[" + "; ".join(clauses) + "]"
+
+    return f"label[f1; lambda[[x; y; g]; {cond(depth)}]]"
+
+
+if __name__ == "__main__":
+    sys.exit(main())

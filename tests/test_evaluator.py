@@ -1864,40 +1864,49 @@ def _wide_cond(kernel, n, last="eq[first[x]; K{i}]"):
     return program(kernel, "lambda[[x]; [" + "; ".join(tests) + "]]")
 
 
-def _first_application(kernel, fn_form, n, get=None):
-    """The best of three times of the first application of a wide COND.
+def _first_applications(kernel, fn_form, n, rounds):
+    """(with runs, through the loop, a closure applied with runs): best times.
 
-    Each closure of fn_form is new, so its first application resolves
-    the COND step, and the steps of its tests, afresh.
+    They are the first applications of closures of a wide COND, fn_form.
+    Each closure is new, so its first application resolves the COND
+    step, and the steps of its tests, afresh.  The two sides alternate,
+    with the collector off, so that a slow spell of the machine falls on
+    both.
     """
-    arg, times = in_kernel(kernel, read_sexpr(f"(K{n - 1})")), []
-    for _ in range(3):
-        fn = eval_sexpr(fn_form, kernel=kernel)
-        with pytest.MonkeyPatch.context() as mp:
-            if get is not None:
-                mp.setattr(evaluator, "_get", get)
-            start = time.perf_counter()
-            value = apply_fn(fn, [arg], kernel)
-            times.append(time.perf_counter() - start)
-        assert value is Symbol(f"K{n - 1}")
-    return min(times), fn
+    arg, times = in_kernel(kernel, read_sexpr(f"(K{n - 1})")), ([], [])
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for _ in range(rounds):
+            for get, side in ((_no_get, times[1]), (None, times[0])):  # runs last
+                fn = eval_sexpr(fn_form, kernel=kernel)
+                with pytest.MonkeyPatch.context() as mp:
+                    if get is not None:
+                        mp.setattr(evaluator, "_get", get)
+                    start = time.perf_counter()
+                    value = apply_fn(fn, [arg], kernel)
+                    side.append(time.perf_counter() - start)
+                assert value is Symbol(f"K{n - 1}")
+    finally:
+        if enabled:
+            gc.enable()
+    return min(times[0]), min(times[1]), fn
 
 
 @pytest.mark.parametrize("kernel", [Kernel.LIST, Kernel.PAIR])
 def test_a_cond_of_3000_clauses_compiles_a_bounded_run_per_8_tests(kernel):
     n = 3000
-    _first_application(kernel, _wide_cond(kernel, 20), 20)  # its shapes, compiled
+    _first_applications(kernel, _wide_cond(kernel, 20), 20, 1)  # its shapes, compiled
     shapes = len(evaluator._RUNS)
     fn_form = _wide_cond(kernel, n)
-    with_runs, fn = _first_application(kernel, fn_form, n)
+    with_runs, through_the_loop_, fn = _first_applications(kernel, fn_form, n, 7)
     # Every test has one shape, and 8 divides 3000: the runs of 8 tests
     # that the COND of 20 clauses compiled serve it all.
     assert len(evaluator._RUNS) == shapes
     runs = fn.body._node[1][1][0][3]
     assert len(runs) == n and len({id(r) for r in runs}) == -(-n // _CAP)
     # Applied through the loop alone, each test is a step of its own.
-    through_the_loop_, _ = _first_application(kernel, fn_form, n, _no_get)
-    assert with_runs <= through_the_loop_
+    assert with_runs <= through_the_loop_, (with_runs, through_the_loop_)
 
 
 @pytest.mark.parametrize("kernel", [Kernel.LIST, Kernel.PAIR])
@@ -2042,3 +2051,234 @@ def test_a_primitive_that_raises_inside_a_run_raises_as_under_the_loop(kernel, p
                 assert info.value is error
         lam = expr.items[0] if kernel is Kernel.LIST else expr.head
         assert None not in lam._node[2]._node[1][1][0][3]  # every operand in a run
+
+
+# --- a COND's run carries on into the clause it picks ---------------------------
+#
+# A COND resolved for its owner describes each clause's result too: a value
+# in place, a tail exit (the head read, the operands evaluated, then bound or
+# applied by the loop), or a nested COND folded in the same run.  Every case
+# runs three ways at every depth cap up to past the one it needs, so what the
+# run takes is the loop's value, kind, message and trace.
+
+_COND_CASES = [
+    # (COND, x, g, a kind of result that the COND's runs must take, if any)
+    ("[atom[x] -> x; T -> F]", "A", "()", evaluator._VALUE),
+    ("[null[x] -> (A); T -> B]", "()", "()", evaluator._VALUE),
+    ("[atom[x] -> zz; T -> x]", "A", "()", evaluator._VALUE),
+    ("[atom[x] -> F; T -> combine[first[x]; rest[x]]]", "(A, B)", "()", evaluator._VALUE),
+    ("[atom[x] -> [eq[x; A] -> B; T -> C]; T -> [null[x] -> A; T -> first[x]]]",
+     "(B)", "()", evaluator._NEST),
+    ("[atom[x] -> [eq[x; A] -> B; T -> C]; T -> [null[x] -> A; T -> first[x]]]",
+     "A", "()", evaluator._NEST),
+    ("[null[x] -> A; T -> rec[rest[x]; g]]", "(B, C)", "()", evaluator._TAIL),
+    ("[atom[x] -> g[x]; T -> A]", "B", "lambda[[y]; combine[y; ()]]", evaluator._TAIL),
+    ("[atom[x] -> g[x]; T -> A]", "B", "lambda[[y; z]; y]", evaluator._TAIL),
+    ("[T -> g[x]]", "(A, B)", "first", evaluator._TAIL),
+    ("[T -> g[x]]", "(A, B)", "combine", evaluator._TAIL),
+    ("[T -> first[x; x]]", "(A)", "()", evaluator._TAIL),
+    ("[T -> x[x]]", "(A)", "()", evaluator._TAIL),
+    ("[null[x] -> A; T -> [atom[first[x]] -> rec[rest[x]; g]; T -> first[x]]]",
+     "(B, C)", "()", evaluator._NEST),
+    # The test suspends on a closure call; the exit run takes the result.
+    ("[g[x] -> rec[rest[x]; g]; T -> x]", "(A, (B), C)", "lambda[[y]; atom[first[y]]]",
+     evaluator._TAIL),
+    ("[g[x] -> [null[rest[x]] -> x; T -> first[x]]; T -> x]", "(A, B)",
+     "lambda[[y]; atom[first[y]]]", evaluator._NEST),
+    # Faults inside a folded result, a bad truth value and an exhausted COND.
+    ("[T -> first[first[x]]]", "(A)", "()", evaluator._VALUE),
+    ("[T -> rec[first[first[x]]; g]]", "(A)", "()", evaluator._TAIL),
+    ("[T -> rec[combine[first[x]; first[first[x]]]; g]]", "(A)", "()", evaluator._TAIL),
+    ("[T -> [first[first[x]] -> A]]", "(A)", "()", evaluator._NEST),
+    ("[T -> [T -> first[first[x]]]]", "(A)", "()", evaluator._NEST),
+    ("[T -> [F -> A; T -> [T -> rest[first[x]]]]]", "(A)", "()", evaluator._NEST),
+    ("[first[x] -> A]", "(B)", "()", None),
+    ("[T -> [first[x] -> A]]", "(B)", "()", evaluator._NEST),
+    ("[T -> [atom[x] -> A]]", "(B)", "()", evaluator._NEST),
+    ("[g[x] -> [atom[x] -> A]; T -> B]", "(B)", "lambda[[y]; T]", evaluator._NEST),
+    ("[g[x] -> first[first[x]]; T -> B]", "(B)", "lambda[[y]; T]", evaluator._VALUE),
+    # Past the run's bound on nested tests, and past the room for nesting,
+    # the loop takes the result.
+    ("[atom[x] -> A; T -> [" + "; ".join([f"eq[first[x]; K{i}] -> K{i}" for i in range(40)])
+     + "; T -> first[first[x]]]]", "(K39)", "()", evaluator._GO),
+    ("[T -> " + "[atom[x] -> A; T -> " * 12 + "first[first[x]]" + "]" * 13, "(B)", "()",
+     evaluator._GO),
+]
+
+
+def _parts(kernel, f):
+    """The items of form f, of either kernel."""
+    if kernel is Kernel.LIST:
+        return list(f.items)
+    out = []
+    while f is not NIL:
+        out.append(f.head)
+        f = f.tail
+    return out
+
+
+def _fold_kinds(kernel, cond):
+    """The kinds of the results that the runs of cond's cache entry take."""
+    _, exits, _, runs = cond._node[1][1][0]
+    shapes = {f.__code__: shape for shape, f in list(evaluator._RUNS.items())}
+    kinds = set()
+
+    def walk(result):
+        kind, k = result
+        kinds.add(kind)
+        if kind == evaluator._NEST:
+            for _, inner in k:
+                walk(inner)
+
+    for run in [*runs, *exits]:
+        if run is not None:
+            choose, *items = shapes[run.__code__]
+            for result in items if choose == 2 else [r for _, r in items]:
+                walk(result)
+    return kinds
+
+
+def _cond_case(kernel, cond, x, g):
+    expr = program(kernel, f"label[rec; lambda[[x; g]; {cond}]][{x}; {g}]")
+    label = _parts(kernel, _parts(kernel, expr)[0])
+    return expr, _parts(kernel, label[2])[2]
+
+
+def _outcomes_to_past_the_cap(expr, env, kernel):
+    """three_ways at each cap from 1 until three past the first that suffices."""
+    got, enough = [], None
+    for max_depth in range(1, 60):
+        got.append(three_ways(expr, env, kernel, max_depth))
+        if enough is None and got[-1][0] is not Fault.DEPTH_EXCEEDED:
+            enough = max_depth
+        if enough is not None and max_depth >= enough + 3:
+            return got
+    raise AssertionError("no cap under 60 sufficed")
+
+
+@pytest.mark.parametrize("kernel", [Kernel.LIST, Kernel.PAIR])
+@pytest.mark.parametrize("cond, x, g, fold", _COND_CASES)
+def test_a_result_the_run_takes_has_the_loops_outcome_at_every_cap(kernel, cond, x, g, fold):
+    env = default_env(kernel)
+    expr, cond_form = _cond_case(kernel, cond, x, g)
+    _outcomes_to_past_the_cap(expr, env, kernel)
+    got = three_ways(expr, env, kernel, DEPTH)
+    assert three_ways(expr, env, kernel, DEPTH) == got  # through the cache
+    if fold is not None:
+        assert fold in _fold_kinds(kernel, cond_form)
+
+
+@pytest.mark.parametrize("kernel", [Kernel.LIST, Kernel.PAIR])
+@pytest.mark.parametrize("cond, x, g, fold", _COND_CASES)
+def test_a_cond_of_no_owner_has_the_loops_outcome_at_every_cap(kernel, cond, x, g, fold):
+    # At top level the entry serves once, and the loop takes the result.
+    expr, cond_form = _cond_case(kernel, cond, x, g)
+    bound = [(Symbol(n), eval_sexpr(v, default_env(kernel), kernel))
+             for n, v in (("REC", _parts(kernel, expr)[0]),
+                          ("X", program(kernel, f"lambda[[v]; v][{x}]")),
+                          ("G", program(kernel, f"lambda[[v]; v][{g}]")))]
+    _outcomes_to_past_the_cap(cond_form, default_env(kernel).extend(bound), kernel)
+
+
+@pytest.mark.parametrize("kernel", [Kernel.LIST, Kernel.PAIR])
+def test_a_nested_cond_exhausted_at_a_malformed_clause_has_the_loops_error(kernel):
+    env = default_env(kernel).extend([(_X, in_kernel(kernel, read_sexpr("(B)")))])
+    text = ("((LAMBDA, (X), (COND, ((QUOTE, T), (COND, ((ATOM, X), (QUOTE, A)), (X))))),"
+            " (QUOTE, (B)))")
+    expr = program(kernel, text)
+    got = _outcomes_to_past_the_cap(expr, env, kernel)[-1]
+    assert got[:2] == (Fault.MALFORMED, "each COND clause must be a two-element list")
+    assert three_ways(expr, env, kernel, DEPTH) == got
+
+
+def _chain(*xs):
+    out = NIL
+    for x in reversed(xs):
+        out = Pair(x, out)
+    return out
+
+
+@pytest.mark.parametrize("kernel", [Kernel.LIST, Kernel.PAIR])
+@pytest.mark.parametrize(
+    "result", ["(QUOTE, (A, B))", "(QUOTE, QUOTE)", "(QUOTE)", "(QUOTE, A, B)", "((QUOTE, A))"]
+)
+def test_a_quoted_result_has_the_loops_outcome_well_formed_or_not(kernel, result):
+    # A run reads a quoted result off its form, without analysing it; a
+    # malformed one is the loop's to evaluate, and to fail on.
+    text = f"((LAMBDA, (X), (COND, ((ATOM, X), {result}), ((QUOTE, T), X))), (QUOTE, A))"
+    expr = program(kernel, text)
+    got = _outcomes_to_past_the_cap(expr, default_env(kernel), kernel)[-1]
+    assert three_ways(expr, default_env(kernel), kernel, DEPTH) == got
+
+
+def test_a_dotted_quote_result_is_malformed_as_under_the_loop():
+    s = Symbol
+    for result in (Pair(s("QUOTE"), A), Pair(s("QUOTE"), Pair(A, B))):
+        cond = _chain(s("COND"), _chain(_chain(s("ATOM"), s("X")), result),
+                      _chain(_chain(s("QUOTE"), T), s("X")))
+        expr = _chain(_chain(s("LAMBDA"), _chain(s("X")), cond), _chain(s("QUOTE"), A))
+        got = _outcomes_to_past_the_cap(expr, default_env(Kernel.PAIR), Kernel.PAIR)[-1]
+        assert got[0] is Fault.MALFORMED
+        assert three_ways(expr, default_env(Kernel.PAIR), Kernel.PAIR, DEPTH) == got
+
+
+def test_the_meta_evaluators_conds_fold_their_tail_calls_and_nested_conds():
+    # metaeval is one COND whose first two results are CONDs and whose
+    # clauses end in tail calls: a run takes them all, and the values are
+    # the loop's.
+    env = universal_env()
+    expr = program(Kernel.LIST, corpus.APPEND + "[(A, B); (C)]")
+    assert meta_eval(expr, env) == read_sexpr("(A, B, C)")
+    metaeval = env.lookup(Symbol("METAEVAL"))
+    kinds = _fold_kinds(Kernel.LIST, metaeval.body)
+    assert {evaluator._NEST, evaluator._TAIL, evaluator._VALUE, evaluator._GO} <= kinds
+
+
+@pytest.mark.parametrize("kernel", [Kernel.LIST, Kernel.PAIR])
+@pytest.mark.parametrize(
+    "source, call",
+    [(corpus.SUBST, "[(Z); B; (A, (B, C), B)]"),
+     (corpus.EQUAL, "[(A, (B), C); (A, (B), D)]"),
+     (corpus.REVERSE, "[(A, B, C); ()]"),
+     ("lambda[[x]; [atom[x] -> A; T -> [eq[first[x]; B] -> rest[x];"
+      " T -> [null[rest[x]] -> first[x]; T -> first[first[x]]]]]]", "[(C, D)]")],
+)
+def test_a_folding_cond_calls_each_primitive_as_often_as_the_loop(kernel, source, call):
+    calls = []
+    env = default_env(kernel).extend(_counting(kernel, calls))
+    expr = program(kernel, source + call)
+    got = outcome(eval_sexpr, expr, env, kernel, DEPTH)
+    compiled, calls[:] = list(calls), []
+    assert through_the_loop(expr, env, kernel, DEPTH) == got
+    assert calls == compiled and compiled
+    calls[:] = []
+    assert outcome(eval_sexpr, expr, env, kernel, DEPTH) == got
+    assert calls == compiled
+
+
+def _suspending_cond(n):
+    """A closure of a COND of n tests that each call a closure, and its operands."""
+    tests = "; ".join([f"f[x] -> K{i}" for i in range(n)])
+    fn = eval_sexpr(program(Kernel.LIST, f"lambda[[f; x]; [{tests}; T -> Z]]"))
+    return fn, [eval_sexpr(program(Kernel.LIST, "lambda[[y]; F]")), A]
+
+
+def test_a_cond_whose_tests_suspend_costs_the_same_per_test_at_any_width():
+    # Each test gives F after a closure call, so the COND's frame resumes
+    # once per test: that must not cost in proportion to the tests before.
+    # µs per test, best of five, the widths alternating, collector off.
+    widths = {2000: [], 20000: []}
+    calls = {n: _suspending_cond(n) for n in widths}
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for _ in range(5):
+            for n, times in widths.items():
+                start = time.perf_counter()
+                assert apply_fn(*calls[n]) is Symbol("Z")
+                times.append((time.perf_counter() - start) / n * 1e6)
+    finally:
+        if enabled:
+            gc.enable()
+    narrow, wide = min(widths[2000]), min(widths[20000])
+    assert wide <= 2 * narrow, (narrow, wide)
