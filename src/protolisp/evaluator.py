@@ -48,64 +48,67 @@ body, the loop pushes a frame and goes on with that expression, and
 resumes the frame with the value: the recursion's continuation,
 defunctionalized (Danvy and Nielsen, "Defunctionalization at work", PPDP
 2001), which makes the loop a CEK machine (Felleisen and Friedman, 1986).
-A frame holds the form's node, the environment, the runs of its operands
-or tests, a COND's exits, the values so far, and the height of the stack
-of expressions under evaluation with the form on top.  A closure body and
-a COND's chosen result need no frame; their value is the form's.
+A frame holds the form's step, the environment, the runs of its items
+or tests, a COND's exits, an application's values so far or a COND's
+next test, and the height of the stack of expressions under evaluation
+with the form on top.  A closure body and a COND's chosen result need no
+frame; their value is the form's.
 
-An application with a symbol head, and a COND, is a step.  Where the
-loop meets a step in an environment, it first resolves it there (see
-below): it reads the binding of its head, and describes each operand or
-test that can be evaluated in place.  A symbol and a quoted constant
-can.  So can a plan: an application of one or two operands that can,
-whose head is bound to a primitive of that arity, in a tree at most
-eight high.  Most of the universal function is primitives applied to
-primitives, eq[first[e]; QUOTE], first[rest[rest[fn]]], and a plan
-applies such a tree in one go: the superinstruction of Piumarta and
+An application and a COND are steps.  An application's items are its
+head and its operands, head first, evaluated alike, left to right, as
+the universal function evaluates them.  Where the loop meets a step in
+an environment, it first resolves it there (see below): it describes
+each item or test that can be evaluated in place.  A symbol and a
+quoted constant can; an unbound symbol is described too, by the error
+it raises.  So can a plan: an application of one or two operands that
+can, whose head is a symbol bound to a primitive of that arity, in a
+tree at most eight high.  Most of the universal function is primitives
+applied to primitives, eq[first[e]; QUOTE], first[rest[rest[fn]]], and a
+plan applies such a tree in one go: the superinstruction of Piumarta and
 Riccardi ("Optimizing direct threaded code by selective inlining", PLDI
 1998), chosen here by the bindings rather than by the form alone.  The
-items are cut at each that the loop must evaluate itself, such as
-append's app[rest[x]; y] in combine[first[x]; app[rest[x]; y]], and
-each run of up to eight items between cuts becomes one Python function
-of straight-line code, which reads each symbol at its address and calls
-each primitive in turn.  For an application it gives the items' values.
-A COND's run goes on into the clause it picks, whose result it
-describes too: a result that can be evaluated in place gives the COND's
-value; an application whose head is bound and whose operands can be is
-a tail exit, whose head the run reads and whose operands it evaluates,
-for the loop to push the form and bind or apply, as Steele's "Lambda:
-the ultimate GOTO" (MIT AI Memo 443, 1977) has a tail call be a jump
-with arguments; a nested COND whose tests can be folds into the run
-the same way; any other result the loop goes on with.  A clause whose
-test the loop evaluates has its result taken by an exit of its own, a
-run of that result alone, when the test gives T.  Its text is made from
-the run's shape alone, the addresses, the kinds of leaf and of result
-and the arities, and compiled once per shape; the primitives,
-constants and forms are its arguments, never its text.  The loop calls
-the runs up to the first item that has none.  There the step suspends:
-the loop pushes its frame and goes on with that operand, and resumes
-the step in place when the value comes back.  It then calls the
-primitive, or binds the closure's parameters and goes on with its body,
-or takes the chosen result as a run would.
+items are cut at each that the loop must evaluate itself, such as a
+LAMBDA head, or append's app[rest[x]; y] in combine[first[x]; app[rest[x];
+y]], and each run of up to eight items between cuts becomes one Python
+function of straight-line code, which reads each symbol at its address
+and calls each primitive in turn.  For an application it gives the
+items' values.  A COND's run goes on into the clause it picks, whose
+result it describes too: a result that can be evaluated in place gives
+the COND's value; an application whose items all can be is a tail exit,
+whose items the run evaluates, for the loop to push the form and bind or
+apply, as Steele's "Lambda: the ultimate GOTO" (MIT AI Memo 443, 1977)
+has a tail call be a jump with arguments; a nested COND whose tests can
+be folds into the run the same way; any other result the loop goes on
+with.  A clause whose test the loop evaluates has its result taken by an
+exit of its own, a run of that result alone, when the test gives T.  Its
+text is made from the run's shape alone, the addresses, the kinds of
+leaf and of result and the arities, and compiled once per shape; the
+primitives, constants and forms are its arguments, never its text.  The
+loop calls the runs up to the first item that has none.  There the step
+suspends: the loop pushes its frame and goes on with that item, and
+resumes the step in place when the value comes back.  Meeting a step and
+resuming it are one block of the loop, which takes the step on from its
+next item, with no value or with that item's; when the values are
+complete it binds the head's closure's parameters and goes on with its
+body, or calls the head's primitive.
 
 A run pushes nothing on the stack of expressions under evaluation: its
 nesting is fixed, and the height the step's runs reach, chosen results
 included, is checked against the depth cap before any is called.  Where
-it does not fit, or an application's head is unbound or not a symbol,
-the loop evaluates each operand, head, test or result itself, checking
-the cap at each.  Where a primitive faults, a symbol is unbound, a test
-gives no truth value or a nested COND runs out of clauses inside a run,
-the run raises a signal with the forms the loop would have had on its
-stack there, which it finds from the line the fault is on, and the loop
-rebuilds the trace from that path: what the trace costs is paid on the
-raise, not on the way in, as with the zero-cost exceptions of CPython
-3.11.  A result the loop goes on with, and a tail exit, come back with
-the forms the loop would have pushed on the way, which it pushes.  So
-the order, the primitive calls, the errors and the traces are those of
-the universal function.  There is no tail-call elimination: a form
-stays on the stack until the body or result it goes on with has its
-value, as in the universal function, so the depth, where it runs out
-and every trace stay the same.
+it does not fit, the loop evaluates each item, test or result itself,
+checking the cap at each.  Where a primitive faults, a symbol is
+unbound, a test gives no truth value or a nested COND runs out of
+clauses inside a run, the run raises a signal with the forms the loop
+would have had on its stack there, which it finds from the line the
+fault is on, and the loop rebuilds the trace from that path: what the
+trace costs is paid on the raise, not on the way in, as with the
+zero-cost exceptions of CPython 3.11.  A result the loop goes on with,
+and a tail exit, come back with the forms the loop would have pushed on
+the way, which it pushes.  So the order, the primitive calls, the errors
+and the traces are those of the universal function.  There is no
+tail-call elimination: a form stays on the stack until the body or
+result it goes on with has its value, as in the universal function, so
+the depth, where it runs out and every trace stay the same.
 
 A step keeps what it resolved, per owning closure: the inline cache of
 Deutsch and Schiffman ("Efficient implementation of the Smalltalk-80
@@ -116,24 +119,23 @@ Every environment of one owner is such a frame over the same captured
 environment, so a symbol's innermost binding sits at one address in all
 of them, (frames up, index in that frame), its lexical address (SICP,
 section 5.5.6), and only the parameters' values differ.  So a step
-keeps, under the owner, a get of its head by that address, which reads
-the head on every hit, and its runs, which read symbols by their
-addresses too; no run applies a parameter, so a plan whose head is a
-parameter is left to the loop, as a step.  A recursive function and the
-meta evaluator re-enter one closure object on every call, so nearly
-every step is resolved once.  The key is the closure and not the scope:
-one form object can sit in several scopes, and one LAMBDA form makes
-closures over different environments, but each environment has at most
-one owner.  Other environments have none, and a step is
-resolved each time it is evaluated in one.  The cache lives on the step,
-so it outlives a run: a closure that a later call applies again, such as
-the meta evaluator of a universal_env, finds its steps resolved.  It
-keeps no value a head is bound to, only the functions of the primitives
-its runs apply, and refers to its owner weakly, so that a closure's
-body keeps no closure alive, itself included.  A COND describes its
-results only for an owner: where it is resolved each time, the loop
-takes the result it picks.  Its entry is one tuple,
-read once and replaced whole, so a thread that evaluates a form another
+keeps, under the owner, its runs, which read symbols, heads included,
+by their addresses on every hit; no run applies a parameter, so a plan
+whose head is a parameter is left to the loop, as a step.  A recursive
+function and the meta evaluator re-enter one closure object on every
+call, so nearly every step is resolved once.  The key is the closure
+and not the scope: one form object can sit in several scopes, and one
+LAMBDA form makes closures over different environments, but each
+environment has at most one owner.  Other environments have none, and a
+step is resolved each time it is evaluated in one.  The cache lives on
+the step, so it outlives a run: a closure that a later call applies
+again, such as the meta evaluator of a universal_env, finds its steps
+resolved.  It keeps no value a symbol is bound to, only the functions of
+the primitives its runs apply, and refers to its owner weakly, so that a
+closure's body keeps no closure alive, itself included.  A COND
+describes its results only for an owner: where it is resolved each
+time, the loop takes the result it picks.  Its entry is one tuple, read
+once and replaced whole, so a thread that evaluates a form another
 thread evaluates too sees one owner's answer, never parts of two.
 
 Evaluation depth is the number of expressions under evaluation, capped
@@ -191,7 +193,9 @@ _FOLD_TESTS = 32
 
 # What a COND's run gives, (how, x, y) (see _source): _FELL, x tests gave
 # F; _VALUE, the COND's value x; _GO, push the forms x and go on with y;
-# _TAIL, push x and apply y's function to its arguments.  _NEST, beside
+# _TAIL, push x and apply y, (the head's value, the operands' values).  The
+# loop takes an application's runs as _FELL where an item has none, and as
+# _TAIL once every item has its value (see _Interp.run).  _NEST, beside
 # them, is the kind of a result that is a COND the run folds (see _exit).
 _FELL, _VALUE, _GO, _TAIL, _NEST = range(5)
 
@@ -201,7 +205,11 @@ _APPLY, _CHOOSE, _CONSTANT, _CLOSE, _NAME, _FAIL = range(6)
 
 # The entry of a step's empty cache: its owner is None, which owns nothing
 # (see _resolve).
-_NO_ENTRY = (lambda: None, None, 1, ())
+_NO_ENTRY = (lambda: None, (), 1, ())
+
+# What the loop has for a step it has just met, where a frame it resumes
+# has the value of its next item (see _Interp.run).
+_NO_VALUE = object()
 
 
 class Env:
@@ -238,7 +246,7 @@ class Env:
         at = _address(name, self)
         if at is None:
             raise LookupError(name.name)
-        return _get_at(at)(self)
+        return _read(at, self)
 
     def extend(self, pairs) -> "Env":
         pairs = tuple(pairs)
@@ -390,23 +398,27 @@ class _Interp:
 
         Each expression is pushed on self.stack and evaluated: a symbol, a
         quoted constant and a LAMBDA at once, an application or a COND as
-        a step (see _resolve), a LABEL by its body.  What a form does not
-        evaluate in place is evaluated above its frame, (node, env, runs,
-        exits, values, level): runs and a COND's exits are what _resolve
-        gave the step (all None where the loop evaluates every item),
-        values holds the head's and the operands' values so far, or an F
-        for each test that gave F, and level is len(self.stack) with the
-        form on top, to which the stack is cut back before the frame
-        resumes.  From an item that has a run, the loop calls the runs up
-        to the next item that has none.  A COND's run, and an exit, give
-        (how, x, y) (see _source), which the loop takes the same way at
-        the head of the loop and where a test's value resumes the frame;
-        each of the two then binds or applies in the one place where an
-        application's values are complete.  Where the step does not fit
-        under the cap, its runs and a COND's exits are all None.
-        A form's node is the one it keeps from an earlier evaluation, in
-        this run or another, or is made now (see _analyse).  A _Signal
-        from a run becomes its EvalError here, with the trace rebuilt.
+        a step (see _resolve), a LABEL by its body.  One block advances a
+        step from its next item, i: a step the loop has just met enters it
+        at item 0 with no value, and a frame it resumes enters it with the
+        value of its item i.  There the loop calls the step's runs, from
+        item i up to the next item that has none, and takes one outcome,
+        (how, x, y), as a COND's run gives it (see _source); an
+        application's is _FELL where an item has no run, and _TAIL, with
+        no forms to push, once every item has its value.  At _FELL the
+        step suspends in a frame, (step, env, runs, exits, done, level):
+        runs and a COND's exits are what _resolve gave the step (all None
+        where it does not fit under the cap, and the loop evaluates every
+        item), done is an application's values so far, a list, or a
+        COND's next test, and level is len(self.stack) with the form on
+        top, to which the stack is cut back when the frame resumes; a
+        LABEL's frame is (name, env, None, None, None, level).  At _TAIL
+        the head's value is bound or applied, in the one place that does
+        it.  A step that finishes where it starts makes no list and no
+        frame.  A form's node is the one it keeps from an earlier
+        evaluation, in this run or another, or is made now (see _analyse).
+        A _Signal from a run becomes its EvalError here, with the trace
+        rebuilt.
         """
         frames = []
         stack = self.stack
@@ -415,14 +427,14 @@ class _Interp:
         max_depth = self.max_depth
         try:
             while True:
-                while True:  # evaluate expr in env, or go on with another
-                    stack.append(expr)
-                    if len(stack) > max_depth:
-                        detail = f"recursion depth exceeded ({max_depth})"
-                        raise self._error(Fault.DEPTH_EXCEEDED, detail)
-                    if isinstance(expr, Symbol):
-                        value = self._lookup(expr, env)
-                        break
+                stack.append(expr)  # evaluate expr in env
+                level = len(stack)
+                if level > max_depth:
+                    detail = f"recursion depth exceeded ({max_depth})"
+                    raise self._error(Fault.DEPTH_EXCEEDED, detail)
+                if isinstance(expr, Symbol):
+                    value = self._lookup(expr, env)
+                else:
                     if expr.__class__ is form_class:
                         try:
                             node = expr._node
@@ -432,100 +444,71 @@ class _Interp:
                         node = _analyse(expr, kernel)
                     kind, step, body = node
                     if kind <= _CHOOSE:
-                        _, cache, forms, choice = step
-                        owner, head, height, runs = cache[0]  # a COND's head: its exits
+                        forms, cache, choice = step
+                        owner, exits, height, runs = cache[0]
                         if not (owner() is env.owner is not None):
-                            head, height, runs = _resolve(step, env, kernel)
-                        if len(stack) + height > max_depth:  # the loop takes every item
-                            runs = (None,) * len(forms)
-                            head = None if choice is None else runs  # and every result
-                        if choice is not None:
-                            how, i = _FELL, 0
-                            while i < len(forms):
-                                run = runs[i]
-                                if run is None:
-                                    break
-                                how, x, y = run(env)
-                                if how != _FELL:
-                                    break
-                                i += x
-                            if how == _FELL:
-                                if i == len(forms):
-                                    raise self._error(*choice[1])
-                                frames.append((node, env, runs, head, [F] * i, len(stack)))
-                                expr = forms[i]
-                                continue
-                            if how == _VALUE:
-                                value = x
-                                break
-                            stack += x
-                            if how == _GO:
-                                expr = y
-                                continue
-                            fn, args = y  # a tail exit
-                        elif head is None:  # the loop evaluates the head and each operand
-                            frames.append((node, env, (None,) * len(forms), None, [], len(stack)))
-                            expr = forms[0]
-                            continue
-                        else:
-                            fn, args = head(env), ()
-                            while len(args) + 1 < len(forms):
-                                run = runs[len(args)]
-                                if run is None:
-                                    break
-                                args += run(env)
-                            if len(args) + 1 < len(forms):  # the loop evaluates that one
-                                frames.append((node, env, runs, None, [fn, *args], len(stack)))
-                                expr = forms[len(args) + 1]
-                                continue
-                        if isinstance(fn, Closure):
-                            env = self._bind(fn, args)
-                            expr = fn.body
-                            continue
-                        value = self._apply(fn, args)
-                        break
-                    if kind == _CONSTANT:
+                            exits, height, runs = _resolve(step, env, kernel)
+                        if level + height > max_depth:  # the loop takes every item
+                            runs = exits = (None,) * len(forms)
+                        value = _NO_VALUE
+                    elif kind == _CONSTANT:
                         value = step
-                        break
-                    if kind == _CLOSE:
+                    elif kind == _CLOSE:
                         value = Closure(step, body, env)
-                        break
-                    if kind == _NAME:
-                        frames.append((node, env, None, None, None, len(stack)))
+                    elif kind == _NAME:
+                        frames.append((step, env, None, None, None, level))
                         expr = body
                         continue
-                    raise self._error(Fault.MALFORMED, step)
-                while frames:  # resume the top frame with value
-                    node, env, runs, exits, values, level = frames[-1]
-                    del stack[level:]
-                    kind, step, _ = node
-                    if kind == _APPLY:
-                        forms = step[2]
-                        values.append(value)
-                        i = len(values)
-                        while i < len(forms):
-                            run = runs[i - 1]
+                    else:
+                        raise self._error(Fault.MALFORMED, step)
+                while True:  # advance a step, until there is an expression to evaluate
+                    if value is not _NO_VALUE:  # that of the top frame's next item
+                        if not frames:
+                            return value
+                        frame = frames.pop()
+                        step, env, runs, exits, done, level = frame
+                        del stack[level:]
+                        if runs is None:  # a LABEL's, whose step is its name
+                            if not isinstance(value, Closure):
+                                detail = "LABEL body must produce a closure"
+                                raise self._error(Fault.MALFORMED, detail)
+                            value = replace(value, self_name=step)
+                            continue
+                        forms, _, choice = step
+                    n = len(forms)
+                    if choice is None:  # an application
+                        if value is _NO_VALUE:
+                            i, values = 0, ()
+                        else:
+                            values = done
+                            values.append(value)
+                            i = len(values)
+                        while i < n:
+                            run = runs[i]
                             if run is None:
                                 break
                             values += run(env)
                             i = len(values)
-                        if i < len(forms):
-                            expr = forms[i]
-                            break
-                        frames.pop()
-                        fn, *args = values
-                    elif kind == _CHOOSE:
-                        _, _, forms, (results, end) = step
-                        i = len(values)  # the test whose value this is
-                        if value is T:
+                        if i < n:
+                            how = _FELL
+                        else:
+                            how, x, y = _TAIL, (), (values[0], values[1:])
+                    else:  # a COND
+                        if value is _NO_VALUE:
+                            how, i = _FELL, 0
+                        elif value is T:  # test done gave T: take its result
+                            i = done
                             run = exits[i]
                             if run is None:
-                                how, x, y = _GO, (), results[i]
+                                how, x, y = _GO, (), choice[0][i]
                             else:
                                 how, x, y = run(env)
                         elif value is F:
-                            how, i = _FELL, i + 1
-                            while i < len(forms):
+                            how, i = _FELL, done + 1
+                        else:
+                            raise self._not_truth(value)
+                        if how == _FELL:
+                            while i < n:
                                 run = runs[i]
                                 if run is None:
                                     break
@@ -533,37 +516,30 @@ class _Interp:
                                 if how != _FELL:
                                     break
                                 i += x
-                        else:
-                            raise self._not_truth(value)
-                        if how == _FELL:
-                            if i == len(forms):
-                                raise self._error(*end)
-                            values += [F] * (i - len(values))
-                            expr = forms[i]
-                            break
-                        frames.pop()
-                        if how == _VALUE:
-                            value = x
-                            continue
+                    if how == _TAIL:  # the head's value, then the operands'
                         stack += x
-                        if how == _GO:
-                            expr = y
+                        fn, args = y
+                        if isinstance(fn, Closure):
+                            env = self._bind(fn, args)
+                            expr = fn.body
                             break
-                        fn, args = y  # a tail exit
-                    else:
-                        frames.pop()
-                        if not isinstance(value, Closure):
-                            detail = "LABEL body must produce a closure"
-                            raise self._error(Fault.MALFORMED, detail)
-                        value = replace(value, self_name=step)
-                        continue
-                    if isinstance(fn, Closure):
-                        env = self._bind(fn, args)
-                        expr = fn.body
+                        value = self._apply(fn, args)
+                    elif how == _FELL:  # the loop evaluates item i
+                        if i == n:
+                            raise self._error(*choice[1])
+                        if choice:
+                            frame = (step, env, runs, exits, i, level)
+                        elif value is _NO_VALUE:
+                            frame = (step, env, runs, exits, [*values], level)
+                        frames.append(frame)
+                        expr = forms[i]
                         break
-                    value = self._apply(fn, args)
-                else:
-                    return value
+                    elif how == _VALUE:
+                        value = x
+                    else:  # _GO
+                        stack += x
+                        expr = y
+                        break
         except StopIteration as e:  # a primitive's, raised as PEP 479 has it
             raise RuntimeError("generator raised StopIteration") from e
         except _Signal as s:
@@ -585,7 +561,7 @@ class _Interp:
     def _lookup(self, sym, env):
         at = _address(sym, env)
         if at is not None:
-            return _get_at(at)(env)
+            return _read(at, env)
         if sym in _SELF[self.kernel]:
             return sym
         raise self._unbound(sym)
@@ -705,7 +681,7 @@ def _node(form, items, kernel):
         detail = "QUOTE takes exactly one operand"
     elif items[0] is _COND:
         tests, results, end = _clauses(items[1:], kernel)
-        return (_CHOOSE, (None, [_NO_ENTRY], tuple(tests), (results, end)), None)
+        return (_CHOOSE, (tuple(tests), [_NO_ENTRY], (results, end)), None)
     elif items[0] is _LAMBDA:
         params = _sequence(items[1], kernel) if len(items) == 3 else None
         if len(items) != 3:
@@ -721,8 +697,7 @@ def _node(form, items, kernel):
             return (_NAME, items[1], items[2])
         detail = "LABEL takes an atom and a body"
     else:
-        head = items[0] if isinstance(items[0], Symbol) else None
-        return (_APPLY, (head, [_NO_ENTRY], tuple(items), None), None)
+        return (_APPLY, (tuple(items), [_NO_ENTRY], None), None)
     return (_FAIL, detail, None)
 
 
@@ -744,37 +719,34 @@ def _clauses(clauses, kernel):
 
 
 def _resolve(step, env, kernel):
-    """(head or exits, height, runs) of a step in env, kept in its cache where sound.
+    """(exits, height, runs) of a step in env, kept in its cache where sound.
 
-    A step is (head, cache, forms, choice).  For an application, forms
-    are its items, head first, head is that symbol or None, and choice is
-    None.  For a COND, forms are its tests, head is None and choice is
-    (results, end) (see _clauses).  cache is a list of one entry, (owner,
-    head, height, runs), which starts as _NO_ENTRY; for a COND the second
-    field is its exits.
+    A step is (forms, cache, choice).  For an application, forms are its
+    items, the head first, and choice is None.  For a COND, forms are its
+    tests and choice is (results, end) (see _clauses).  cache is a list of
+    one entry, (owner, exits, height, runs), which starts as _NO_ENTRY.
 
-    An application's head resolves to the get of its binding's address
-    (see _get_at), so the head is head(env), or None if unbound.  A COND
-    has no head, and its entry holds its exits there instead.  runs holds,
-    per operand or test, the run that evaluates it in place, or None where
-    the loop evaluates it (see _get); an application whose head the loop
-    evaluates has none.  The items are cut at each that has none, and
-    after every _RUN_ITEMS, and each run of items between cuts is one
-    function, compiled for its shape (see _run): run(env) gives the values
-    of an application's items, left to right.  A COND's run takes its
-    tests in turn, and the result of the first that gives T as its
-    clause's result is described (see _exit): it gives (how, x, y) (see
-    _source).  exits holds, per clause whose test the loop evaluates, the
-    run of its result alone, which the loop calls when that test gives T,
-    or None where the loop goes on with that result itself.  Each item of
-    a run holds it, and the loop calls it at its first.  height is the
-    highest level the runs reach above the step's form, results
-    included, and at least 1, the level of the head or first test the
-    loop would push itself, so that a step on the cap leaves the cap to
-    the loop.  Only bindings are read, in one walk of the items and the
-    results that describes them and builds their shape.  In an
-    environment of no owner the entry serves once, so the results are
-    not described: the loop goes on with the one the run picks.
+    runs holds, per form, the run that evaluates it in place, or None
+    where the loop evaluates it (see _get).  An application's head is its
+    item 0, described like every operand, so an unbound head is a leaf
+    whose run signals before any operand is evaluated.  The items are cut
+    at each that has none, and after every _RUN_ITEMS, and each run of
+    items between cuts is one function, compiled for its shape (see
+    _run): run(env) gives the values of an application's items, left to
+    right.  A COND's run takes its tests in turn, and the result of the
+    first that gives T as its clause's result is described (see _exit):
+    it gives (how, x, y) (see _source).  exits holds, per clause whose
+    test the loop evaluates, the run of its result alone, which the loop
+    calls when that test gives T, or None where the loop goes on with
+    that result itself; an application's exits are ().  Each item of a
+    run holds it, and the loop calls it at its first.  height is the
+    highest level the runs reach above the step's form, results included,
+    and at least 1, the level of the first item the loop would push
+    itself, so that a step on the cap leaves the cap to the loop.  Only
+    bindings are read, in one walk of the items and the results that
+    describes them and builds their shape.  In an environment of no owner
+    the entry serves once, so the results are not described: the loop
+    goes on with the one the run picks.
 
     Every environment of one owner is a frame of the owner's parameters,
     then its LABEL name if it has one, over the environment it captured,
@@ -782,7 +754,7 @@ def _resolve(step, env, kernel):
     innermost binding sits at one address in each, and a symbol bound
     above the frame is bound to one value in each: the entry serves every
     environment of its owner, since no plan applies a parameter.  It holds
-    the owner by a weak reference, and no value a head is bound to, only
+    the owner by a weak reference, and no value a symbol is bound to, only
     the functions of the primitives its runs apply: the owner's body holds
     the step, so a strong reference there would make a cycle, and the
     closure and its forms would outlive their last use until a cycle
@@ -790,62 +762,59 @@ def _resolve(step, env, kernel):
     never sees half of another's.  An environment of no owner has its step
     resolved each time.
     """
-    head, cache, forms, choice = step
+    forms, cache, choice = step
     owner = env.owner
-    at = None if head is None else _address(head, env)
-    height, runs, exits = 1, [], []  # exits: a COND's, in its head's place
-    if at is not None or choice is not None:
-        params = () if owner is None else owner.params
-        choose = 0 if choice is None else 1
-        shape, objs, budget = [choose], [], _FOLD_TESTS
-        for j, x in enumerate(forms if choose else forms[1:]):
-            item, reach = _get(x, _PLAN_HEIGHT + 1, env, params, kernel)
-            if item is None or len(shape) > _RUN_ITEMS:
-                if len(shape) > 1:  # the items so far make a run
-                    runs += [_run(shape, objs)] * (len(shape) - 1)
-                    del shape[1:], objs[:]
-                budget = _FOLD_TESTS
-            if choose:  # the clause's result, taken in the run that picks it
-                result = choice[0][j]
-                if owner is None:  # the loop takes it: this entry serves once
-                    got, exit_reach, tests = ((_GO, None), (result,)), 0, 0
-                else:
-                    got, exit_reach, tests = _exit(
-                        result, _PLAN_HEIGHT + 1, env, params, kernel, budget
-                    )
-                if exit_reach > height:
-                    height = exit_reach
-                if item is None:  # its own run, for when the loop's test gives T
-                    exits.append(None if got[0][0] == _GO else _run((2, got[0]), got[1]))
-                else:
-                    exits.append(None)
-                    budget -= tests
-                    item = (item[0], got[0]), item[1] + got[1]
-            if item is None:
-                runs.append(None)
-                continue
-            shape.append(item[0])
-            objs += item[1]
-            if reach > height:
-                height = reach
-        if len(shape) > 1:
-            runs += [_run(shape, objs)] * (len(shape) - 1)
-    head = exits if choice is not None else None if at is None else _get_at(at)
+    params = () if owner is None else owner.params
+    height, runs = 1, []
+    exits = [] if choice else ()
+    shape, objs, budget = [1 if choice else 0], [], _FOLD_TESTS
+    for j, x in enumerate(forms):
+        item, reach = _get(x, _PLAN_HEIGHT + 1, env, params, kernel)
+        if item is None or len(shape) > _RUN_ITEMS:
+            if len(shape) > 1:  # the items so far make a run
+                runs += [_run(shape, objs)] * (len(shape) - 1)
+                del shape[1:], objs[:]
+            budget = _FOLD_TESTS
+        if choice:  # the clause's result, taken in the run that picks it
+            result = choice[0][j]
+            if owner is None:  # the loop takes it: this entry serves once
+                got, exit_reach, tests = ((_GO, None), (result,)), 0, 0
+            else:
+                got, exit_reach, tests = _exit(
+                    result, _PLAN_HEIGHT + 1, env, params, kernel, budget
+                )
+            if exit_reach > height:
+                height = exit_reach
+            if item is None:  # its own run, for when the loop's test gives T
+                exits.append(None if got[0][0] == _GO else _run((2, got[0]), got[1]))
+            else:
+                exits.append(None)
+                budget -= tests
+                item = (item[0], got[0]), item[1] + got[1]
+        if item is None:
+            runs.append(None)
+            continue
+        shape.append(item[0])
+        objs += item[1]
+        if reach > height:
+            height = reach
+    if len(shape) > 1:
+        runs += [_run(shape, objs)] * (len(shape) - 1)
     if owner is not None:
-        cache[0] = weakref.ref(owner), head, height, runs
-    return head, height, runs
+        cache[0] = weakref.ref(owner), exits, height, runs
+    return exits, height, runs
 
 
 def _get(x, room, env, params, kernel):
-    """(item, reach): how an operand, test or result x of a step is evaluated in place.
+    """(item, reach): how an item, test or result x of a step is evaluated in place.
 
     item describes how x is evaluated in env, or in an environment of
     env's owner, without the loop, and reach is the highest level that
-    takes above the form x is an operand of, at most room; or item is
-    None, and the loop evaluates x.  x has an item when it is a symbol, a
+    takes above the form x is an item of, at most room; or item is None,
+    and the loop evaluates x.  x has an item when it is a symbol, a
     quoted constant, or a plan: an application of one or two operands,
-    each with an item, whose head is no parameter of the owner (params)
-    and is bound to a Primitive of that arity.  A step's operands have
+    each with an item, whose head is a symbol, no parameter of the owner
+    (params), bound to a Primitive of that arity.  A step's items have
     room _PLAN_HEIGHT + 1, so a plan's tree is at most _PLAN_HEIGHT high.
 
     item is (shape, objs).  shape holds only ints, None and tuples: a
@@ -877,8 +846,9 @@ def _get(x, room, env, params, kernel):
         return got
     if kind != _APPLY or room < 2:
         return None, 0
-    head, _, forms, _ = step
-    if head is None or head in params or not 2 <= len(forms) <= 3:
+    forms = step[0]
+    head = forms[0]
+    if not (2 <= len(forms) <= 3 and isinstance(head, Symbol)) or head in params:
         return None, 0
     # The last operand first: lists nest there, so a tree too high for a
     # plan fails after a visit to each node, before a binding is read.
@@ -886,7 +856,7 @@ def _get(x, room, env, params, kernel):
     if last is None:
         return None, 0
     at = _address(head, env)
-    prim = None if at is None else _get_at(at)(env)
+    prim = None if at is None else _read(at, env)
     if not (isinstance(prim, Primitive) and prim.arity == len(forms) - 1):
         return None, 0
     if len(forms) == 2:
@@ -905,9 +875,9 @@ def _exit(x, room, env, params, kernel, budget):
 
     - _VALUE where x has an item (see _get), whose shape and objs it is;
       a quoted constant's is read off the form (see _quoted);
-    - _TAIL for an application whose head is bound and whose operands,
-      at most _RUN_ITEMS, all have items: shape is (the head's address,
-      shape of each operand), objs x then the operands' objs;
+    - _TAIL for an application whose items, head and operands, at most
+      _RUN_ITEMS + 1, all have items: shape is the shape of each, objs x
+      then theirs;
     - _NEST for a COND whose tests all have items, at most budget of them
       with those of the CONDs its results fold in turn: shape holds (shape
       of its test, (kind, shape) of its result) per clause, objs are x,
@@ -929,14 +899,11 @@ def _exit(x, room, env, params, kernel, budget):
     go = ((_GO, None), (x,)), 0, 0
     kind, step, _ = _analyse(x, kernel)
     if kind == _APPLY:
-        head, _, forms, _ = step
-        if head is None or len(forms) > _RUN_ITEMS + 1:
+        forms = step[0]
+        if len(forms) > _RUN_ITEMS + 1:
             return go
-        at, _ = _get(head, room, env, params, kernel)
-        if at is None or at[0].__class__ is not tuple:  # the head is unbound
-            return go
-        shape, objs, reach = [at[0]], [x], 1
-        for o in forms[1:]:
+        shape, objs, reach = [], [x], 0
+        for o in forms:
             item, o_reach = _get(o, room, env, params, kernel)
             if item is None:
                 return go
@@ -944,9 +911,9 @@ def _exit(x, room, env, params, kernel, budget):
             objs += item[1]
             reach = max(reach, o_reach)
         return ((_TAIL, tuple(shape)), tuple(objs)), reach + 1, 0
-    if kind != _CHOOSE or room < 2 or not 0 < len(step[2]) <= budget:
+    if kind != _CHOOSE or room < 2 or not 0 < len(step[0]) <= budget:
         return go
-    _, _, tests, (results, end) = step
+    tests, _, (results, end) = step
     clauses, objs, reach, used = [], [x, end], 1, len(tests)
     for test, result in zip(tests, results):
         item, t_reach = _get(test, room - 1, env, params, kernel)
@@ -976,42 +943,6 @@ def _quoted(x, kernel):
         if rest.__class__ is Pair and rest.tail is NIL:
             return (rest.head,)
     return None
-
-
-# Address -> the get of the binding there: one per address, shared by every
-# owner, which lives as long as the module.
-_ADDRESS_GETS = {}
-
-
-def _get_at(at):
-    """The get of the binding at address at, made once and kept in _ADDRESS_GETS.
-
-    at is (up, i): the binding is the i-th of the frame up parents above
-    the innermost (see _address).
-    """
-    get = _ADDRESS_GETS.get(at)
-    if get is not None:
-        return get
-    up, i = at
-    if up == 0:
-
-        def get(env):
-            return env.values[i]
-
-    elif up == 1:
-
-        def get(env):
-            return env.parent.values[i]
-
-    else:
-
-        def get(env):
-            for _ in range(up):
-                env = env.parent
-            return env.values[i]
-
-    # setdefault: of two threads making the same get, both keep the first.
-    return _ADDRESS_GETS.setdefault(at, get)
 
 
 # Shape -> the run of that shape with no objs, whose code every run of the
@@ -1073,14 +1004,16 @@ def _source(shape):
     exit, return (how, x, y): (_FELL, the number of its tests, None) when
     every test gave F; (_VALUE, the value, None); (_GO, forms, form), the
     loop pushes the forms, outermost first, and goes on with form; or
-    (_TAIL, forms, (function, arguments)), the loop pushes the forms and
-    binds or applies.  The text is made from the shape alone, so from
-    ints: no symbol, constant or form is ever part of it.  An unbound
-    symbol, a test that gives no truth value and a nested COND out of
-    clauses raise their _Signal where they are met; one except clause
-    turns a KernelError into its _Signal, with the forms the loop would
-    have pushed above the step's form, innermost first, found by the
-    line the call that raised is on.
+    (_TAIL, forms, (head, operands)), the loop pushes the forms and binds
+    or applies the head's value to the operands' values.  Every item, a
+    tail exit's head included, is read by value(), in order, so an
+    unbound head signals before an operand is evaluated.  The text is
+    made from the shape alone, so from ints: no symbol, constant or form
+    is ever part of it.  An unbound symbol, a test that gives no truth
+    value and a nested COND out of clauses raise their _Signal where they
+    are met; one except clause turns a KernelError into its _Signal, with
+    the forms the loop would have pushed above the step's form, innermost
+    first, found by the line the call that raised is on.
     """
     choose, *items = shape
     lines, paths, ups = [], {}, []
@@ -1097,15 +1030,12 @@ def _source(shape):
     def tuple_of(indices):
         return "(" + "".join([f"a{a}, " for a in indices]) + ")"
 
-    def address(k):
-        if k[0] not in ups:
-            ups.append(k[0])
-        return f"f{k[0]}[{k[1]}]"
-
     def value(k, outer):
         # The expression of k's value, after the lines that compute it.
-        if k.__class__ is tuple and k[0] is not None:
-            return address(k)
+        if k.__class__ is tuple and k[0] is not None:  # an address
+            if k[0] not in ups:
+                ups.append(k[0])
+            return f"f{k[0]}[{k[1]}]"
         a = take(1)
         if k == _CONSTANT_LEAF:
             return f"a{a}"
@@ -1138,9 +1068,10 @@ def _source(shape):
             emit(f"return ({_GO}, {tuple_of(outer[::-1])}, a{take(1)})")
         elif kind == _TAIL:
             a = take(1)
-            args = "".join([value(o, (a, *outer)) + ", " for o in k[1:]])
+            values = [value(o, (a, *outer)) for o in k]
+            operands = "".join([f"{v}, " for v in values[1:]])
             path = tuple_of((a, *outer)[::-1])
-            emit(f"return ({_TAIL}, {path}, ({address(k[0])}, ({args})))")
+            emit(f"return ({_TAIL}, {path}, ({values[0]}, ({operands})))")
         else:  # _NEST
             a = take(2)  # the COND's form and its end
             choose_clause(k, (a, *outer))
@@ -1182,6 +1113,14 @@ def _address(sym, env):
         env = env.parent
         up += 1
     return None
+
+
+def _read(at, env):
+    """The value of the binding at address at in env (see _address)."""
+    up, i = at
+    for _ in range(up):
+        env = env.parent
+    return env.values[i]
 
 
 def eval_sexpr(expr, env=None, kernel=Kernel.LIST, max_depth=DEFAULT_MAX_DEPTH):

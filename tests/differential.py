@@ -24,8 +24,13 @@ A case is:
   closure itself, to a parameter, to a primitive of the wrong arity or to
   data, nested CONDs, bad truth values, unbound symbols, kernel faults),
   applied several times on both kernels and evaluated at top level;
-- cli.main run (list; pair with aim8; --max-depth 30) and translate on
-  the corpus programs, and the corpus under meta_eval.
+- cli.main run on the corpus programs, on every kernel x dialect x
+  --lang (an S-expression file holds the program's translation printed in
+  that dialect), and with --max-depth 30; translate on them, and the
+  corpus under meta_eval;
+- cli.main repl, fed lines on stdin on every kernel x dialect x --lang:
+  definitions, the corpus programs, lines that fail to read or to
+  evaluate, and seeded random forms.
 
 An outcome is the value (closures with their parameters, body and
 environment), or the error's kind, message, trace, kernel error, cause
@@ -39,6 +44,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
 import random
@@ -231,6 +237,7 @@ class _Side:
         yield from self.random_forms(forms)
         yield from self.cond_programs(max(forms // 3, 1))
         yield from self.corpus_runs()
+        yield from self.repl_sessions(max(forms // 3, 1))
 
     def _in(self, kernel, v):
         pl = self.pl
@@ -316,21 +323,74 @@ class _Side:
         from protolisp import cli
 
         universal = pl.universal_env()
-        options = ([], ["--kernel", "pair", "--dialect", "aim8"], ["--max-depth", "30"])
         for prog in self.corpus.PROGRAMS:
             path = f"{prog.name}.mexp"
             Path(path).write_text(prog.source + "\n", encoding="utf-8")
-            for i, opts in enumerate(options):
-                yield f"run/{prog.name}/{i}", self.outcome(lambda: _cli(cli, ["run", path, *opts]))
-            yield f"translate/{prog.name}", self.outcome(lambda: _cli(cli, ["translate", path]))
             form = pl.translate(pl.read_fexpr(prog.source))
+            sexp = {d: f"{prog.name}.{d}.sexp" for d in _DIALECTS}
+            for d in _DIALECTS:
+                Path(sexp[d]).write_text(_printed(pl, form, d) + "\n", encoding="utf-8")
+            for k, d, lang in itertools.product(_KERNELS, _DIALECTS, _LANGS):
+                file = path if lang == "mexpr" else sexp[d]
+                argv = ["run", file, "--kernel", k, "--dialect", d, "--lang", lang]
+                yield f"run/{prog.name}/{k}/{d}/{lang}", self.outcome(lambda: _cli(cli, argv))
+            argv = ["run", path, "--max-depth", "30"]
+            yield f"run/{prog.name}/depth", self.outcome(lambda: _cli(cli, argv))
+            yield f"translate/{prog.name}", self.outcome(lambda: _cli(cli, ["translate", path]))
             yield f"meta-corpus/{prog.name}", self.outcome(lambda: pl.meta_eval(form, universal))
 
+    def repl_sessions(self, count):
+        # The same lines, in F-notation (after some definitions) or
+        # translated and printed in the dialect, fed to a repl per kernel x
+        # dialect x --lang, eight a session, so that a difference points
+        # at its lines.
+        pl, h = self.pl, self.helpers
+        from protolisp import cli
 
-def _cli(cli, argv):
+        rng = random.Random(f"repl/{self.seed}")
+        sources = [p.source for p in self.corpus.PROGRAMS]
+        sources += [pl.print_fexpr(h.random_fexpr(rng, rng.randrange(1, 5))) for _ in range(count)]
+        sources += ["first[A]", "zz[first[(A)]]", "[atom[(A)] -> A]", "first[(A)",
+                    "lambda[[x]; x][(A); (B)]", "(A, B)[C]"]
+        definitions = ["f = lambda[[x]; first[x]]", "f[(A, B)]", "f[A]",
+                       "g = label[g; lambda[[x]; [atom[x] -> x; T -> g[first[x]]]]]",
+                       "g[(((B)))]", "f = A"]
+        lines = {"mexpr": definitions + sources}
+        for d in _DIALECTS:
+            printed = []
+            for text in sources:
+                try:
+                    printed.append(_printed(pl, pl.translate(pl.read_fexpr(text)), d))
+                except pl.LispError:  # it does not read: fed as it is
+                    printed.append(text)
+            lines[d] = printed
+        for k, d, lang in itertools.product(_KERNELS, _DIALECTS, _LANGS):
+            session = lines["mexpr" if lang == "mexpr" else d]
+            argv = ["repl", "--kernel", k, "--dialect", d, "--lang", lang]
+            for n in range(0, len(session), 8):
+                stdin = "\n".join(session[n:n + 8]) + "\n"
+                yield (f"repl/{k}/{d}/{lang}/{n}",
+                       self.outcome(lambda: _cli(cli, argv, stdin)))
+
+
+_KERNELS, _DIALECTS, _LANGS = ("list", "pair"), ("aim8", "classic"), ("mexpr", "sexpr")
+
+
+def _printed(pl, form, dialect):
+    """The text of a translated form in dialect: classic prints pairs."""
+    if dialect == "classic":
+        form = pl.list_to_pair(form)
+    return pl.print_sexpr(form, pl.Dialect(dialect))
+
+
+def _cli(cli, argv, stdin=""):
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
+    real, sys.stdin = sys.stdin, io.StringIO(stdin)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    finally:
+        sys.stdin = real
     return f"exit {code} out {out.getvalue()!r} err {err.getvalue()!r}"
 
 

@@ -1068,8 +1068,9 @@ def test_a_primitive_of_three_operands_is_a_step_inside_a_planned_tree(kernel):
     expr = program(kernel, "combine[pick[first[x]; x; rest[x]]; ()]")
     got = three_ways(expr, env, kernel, DEPTH)
     assert got == ("value", in_kernel(kernel, read_sexpr("(B)")))
-    # PICK's application has no get, though COMBINE's step resolves.
-    assert evaluator._resolve(expr._node[1], env, kernel)[2][0] is None
+    # PICK's application, COMBINE's item 1, has no run, though COMBINE's
+    # step resolves: its head is item 0.
+    assert evaluator._resolve(expr._node[1], env, kernel)[2][1] is None
     # A kernel fault inside PICK, and inside one of its operands.
     for text in ("pick[x; x; first[x]]", "pick[x; first[A]; x]"):
         got = three_ways(program(kernel, f"combine[{text}; ()]"), env, kernel, DEPTH)
@@ -1529,21 +1530,23 @@ def test_a_closure_that_an_inner_closure_calls_by_name_is_freed_with_its_last_re
 @pytest.mark.parametrize("kernel", [Kernel.LIST, Kernel.PAIR])
 def test_a_plan_headed_by_a_parameter_runs_as_a_step(kernel):
     # f is a parameter of the owner, so the step of combine[f[x]; ()] keeps
-    # no get for f[x], which runs as a step in every frame, whatever
-    # f is bound to there; the head COMBINE is kept as its address.
+    # no run for f[x], its item 1, which runs as a step in every frame,
+    # whatever f is bound to there; the head COMBINE, item 0, is read by
+    # its address in run 0.
     fn = eval_sexpr(program(kernel, "lambda[[f; x]; combine[f[x]; ()]]"), kernel=kernel)
     prims = default_env(kernel)
     ab = in_kernel(kernel, read_sexpr("(A, B)"))
     for f, expected in ((_FIRST, "(A)"), (_REST, "((B))"), (_FIRST, "(A)")):
         got = apply_fn(fn, [prims.lookup(f), ab], kernel, DEPTH)
         assert got == in_kernel(kernel, read_sexpr(expected))
-    owner, head, height, gets = fn.body._node[1][1][0]
-    assert owner() is fn and gets[0] is None
+    owner, exits, height, runs = fn.body._node[1][1][0]
+    assert owner() is fn and exits == () and runs[1] is None
     # COMBINE is bound in the frame the call's frame extends, fn.env.
     frame = evaluator._Interp(kernel, DEPTH)._bind(fn, [prims.lookup(_REST), ab])
     up, at = evaluator._address(COMBINE, frame)
     assert up == 1 and fn.env.names[at] is COMBINE
-    assert head is evaluator._get_at((up, at)) and head(frame) is fn.env.values[at]
+    (head,) = runs[0](frame)
+    assert head is fn.env.values[at]
     # A fault inside f[x] has the trace of the universal function.
     text = ("lambda[[g]; combine[g[first; (A, B)]; g[first; A]]]"
             "[lambda[[f; x]; combine[f[x]; ()]]]")
@@ -2282,3 +2285,167 @@ def test_a_cond_whose_tests_suspend_costs_the_same_per_test_at_any_width():
             gc.enable()
     narrow, wide = min(widths[2000]), min(widths[20000])
     assert wide <= 2 * narrow, (narrow, wide)
+
+
+def _suspending_application(n):
+    """A closure applying a primitive of n operands that each call a closure, and its operands."""
+    operands = "; ".join(["f[x]"] * n)
+    env = default_env().extend([(Symbol("P"), Primitive("P", n, lambda *args: args[-1]))])
+    fn = eval_sexpr(program(Kernel.LIST, f"lambda[[f; x]; p[{operands}]]"), env)
+    return fn, [eval_sexpr(program(Kernel.LIST, "lambda[[y]; y]")), A]
+
+
+def test_an_application_whose_operands_suspend_costs_the_same_per_operand_at_any_width():
+    # Each operand is a closure call, so the application's frame resumes
+    # once per operand: that must not cost in proportion to the operands
+    # before.  µs per operand, best of five, the widths alternating,
+    # collector off.
+    widths = {2000: [], 20000: []}
+    calls = {n: _suspending_application(n) for n in widths}
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for _ in range(5):
+            for n, times in widths.items():
+                start = time.perf_counter()
+                assert apply_fn(*calls[n]) is A
+                times.append((time.perf_counter() - start) / n * 1e6)
+    finally:
+        if enabled:
+            gc.enable()
+    narrow, wide = min(widths[2000]), min(widths[20000])
+    assert wide <= 2 * narrow, (narrow, wide)
+
+
+# --- an application's head is its item 0 ----------------------------------------
+#
+# A step describes its head as it does every operand: read at its address,
+# a constant, a plan, an unbound symbol that signals, or an item the loop
+# evaluates before the runs of the operands after it.
+
+
+def _head_case(kernel, body, bind=lambda env: ()):
+    """(outcome, calls, g) of g[(A, B)], g the closure of (LAMBDA, (X), body).
+
+    g is made once, over the primitives, counting, and what bind gives,
+    and bound in the environment as G, so from its second application on
+    its steps meet their cache entries.  Each cap from 1 to two past the
+    first that suffices is tried twice through three_ways, and the runs
+    must call the primitives the loop calls, in order; outcome and calls
+    are the last.
+    """
+    calls = []
+    env = default_env(kernel).extend(_counting(kernel, calls))
+    env = env.extend(bind(env))
+    g = eval_sexpr(program(kernel, f"(LAMBDA, (X), {body})"), env, kernel)
+    env = env.extend([(Symbol("G"), g)])
+    expr = program(kernel, "(G, (QUOTE, (A, B)))")
+    enough, cap = None, 0
+    while enough is None or cap < enough + 2:
+        cap += 1
+        assert cap < 60, "no cap under 60 sufficed"
+        for _ in range(2):
+            got = three_ways(expr, env, kernel, cap)
+            calls.clear()
+            assert outcome(eval_sexpr, expr, env, kernel, cap) == got
+            with_runs = calls[:]
+            calls.clear()
+            assert through_the_loop(expr, env, kernel, cap) == got
+            assert calls == with_runs
+        if enough is None and got[0] is not Fault.DEPTH_EXCEEDED:
+            enough = cap
+    return got, with_runs, g
+
+
+def _runs(g, step_form=None):
+    """The runs of the entry that the step of step_form, or g's body, keeps for g."""
+    owner, _, _, runs = (step_form or g.body)._node[1][1][0]
+    assert owner() is g
+    return runs
+
+
+@pytest.mark.parametrize("kernel", [Kernel.LIST, Kernel.PAIR])
+def test_an_unbound_head_fails_before_an_operand_calls_a_primitive(kernel):
+    got, calls, g = _head_case(kernel, "(ZZ, (FIRST, X), (REST, X))")
+    assert got[:2] == (Fault.UNBOUND, "unbound symbol: ZZ") and got[2][-1] is _ZZ
+    assert calls == []
+    assert None not in _runs(g)  # the head's run signals
+
+
+@pytest.mark.parametrize("kernel", [Kernel.LIST, Kernel.PAIR])
+@pytest.mark.parametrize("head", ["T", "F", "NIL"])
+def test_a_truth_value_head_is_not_callable(kernel, head):
+    got, calls, _ = _head_case(kernel, f"({head}, (FIRST, X))")
+    if head == "NIL" and kernel is Kernel.LIST:  # NIL stands for itself in the pair kernel only
+        assert got[:2] == (Fault.UNBOUND, "unbound symbol: NIL") and calls == []
+    else:
+        assert got[:2] == (Fault.NOT_CALLABLE, f"not callable: {head}")
+        assert calls == ["FIRST"]
+
+
+@pytest.mark.parametrize("kernel", [Kernel.LIST, Kernel.PAIR])
+def test_a_quoted_head_is_not_callable_after_its_operands(kernel):
+    got, calls, g = _head_case(kernel, "((QUOTE, A), (FIRST, X))")
+    assert got[:2] == (Fault.NOT_CALLABLE, "not callable: A") and calls == ["FIRST"]
+    assert None not in _runs(g)
+
+
+@pytest.mark.parametrize("kernel", [Kernel.LIST, Kernel.PAIR])
+def test_a_planned_head_applies_the_closure_or_primitive_it_gives(kernel):
+    # FS holds a closure, then the primitive REST.
+    def bind(env):
+        closure = eval_sexpr(program(kernel, "(LAMBDA, (Y), (COMBINE, Y, (QUOTE, ())))"),
+                             env, kernel)
+        return [(Symbol("FS"), form(kernel, closure, env.lookup(_REST)))]
+
+    got, calls, g = _head_case(
+        kernel, "(COMBINE, ((FIRST, FS), X), ((FIRST, (REST, FS)), X))", bind
+    )
+    assert got == ("value", in_kernel(kernel, read_sexpr("(((A, B)), B)")))
+    assert calls == ["FIRST", "COMBINE", "REST", "FIRST", "REST", "COMBINE"]
+    for application in _parts(kernel, g.body)[1:]:  # each head a plan, in a run
+        assert None not in _runs(g, application)
+
+
+@pytest.mark.parametrize("kernel", [Kernel.LIST, Kernel.PAIR])
+@pytest.mark.parametrize(
+    "head, expected",
+    [("(LAMBDA, (Y, Z), (COMBINE, Y, Z))", "(A, B)"),
+     ("(LABEL, L, (LAMBDA, (Y, Z), (COND, ((ATOM, Y), Z), ((QUOTE, T), (L, (FIRST, Y), Z)))))",
+      "(B)")],
+)
+def test_the_operands_of_a_lambda_or_label_head_have_runs(kernel, head, expected):
+    got, calls, g = _head_case(kernel, f"({head}, (FIRST, X), (REST, X))")
+    assert got == ("value", in_kernel(kernel, read_sexpr(expected)))
+    assert calls[:2] == ["FIRST", "REST"]
+    runs = _runs(g)
+    assert runs[0] is None and None not in runs[1:]
+
+
+@pytest.mark.parametrize("kernel", [Kernel.LIST, Kernel.PAIR])
+def test_a_head_that_a_closure_call_gives_is_applied_to_planned_operands(kernel):
+    def bind(env):
+        maker = "(LAMBDA, (W), (LAMBDA, (Y, Z), (COMBINE, Y, Z)))"
+        return [(Symbol("MK"), eval_sexpr(program(kernel, maker), env, kernel))]
+
+    got, calls, g = _head_case(kernel, "((MK, X), (FIRST, X), (REST, (REST, X)))", bind)
+    assert got == ("value", in_kernel(kernel, read_sexpr("(A)")))
+    assert calls == ["FIRST", "REST", "REST", "COMBINE"]
+    runs = _runs(g)
+    assert runs[0] is None and None not in runs[1:]
+
+
+@pytest.mark.parametrize("kernel", [Kernel.LIST, Kernel.PAIR])
+@pytest.mark.parametrize(
+    "result, kind, message",
+    [("((QUOTE, B), (FIRST, X))", Fault.NOT_CALLABLE, "not callable: B"),
+     ("(T, (FIRST, X))", Fault.NOT_CALLABLE, "not callable: T"),
+     ("(ZZ, (FIRST, X))", Fault.UNBOUND, "unbound symbol: ZZ")],
+)
+def test_a_tail_exit_whose_head_is_a_constant_or_unbound(kernel, result, kind, message):
+    got, calls, g = _head_case(
+        kernel, f"(COND, ((ATOM, X), (QUOTE, A)), ((QUOTE, T), {result}))"
+    )
+    assert got[:2] == (kind, message)
+    assert calls == ([] if kind is Fault.UNBOUND else ["FIRST"])
+    assert evaluator._TAIL in _fold_kinds(kernel, g.body)
