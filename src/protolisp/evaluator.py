@@ -57,7 +57,7 @@ frame; their value is the form's.
 An application and a COND are steps.  An application's items are its
 head and its operands, head first, evaluated alike, left to right, as
 the universal function evaluates them.  Where the loop meets a step in
-an environment, it first resolves it there (see below): it describes
+a closure's environment, it first resolves it (see below): it describes
 each item or test that can be evaluated in place.  A symbol and a
 quoted constant can; an unbound symbol is described too, by the error
 it raises.  So can a plan: an application of one or two operands that
@@ -126,17 +126,18 @@ function and the meta evaluator re-enter one closure object on every
 call, so nearly every step is resolved once.  The key is the closure
 and not the scope: one form object can sit in several scopes, and one
 LAMBDA form makes closures over different environments, but each
-environment has at most one owner.  Other environments have none, and a
-step is resolved each time it is evaluated in one.  The cache lives on
-the step, so it outlives a run: a closure that a later call applies
-again, such as the meta evaluator of a universal_env, finds its steps
-resolved.  It keeps no value a symbol is bound to, only the functions of
-the primitives its runs apply, and refers to its owner weakly, so that a
-closure's body keeps no closure alive, itself included.  A COND
-describes its results only for an owner: where it is resolved each
-time, the loop takes the result it picks.  Its entry is one tuple, read
-once and replaced whole, so a thread that evaluates a form another
-thread evaluates too sees one owner's answer, never parts of two.
+environment has at most one owner.  Other environments have none: they
+hold code outside any closure, which runs once, so a cache would gain it
+nothing, and the loop evaluates every item of its steps itself, as it
+does where a step does not fit under the cap.  The cache lives on the
+step, so it outlives a run: a closure that a later call applies again,
+such as the meta evaluator of a universal_env, finds its steps resolved.
+It keeps no value a symbol is bound to, only the functions of the
+primitives its runs apply, and refers to its owner weakly, so that a
+closure's body keeps no closure alive, itself included.  Its entry is
+one tuple, read once and replaced whole, so a thread that evaluates a
+form another thread evaluates too sees one owner's answer, never parts
+of two.
 
 Evaluation depth is the number of expressions under evaluation, capped
 (default 10000, configurable); passing the cap raises an EvalError of kind
@@ -203,8 +204,8 @@ _FELL, _VALUE, _GO, _TAIL, _NEST = range(5)
 # The two whose node holds a step come first (see _Interp.run).
 _APPLY, _CHOOSE, _CONSTANT, _CLOSE, _NAME, _FAIL = range(6)
 
-# The entry of a step's empty cache: its owner is None, which owns nothing
-# (see _resolve).
+# The entry of a step's empty cache: its owner is None, which is no
+# closure (see _resolve).
 _NO_ENTRY = (lambda: None, (), 1, ())
 
 # What the loop has for a step it has just met, where a frame it resumes
@@ -408,7 +409,7 @@ class _Interp:
         no forms to push, once every item has its value.  At _FELL the
         step suspends in a frame, (step, env, runs, exits, done, level):
         runs and a COND's exits are what _resolve gave the step (all None
-        where it does not fit under the cap, and the loop evaluates every
+        outside a closure or over the cap, and the loop evaluates every
         item), done is an application's values so far, a list, or a
         COND's next test, and level is len(self.stack) with the form on
         top, to which the stack is cut back when the frame resumes; a
@@ -446,10 +447,10 @@ class _Interp:
                     if kind <= _CHOOSE:
                         forms, cache, choice = step
                         owner, exits, height, runs = cache[0]
-                        if not (owner() is env.owner is not None):
+                        if owner() is not env.owner is not None:
                             exits, height, runs = _resolve(step, env, kernel)
-                        if level + height > max_depth:  # the loop takes every item
-                            runs = exits = (None,) * len(forms)
+                        if env.owner is None or level + height > max_depth:
+                            runs = exits = (None,) * len(forms)  # the loop takes all
                         value = _NO_VALUE
                     elif kind == _CONSTANT:
                         value = step
@@ -719,7 +720,7 @@ def _clauses(clauses, kernel):
 
 
 def _resolve(step, env, kernel):
-    """(exits, height, runs) of a step in env, kept in its cache where sound.
+    """(exits, height, runs) of a step in env, kept in its cache for its owner.
 
     A step is (forms, cache, choice).  For an application, forms are its
     items, the head first, and choice is None.  For a COND, forms are its
@@ -744,9 +745,7 @@ def _resolve(step, env, kernel):
     and at least 1, the level of the first item the loop would push
     itself, so that a step on the cap leaves the cap to the loop.  Only
     bindings are read, in one walk of the items and the results that
-    describes them and builds their shape.  In an environment of no owner
-    the entry serves once, so the results are not described: the loop
-    goes on with the one the run picks.
+    describes them and builds their shape.
 
     Every environment of one owner is a frame of the owner's parameters,
     then its LABEL name if it has one, over the environment it captured,
@@ -759,12 +758,12 @@ def _resolve(step, env, kernel):
     the step, so a strong reference there would make a cycle, and the
     closure and its forms would outlive their last use until a cycle
     collection.  The entry is read once and replaced whole, so a thread
-    never sees half of another's.  An environment of no owner has its step
-    resolved each time.
+    never sees half of another's.  env always has an owner: the loop
+    evaluates a step of any other environment itself (see _Interp.run).
     """
     forms, cache, choice = step
     owner = env.owner
-    params = () if owner is None else owner.params
+    params = owner.params
     height, runs = 1, []
     exits = [] if choice else ()
     shape, objs, budget = [1 if choice else 0], [], _FOLD_TESTS
@@ -776,13 +775,9 @@ def _resolve(step, env, kernel):
                 del shape[1:], objs[:]
             budget = _FOLD_TESTS
         if choice:  # the clause's result, taken in the run that picks it
-            result = choice[0][j]
-            if owner is None:  # the loop takes it: this entry serves once
-                got, exit_reach, tests = ((_GO, None), (result,)), 0, 0
-            else:
-                got, exit_reach, tests = _exit(
-                    result, _PLAN_HEIGHT + 1, env, params, kernel, budget
-                )
+            got, exit_reach, tests = _exit(
+                choice[0][j], _PLAN_HEIGHT + 1, env, params, kernel, budget
+            )
             if exit_reach > height:
                 height = exit_reach
             if item is None:  # its own run, for when the loop's test gives T
@@ -800,15 +795,14 @@ def _resolve(step, env, kernel):
             height = reach
     if len(shape) > 1:
         runs += [_run(shape, objs)] * (len(shape) - 1)
-    if owner is not None:
-        cache[0] = weakref.ref(owner), exits, height, runs
+    cache[0] = weakref.ref(owner), exits, height, runs
     return exits, height, runs
 
 
 def _get(x, room, env, params, kernel):
     """(item, reach): how an item, test or result x of a step is evaluated in place.
 
-    item describes how x is evaluated in env, or in an environment of
+    item describes how x is evaluated in env, and in every environment of
     env's owner, without the loop, and reach is the highest level that
     takes above the form x is an item of, at most room; or item is None,
     and the loop evaluates x.  x has an item when it is a symbol, a

@@ -15,9 +15,12 @@ in: dynamic scope, the "funarg" behaviour of LISP 1, where the host is
 lexical.  A closure applied where its free variable is bound again sees
 the new binding: lambda[[x]; lambda[[f]; lambda[[x]; f[C]][B]][lambda[[y];
 x]]][A] is A on the host and B under meta_eval.  First-order programs
-whose value is plain data evaluate to the same value under both.  Errors
-at the meta level (an unbound meta-variable, say) surface as whatever
-host fault the stuck kernel operation raises.
+whose value is plain data evaluate to the same value under both, unless
+they bind T or F: metaeval reads those atoms as themselves before it
+looks them up, where the host looks a binding up first, so lambda[[f];
+f][A] is A on the host and F under meta_eval.  Errors at the meta level
+(an unbound meta-variable, say) surface as whatever host fault the
+stuck kernel operation raises.
 """
 
 from importlib import resources

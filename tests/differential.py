@@ -30,7 +30,11 @@ A case is:
   corpus under meta_eval;
 - cli.main repl, fed lines on stdin on every kernel x dialect x --lang:
   definitions, the corpus programs, lines that fail to read or to
-  evaluate, and seeded random forms.
+  evaluate, and seeded random forms;
+- hand-written programs whose parameters, LABEL names and definitions
+  are T, F or NIL, which a binding shadows: through eval_sexpr at top
+  level and as the body of a closure applied by apply_fn, on both
+  kernels, and through cli.main run on every kernel x dialect x --lang.
 
 An outcome is the value (closures with their parameters, body and
 environment), or the error's kind, message, trace, kernel error, cause
@@ -238,6 +242,7 @@ class _Side:
         yield from self.cond_programs(max(forms // 3, 1))
         yield from self.corpus_runs()
         yield from self.repl_sessions(max(forms // 3, 1))
+        yield from self.constant_names()
 
     def _in(self, kernel, v):
         pl = self.pl
@@ -327,13 +332,11 @@ class _Side:
             path = f"{prog.name}.mexp"
             Path(path).write_text(prog.source + "\n", encoding="utf-8")
             form = pl.translate(pl.read_fexpr(prog.source))
-            sexp = {d: f"{prog.name}.{d}.sexp" for d in _DIALECTS}
+            files = {"mexpr": path}
             for d in _DIALECTS:
-                Path(sexp[d]).write_text(_printed(pl, form, d) + "\n", encoding="utf-8")
-            for k, d, lang in itertools.product(_KERNELS, _DIALECTS, _LANGS):
-                file = path if lang == "mexpr" else sexp[d]
-                argv = ["run", file, "--kernel", k, "--dialect", d, "--lang", lang]
-                yield f"run/{prog.name}/{k}/{d}/{lang}", self.outcome(lambda: _cli(cli, argv))
+                files[d] = f"{prog.name}.{d}.sexp"
+                Path(files[d]).write_text(_printed(pl, form, d) + "\n", encoding="utf-8")
+            yield from self._runs(cli, f"run/{prog.name}", files)
             argv = ["run", path, "--max-depth", "30"]
             yield f"run/{prog.name}/depth", self.outcome(lambda: _cli(cli, argv))
             yield f"translate/{prog.name}", self.outcome(lambda: _cli(cli, ["translate", path]))
@@ -372,8 +375,84 @@ class _Side:
                 yield (f"repl/{k}/{d}/{lang}/{n}",
                        self.outcome(lambda: _cli(cli, argv, stdin)))
 
+    def constant_names(self):
+        pl = self.pl
+        from protolisp import cli
+
+        for n, text in enumerate(_NAMED_AFTER_CONSTANTS):
+            fexpr = not text.startswith("(")
+            form = pl.translate(pl.read_fexpr(text)) if fexpr else pl.read_sexpr(text)
+            for kernel in (pl.Kernel.LIST, pl.Kernel.PAIR):
+                expr, k = self._in(kernel, form), kernel.value
+                prims = self.prims[kernel]
+                body = pl.Closure((), expr, prims)  # one owner, so its cache is met
+                for depth in (3, 7, 10000):
+                    for rep in (0, 1):
+                        yield (f"names/{n}/{k}/top/{depth}/{rep}",
+                               self.outcome(lambda: pl.eval_sexpr(expr, prims, kernel, depth)))
+                        yield (f"names/{n}/{k}/body/{depth}/{rep}",
+                               self.outcome(lambda: pl.apply_fn(body, [], kernel, depth)))
+            files = {d: f"names{n}.{d}.sexp" for d in _DIALECTS}
+            for d in _DIALECTS:
+                Path(files[d]).write_text(_printed(pl, form, d) + "\n", encoding="utf-8")
+            if fexpr:
+                files["mexpr"] = f"names{n}.mexp"
+                Path(files["mexpr"]).write_text(text + "\n", encoding="utf-8")
+            yield from self._runs(cli, f"names/{n}/run", files)
+        for n, text in enumerate(_DEFINED_AS_CONSTANTS):
+            files = {"mexpr": f"defined{n}.mexp"}
+            Path(files["mexpr"]).write_text(text + "\n", encoding="utf-8")
+            yield from self._runs(cli, f"defined/{n}/run", files)
+
+    def _runs(self, cli, key, files):
+        # cli.main run on each file: files maps "mexpr", or a dialect for
+        # the S-expression file printed in it, to a file name.
+        for k, d, lang in itertools.product(_KERNELS, _DIALECTS, _LANGS):
+            file = files.get("mexpr" if lang == "mexpr" else d)
+            if file is not None:
+                argv = ["run", file, "--kernel", k, "--dialect", d, "--lang", lang]
+                yield f"{key}/{k}/{d}/{lang}", self.outcome(lambda: _cli(cli, argv))
+
 
 _KERNELS, _DIALECTS, _LANGS = ("list", "pair"), ("aim8", "classic"), ("mexpr", "sexpr")
+
+# Programs that bind T, F or NIL as a parameter or a LABEL name.  A binding
+# wins over the atom's own value, in a COND test, an operand and a head.
+_NAMED_AFTER_CONSTANTS = (
+    "lambda[[f]; f][A]",
+    "lambda[[t]; t][A]",
+    "lambda[[nil]; nil][A]",
+    "lambda[[f]; combine[f; ()]][A]",
+    "lambda[[nil]; combine[nil; nil]][(A)]",
+    "lambda[[t; f]; [t -> A; f -> B; T -> C]][F; T]",
+    "lambda[[t]; [eq[t; T] -> A; T -> B]][T]",
+    "lambda[[f; t]; combine[f; combine[t; ()]]][(A); (B)]",
+    "lambda[[t]; [t -> A; T -> B]][(C)]",
+    "label[f; lambda[[x]; [null[x] -> f; T -> f[rest[x]]]]][(A, B)]",
+    "label[t; lambda[[x]; [atom[x] -> x; T -> t[first[x]]]]][((A))]",
+    "label[nil; lambda[[x]; [null[x] -> nil; T -> nil[rest[x]]]]][(A)]",
+    "label[f; lambda[[t]; [atom[t] -> combine[t; ()]; T -> f[first[t]]]]][((B))]",
+    "lambda[[g]; g[(A, B)]][label[nil; lambda[[x]; [null[rest[x]] -> x; T -> nil[rest[x]]]]]]",
+    "((LAMBDA, (T), (COND, (T, (QUOTE, A)), ((QUOTE, T), (QUOTE, B)))), (QUOTE, F))",
+    "((LAMBDA, (F), (COND, ((ATOM, F), F), (T, (QUOTE, B)))), (QUOTE, (C)))",
+    "((LAMBDA, (T, F), (COND, (F, T), (T, F))), (QUOTE, F), (QUOTE, T))",
+    "((LABEL, T, (LAMBDA, (X), (COND, ((ATOM, X), X), (T, (T, (FIRST, X)))))),"
+    " (QUOTE, ((A))))",
+    "((LAMBDA, (NIL), (COMBINE, NIL, (QUOTE, ()))), (QUOTE, A))",
+    "((LAMBDA, (NIL), (NULL, NIL)), NIL)",
+    "((LABEL, F, (LAMBDA, (NIL), (COND, ((ATOM, NIL), NIL), (T, (F, (FIRST, NIL))))))"
+    ", (QUOTE, ((B))))",
+)
+
+# Programs whose definitions are named T, F or NIL: each binds that name at
+# top level for the items after it.
+_DEFINED_AS_CONSTANTS = (
+    "t = (A)\nf = lambda[[x]; combine[t; x]]\nf[(B)]",
+    "f = (A)\n[f -> B; T -> C]",
+    "nil = lambda[[x]; first[x]]\nnil[(A, B)]",
+    "t = F\ng = lambda[[x]; [t -> x; T -> B]]\ng[A]",
+    "f = label[f; lambda[[x]; [atom[x] -> x; T -> f[first[x]]]]]\nf[(((C)))]",
+)
 
 
 def _printed(pl, form, dialect):

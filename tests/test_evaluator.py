@@ -2,6 +2,7 @@
 
 import ast
 import builtins
+import contextlib
 import copy
 import functools
 import gc
@@ -610,22 +611,82 @@ def quoted(kernel, v):
     return form(kernel, QUOTE, in_kernel(kernel, v))
 
 
+def in_a_body(expr, env, kernel, max_depth):
+    """eval_sexpr's signature, with expr the body of a closure of no parameters.
+
+    The closure, over env, is applied by apply_fn, so expr's steps have an
+    owner and may be resolved into runs, while the body starts at stack
+    height 1, as expr at top level does: value, error and trace are the same.
+    """
+    return apply_fn(Closure((), expr, env), [], kernel, max_depth)
+
+
+def owned_env(expr, env, kernel):
+    """The environment that applying a closure of body expr over env makes."""
+    return _Interp(kernel, DEPTH)._bind(Closure((), expr, env), ())
+
+
+@contextlib.contextmanager
+def spied():
+    """Counts of _resolve calls, by whether env has an owner, and of run calls.
+
+    Yields {"top": ..., "owned": ..., "runs": ...}.  A run made while the spy
+    is on counts its calls.
+    """
+    counts = {"top": 0, "owned": 0, "runs": 0}
+    resolve, make = evaluator._resolve, evaluator._run
+
+    def counted_resolve(step, env, kernel):
+        counts["top" if env.owner is None else "owned"] += 1
+        return resolve(step, env, kernel)
+
+    def counted_run(shape, objs):
+        run = make(shape, objs)
+
+        def counted(env):
+            counts["runs"] += 1
+            return run(env)
+
+        return counted
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evaluator, "_resolve", counted_resolve)
+        mp.setattr(evaluator, "_run", counted_run)
+        yield counts
+
+
+def check_spied(counts, evaluate):
+    """At top level the loop alone evaluates; in a closure's body a run does."""
+    if evaluate is eval_sexpr:
+        assert counts == {"top": 0, "owned": 0, "runs": 0}
+    else:
+        assert counts["top"] == 0 and counts["owned"] > 0 and counts["runs"] > 0
+
+
+WHERE = pytest.mark.parametrize("evaluate", [eval_sexpr, in_a_body], ids=["top", "body"])
+
+
 @pytest.mark.parametrize("kernel", [Kernel.LIST, Kernel.PAIR])
-def test_a_combine_tree_of_any_height_evaluates(kernel):
+def test_a_combine_tree_of_any_height_evaluates(kernel, monkeypatch):
     n = 100_000
     empty = quoted(kernel, NULL)
     tree = empty
     for _ in range(n):
         tree = form(kernel, COMBINE, tree, empty)
-    value = eval_sexpr(tree, kernel=kernel, max_depth=10**6)
+    monkeypatch.setattr(evaluator, "_RUNS", {})
+    with spied() as counts:  # outside any closure, the loop alone: nothing compiled
+        value = eval_sexpr(tree, kernel=kernel, max_depth=10**6)
+    assert counts == {"top": 0, "owned": 0, "runs": 0}
+    assert evaluator._RUNS == {}
     expected = NULL
     for _ in range(n):
         expected = ProperList((expected,))
     assert value == in_kernel(kernel, expected)
 
 
+@WHERE
 @pytest.mark.parametrize("kernel", [Kernel.LIST, Kernel.PAIR])
-def test_the_depth_limit_of_a_primitive_tree_is_exact(kernel):
+def test_the_depth_limit_of_a_primitive_tree_is_exact(kernel, evaluate):
     # The tree is three applications high and its innermost operand, X, is
     # one level above the innermost one: 1 + 3 levels in all.
     x = in_kernel(kernel, ProperList((A, B)))
@@ -633,25 +694,31 @@ def test_the_depth_limit_of_a_primitive_tree_is_exact(kernel):
     rest_x = form(kernel, Symbol("REST"), Symbol("X"))
     first = form(kernel, Symbol("FIRST"), rest_x)
     tree = form(kernel, COMBINE, first, quoted(kernel, NULL))
-    assert eval_sexpr(tree, env, kernel, max_depth=4) == form(kernel, B)
-    e = fault_of(eval_sexpr, tree, env, kernel, max_depth=3)
+    with spied() as counts:
+        assert evaluate(tree, env, kernel, max_depth=4) == form(kernel, B)
+        e = fault_of(evaluate, tree, env, kernel, max_depth=3)
     assert e.kind is Fault.DEPTH_EXCEEDED
     assert e.trace == (tree, first, rest_x, Symbol("REST"))
+    check_spied(counts, evaluate)
 
 
+@WHERE
 @pytest.mark.parametrize("kernel", [Kernel.LIST, Kernel.PAIR])
-def test_a_kernel_fault_three_levels_inside_a_tree_keeps_its_trace(kernel):
+def test_a_kernel_fault_three_levels_inside_a_tree_keeps_its_trace(kernel, evaluate):
     fault = form(kernel, Symbol("FIRST"), quoted(kernel, C))
     level2 = form(kernel, COMBINE, fault, quoted(kernel, NULL))
     level1 = form(kernel, COMBINE, quoted(kernel, B), level2)
     tree = form(kernel, COMBINE, quoted(kernel, A), level1)
-    e = fault_of(eval_sexpr, tree, kernel=kernel, max_depth=DEPTH)
+    with spied() as counts:
+        e = fault_of(evaluate, tree, default_env(kernel), kernel, max_depth=DEPTH)
     name = "first" if kernel is Kernel.LIST else "car"
     assert (e.kind, str(e)) == (Fault.KERNEL_FAULT, f"{name}: undefined on atoms")
     assert e.trace == (tree, level1, level2, fault)
+    check_spied(counts, evaluate)
 
 
-def test_a_primitive_in_a_tree_is_called_once_when_a_later_operand_faults():
+@WHERE
+def test_a_primitive_in_a_tree_is_called_once_when_a_later_operand_faults(evaluate):
     calls = []
 
     def record(x):
@@ -663,8 +730,49 @@ def test_a_primitive_in_a_tree_is_called_once_when_a_later_operand_faults():
     for later, kind in later_operands:
         calls.clear()
         tree = read_sexpr(f"(COMBINE, (REC, (QUOTE, A)), {later})")
-        assert fault_of(eval_sexpr, tree, env, max_depth=DEPTH).kind is kind
+        with spied() as counts:
+            assert fault_of(evaluate, tree, env, Kernel.LIST, DEPTH).kind is kind
         assert calls == [A]
+        check_spied(counts, evaluate)
+
+
+_TOP_LEVEL_CASES = [
+    # A plan tree, CONDs whose runs would take a nested COND and a tail exit
+    # to a primitive of three operands, an unbound symbol and a kernel fault.
+    pytest.param("combine[first[rest[x]]; combine[atom[x]; ()]]", "(D, F)", id="plan"),
+    pytest.param("[atom[x] -> A; null[rest[x]] -> pick[x; x; x];"
+                 " T -> [eq[first[x]; C] -> [atom[first[x]] -> pick[(A); x; rest[x]]]]]",
+                 "D", id="cond-nested"),
+    pytest.param("[atom[x] -> A; T -> [null[x] -> B; T -> pick[x; x; x]]]", "C",
+                 id="cond-tail"),
+    pytest.param("combine[first[x]; zz]", Fault.UNBOUND, id="unbound"),
+    pytest.param("combine[x; first[A]]", Fault.KERNEL_FAULT, id="fault"),
+]
+
+
+@pytest.mark.parametrize("kernel", [Kernel.LIST, Kernel.PAIR])
+@pytest.mark.parametrize("text, expected", _TOP_LEVEL_CASES)
+def test_code_outside_any_closure_is_evaluated_by_the_loop_alone(
+    kernel, text, expected, monkeypatch
+):
+    # Code outside a closure runs once, so its steps are never resolved
+    # into runs: nothing is compiled for them.
+    first = default_env(kernel).lookup(Symbol("FIRST")).fn
+    pick = Primitive("PICK", 3, lambda x, y, z: first(z))
+    env = default_env(kernel).extend(
+        [(Symbol("PICK"), pick), (_X, in_kernel(kernel, read_sexpr("(C, D)")))]
+    )
+    monkeypatch.setattr(evaluator, "_RUNS", {})
+    expr = program(kernel, text)
+    with spied() as counts:
+        got = three_ways(expr, env, kernel, DEPTH)
+        assert outcome(eval_sexpr, expr, env, kernel, DEPTH) == got  # once more
+    assert counts == {"top": 0, "owned": 0, "runs": 0}
+    assert evaluator._RUNS == {}
+    if isinstance(expected, Fault):
+        assert got[0] is expected
+    else:
+        assert got == ("value", in_kernel(kernel, read_sexpr(expected)))
 
 
 def test_one_form_object_can_sit_in_two_scopes():
@@ -1068,9 +1176,13 @@ def test_a_primitive_of_three_operands_is_a_step_inside_a_planned_tree(kernel):
     expr = program(kernel, "combine[pick[first[x]; x; rest[x]]; ()]")
     got = three_ways(expr, env, kernel, DEPTH)
     assert got == ("value", in_kernel(kernel, read_sexpr("(B)")))
+    with spied() as counts:
+        assert outcome(in_a_body, expr, env, kernel, DEPTH) == got
+    check_spied(counts, in_a_body)
     # PICK's application, COMBINE's item 1, has no run, though COMBINE's
-    # step resolves: its head is item 0.
-    assert evaluator._resolve(expr._node[1], env, kernel)[2][1] is None
+    # step resolves for a closure whose body it is: its head is item 0.
+    resolved = evaluator._resolve(expr._node[1], owned_env(expr, env, kernel), kernel)
+    assert resolved[2][1] is None
     # A kernel fault inside PICK, and inside one of its operands.
     for text in ("pick[x; x; first[x]]", "pick[x; first[A]; x]"):
         got = three_ways(program(kernel, f"combine[{text}; ()]"), env, kernel, DEPTH)
@@ -1288,28 +1400,39 @@ def _plan_case(kernel, cause, level, wrapped):
 @pytest.mark.parametrize("kernel", [Kernel.LIST, Kernel.PAIR])
 @pytest.mark.parametrize("level", range(1, 9))
 @pytest.mark.parametrize("cause", ["fault", "unbound"])
-@pytest.mark.parametrize("wrapped", [False, True], ids=["top", "wrapped"])
+@pytest.mark.parametrize("where", ["top", "wrapped", "body"])
 def test_an_error_inside_a_plan_has_the_trace_of_the_universal_function(
-    kernel, level, cause, wrapped
+    kernel, level, cause, where
 ):
     # The plan pushes nothing; the trace is rebuilt from the forms the error
     # left on its way out.  At level 8 with an unbound symbol that path alone
-    # is nine forms long, so the trace keeps the innermost eight of it.
-    expr = _plan_case(kernel, cause, level, wrapped)
+    # is nine forms long, so the trace keeps the innermost eight of it.  At
+    # top level the loop takes the tree; wrapped, and as a closure's body,
+    # a run does.
+    expr = _plan_case(kernel, cause, level, where == "wrapped")
     env = default_env(kernel)
+    bodies = {}
+
+    def in_one_body(e, env, kernel, max_depth):  # resolved, then from the cache
+        return apply_fn(bodies.setdefault(id(e), Closure((), e, env)), [], kernel, max_depth)
+
+    evaluate = in_one_body if where == "body" else eval_sexpr
     kinds = [outcome(helpers.reference_eval, expr, env, kernel, d)[0] for d in range(1, 16)]
     boundary = 1 + kinds.index(Fault.KERNEL_FAULT if cause == "fault" else Fault.UNBOUND)
     assert kinds[: boundary - 1] == [Fault.DEPTH_EXCEEDED] * (boundary - 1)
     for max_depth in (boundary - 1, boundary, DEFAULT_MAX_DEPTH):
         expected = full_outcome(helpers.reference_eval, expr, env, kernel, max_depth)
         fresh = copy.deepcopy(expr)
-        for e in (fresh, fresh, expr):  # made now, then kept
-            assert full_outcome(eval_sexpr, e, env, kernel, max_depth) == expected
+        with spied() as counts:
+            for e in (fresh, fresh, expr):  # made now, then kept
+                assert full_outcome(evaluate, e, env, kernel, max_depth) == expected
         assert through_the_loop(expr, env, kernel, max_depth) == expected[:3]
     if cause == "unbound" and level == 8:
         assert len(expected[2]) == 8 and expected[2][-1] is Symbol("ZZ")
-    if not wrapped:  # the step evaluated its operands in place, the tree as a plan
-        assert None not in evaluator._resolve(expr._node[1], env, kernel)[2]
+    check_spied(counts, eval_sexpr if where == "top" else in_a_body)  # at the default cap
+    if where != "wrapped":  # in a closure, its operands are in place, the tree a plan
+        resolved = evaluator._resolve(expr._node[1], owned_env(expr, env, kernel), kernel)
+        assert None not in resolved[2]
 
 
 def test_a_second_meta_eval_analyses_only_its_own_program(monkeypatch):
@@ -2174,7 +2297,8 @@ def test_a_result_the_run_takes_has_the_loops_outcome_at_every_cap(kernel, cond,
 @pytest.mark.parametrize("kernel", [Kernel.LIST, Kernel.PAIR])
 @pytest.mark.parametrize("cond, x, g, fold", _COND_CASES)
 def test_a_cond_of_no_owner_has_the_loops_outcome_at_every_cap(kernel, cond, x, g, fold):
-    # At top level the entry serves once, and the loop takes the result.
+    # At top level the loop takes every test and result itself; in a
+    # closure's body, runs take them (see the twin test above).
     expr, cond_form = _cond_case(kernel, cond, x, g)
     bound = [(Symbol(n), eval_sexpr(v, default_env(kernel), kernel))
              for n, v in (("REC", _parts(kernel, expr)[0]),

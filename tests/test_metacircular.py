@@ -104,6 +104,27 @@ def test_a_closure_sees_its_free_variable_rebound_only_under_the_meta_evaluator(
     assert meta_eval(form, env, max_depth=META_DEPTH) == Symbol("B")
 
 
+@pytest.mark.parametrize(
+    "text, hosted, under_meta",
+    [
+        ("lambda[[f]; f][A]", "A", "F"),
+        ("lambda[[t]; t][A]", "A", "T"),
+        ("lambda[[f]; combine[f; ()]][A]", "(A)", "(F)"),
+    ],
+)
+def test_a_variable_named_t_or_f_is_read_as_itself_only_under_the_meta_evaluator(
+    env, text, hosted, under_meta
+):
+    # metaeval tells T and F by eq before it looks an atom up; the host
+    # looks a binding up first.  So these first-order programs differ.
+    form = translate(read_fexpr(text))
+    assert eval_sexpr(form) == read_sexpr(hosted)
+    assert eval_sexpr(list_to_pair(form), kernel=Kernel.PAIR) == list_to_pair(
+        read_sexpr(hosted)
+    )
+    assert meta_eval(form, env, max_depth=META_DEPTH) == read_sexpr(under_meta)
+
+
 def test_recursion_through_an_atom_named_after_a_truth_value(env):
     src = "label[f; lambda[[x]; [null[x] -> (); T -> f[rest[x]]]]][(A, B)]"
     assert meta_eval(translate(read_fexpr(src)), env, max_depth=META_DEPTH) == NULL
