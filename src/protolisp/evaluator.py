@@ -446,10 +446,11 @@ class _Interp:
                     kind, step, body = node
                     if kind <= _CHOOSE:
                         forms, cache, choice = step
-                        owner, exits, height, runs = cache[0]
-                        if owner() is not env.owner is not None:
+                        ref, exits, height, runs = cache[0]
+                        owner = env.owner
+                        if ref() is not owner is not None:
                             exits, height, runs = _resolve(step, env, kernel)
-                        if env.owner is None or level + height > max_depth:
+                        if owner is None or level + height > max_depth:
                             runs = exits = (None,) * len(forms)  # the loop takes all
                         value = _NO_VALUE
                     elif kind == _CONSTANT:

@@ -32,6 +32,10 @@ one frame per open application, conditional clause, abstraction or
 recursion form on its own stack, so any nesting depth reads; an embedded
 (...) constant is read by the S-expression reader at its offset.  Offsets
 become line:column positions only when an error is reported.
+
+read_fexpr, read_program and print_fexpr run with the cycle collector
+paused (see the values module): an F-expression, like a value, refers
+only to what was made before it.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from dataclasses import dataclass
 from .errors import ParseErrorKind
 from .scanner import BLANKS, error_at
 from .sexpr import parse_sexpr, print_sexpr
-from .values import Dialect, Symbol
+from .values import Dialect, Symbol, _paused
 
 RESERVED_WORDS = frozenset({"lambda", "label"})
 
@@ -100,6 +104,7 @@ class Definition:
     body: object
 
 
+@_paused
 def read_fexpr(text: str):
     """Parse exactly one F-expression from text."""
     m = _NEXT(text)
@@ -117,6 +122,7 @@ def read_fexpr(text: str):
     return e
 
 
+@_paused
 def read_program(text: str):
     """Parse a program file: a list of Definition and expression items."""
     items = []
@@ -327,6 +333,7 @@ def _label_head(text, pos):
     return name, _expect(text, _NEXT(text, pos), ";", detail)
 
 
+@_paused
 def print_fexpr(e) -> str:
     """Render an F-expression canonically; read_fexpr inverts this.
 

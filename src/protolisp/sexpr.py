@@ -21,6 +21,14 @@ depth reads, and works on offsets into the text; a position is worked
 out only for an error.  A closed list becomes its cells, or its pairs,
 in one call of a chain builder of the values module, the one module
 that makes cells; the printers are that module's _text walk.
+
+read_sexpr, read_sexprs and print_sexpr run with the cycle collector
+paused, as the values module's docstring explains: what they make holds
+no cycle, since a cell refers only to cells made before it, and only the
+unsafe_set_tail backdoor, which they never call, can make one.  A
+gc.disable() of another thread during such a call is undone when it
+returns.  The evaluator runs unpaused, since cyclic garbage that a long
+run made would otherwise pile up until the run ended.
 """
 
 import re
@@ -28,6 +36,7 @@ import re
 from .errors import ParseErrorKind
 from .scanner import BLANKS, error_at
 from .values import NIL, NULL, Dialect, Symbol, _SYMBOLS, _list, _pairs, _text
+from .values import _paused
 from .values import CYCLE_MARKER  # noqa: F401  (what the printers write at a cycle)
 
 # The comma before a token, with the blanks after it, if there is one, and
@@ -47,6 +56,7 @@ _SEP_CLOSE = ParseErrorKind.UNEXPECTED_CHAR, "')' directly after a separator"
 _COMMA = ParseErrorKind.UNEXPECTED_CHAR, "','"  # a comma where no element ends
 
 
+@_paused
 def read_sexpr(text: str, dialect=Dialect.AIM8):
     """Parse exactly one S-expression from text."""
     dialect = Dialect(dialect)
@@ -65,6 +75,7 @@ def read_sexpr(text: str, dialect=Dialect.AIM8):
     return value
 
 
+@_paused
 def read_sexprs(text: str, dialect=Dialect.AIM8):
     """Parse a whole sequence of S-expressions (a .sexp file)."""
     dialect = Dialect(dialect)

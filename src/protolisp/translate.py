@@ -5,11 +5,14 @@ wrapped under QUOTE, and the three program forms become lists headed by
 COND, LAMBDA and LABEL.  Because the four head atoms QUOTE, COND, LAMBDA
 and LABEL carry meaning in the target language, a variable whose
 uppercased spelling is one of them is refused.
+
+translate and translate_program run with the cycle collector paused (see
+the values module): a translation, like its source, holds no cycle.
 """
 
 from .errors import DuplicateDefinitionError, NameCollisionError
 from .fexpr import App, Cond, Const, Label, Lambda, Var
-from .values import ProperList, Symbol
+from .values import ProperList, Symbol, _paused
 
 RESERVED_HEADS = frozenset({"QUOTE", "COND", "LAMBDA", "LABEL"})
 
@@ -29,6 +32,7 @@ def name_symbol(name: str) -> Symbol:
     return Symbol(upper)
 
 
+@_paused
 def translate(e) -> ProperList:
     """Translate one F-expression; the result is always a proper structure.
 
@@ -66,6 +70,7 @@ def translate(e) -> ProperList:
     return out[0]
 
 
+@_paused
 def translate_program(definitions):
     """Translate (name, fexpr) pairs; names must be distinct."""
     seen = set()

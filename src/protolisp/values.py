@@ -29,17 +29,58 @@ _Compound.
 
 `list_to_pair` embeds the first world in the second; `pair_to_list` goes
 back when the structure allows it.
+
+The front end runs with CPython's cycle collector paused (see _paused):
+the readers (sexpr.read_sexpr and read_sexprs, fexpr.read_fexpr and
+read_program), translate.translate and translate_program, the printers
+(_text, behind sexpr.print_sexpr and every repr, and fexpr.print_fexpr),
+list_to_pair and pair_to_list.  Reference counting alone frees all they
+make, since no field can be assigned once its cell is made: a value can
+only refer to values made before it, so none is part of a cycle.  The one
+way to make a cycle is unsafe_set_tail, a test backdoor that no paused
+function calls.  Without the pause, the collector walks every cell a
+deep or long input makes, again and again as the young generations fill,
+for nothing.  The pause is the process's: a gc.disable() that another
+thread makes during a paused call is undone when that call returns.  The
+evaluator is not paused: it runs user programs for as long as they take,
+and any cyclic garbage made meanwhile, an exception held with its
+traceback for one, would pile up until the run ended.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
+import gc
 import re
 
 from .errors import CyclicStructureError, ImproperStructureError, KindMismatchError
 
 _SYMBOL_RE = re.compile(r"[A-Z][A-Z0-9]*\Z")
 _SYMBOLS = {}  # name -> the Symbol of that name
+
+
+def _paused(fn):
+    """fn, run with the cycle collector off.
+
+    A call that finds the collector on turns it off, and back on when it
+    returns or raises; a call that finds it off, a nested call among them,
+    leaves it alone.  So a caller that turned it off finds it off after,
+    and a gc.disable() of another thread during a paused call is undone
+    when that call returns.
+    """
+
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return fn(*args, **kwargs)
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            gc.enable()
+
+    return paused
 
 
 class Symbol:
@@ -236,6 +277,7 @@ class Dialect(enum.Enum):
 CYCLE_MARKER = "#cycle"
 
 
+@_paused
 def _text(v, dialect=None):
     """The text of a value, built on an explicit stack.
 
@@ -508,6 +550,7 @@ def _rebuild(rows, atoms):
     return made[0]
 
 
+@_paused
 def list_to_pair(v):
     """Embed a list-kernel value into the pair kernel.
 
@@ -547,6 +590,7 @@ def list_to_pair(v):
             out = pair
 
 
+@_paused
 def pair_to_list(v):
     """Read a pair-kernel value back as a list-kernel value.
 

@@ -34,18 +34,30 @@ A case is:
 - hand-written programs whose parameters, LABEL names and definitions
   are T, F or NIL, which a binding shadows: through eval_sexpr at top
   level and as the body of a closure applied by apply_fn, on both
-  kernels, and through cli.main run on every kernel x dialect x --lang.
+  kernels, and through cli.main run on every kernel x dialect x --lang;
+- the front end alone: seeded S-texts in both dialects and F-texts and
+  programs, each well-formed and with a few characters edited at random,
+  through read_sexpr, read_sexprs, parse_sexpr (value and end offset),
+  read_fexpr, read_program, translate, translate_program, print_sexpr in
+  both dialects, print_fexpr, repr and the kernel conversions;
+- values nested 10000 deep, through the first element and through the
+  last, as arguments and results of apply_fn, eval_sexpr and meta_eval on
+  both kernels, and read and printed by cli.main run on every kernel x
+  dialect;
+- cyclic pairs made with unsafe_set_tail, through print_sexpr, repr,
+  pair_to_list and ==.
 
 An outcome is the value (closures with their parameters, body and
 environment), or the error's kind, message, trace, kernel error, cause
 and context, together with the sequence of primitive calls, each
-recorded with its arguments and its result or exception.  Only the
-standard library is used here; tests/helpers.py needs what the tests
-need.
+recorded with its arguments and its result or exception, and whether
+the cycle collector is on after it.  Only the standard library is used
+here; tests/helpers.py needs what the tests need.
 """
 
 import argparse
 import contextlib
+import gc
 import hashlib
 import io
 import itertools
@@ -233,7 +245,7 @@ class _Side:
         except Exception as e:
             text = f"exception {self._error(e)}"
         digest = hashlib.md5("\n".join(self.calls).encode()).hexdigest()
-        return f"{text} calls={len(self.calls)}:{digest}"
+        return f"{text} calls={len(self.calls)}:{digest} gc={gc.isenabled()}"
 
     # ---------------------------------------------------------------- cases
 
@@ -243,6 +255,9 @@ class _Side:
         yield from self.corpus_runs()
         yield from self.repl_sessions(max(forms // 3, 1))
         yield from self.constant_names()
+        yield from self.front_end(max(forms // 3, 1))
+        yield from self.deep_values()
+        yield from self.cyclic_pairs()
 
     def _in(self, kernel, v):
         pl = self.pl
@@ -404,6 +419,131 @@ class _Side:
             Path(files["mexpr"]).write_text(text + "\n", encoding="utf-8")
             yield from self._runs(cli, f"defined/{n}/run", files)
 
+    def front_end(self, count):
+        # Each text is read, and what it reads to is printed, converted and
+        # translated, one outcome a call.
+        pl, h = self.pl, self.helpers
+        from protolisp.sexpr import parse_sexpr
+
+        rng = random.Random(f"front/{self.seed}")
+        texts = []
+        for n in range(count):
+            v = h.random_list_value(rng, rng.randrange(1, 6))
+            texts.append(("aim8", pl.print_sexpr(v) if n % 2 else h.messy_aim8(v, rng)))
+            p = h.random_pair_value(rng, rng.randrange(1, 6))
+            texts.append(("classic", pl.print_sexpr(p, pl.Dialect.CLASSIC) if n % 2
+                          else h.messy_classic(p, rng)))
+            texts.append(("mexpr", pl.print_fexpr(h.random_fexpr(rng, rng.randrange(1, 5)))))
+            items = [pl.print_fexpr(h.random_fexpr(rng, rng.randrange(0, 4)))
+                     for _ in range(rng.randrange(1, 5))]
+            texts.append(("program", "\n".join(
+                [f"d{i} = {t}" if rng.random() < 0.5 else t for i, t in enumerate(items)])))
+        texts += [(lang, _mutated(rng, text)) for lang, text in texts]
+        for n, (lang, text) in enumerate(texts):
+            key = f"front/{n}/{lang}"
+            if lang == "program":
+                yield f"{key}/read", self.outcome(lambda: pl.read_program(text))
+                try:
+                    items = pl.read_program(text)
+                except pl.LispError:
+                    continue
+                defs = [(i.name, i.body) if isinstance(i, pl.Definition) else (f"e{j}", i)
+                        for j, i in enumerate(items)]
+                yield f"{key}/translate", self.outcome(lambda: pl.translate_program(defs))
+                continue
+            if lang == "mexpr":
+                yield f"{key}/read", self.outcome(lambda: pl.read_fexpr(text))
+                try:
+                    e = pl.read_fexpr(text)
+                except pl.LispError:
+                    continue
+                yield f"{key}/print", self.outcome(lambda: pl.print_fexpr(e))
+                yield f"{key}/translate", self.outcome(lambda: pl.translate(e))
+                make = lambda: pl.translate(e)  # noqa: E731
+            else:
+                d = pl.Dialect(lang)
+                yield f"{key}/read", self.outcome(lambda: pl.read_sexpr(text, d))
+                yield f"{key}/parse", self.outcome(lambda: parse_sexpr(text, 0, d))
+                yield f"{key}/reads", self.outcome(lambda: pl.read_sexprs(text + "\n" + text, d))
+                make = lambda: pl.read_sexpr(text, d)  # noqa: E731
+            try:  # the value read or translated: print and convert it
+                v = make()
+            except pl.LispError:
+                continue
+            for d in (pl.Dialect.AIM8, pl.Dialect.CLASSIC):
+                yield f"{key}/print/{d.value}", self.outcome(lambda: pl.print_sexpr(v, d))
+            yield f"{key}/repr", self.outcome(lambda: repr(v))
+            yield f"{key}/to-pair", self.outcome(lambda: pl.list_to_pair(v))
+            yield f"{key}/to-list", self.outcome(lambda: pl.pair_to_list(v))
+
+    def deep_values(self):
+        # 10000-deep values as arguments and as results; the programs are
+        # not recursive, so that the recorded primitive calls stay few.
+        pl = self.pl
+        from protolisp import cli
+
+        n = 10_000
+        deep = {"heads": pl.read_sexpr("(" * n + "A" + ")" * n),
+                "tails": pl.read_sexpr("(A, " * n + "B" + ")" * n)}
+        programs = ("lambda[[x]; x]", "lambda[[x]; first[x]]", "lambda[[x]; rest[x]]",
+                    "lambda[[x]; combine[x; (B)]]", "lambda[[x]; combine[x; x]]",
+                    "lambda[[x]; [atom[x] -> A; T -> combine[first[x]; x]]]",
+                    "lambda[[x]; eq[x; x]]", "lambda[[x]; first[first[first[x]]]]")
+        quote = pl.Symbol("QUOTE")
+        for name, v in deep.items():
+            for kernel in (pl.Kernel.LIST, pl.Kernel.PAIR):
+                k, arg = kernel.value, self._in(kernel, v)
+                prims = self.prims[kernel]
+                quoted = self._in(kernel, pl.ProperList((quote, v)))
+                yield (f"deep/{name}/{k}/quote",
+                       self.outcome(lambda: pl.eval_sexpr(quoted, prims, kernel)))
+                for i, text in enumerate(programs):
+                    fn = pl.eval_fexpr(pl.read_fexpr(text), prims, kernel)
+                    yield (f"deep/{name}/{k}/{i}",
+                           self.outcome(lambda: pl.apply_fn(fn, [arg], kernel)))
+            for i, text in enumerate(programs[:3]):
+                fn = pl.translate(pl.read_fexpr(text))
+                form = pl.ProperList((fn, pl.ProperList((quote, v))))
+                yield f"deep/{name}/meta/{i}", self.outcome(lambda: pl.meta_eval(form))
+            path = f"deep-{name}.sexp"
+            Path(path).write_text(f"(QUOTE, {pl.print_sexpr(v)})\n", encoding="utf-8")
+            for k, d in itertools.product(_KERNELS, _DIALECTS):
+                argv = ["run", path, "--kernel", k, "--dialect", d]
+                yield f"deep/{name}/run/{k}/{d}", self.outcome(lambda: _cli(cli, argv))
+
+    def cyclic_pairs(self):
+        pl = self.pl
+        A, B, NIL = pl.Symbol("A"), pl.Symbol("B"), pl.NIL
+
+        def shapes():
+            # Each shape made anew, so that == compares two separate graphs.
+            loop = pl.Pair(A, NIL)  # (A A A ...)
+            pl.unsafe_set_tail(loop, loop)
+            yield "loop", loop
+            first, last = pl.Pair(A, NIL), pl.Pair(B, NIL)  # (A B A B ...)
+            pl.unsafe_set_tail(first, last)
+            pl.unsafe_set_tail(last, first)
+            yield "two", first
+            yield "prefixed", pl.Pair(B, pl.Pair(A, first))  # (B A A B A B ...)
+            inner = pl.Pair(A, NIL)
+            outer = pl.Pair(inner, NIL)
+            pl.unsafe_set_tail(inner, outer)  # a cycle through a head
+            yield "head", outer
+            yield "inside", pl.Pair(pl.Pair(B, NIL), pl.Pair(outer, pl.Pair(A, B)))
+            self_tail = pl.Pair(A, B)
+            pl.unsafe_set_tail(self_tail, pl.Pair(self_tail, NIL))
+            yield "nested", self_tail
+
+        made, again = dict(shapes()), dict(shapes())
+        for name, v in made.items():
+            key = f"cyclic/{name}"
+            for d in (pl.Dialect.AIM8, pl.Dialect.CLASSIC):
+                yield f"{key}/print/{d.value}", self.outcome(lambda: pl.print_sexpr(v, d))
+            yield f"{key}/repr", self.outcome(lambda: repr(v))
+            yield f"{key}/to-list", self.outcome(lambda: pl.pair_to_list(v))
+            for other, w in again.items():
+                yield f"{key}/eq/{other}", self.outcome(lambda: v == w)
+
     def _runs(self, cli, key, files):
         # cli.main run on each file: files maps "mexpr", or a dialect for
         # the S-expression file printed in it, to a file name.
@@ -460,6 +600,21 @@ def _printed(pl, form, dialect):
     if dialect == "classic":
         form = pl.list_to_pair(form)
     return pl.print_sexpr(form, pl.Dialect(dialect))
+
+
+def _mutated(rng, text):
+    """text with one to three characters deleted, inserted or replaced."""
+    for _ in range(rng.randrange(1, 4)):
+        i = rng.randrange(len(text) + 1)
+        c = rng.choice("()[];,.-> #\nAxZ9")
+        edit = rng.randrange(3)
+        if edit == 0:
+            text = text[:i] + text[i + 1:]
+        elif edit == 1:
+            text = text[:i] + c + text[i:]
+        else:
+            text = text[:i] + c + text[i + 1:]
+    return text
 
 
 def _cli(cli, argv, stdin=""):
