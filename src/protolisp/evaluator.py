@@ -71,7 +71,16 @@ items are cut at each that the loop must evaluate itself, such as a
 LAMBDA head, or append's app[rest[x]; y] in combine[first[x]; app[rest[x];
 y]], and each run of up to eight items between cuts becomes one Python
 function of straight-line code, which reads each symbol at its address
-and calls each primitive in turn.  For an application it gives the
+and applies each primitive in turn.  It calls a primitive's function,
+unless that is one of the kernel's own, FIRST, REST, CAR, CDR, ATOM, EQ
+or NULL: their type test and field read are inline in the run's code,
+which calls the function, on the same line, only where the test fails,
+as Chambers and Ungar's customized code does ("Customization: optimizing
+compiler technology for SELF", PLDI 1989).  Those are pure and a frame
+never changes, so a tree of them over addresses alone, first[e] say, is
+computed once in a run, and its value serves every later place in the
+run that it reaches only through that computation, the later tests of a
+COND and the result its test chooses.  For an application it gives the
 items' values.  A COND's run goes on into the clause it picks, whose
 result it describes too: a result that can be evaluated in place gives
 the COND's value; an application whose items all can be is a tail exit,
@@ -104,8 +113,11 @@ fault is on, and the loop rebuilds the trace from that path: what the
 trace costs is paid on the raise, not on the way in, as with the
 zero-cost exceptions of CPython 3.11.  A result the loop goes on with,
 and a tail exit, come back with the forms the loop would have pushed on
-the way, which it pushes.  So the order, the primitive calls, the errors
-and the traces are those of the universal function.  There is no
+the way, which it pushes.  So the order, the errors and the traces are
+those of the universal function, and so are the calls of every primitive
+that can be observed, a wrapped or counting one or any other that is not
+the kernel's own: those are inlined, and one over the same addresses is
+computed once per run, which no program can tell.  There is no
 tail-call elimination: a form stays on the stack until the body or
 result it goes on with has its value, as in the universal function, so
 the depth, where it runs out and every trace stay the same.
@@ -372,6 +384,32 @@ def default_env(kernel=Kernel.LIST) -> Env:
     )
 
 
+# The kernel's own primitives, which a run computes inline (see _source).
+# An entry's place here is its code in a plan's shape (see _get); code 0
+# is any other function, which a run calls.  An entry is the function and
+# the text of its value over the names of its operands, {0} and {1}: it
+# reads the value off where the function would, and calls the function,
+# {f}, on the same line everywhere else, so that a fault is the kernel's
+# own.  L, P and Y are the classes of list cells, pairs and symbols.  Each
+# is pure: its value depends on its operands alone, and it makes nothing.
+_INLINE = (
+    None,
+    (kernel_list.first, "{0}.head if {0}.__class__ is L and {0} is not NULL else {f}({0})"),
+    (kernel_list.rest, "{0}.tail if {0}.__class__ is L and {0} is not NULL else {f}({0})"),
+    (kernel_pair.car, "{0}.head if {0}.__class__ is P else {f}({0})"),
+    (kernel_pair.cdr, "{0}.tail if {0}.__class__ is P else {f}({0})"),
+    (_atom, "T if isinstance({0}, Y) else F"),
+    (_eq, "(T if {0} is {1} else F) if {0}.__class__ is Y and {1}.__class__ is Y"
+          " else {f}({0}, {1})"),
+    (_null, "T if {0} is NULL else F"),
+    (_nil, "T if {0} is NIL else F"),
+)
+# By the function's identity: these functions live as long as the module,
+# so no other object has their id, and any other callable, hashable or
+# not, a wrapped or counting one included, is code 0.
+_CODES = {id(entry[0]): code for code, entry in enumerate(_INLINE) if entry}
+
+
 class _Interp:
     """One eval_sexpr or apply_fn call.
 
@@ -440,7 +478,7 @@ class _Interp:
                         try:
                             node = expr._node
                         except AttributeError:  # not analysed yet
-                            node = _analyse(expr, kernel)
+                            node = _keep(expr, kernel)
                     else:
                         node = _analyse(expr, kernel)
                     kind, step, body = node
@@ -658,9 +696,14 @@ def _analyse(form, kernel):
     try:
         return form._node
     except AttributeError:
-        node = _node(form, _sequence(form, kernel), kernel)
-        object.__setattr__(form, "_node", node)  # past __setattr__
-        return node
+        return _keep(form, kernel)
+
+
+def _keep(form, kernel):
+    """The node of form, a form of kernel that has none yet, made and kept on it."""
+    node = _node(form, _sequence(form, kernel), kernel)
+    object.__setattr__(form, "_node", node)  # past __setattr__
+    return node
 
 
 def _node(form, items, kernel):
@@ -815,16 +858,19 @@ def _get(x, room, env, params, kernel):
     item is (shape, objs).  shape holds only ints, None and tuples: a
     bound symbol's is its address (up, i) (see _address), a constant's
     _CONSTANT_LEAF, an unbound symbol's _UNBOUND_LEAF, or a constant's
-    where the symbol stands for itself, and a plan's (None, shape of each
-    operand).  objs are the objects that code of that shape needs, in the
-    order the shape is walked: a constant or unbound symbol, and for a
-    plan the primitive's function and the plan's form, then its
+    where the symbol stands for itself, and a plan's (None, code, shape of
+    each operand): code is the place of the primitive's function in
+    _INLINE, or 0.  objs are the objects that code of that shape needs,
+    in the order the shape is walked: a constant or unbound symbol, and
+    for a plan the primitive's function and the plan's form, then its
     operands'.  The shape and the objs are built in this one walk.
 
     A run takes the steps the loop would take, in the same order, and
-    calls each primitive once through its fn.  It pushes nothing on the
-    loop's stack: a plan's nesting is fixed, and the loop checks its
-    reach against the cap before it calls a run.  A KernelError or an
+    calls each primitive once through its fn, but for the kernel's own,
+    which it computes inline, once per run for one over the same
+    addresses (see _source).  It pushes nothing on the loop's stack: a
+    plan's nesting is fixed, and the loop checks its reach against the
+    cap before it calls a run.  A KernelError or an
     unbound symbol raises a _Signal instead, with the forms the loop would
     have pushed (see _source), so the trace is rebuilt only when there is
     an error.  This walk recurses on the host stack once per level, which
@@ -854,12 +900,13 @@ def _get(x, room, env, params, kernel):
     prim = None if at is None else _read(at, env)
     if not (isinstance(prim, Primitive) and prim.arity == len(forms) - 1):
         return None, 0
+    code = _CODES.get(id(prim.fn), 0)
     if len(forms) == 2:
-        return ((None, last[0]), (prim.fn, x) + last[1]), reach + 1
+        return ((None, code, last[0]), (prim.fn, x) + last[1]), reach + 1
     first, first_reach = _get(forms[1], room - 1, env, params, kernel)
     if first is None:
         return None, 0
-    shape = (None, first[0], last[0])
+    shape = (None, code, first[0], last[0])
     return (shape, (prim.fn, x) + first[1] + last[1]), max(reach, first_reach) + 1
 
 
@@ -959,9 +1006,10 @@ def _run(shape, objs):
     shape) of a result (see _exit); objs are the items' objs.  The code
     of a shape is compiled once (see _source) and kept in _RUNS, as a run
     whose parameters have no defaults; the run is that code made a
-    function whose parameters after env default to objs, then T for a
-    COND's run or an exit, or that run itself where there are none, as
-    where every operand is a symbol, so such runs are made once.
+    function whose parameters after env default to objs, then to the
+    values of _TRAILING that its text names after them, or that run
+    itself where there are none, as where every operand is a symbol, so
+    such runs are made once.
     """
     shape = tuple(shape)
     run = _RUNS.get(shape)
@@ -977,25 +1025,42 @@ def _run(shape, objs):
                 if len(_RUNS) >= _RUNS_KEPT:
                     _RUNS.popitem()
                 _RUNS[shape] = run
-    if shape[0]:  # a COND's run, or a result's, tells T by its last parameter
-        objs = (*objs, T)
+    code = run.__code__
+    trailing = code.co_varnames[len(objs) + 1:code.co_argcount]
+    objs = (*objs, *[_TRAILING[name] for name in trailing])
     if not objs:
         return run
-    return FunctionType(run.__code__, _RUN_GLOBALS, None, tuple(objs))
+    return FunctionType(code, _RUN_GLOBALS, None, objs)
 
 
 # The only names a run reads beyond its parameters.
 _RUN_GLOBALS = {"S": _Signal, "E": KernelError, "F": F, "N": Fault.BAD_TRUTH_VALUE}
+
+# The parameters a run may have after the objs, with their defaults: T for
+# a COND's run or an exit, which tells T by it, and all of them for a run
+# that computes a primitive inline (see _INLINE).  They are parameters, not
+# names in _RUN_GLOBALS, so that _RUNS keeps no value alive.
+_TRAILING = {"T": T, "NULL": NULL, "NIL": NIL, "L": ProperList, "P": Pair, "Y": Symbol}
 
 
 def _source(shape):
     """The Python source of the runs of shape (see _run).
 
     It defines run(env, a0, a1, ...), whose parameters after env are the
-    objs of the items, then T where a test is told from it.  The run
+    objs of the items, then T where a test is told from it, or all the
+    names of _TRAILING where a primitive is computed inline.  The run
     reads each frame it needs once, then evaluates the items in order,
-    one primitive call to a line, and reads each address inline.  An
-    application's run returns the items' values.  A COND's run, and an
+    one primitive to a line, and reads each address inline.  A primitive
+    with a code (see _INLINE) is its text, over names: an address it
+    reads is read into a local first.  known maps the shape of each
+    address so read, and of each such plan whose operands are known, to
+    the name of its value, for as long as the line that computed it is on
+    every way to the line being made: up to the end of the block of a
+    clause's result, or to the end of the run.  A plan found there is
+    not computed again; that is safe, since those primitives are pure and
+    the frames never change, so it gives the same value and cannot fault
+    where the line that computed it did not.  An application's run
+    returns the items' values.  A COND's run, and an
     exit, return (how, x, y): (_FELL, the number of its tests, None) when
     every test gave F; (_VALUE, the value, None); (_GO, forms, form), the
     loop pushes the forms, outermost first, and goes on with form; or
@@ -1011,8 +1076,8 @@ def _source(shape):
     first, found by the line the call that raised is on.
     """
     choose, *items = shape
-    lines, paths, ups = [], {}, []
-    count, pad = 0, ""
+    lines, paths, ups, known = [], {}, [], {}
+    count, pad, inline = 0, "", False
 
     def emit(line):
         lines.append(pad + line)
@@ -1027,10 +1092,11 @@ def _source(shape):
 
     def value(k, outer):
         # The expression of k's value, after the lines that compute it.
+        nonlocal inline
         if k.__class__ is tuple and k[0] is not None:  # an address
             if k[0] not in ups:
                 ups.append(k[0])
-            return f"f{k[0]}[{k[1]}]"
+            return known.get(k) or f"f{k[0]}[{k[1]}]"
         a = take(1)
         if k == _CONSTANT_LEAF:
             return f"a{a}"
@@ -1038,19 +1104,36 @@ def _source(shape):
             emit(f"raise S(a{a}, {tuple_of((a, *outer))})")
             return "None"
         take(1)  # the primitive's function and the plan's form
-        args = [value(o, (a + 1, *outer)) for o in k[1:]]
-        emit(f"n{a} = a{a}({', '.join(args)})")
+        code, operands = k[1], k[2:]
+        args = [value(o, (a + 1, *outer)) for o in operands]
+        if k in known:  # computed already, on a line every way here passes
+            return known[k]
+        if code:
+            inline = True
+            for j, o in enumerate(operands):  # the text names each operand often
+                if o.__class__ is tuple and o[0] is not None and o not in known:
+                    known[o] = args[j] = f"v{o[0]}_{o[1]}"
+                    emit(f"{args[j]} = f{o[0]}[{o[1]}]")
+            emit(f"n{a} = " + _INLINE[code][1].format(*args, f=f"a{a}"))
+        else:
+            emit(f"n{a} = a{a}({', '.join(args)})")
         paths[len(lines)] = (a + 1, *outer)
+        if code and all([o in known for o in operands]):  # pure, over addresses only
+            known[k] = f"n{a}"
         return f"n{a}"
 
     def choose_clause(clauses, outer):
-        # Each test in turn; the first that gives T takes its result.
+        # Each test in turn; the first that gives T takes its result, and
+        # what its lines computed is known only there.
         nonlocal pad
         for test, result in clauses:
             emit(f"t = {value(test, outer)}")
             emit("if t is T:")
             pad += "    "
+            mark = len(known)
             take_result(result, outer)
+            for key in list(known)[mark:]:
+                del known[key]
             pad = pad[:-4]
             emit(f"if t is not F: raise S((N, t), {tuple_of(outer)})")
 
@@ -1079,7 +1162,8 @@ def _source(shape):
         emit(f"return ({_FELL}, {len(items)}, None)")
     else:
         take_result(items[0], ())
-    names = [f"a{a}, " for a in range(count)] + (["T, "] if choose else [])
+    trailing = _TRAILING if inline else ["T"] if choose else []
+    names = [f"a{a}, " for a in range(count)] + [f"{name}, " for name in trailing]
     head = [f"def run(env, {''.join(names)}):"]
     head += [f"    f{up} = env{'.parent' * up}.values" for up in ups]
     if paths:  # the line of each call, in the text, and its forms

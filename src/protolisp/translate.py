@@ -21,6 +21,9 @@ _COND = Symbol("COND")
 _LAMBDA = Symbol("LAMBDA")
 _LABEL = Symbol("LABEL")
 
+# The mark of a count on translate's stack (see translate).
+_CLOSE = object()
+
 
 def name_symbol(name: str) -> Symbol:
     """Uppercase a variable or definition name into its atom."""
@@ -38,33 +41,36 @@ def translate(e) -> ProperList:
 
     The walk keeps its own stack, so any nesting depth translates.  todo
     holds the F-expressions still to translate, last first, and between
-    them counts: a count k makes the last k forms in out into one list.
-    Names are checked in the order the expression is written.
+    them _CLOSE over a count: _CLOSE, then k, makes the last k forms in
+    out into one list.  No caller has _CLOSE, so anything else that is no
+    F-expression, an int included, is refused.  Names are checked in the
+    order the expression is written.
     """
     todo, out = [e], []
     while todo:
         e = todo.pop()
-        if type(e) is int:
-            out[-e:] = [ProperList(out[-e:])]
+        if e is _CLOSE:
+            k = todo.pop()
+            out[-k:] = [ProperList(out[-k:])]
         elif isinstance(e, Var):
             out.append(name_symbol(e.name))
         elif isinstance(e, Const):
             out.append(ProperList((_QUOTE, e.value)))
         elif isinstance(e, App):
-            todo.append(1 + len(e.args))
+            todo += (1 + len(e.args), _CLOSE)
             todo.extend(reversed(e.args))
             todo.append(e.fn)
         elif isinstance(e, Cond):
             out.append(_COND)
-            todo.append(1 + len(e.clauses))
+            todo += (1 + len(e.clauses), _CLOSE)
             for test, result in reversed(e.clauses):
-                todo += (2, result, test)
+                todo += (2, _CLOSE, result, test)
         elif isinstance(e, Lambda):
             out += (_LAMBDA, ProperList(tuple(name_symbol(p) for p in e.params)))
-            todo += (3, e.body)
+            todo += (3, _CLOSE, e.body)
         elif isinstance(e, Label):
             out += (_LABEL, name_symbol(e.name))
-            todo += (3, e.body)
+            todo += (3, _CLOSE, e.body)
         else:
             raise TypeError(f"not an F-expression: {e!r}")
     return out[0]

@@ -180,7 +180,11 @@ class ProperList(_Compound, _Cell):
 
     @property
     def items(self):
-        return tuple(_heads(self))
+        out, seq = [], self
+        while seq is not NULL:
+            out.append(seq.head)
+            seq = seq.tail
+        return tuple(out)
 
 
 def _cell(head, tail):

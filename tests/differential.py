@@ -18,7 +18,8 @@ A case is:
   EQ), each evaluated twice, so that the second meets what the first
   kept;
 - each such form closed over its free names and applied through apply_fn
-  four times, and meta_eval on every fifth form with one universal_env;
+  four times at each of those depths, and meta_eval on every fifth form
+  with one universal_env;
 - COND-heavy recursive closures (tests and results of every kind a run
   may fold or leave to the loop: values, plans, tail calls to the
   closure itself, to a parameter, to a primitive of the wrong arity or to
@@ -45,7 +46,11 @@ A case is:
   both kernels, and read and printed by cli.main run on every kernel x
   dialect;
 - cyclic pairs made with unsafe_set_tail, through print_sexpr, repr,
-  pair_to_list and ==.
+  pair_to_list and ==;
+- the random forms, the COND-heavy closures, cli.main run on the corpus
+  and the corpus under meta_eval again, with the kernel's own primitives
+  in place of the recorded ones, so that the runs compute them inline
+  (see evaluator._INLINE): their call list is empty.
 
 An outcome is the value (closures with their parameters, body and
 environment), or the error's kind, message, trace, kernel error, cause
@@ -193,7 +198,23 @@ class _Side:
 
         # The CLI and the meta evaluator build their environments through these.
         cli.default_env = metacircular.default_env = recorded
+        self.recorded, self.real = recorded, real
         self.prims = {k: recorded(k) for k in (pl.Kernel.LIST, pl.Kernel.PAIR)}
+
+    @contextlib.contextmanager
+    def _unrecorded(self):
+        # The kernel's own primitives, unwrapped, for the cases in the block:
+        # those that the runs compute inline are never called there.
+        from protolisp import cli, metacircular
+
+        recorded = self.prims
+        cli.default_env = metacircular.default_env = self.real
+        self.prims = {k: self.real(k) for k in recorded}
+        try:
+            yield
+        finally:
+            cli.default_env = metacircular.default_env = self.recorded
+            self.prims = recorded
 
     def _record(self, p):
         calls, render = self.calls, self.render
@@ -258,6 +279,12 @@ class _Side:
         yield from self.front_end(max(forms // 3, 1))
         yield from self.deep_values()
         yield from self.cyclic_pairs()
+        with self._unrecorded():
+            for key, text in itertools.chain(
+                self.random_forms(forms), self.cond_programs(max(forms // 3, 1)),
+                self.corpus_runs(),
+            ):
+                yield f"own/{key}", text
 
     def _in(self, kernel, v):
         pl = self.pl
@@ -302,7 +329,7 @@ class _Side:
                            [heads.lookup(x) for x in names]]
                 for rep in range(4):
                     args = argsets[rep % 2]
-                    for depth in (7, 10000):
+                    for depth in DEPTHS:
                         yield (f"apply/{n}/{k}/{rep}/{depth}",
                                self.outcome(lambda: pl.apply_fn(fn, args, kernel, depth)))
             if n % 5 == 0:

@@ -2573,3 +2573,124 @@ def test_a_tail_exit_whose_head_is_a_constant_or_unbound(kernel, result, kind, m
     assert got[:2] == (kind, message)
     assert calls == ([] if kind is Fault.UNBOUND else ["FIRST"])
     assert evaluator._TAIL in _fold_kinds(kernel, g.body)
+
+
+# --- the kernel's own primitives, computed inline in a run ---------------------
+#
+# FIRST, REST, ATOM, EQ and NULL are bound to the kernel's own functions in
+# both kernels, and between the two kernels they are every function that has
+# an inline text.  Each is applied to every kind of value, as a plan's operand
+# and as a COND test, where the run computes it inline; the loop and the
+# reference call it.
+
+_OWN = ("FIRST", "REST", "ATOM", "EQ", "NULL")
+
+
+def _data(kernel):
+    """A symbol, NIL, NULL, a list, a pair, a closure and a primitive, by name."""
+    env = default_env(kernel)
+    return {"symbol": A, "nil": NIL, "null": NULL, "list": ProperList((A, B)),
+            "pair": Pair(A, B), "closure": Closure((Symbol("Y"),), Symbol("Y"), env),
+            "primitive": env.lookup(Symbol("FIRST"))}
+
+
+def test_the_primitives_tested_inline_are_every_one_with_an_inline_text():
+    bound = {default_env(k).lookup(Symbol(n)).fn for k in Kernel for n in _OWN}
+    assert bound == {entry[0] for entry in evaluator._INLINE[1:]}
+
+
+def _inline_programs(name):
+    p = name.lower()
+    if name == "EQ":
+        return [
+            "lambda[[v]; combine[eq[v; A]; combine[eq[A; v]; combine[eq[v; v]; ()]]]][x]",
+            "lambda[[v]; [eq[v; A] -> A; eq[B; v] -> B; eq[v; v] -> C; T -> D]][x]",
+            "lambda[[v]; [eq[first[v]; A] -> eq[first[v]; first[v]]; T -> B]][x]",
+        ]
+    return [
+        f"lambda[[v]; combine[{p}[v]; ()]][x]",
+        f"lambda[[v]; [{p}[v] -> A; T -> B]][x]",
+        # The same plan over the same address, again in later tests and in
+        # the chosen result: computed once, and any fault is the first's.
+        f"lambda[[v]; [eq[{p}[v]; A] -> {p}[v]; atom[{p}[v]] -> combine[{p}[v]; ()];"
+        f" null[{p}[v]] -> {p}[{p}[v]]; T -> combine[{p}[v]; {p}[v]]]][x]",
+        # Computed in a result the run may not take: the later test that
+        # needs it computes it again.
+        f"lambda[[v]; [atom[v] -> combine[{p}[v]; ()]; null[v] -> [eq[{p}[v]; A] -> A;"
+        f" T -> {p}[v]]; eq[{p}[v]; B] -> B; T -> {p}[v]]][x]",
+    ]
+
+
+@pytest.mark.parametrize("kernel", [Kernel.LIST, Kernel.PAIR])
+@pytest.mark.parametrize("name", _OWN)
+@pytest.mark.parametrize("data", list(_data(Kernel.LIST)))
+def test_an_inline_primitive_has_the_loops_outcome_on_every_kind_of_value(
+    kernel, name, data, monkeypatch
+):
+    monkeypatch.setattr(evaluator, "_RUNS", {})
+    env = default_env(kernel).extend([(Symbol("X"), _data(kernel)[data])])
+    for text in _inline_programs(name):
+        _outcomes_to_past_the_cap(program(kernel, text), env, kernel)
+    fn = env.lookup(Symbol(name)).fn
+    (code,) = [c for c, e in enumerate(evaluator._INLINE) if e and e[0] is fn]
+    assert code in set().union(*[_codes_in(shape) for shape in evaluator._RUNS])
+
+
+def _codes_in(shape):
+    """The codes of the plans a shape holds."""
+    if shape.__class__ is not tuple:
+        return set()
+    own = {shape[1]} if len(shape) > 2 and shape[0] is None else set()
+    return own.union(*[_codes_in(k) for k in shape])
+
+
+def _calls_of(fn, thunk):
+    """How many times thunk calls the Python function fn."""
+    code, count = fn.__code__, [0]
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            count[0] += 1
+
+    sys.setprofile(profile)
+    try:
+        thunk()
+    finally:
+        sys.setprofile(None)
+    return count[0]
+
+
+@pytest.mark.parametrize("kernel", [Kernel.LIST, Kernel.PAIR])
+def test_a_cond_that_tests_first_of_x_six_times_computes_it_once(kernel, monkeypatch):
+    monkeypatch.setattr(evaluator, "_RUNS", {})
+    clauses = "; ".join([f"eq[first[x]; K{i}] -> K{i}" for i in range(1, 7)])
+    env = default_env(kernel)
+    fn = eval_sexpr(program(kernel, f"lambda[[x]; [{clauses}; T -> x]]"), env, kernel)
+    arg = in_kernel(kernel, read_sexpr("(K6)"))
+    first = env.lookup(Symbol("FIRST")).fn
+    assert apply_fn(fn, [arg], kernel) is Symbol("K6")
+    (source,) = _sources()
+    assert source.count(".head if") == 1  # first[x] on one line, read six times
+    assert source.count(" is Y else ") == 6  # each eq inline
+    assert _calls_of(first, lambda: apply_fn(fn, [arg], kernel)) == 0
+    assert _calls_of(evaluator._eq, lambda: apply_fn(fn, [arg], kernel)) == 0
+    # A fault of first[x] is the first test's, with its trace.
+    e = fault_of(apply_fn, fn, [A], kernel)
+    assert e.kind is Fault.KERNEL_FAULT
+    assert e.kernel_error.operation == ("first" if kernel is Kernel.LIST else "car")
+    assert e.trace[-1] == program(kernel, "first[x]")
+
+
+@pytest.mark.parametrize("kernel", [Kernel.LIST, Kernel.PAIR])
+def test_a_primitive_that_wraps_the_kernels_own_stays_a_call(kernel, monkeypatch):
+    monkeypatch.setattr(evaluator, "_RUNS", {})
+    own = default_env(kernel).lookup(Symbol("FIRST")).fn
+    wrapped = Primitive("FIRST", 1, lambda x: own(x))
+    env = default_env(kernel).extend([(Symbol("FIRST"), wrapped)])
+    clauses = "; ".join([f"eq[first[x]; K{i}] -> K{i}" for i in range(1, 7)])
+    fn = eval_sexpr(program(kernel, f"lambda[[x]; [{clauses}; T -> x]]"), env, kernel)
+    arg = in_kernel(kernel, read_sexpr("(K6)"))
+    assert apply_fn(fn, [arg], kernel) is Symbol("K6")
+    (source,) = _sources()
+    assert ".head if" not in source
+    assert _calls_of(own, lambda: apply_fn(fn, [arg], kernel)) == 6  # once a test

@@ -137,3 +137,16 @@ def test_translation_is_deterministic():
 def test_a_value_that_is_no_f_expression_is_a_type_error(e, shown):
     with pytest.raises(TypeError, match=f"^not an F-expression: {shown}$"):
         translate(e)
+
+
+@pytest.mark.parametrize(
+    "e, shown",
+    [(3, "3"), (0, "0"), (1, "1"), (-2, "-2"), (True, "True"),
+     (App(Var("f"), (Var("x"), 2)), "2"), (App(Var("f"), (0,)), "0")],
+)
+def test_an_int_is_no_f_expression_either(e, shown):
+    # The walk's own list-closing counts sit on its stack under a mark no
+    # caller has, so an int anywhere in the input is refused like any
+    # other value, not taken for one of them.
+    with pytest.raises(TypeError, match=f"^not an F-expression: {shown}$"):
+        translate(e)
