@@ -12,10 +12,15 @@ An environment is a chain of frames, as LISP 1.5's pairlis conses a
 call's bindings onto the a-list it shares: applying a closure makes one
 frame of its parameters (and its LABEL name) over the environment the
 closure captured, which is shared and never copied, so a call costs the
-same whatever is bound around it.  Lookup returns the innermost binding,
-and extension never touches the parent.  Closures capture their
-definition environment, so scope is lexical; LABEL (or a definition
-written with it) is what covers recursion.
+same whatever is bound around it.  As pairlis is one step, so is making
+that frame: one call builds a tuple of its names, values, parent and
+owner, and its names are the layout the closure worked out once, when it
+was made: its parameters, then its LABEL name.  The loop and apply_fn
+both make it through _Interp._bind, and no field of a frame is ever
+assigned.  Lookup returns the innermost binding, and extension never
+touches the parent.  Closures capture their definition environment, so
+scope is lexical; LABEL (or a definition written with it) is what covers
+recursion.
 
 The same interpreter runs over either kernel.  Expressions are proper
 lists of the active kernel, and the primitive names FIRST/REST/COMBINE and
@@ -76,30 +81,32 @@ unless that is one of the kernel's own, FIRST, REST, CAR, CDR, ATOM, EQ
 or NULL: their type test and field read are inline in the run's code,
 which calls the function, on the same line, only where the test fails,
 as Chambers and Ungar's customized code does ("Customization: optimizing
-compiler technology for SELF", PLDI 1989).  Those are pure and a frame
-never changes, so a tree of them over addresses alone, first[e] say, is
-computed once in a run, and its value serves every later place in the
-run that it reaches only through that computation, the later tests of a
-COND and the result its test chooses.  For an application it gives the
-items' values.  A COND's run goes on into the clause it picks, whose
-result it describes too: a result that can be evaluated in place gives
-the COND's value; an application whose items all can be is a tail exit,
-whose items the run evaluates, for the loop to push the form and bind or
-apply, as Steele's "Lambda: the ultimate GOTO" (MIT AI Memo 443, 1977)
-has a tail call be a jump with arguments; a nested COND whose tests can
-be folds into the run the same way; any other result the loop goes on
-with.  A clause whose test the loop evaluates has its result taken by an
-exit of its own, a run of that result alone, when the test gives T.  Its
-text is made from the run's shape alone, the addresses, the kinds of
-leaf and of result and the arities, and compiled once per shape; the
-primitives, constants and forms are its arguments, never its text.  The
-loop calls the runs up to the first item that has none.  There the step
-suspends: the loop pushes its frame and goes on with that item, and
-resumes the step in place when the value comes back.  Meeting a step and
-resuming it are one block of the loop, which takes the step on from its
-next item, with no value or with that item's; when the values are
-complete it binds the head's closure's parameters and goes on with its
-body, or calls the head's primitive.
+compiler technology for SELF", PLDI 1989).  An eq against a constant
+that is a symbol tests the class of its other operand alone.  Those are
+pure and a frame never changes, so a tree of them over addresses alone,
+first[e] say, is computed once in a run, and its value serves every
+later place in the run that it reaches only through that computation,
+the later tests of a COND and the result its test chooses.  For an
+application it gives the items' values.  A COND's run goes on into the
+clause it picks, whose result it describes too: a result that can be
+evaluated in place gives the COND's value; an application whose items
+all can be is a tail exit, whose items the run evaluates, for the loop
+to push the form and bind or apply, as Steele's "Lambda: the ultimate
+GOTO" (MIT AI Memo 443, 1977) has a tail call be a jump with arguments;
+a nested COND whose tests can be folds into the run the same way; any
+other result the loop goes on with.  A clause whose test the loop
+evaluates has its result taken by an exit of its own, a run of that
+result alone, when the test gives T.  Its text is made from the run's
+shape alone, the addresses, the kinds of leaf and of result and the
+arities, and compiled once per shape; the primitives, constants and
+forms are its arguments, never its text.  The loop calls the runs up to
+the first item that has none.  There the step suspends: the loop pushes
+its frame and goes on with that item, and resumes the step in place when
+the value comes back.  Meeting a step and resuming it are one block of
+the loop, which takes the step on from its next item, with no value or
+with that item's; when the values are complete it binds the head's
+closure's parameters and goes on with its body, or calls the head's
+primitive.
 
 A run pushes nothing on the stack of expressions under evaluation: its
 nesting is fixed, and the height the step's runs reach, chosen results
@@ -157,6 +164,7 @@ DEPTH_EXCEEDED.  Any cap works, since only memory bounds that loop's
 stack.
 """
 
+from collections import _tuplegetter
 from dataclasses import dataclass, replace
 
 from . import kernel_list, kernel_pair
@@ -196,9 +204,9 @@ _PLAN_HEIGHT = 8
 # The most operands or tests one run evaluates; see _resolve.
 _RUN_ITEMS = 8
 
-# The shapes of a constant and of an unbound symbol, beside an address (up,
-# i) and a plan's (None, ...); see _get.
-_CONSTANT_LEAF, _UNBOUND_LEAF = 0, 1
+# The shapes of a constant, of an unbound symbol and of a constant that is a
+# symbol, beside an address (up, i) and a plan's (None, ...); see _get.
+_CONSTANT_LEAF, _UNBOUND_LEAF, _SYMBOL_LEAF = 0, 1, 2
 
 # The most tests of nested CONDs that one run folds into its results; see
 # _exit.
@@ -225,7 +233,7 @@ _NO_ENTRY = (lambda: None, (), 1, ())
 _NO_VALUE = object()
 
 
-class Env:
+class Env(tuple):
     """An environment: a frame of bindings over the environment it extends.
 
     names and values are the frame's own bindings, first the innermost,
@@ -238,14 +246,18 @@ class Env:
     program's top level stays one frame.
 
     bindings is every binding in scope, innermost first, the frames
-    flattened; equality, the hash and repr are those of bindings alone.
-    No slot can be assigned or deleted, and copy and pickle keep owner.
+    flattened; equality, the hash and repr are those of bindings alone,
+    and an environment equals only an environment.  A frame is a tuple of
+    its four fields, made in one step (see _NEW), so no field can be
+    assigned or deleted; copy and pickle keep owner.
     """
 
-    __slots__ = ("names", "values", "parent", "owner")
+    __slots__ = ()
+    # The fields, read as namedtuple reads its own.
+    names, values, parent, owner = [_tuplegetter(i, None) for i in range(4)]
 
     def __new__(cls, bindings=()):
-        return _frame((), (), None, None).extend(bindings)
+        return _NEW(Env, ((), (), None, None)).extend(bindings)
 
     @property
     def bindings(self):
@@ -265,18 +277,20 @@ class Env:
         pairs = tuple(pairs)
         names = tuple([name for name, _ in pairs]) + self.names
         values = tuple([value for _, value in pairs]) + self.values
-        return _frame(names, values, self.parent, None)
+        return _NEW(Env, (names, values, self.parent, None))
 
-    def __setattr__(self, attr, value):
-        raise AttributeError(f"cannot assign to field {attr!r} of an environment")
-
-    def __delattr__(self, attr):
-        raise AttributeError(f"cannot delete field {attr!r} of an environment")
-
+    # Not the tuple's comparisons, by which a frame would equal a tuple of
+    # its fields, or be ordered, from either side.
     def __eq__(self, other):
-        if other.__class__ is not Env:
-            return NotImplemented
-        return self.bindings == other.bindings
+        return other.__class__ is Env and self.bindings == other.bindings
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __lt__(self, other):
+        raise TypeError("environments are not ordered")
+
+    __le__ = __gt__ = __ge__ = __lt__
 
     def __hash__(self):
         return hash((self.bindings,))
@@ -285,32 +299,26 @@ class Env:
         return f"Env(bindings={self.bindings!r})"
 
     def __reduce__(self):
-        return _frame, (self.names, self.values, self.parent, self.owner)
+        return _NEW, (Env, (self.names, self.values, self.parent, self.owner))
 
 
-# The stores of Env's slots, which go round its __setattr__: only _frame and
-# _Interp._bind, which makes a frame on every closure call, use them.
-_NAMES, _VALUES, _PARENT, _OWNER = (
-    Env.names.__set__, Env.values.__set__, Env.parent.__set__, Env.owner.__set__
-)
+# _NEW(Env, (names, values, parent, owner)) is the environment of those
+# fields, made in one step, past Env.__new__: the one way every frame is
+# made, on every closure call among them (see _Interp._bind).
+_NEW = tuple.__new__
 
 
-def _frame(names, values, parent, owner):
-    """The environment of those slots."""
-    env = object.__new__(Env)
-    _NAMES(env, names)
-    _VALUES(env, values)
-    _PARENT(env, parent)
-    _OWNER(env, owner)
-    return env
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Closure:
     """A function value: parameters, body, captured environment.
 
     self_name, when set by LABEL, is bound to the closure itself on every
-    application (after the parameters, which may shadow it).
+    application (after the parameters, which may shadow it).  names, no
+    field, is the layout of the frame an application makes (see
+    _Interp._bind): the parameters, then self_name if set, worked out once
+    when the closure is made, so a plain LAMBDA's is its parameters.  A
+    copy or a pickle keeps it with the fields; replace, as LABEL renames
+    a closure, makes a new one through __init__, which works out its own.
     """
 
     params: tuple
@@ -318,8 +326,19 @@ class Closure:
     env: Env
     self_name: Symbol | None = None
 
+    def __init__(self, params, body, env, self_name=None):
+        _SET(self, "params", params)
+        _SET(self, "body", body)
+        _SET(self, "env", env)
+        _SET(self, "self_name", self_name)
+        _SET(self, "names", params if self_name is None else (*params, self_name))
+
     def __repr__(self):
         return f"#<closure ({' '.join([p.name for p in self.params])})>"
+
+
+# Past the frozen dataclass's __setattr__, as its own __init__ goes.
+_SET = object.__setattr__
 
 
 @dataclass(frozen=True)
@@ -408,6 +427,10 @@ _INLINE = (
 # so no other object has their id, and any other callable, hashable or
 # not, a wrapped or counting one included, is code 0.
 _CODES = {id(entry[0]): code for code, entry in enumerate(_INLINE) if entry}
+# _eq's text where an operand is a symbol constant: only the other operand,
+# {x}, has its class tested, and only where the two are not the same symbol.
+_EQ_CODE = _CODES[id(_eq)]
+_EQ_ON_SYMBOL = "T if {0} is {1} else F if {x}.__class__ is Y else {f}({0}, {1})"
 
 
 class _Interp:
@@ -628,26 +651,20 @@ class _Interp:
     def _bind(self, fn, args):
         """The environment that applying closure fn to args makes; fn owns it.
 
-        It is one frame over fn.env, which is shared: the parameters bound
-        to args, then fn's LABEL name, if it has one, bound to fn.  This is
-        _frame, inline.
+        It is one frame over fn.env, which is shared, made in one step from
+        fn's layout (see Closure): fn.names, the parameters and then fn's
+        LABEL name, if it has one, bound to args and then to fn, so that the
+        arity is checked by one comparison of counts.  The loop and apply_fn
+        both call it: every call's frame is made here.
         """
-        params = fn.params
-        if len(args) != len(params):
+        values = tuple(args) if fn.self_name is None else (*args, fn)
+        names = fn.names
+        if len(values) != len(names):
             raise self._error(
                 Fault.ARITY,
-                f"closure expects {len(params)} argument(s), got {len(args)}",
+                f"closure expects {len(fn.params)} argument(s), got {len(args)}",
             )
-        env = object.__new__(Env)
-        if fn.self_name is None:
-            _NAMES(env, params)
-            _VALUES(env, tuple(args))
-        else:
-            _NAMES(env, (*params, fn.self_name))
-            _VALUES(env, (*args, fn))
-        _PARENT(env, fn.env)
-        _OWNER(env, fn)
-        return env
+        return _NEW(Env, (names, values, fn.env, fn))
 
 
 # Per kernel: the class of its compound forms, the only ones that keep a
@@ -722,7 +739,8 @@ def _node(form, items, kernel):
         detail = "the empty list is not a form"
     elif items[0] is _QUOTE:
         if len(items) == 2:
-            return (_CONSTANT, items[1], ((_CONSTANT_LEAF, (items[1],)), 1))
+            leaf = _SYMBOL_LEAF if items[1].__class__ is Symbol else _CONSTANT_LEAF
+            return (_CONSTANT, items[1], ((leaf, (items[1],)), 1))
         detail = "QUOTE takes exactly one operand"
     elif items[0] is _COND:
         tests, results, end = _clauses(items[1:], kernel)
@@ -856,14 +874,16 @@ def _get(x, room, env, params, kernel):
     room _PLAN_HEIGHT + 1, so a plan's tree is at most _PLAN_HEIGHT high.
 
     item is (shape, objs).  shape holds only ints, None and tuples: a
-    bound symbol's is its address (up, i) (see _address), a constant's
-    _CONSTANT_LEAF, an unbound symbol's _UNBOUND_LEAF, or a constant's
-    where the symbol stands for itself, and a plan's (None, code, shape of
-    each operand): code is the place of the primitive's function in
-    _INLINE, or 0.  objs are the objects that code of that shape needs,
-    in the order the shape is walked: a constant or unbound symbol, and
-    for a plan the primitive's function and the plan's form, then its
-    operands'.  The shape and the objs are built in this one walk.
+    bound symbol's is its address (up, i) (see _address); a constant's
+    is _CONSTANT_LEAF, or _SYMBOL_LEAF where it is a symbol, as where an
+    unbound symbol stands for itself, so that an inline eq tests the
+    class of its other operand only; any other unbound symbol's is
+    _UNBOUND_LEAF; and a plan's is (None, code, shape of each operand):
+    code is the place of the primitive's function in _INLINE, or 0.
+    objs are the objects that code of that shape needs, in the order the
+    shape is walked: a constant or unbound symbol, and for a plan the
+    primitive's function and the plan's form, then its operands'.  The
+    shape and the objs are built in this one walk.
 
     A run takes the steps the loop would take, in the same order, and
     calls each primitive once through its fn, but for the kernel's own,
@@ -881,7 +901,7 @@ def _get(x, room, env, params, kernel):
         at = _address(x, env)
         if at is not None:
             return (at, ()), 1
-        return ((_CONSTANT_LEAF if x in _SELF[kernel] else _UNBOUND_LEAF), (x,)), 1
+        return ((_SYMBOL_LEAF if x in _SELF[kernel] else _UNBOUND_LEAF), (x,)), 1
     kind, step, got = _analyse(x, kernel)
     if kind == _CONSTANT:
         return got
@@ -1098,7 +1118,7 @@ def _source(shape):
                 ups.append(k[0])
             return known.get(k) or f"f{k[0]}[{k[1]}]"
         a = take(1)
-        if k == _CONSTANT_LEAF:
+        if k == _CONSTANT_LEAF or k == _SYMBOL_LEAF:
             return f"a{a}"
         if k == _UNBOUND_LEAF:
             emit(f"raise S(a{a}, {tuple_of((a, *outer))})")
@@ -1114,7 +1134,10 @@ def _source(shape):
                 if o.__class__ is tuple and o[0] is not None and o not in known:
                     known[o] = args[j] = f"v{o[0]}_{o[1]}"
                     emit(f"{args[j]} = f{o[0]}[{o[1]}]")
-            emit(f"n{a} = " + _INLINE[code][1].format(*args, f=f"a{a}"))
+            text, other = _INLINE[code][1], None
+            if code == _EQ_CODE and _SYMBOL_LEAF in operands:
+                text, other = _EQ_ON_SYMBOL, args[operands[0] == _SYMBOL_LEAF]
+            emit(f"n{a} = " + text.format(*args, f=f"a{a}", x=other))
         else:
             emit(f"n{a} = a{a}({', '.join(args)})")
         paths[len(lines)] = (a + 1, *outer)

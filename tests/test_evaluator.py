@@ -4,10 +4,12 @@ import ast
 import builtins
 import contextlib
 import copy
+import dataclasses
 import functools
 import gc
 import inspect
 import itertools
+import operator
 import pickle
 import random
 import sys
@@ -421,6 +423,28 @@ def test_no_slot_of_an_environment_can_be_assigned_or_deleted():
         with pytest.raises(AttributeError):
             delattr(frame, slot)
     assert not hasattr(frame, "__dict__")
+
+
+def test_an_environment_equals_only_an_environment():
+    # Whatever holds a frame's fields, a tuple of them, or a list, is no
+    # environment: it equals none, from either side, and an environment
+    # compares, hashes and prints as its bindings alone, and is not ordered.
+    frame = evf("lambda[[x]; lambda[[y]; x]][(A)]").env
+    for env in (default_env(), frame, Env(frame.bindings)):
+        fields = (env.names, env.values, env.parent, env.owner)
+        twin = Env(env.bindings)
+        for other in (fields, list(fields), env.bindings):
+            assert not env == other and not other == env
+            assert env != other and other != env
+        for other in (fields, twin, env):
+            for order in (operator.lt, operator.le, operator.gt, operator.ge):
+                with pytest.raises(TypeError):
+                    order(env, other)
+                with pytest.raises(TypeError):
+                    order(other, env)
+        assert env == twin and twin == env and not env != twin and not twin != env
+        assert hash(env) == hash(twin) == hash((env.bindings,))
+        assert repr(env) == repr(twin) == f"Env(bindings={env.bindings!r})"
 
 
 def test_default_env_binds_both_naming_generations():
@@ -1810,6 +1834,104 @@ def test_an_environment_extended_over_a_call_frame_reads_both(kernel):
         assert got == ("value", in_kernel(kernel, read_sexpr(expected)))
 
 
+# A closure of two parameters, plain, named by LABEL, and named by LABEL
+# after its first parameter, which shadows that name in its frames.
+_LAYOUTS = (
+    "lambda[[x; y]; lambda[[z]; x]]",
+    "label[f; lambda[[x; y]; lambda[[z]; x]]]",
+    "label[x; lambda[[x; y]; lambda[[z]; x]]]",
+)
+
+# Each way the loop applies g to operands {0}: an application whose items
+# all run in place, a COND's tail exit, and an application resumed after
+# its first operand, a call of the closure h, suspended it ({1}).
+_CALLS = (
+    "lambda[[g; h]; g[{0}]]",
+    "lambda[[g; h]; [atom[g] -> C; T -> g[{0}]]]",
+    "lambda[[g; h]; g[{1}]]",
+)
+
+
+def _calls(*operands):
+    """The callers of _CALLS that apply g to operands, F-language texts."""
+    resumed = [f"h[{operands[0]}]", *operands[1:]]
+    return [call.format("; ".join(operands), "; ".join(resumed)) for call in _CALLS]
+
+
+@pytest.mark.parametrize("kernel", [Kernel.LIST, Kernel.PAIR])
+@pytest.mark.parametrize("layout", _LAYOUTS)
+def test_every_call_path_makes_the_same_frame(kernel, layout):
+    # fn returns a closure over the frame its call made: the loop on each
+    # of its paths, apply_fn and _bind make equal frames, of the parameters
+    # then the LABEL name, a tuple of the values, over fn.env, owned by fn.
+    fn = eval_sexpr(program(kernel, layout), kernel=kernel)
+    args = [in_kernel(kernel, read_sexpr(v)) for v in ("(A)", "(B)")]
+    names = (_X, _Y) if fn.self_name is None else (_X, _Y, fn.self_name)
+    values = (*args, fn)[:len(names)]
+    frames = [
+        _Interp(kernel, DEPTH)._bind(fn, args),
+        _Interp(kernel, DEPTH)._bind(fn, tuple(args)),
+        apply_fn(fn, args, kernel).env,
+    ]
+    ident = eval_sexpr(program(kernel, "lambda[[x]; x]"), kernel=kernel)
+    for call in _calls("(A)", "(B)"):
+        caller = eval_sexpr(program(kernel, call), kernel=kernel)
+        frames.append(apply_fn(caller, [fn, ident], kernel).env)
+    for frame in frames:
+        assert (frame.names, frame.values, frame.values.__class__) == (names, values, tuple)
+        assert frame.parent is fn.env and frame.owner is fn
+        assert frame.lookup(_X) == args[0]
+
+
+@pytest.mark.parametrize("kernel", [Kernel.LIST, Kernel.PAIR])
+def test_a_renamed_or_copied_closure_applies_with_its_own_layout(kernel):
+    # The body recurses through REC, which only a closure named REC binds.
+    REC = Symbol("REC")
+    plain = eval_sexpr(program(kernel, "lambda[[x]; [null[x] -> A; T -> rec[rest[x]]]]"),
+                       kernel=kernel)
+    arg = in_kernel(kernel, read_sexpr("(B, C)"))
+    named = dataclasses.replace(plain, self_name=REC)
+    relabel = eval_sexpr(program(kernel, "lambda[[g]; label[rec; g]]"), kernel=kernel)
+    relabelled = apply_fn(relabel, [plain], kernel)
+    assert relabelled == named
+    for fn in (named, relabelled):
+        for twin in (fn, copy.copy(fn), copy.deepcopy(fn), pickle.loads(pickle.dumps(fn))):
+            assert twin == named and twin.self_name is REC
+            assert _Interp(kernel, DEPTH)._bind(twin, [arg]).names == (_X, REC)
+            assert apply_fn(twin, [arg], kernel) is A
+    # Named otherwise, or not at all, a copy of it binds REC no more.
+    for self_name in (Symbol("G"), None):
+        fn = dataclasses.replace(named, self_name=self_name)
+        for twin in (fn, copy.copy(fn), copy.deepcopy(fn), pickle.loads(pickle.dumps(fn))):
+            e = fault_of(apply_fn, twin, [arg], kernel)
+            assert (e.kind, str(e)) == (Fault.UNBOUND, "unbound symbol: REC")
+
+
+@pytest.mark.parametrize("kernel", [Kernel.LIST, Kernel.PAIR])
+@pytest.mark.parametrize("layout", _LAYOUTS)
+def test_a_closure_given_the_wrong_number_of_arguments_fails_alike_on_every_path(
+    kernel, layout
+):
+    # fn, of two parameters, applied to one argument and to three: the
+    # message counts the parameters, never the LABEL name.  apply_fn and
+    # _bind have nothing under evaluation; on each of the loop's paths the
+    # trace ends at the application, and is the universal function's.
+    fn = eval_sexpr(program(kernel, layout), kernel=kernel)
+    ident = eval_sexpr(program(kernel, "lambda[[x]; x]"), kernel=kernel)
+    env = default_env(kernel).extend([(Symbol("FN"), fn), (Symbol("IDENT"), ident)])
+    for operands in (["(A)"], ["(A)", "(B)", "(C)"]):
+        message = f"closure expects 2 argument(s), got {len(operands)}"
+        args = [in_kernel(kernel, read_sexpr(v)) for v in operands]
+        for e in (fault_of(_Interp(kernel, DEPTH)._bind, fn, args),
+                  fault_of(apply_fn, fn, args, kernel)):
+            assert (e.kind, str(e), tuple(e.trace)) == (Fault.ARITY, message, ())
+        for call in _calls(*operands):
+            kind, text, trace = three_ways(program(kernel, f"{call}[fn; ident]"), env,
+                                           kernel, DEPTH)
+            assert (kind, text) == (Fault.ARITY, message)
+            assert trace[-1].head is Symbol("G")
+
+
 def _bytes_per_level(extra):
     """tracemalloc's peak per level of a runaway recursion, extra bindings in scope."""
     env = default_env().extend([(Symbol(f"V{i}"), A) for i in range(extra)])
@@ -2679,6 +2801,20 @@ def test_a_cond_that_tests_first_of_x_six_times_computes_it_once(kernel, monkeyp
     assert e.kind is Fault.KERNEL_FAULT
     assert e.kernel_error.operation == ("first" if kernel is Kernel.LIST else "car")
     assert e.trace[-1] == program(kernel, "first[x]")
+
+
+@pytest.mark.parametrize("kernel", [Kernel.LIST, Kernel.PAIR])
+@pytest.mark.parametrize("data", list(_data(Kernel.LIST)))
+def test_an_inline_eq_tests_the_class_of_no_symbol_constant(kernel, data, monkeypatch):
+    # A quoted symbol, and T unbound, is a symbol when the step is resolved,
+    # so an inline eq tests the class of its other operand alone; a quoted
+    # list is tested as any operand is.  The outcomes are the loop's.
+    monkeypatch.setattr(evaluator, "_RUNS", {})
+    env = default_env(kernel).extend([(Symbol("X"), _data(kernel)[data])])
+    text = "lambda[[v]; [eq[v; A] -> B; eq[T; v] -> C; eq[(A); v] -> D; T -> first[A]]][x]"
+    _outcomes_to_past_the_cap(program(kernel, text), env, kernel)
+    (source,) = [s for s in _sources() if " is Y" in s]
+    assert source.count(".__class__ is Y") == 1 + 1 + 2
 
 
 @pytest.mark.parametrize("kernel", [Kernel.LIST, Kernel.PAIR])
