@@ -54,10 +54,10 @@ resumes the frame with the value: the recursion's continuation,
 defunctionalized (Danvy and Nielsen, "Defunctionalization at work", PPDP
 2001), which makes the loop a CEK machine (Felleisen and Friedman, 1986).
 A frame holds the form's step, the environment, the runs of its items
-or tests, a COND's exits, an application's values so far or a COND's
-next test, and the height of the stack of expressions under evaluation
-with the form on top.  A closure body and a COND's chosen result need no
-frame; their value is the form's.
+or tests, an application's values so far or a COND's next test, and the
+height of the stack of expressions under evaluation with the form on
+top.  A closure body and a COND's chosen result need no frame; their
+value is the form's.
 
 An application and a COND are steps.  An application's items are its
 head and its operands, head first, evaluated alike, left to right, as
@@ -81,24 +81,22 @@ unless that is one of the kernel's own, FIRST, REST, CAR, CDR, ATOM, EQ
 or NULL: their type test and field read are inline in the run's code,
 which calls the function, on the same line, only where the test fails,
 as Chambers and Ungar's customized code does ("Customization: optimizing
-compiler technology for SELF", PLDI 1989).  An eq against a constant
-that is a symbol tests the class of its other operand alone.  Those are
-pure and a frame never changes, so a tree of them over addresses alone,
-first[e] say, is computed once in a run, and its value serves every
-later place in the run that it reaches only through that computation,
-the later tests of a COND and the result its test chooses.  For an
-application it gives the items' values.  A COND's run goes on into the
-clause it picks, whose result it describes too: a result that can be
-evaluated in place gives the COND's value; an application whose items
-all can be is a tail exit, whose items the run evaluates, for the loop
-to push the form and bind or apply, as Steele's "Lambda: the ultimate
-GOTO" (MIT AI Memo 443, 1977) has a tail call be a jump with arguments;
-a nested COND whose tests can be folds into the run the same way; any
-other result the loop goes on with.  A clause whose test the loop
-evaluates has its result taken by an exit of its own, a run of that
-result alone, when the test gives T.  Its text is made from the run's
-shape alone, the addresses, the kinds of leaf and of result and the
-arities, and compiled once per shape; the primitives, constants and
+compiler technology for SELF", PLDI 1989).  Those are pure and a frame
+never changes, so a tree of them over addresses alone, first[e] say, is
+computed once in a run, and its value serves every later place in the
+run that it reaches only through that computation, the later tests of a
+COND and the result its test chooses.  For an application it gives the
+items' values.  A COND's run goes on into the clause it picks, whose
+result it describes too: a result that can be evaluated in place gives
+the COND's value; an application whose items all can be is a tail exit,
+whose items the run evaluates, for the loop to push the form and bind or
+apply, as Steele's "Lambda: the ultimate GOTO" (MIT AI Memo 443, 1977)
+has a tail call be a jump with arguments; a nested COND whose tests can
+be folds into the run the same way; any other result the loop goes on
+with, as it goes on with the result of every test it evaluates itself
+that gives T.  Its text is made from the
+run's shape alone, the addresses, the kinds of leaf and of result and
+the arities, and compiled once per shape; the primitives, constants and
 forms are its arguments, never its text.  The loop calls the runs up to
 the first item that has none.  There the step suspends: the loop pushes
 its frame and goes on with that item, and resumes the step in place when
@@ -204,9 +202,9 @@ _PLAN_HEIGHT = 8
 # The most operands or tests one run evaluates; see _resolve.
 _RUN_ITEMS = 8
 
-# The shapes of a constant, of an unbound symbol and of a constant that is a
-# symbol, beside an address (up, i) and a plan's (None, ...); see _get.
-_CONSTANT_LEAF, _UNBOUND_LEAF, _SYMBOL_LEAF = 0, 1, 2
+# The shapes of a constant and of an unbound symbol, beside an address
+# (up, i) and a plan's (None, ...); see _get.
+_CONSTANT_LEAF, _UNBOUND_LEAF = 0, 1
 
 # The most tests of nested CONDs that one run folds into its results; see
 # _exit.
@@ -226,7 +224,7 @@ _APPLY, _CHOOSE, _CONSTANT, _CLOSE, _NAME, _FAIL = range(6)
 
 # The entry of a step's empty cache: its owner is None, which is no
 # closure (see _resolve).
-_NO_ENTRY = (lambda: None, (), 1, ())
+_NO_ENTRY = (lambda: None, 1, ())
 
 # What the loop has for a step it has just met, where a frame it resumes
 # has the value of its next item (see _Interp.run).
@@ -427,10 +425,6 @@ _INLINE = (
 # so no other object has their id, and any other callable, hashable or
 # not, a wrapped or counting one included, is code 0.
 _CODES = {id(entry[0]): code for code, entry in enumerate(_INLINE) if entry}
-# _eq's text where an operand is a symbol constant: only the other operand,
-# {x}, has its class tested, and only where the two are not the same symbol.
-_EQ_CODE = _CODES[id(_eq)]
-_EQ_ON_SYMBOL = "T if {0} is {1} else F if {x}.__class__ is Y else {f}({0}, {1})"
 
 
 class _Interp:
@@ -468,19 +462,19 @@ class _Interp:
         (how, x, y), as a COND's run gives it (see _source); an
         application's is _FELL where an item has no run, and _TAIL, with
         no forms to push, once every item has its value.  At _FELL the
-        step suspends in a frame, (step, env, runs, exits, done, level):
-        runs and a COND's exits are what _resolve gave the step (all None
-        outside a closure or over the cap, and the loop evaluates every
-        item), done is an application's values so far, a list, or a
-        COND's next test, and level is len(self.stack) with the form on
-        top, to which the stack is cut back when the frame resumes; a
-        LABEL's frame is (name, env, None, None, None, level).  At _TAIL
-        the head's value is bound or applied, in the one place that does
-        it.  A step that finishes where it starts makes no list and no
-        frame.  A form's node is the one it keeps from an earlier
-        evaluation, in this run or another, or is made now (see _analyse).
-        A _Signal from a run becomes its EvalError here, with the trace
-        rebuilt.
+        step suspends in a frame, (step, env, runs, done, level): runs are
+        what _resolve gave the step (all None outside a closure or over
+        the cap, and the loop evaluates every item), done is an
+        application's values so far, a list, or a COND's next test, and
+        level is len(self.stack) with the form on top, to which the stack
+        is cut back when the frame resumes; a LABEL's frame is (name, env,
+        None, None, level).  Where a test that frame resumes with gives T,
+        the outcome is _GO to its clause's result.  At _TAIL the head's
+        value is bound or applied, in the one place that does it.  A step
+        that finishes where it starts makes no list and no frame.  A
+        form's node is the one it keeps from an earlier evaluation, in
+        this run or another, or is made now (see _analyse).  A _Signal
+        from a run becomes its EvalError here, with the trace rebuilt.
         """
         frames = []
         stack = self.stack
@@ -507,19 +501,19 @@ class _Interp:
                     kind, step, body = node
                     if kind <= _CHOOSE:
                         forms, cache, choice = step
-                        ref, exits, height, runs = cache[0]
+                        ref, height, runs = cache[0]
                         owner = env.owner
                         if ref() is not owner is not None:
-                            exits, height, runs = _resolve(step, env, kernel)
+                            height, runs = _resolve(step, env, kernel)
                         if owner is None or level + height > max_depth:
-                            runs = exits = (None,) * len(forms)  # the loop takes all
+                            runs = (None,) * len(forms)  # the loop takes all
                         value = _NO_VALUE
                     elif kind == _CONSTANT:
                         value = step
                     elif kind == _CLOSE:
                         value = Closure(step, body, env)
                     elif kind == _NAME:
-                        frames.append((step, env, None, None, None, level))
+                        frames.append((step, env, None, None, level))
                         expr = body
                         continue
                     else:
@@ -529,7 +523,7 @@ class _Interp:
                         if not frames:
                             return value
                         frame = frames.pop()
-                        step, env, runs, exits, done, level = frame
+                        step, env, runs, done, level = frame
                         del stack[level:]
                         if runs is None:  # a LABEL's, whose step is its name
                             if not isinstance(value, Closure):
@@ -560,12 +554,7 @@ class _Interp:
                         if value is _NO_VALUE:
                             how, i = _FELL, 0
                         elif value is T:  # test done gave T: take its result
-                            i = done
-                            run = exits[i]
-                            if run is None:
-                                how, x, y = _GO, (), choice[0][i]
-                            else:
-                                how, x, y = run(env)
+                            how, x, y = _GO, (), choice[0][done]
                         elif value is F:
                             how, i = _FELL, done + 1
                         else:
@@ -591,9 +580,9 @@ class _Interp:
                         if i == n:
                             raise self._error(*choice[1])
                         if choice:
-                            frame = (step, env, runs, exits, i, level)
+                            frame = (step, env, runs, i, level)
                         elif value is _NO_VALUE:
-                            frame = (step, env, runs, exits, [*values], level)
+                            frame = (step, env, runs, [*values], level)
                         frames.append(frame)
                         expr = forms[i]
                         break
@@ -739,8 +728,7 @@ def _node(form, items, kernel):
         detail = "the empty list is not a form"
     elif items[0] is _QUOTE:
         if len(items) == 2:
-            leaf = _SYMBOL_LEAF if items[1].__class__ is Symbol else _CONSTANT_LEAF
-            return (_CONSTANT, items[1], ((leaf, (items[1],)), 1))
+            return (_CONSTANT, items[1], ((_CONSTANT_LEAF, (items[1],)), 1))
         detail = "QUOTE takes exactly one operand"
     elif items[0] is _COND:
         tests, results, end = _clauses(items[1:], kernel)
@@ -782,12 +770,12 @@ def _clauses(clauses, kernel):
 
 
 def _resolve(step, env, kernel):
-    """(exits, height, runs) of a step in env, kept in its cache for its owner.
+    """(height, runs) of a step in env, kept in its cache for its owner.
 
     A step is (forms, cache, choice).  For an application, forms are its
     items, the head first, and choice is None.  For a COND, forms are its
     tests and choice is (results, end) (see _clauses).  cache is a list of
-    one entry, (owner, exits, height, runs), which starts as _NO_ENTRY.
+    one entry, (owner, height, runs), which starts as _NO_ENTRY.
 
     runs holds, per form, the run that evaluates it in place, or None
     where the loop evaluates it (see _get).  An application's head is its
@@ -796,18 +784,17 @@ def _resolve(step, env, kernel):
     at each that has none, and after every _RUN_ITEMS, and each run of
     items between cuts is one function, compiled for its shape (see
     _run): run(env) gives the values of an application's items, left to
-    right.  A COND's run takes its tests in turn, and the result of the
-    first that gives T as its clause's result is described (see _exit):
-    it gives (how, x, y) (see _source).  exits holds, per clause whose
-    test the loop evaluates, the run of its result alone, which the loop
-    calls when that test gives T, or None where the loop goes on with
-    that result itself; an application's exits are ().  Each item of a
-    run holds it, and the loop calls it at its first.  height is the
-    highest level the runs reach above the step's form, results included,
-    and at least 1, the level of the first item the loop would push
-    itself, so that a step on the cap leaves the cap to the loop.  Only
-    bindings are read, in one walk of the items and the results that
-    describes them and builds their shape.
+    right.  A COND's run takes its tests in turn, and takes the result of
+    the first that gives T, so each test in a run has its clause's result
+    described with it (see _exit): run(env) gives (how, x, y) (see
+    _source).  Where the loop evaluates a test, it goes on with that
+    clause's result itself, so nothing is described or compiled for that
+    result.  Each item of a run holds it, and the loop calls it at its
+    first.  height is the highest level the runs reach above the step's
+    form, results included, and at least 1, the level of the first item
+    the loop would push itself, so that a step on the cap leaves the cap
+    to the loop.  Only bindings are read, in one walk of the items and
+    the results that describes them and builds their shape.
 
     Every environment of one owner is a frame of the owner's parameters,
     then its LABEL name if it has one, over the environment it captured,
@@ -827,7 +814,6 @@ def _resolve(step, env, kernel):
     owner = env.owner
     params = owner.params
     height, runs = 1, []
-    exits = [] if choice else ()
     shape, objs, budget = [1 if choice else 0], [], _FOLD_TESTS
     for j, x in enumerate(forms):
         item, reach = _get(x, _PLAN_HEIGHT + 1, env, params, kernel)
@@ -836,29 +822,24 @@ def _resolve(step, env, kernel):
                 runs += [_run(shape, objs)] * (len(shape) - 1)
                 del shape[1:], objs[:]
             budget = _FOLD_TESTS
-        if choice:  # the clause's result, taken in the run that picks it
-            got, exit_reach, tests = _exit(
-                choice[0][j], _PLAN_HEIGHT + 1, env, params, kernel, budget
-            )
-            if exit_reach > height:
-                height = exit_reach
-            if item is None:  # its own run, for when the loop's test gives T
-                exits.append(None if got[0][0] == _GO else _run((2, got[0]), got[1]))
-            else:
-                exits.append(None)
-                budget -= tests
-                item = (item[0], got[0]), item[1] + got[1]
         if item is None:
             runs.append(None)
             continue
+        if choice:  # the clause's result, taken in the run that picks it
+            got, got_reach, tests = _exit(
+                choice[0][j], _PLAN_HEIGHT + 1, env, params, kernel, budget
+            )
+            budget -= tests
+            item = (item[0], got[0]), item[1] + got[1]
+            reach = max(reach, got_reach)
         shape.append(item[0])
         objs += item[1]
         if reach > height:
             height = reach
     if len(shape) > 1:
         runs += [_run(shape, objs)] * (len(shape) - 1)
-    cache[0] = weakref.ref(owner), exits, height, runs
-    return exits, height, runs
+    cache[0] = weakref.ref(owner), height, runs
+    return height, runs
 
 
 def _get(x, room, env, params, kernel):
@@ -874,16 +855,15 @@ def _get(x, room, env, params, kernel):
     room _PLAN_HEIGHT + 1, so a plan's tree is at most _PLAN_HEIGHT high.
 
     item is (shape, objs).  shape holds only ints, None and tuples: a
-    bound symbol's is its address (up, i) (see _address); a constant's
-    is _CONSTANT_LEAF, or _SYMBOL_LEAF where it is a symbol, as where an
-    unbound symbol stands for itself, so that an inline eq tests the
-    class of its other operand only; any other unbound symbol's is
-    _UNBOUND_LEAF; and a plan's is (None, code, shape of each operand):
-    code is the place of the primitive's function in _INLINE, or 0.
-    objs are the objects that code of that shape needs, in the order the
-    shape is walked: a constant or unbound symbol, and for a plan the
-    primitive's function and the plan's form, then its operands'.  The
-    shape and the objs are built in this one walk.
+    bound symbol's is its address (up, i) (see _address); a constant's,
+    and that of an unbound symbol that stands for itself, is
+    _CONSTANT_LEAF; any other unbound symbol's is _UNBOUND_LEAF; and a
+    plan's is (None, code, shape of each operand): code is the place of
+    the primitive's function in _INLINE, or 0.  objs are the objects that
+    code of that shape needs, in the order the shape is walked: a
+    constant or unbound symbol, and for a plan the primitive's function
+    and the plan's form, then its operands'.  The shape and the objs are
+    built in this one walk.
 
     A run takes the steps the loop would take, in the same order, and
     calls each primitive once through its fn, but for the kernel's own,
@@ -901,7 +881,7 @@ def _get(x, room, env, params, kernel):
         at = _address(x, env)
         if at is not None:
             return (at, ()), 1
-        return ((_SYMBOL_LEAF if x in _SELF[kernel] else _UNBOUND_LEAF), (x,)), 1
+        return ((_CONSTANT_LEAF if x in _SELF[kernel] else _UNBOUND_LEAF), (x,)), 1
     kind, step, got = _analyse(x, kernel)
     if kind == _CONSTANT:
         return got
@@ -1021,9 +1001,8 @@ def _run(shape, objs):
     """The run of the items whose shape and objs are these (see _resolve).
 
     shape is (choose, shape of each item): choose 0 for an application's
-    operands, 1 for a COND's clauses, each (shape of its test, (kind,
-    shape) of its result), and 2 for an exit, whose one item is (kind,
-    shape) of a result (see _exit); objs are the items' objs.  The code
+    operands, and 1 for a COND's clauses, each (shape of its test, (kind,
+    shape) of its result) (see _exit); objs are the items' objs.  The code
     of a shape is compiled once (see _source) and kept in _RUNS, as a run
     whose parameters have no defaults; the run is that code made a
     function whose parameters after env default to objs, then to the
@@ -1057,8 +1036,8 @@ def _run(shape, objs):
 _RUN_GLOBALS = {"S": _Signal, "E": KernelError, "F": F, "N": Fault.BAD_TRUTH_VALUE}
 
 # The parameters a run may have after the objs, with their defaults: T for
-# a COND's run or an exit, which tells T by it, and all of them for a run
-# that computes a primitive inline (see _INLINE).  They are parameters, not
+# a COND's run, which tells T by it, and all of them for a run that
+# computes a primitive inline (see _INLINE).  They are parameters, not
 # names in _RUN_GLOBALS, so that _RUNS keeps no value alive.
 _TRAILING = {"T": T, "NULL": NULL, "NIL": NIL, "L": ProperList, "P": Pair, "Y": Symbol}
 
@@ -1080,12 +1059,12 @@ def _source(shape):
     not computed again; that is safe, since those primitives are pure and
     the frames never change, so it gives the same value and cannot fault
     where the line that computed it did not.  An application's run
-    returns the items' values.  A COND's run, and an
-    exit, return (how, x, y): (_FELL, the number of its tests, None) when
-    every test gave F; (_VALUE, the value, None); (_GO, forms, form), the
-    loop pushes the forms, outermost first, and goes on with form; or
-    (_TAIL, forms, (head, operands)), the loop pushes the forms and binds
-    or applies the head's value to the operands' values.  Every item, a
+    returns the items' values.  A COND's run returns (how, x, y): (_FELL,
+    the number of its tests, None) when every test gave F; (_VALUE, the
+    value, None); (_GO, forms, form), the loop pushes the forms, outermost
+    first, and goes on with form; or (_TAIL, forms, (head, operands)), the
+    loop pushes the forms and binds or applies the head's value to the
+    operands' values.  Every item, a
     tail exit's head included, is read by value(), in order, so an
     unbound head signals before an operand is evaluated.  The text is
     made from the shape alone, so from ints: no symbol, constant or form
@@ -1118,7 +1097,7 @@ def _source(shape):
                 ups.append(k[0])
             return known.get(k) or f"f{k[0]}[{k[1]}]"
         a = take(1)
-        if k == _CONSTANT_LEAF or k == _SYMBOL_LEAF:
+        if k == _CONSTANT_LEAF:
             return f"a{a}"
         if k == _UNBOUND_LEAF:
             emit(f"raise S(a{a}, {tuple_of((a, *outer))})")
@@ -1134,10 +1113,7 @@ def _source(shape):
                 if o.__class__ is tuple and o[0] is not None and o not in known:
                     known[o] = args[j] = f"v{o[0]}_{o[1]}"
                     emit(f"{args[j]} = f{o[0]}[{o[1]}]")
-            text, other = _INLINE[code][1], None
-            if code == _EQ_CODE and _SYMBOL_LEAF in operands:
-                text, other = _EQ_ON_SYMBOL, args[operands[0] == _SYMBOL_LEAF]
-            emit(f"n{a} = " + text.format(*args, f=f"a{a}", x=other))
+            emit(f"n{a} = " + _INLINE[code][1].format(*args, f=f"a{a}"))
         else:
             emit(f"n{a} = a{a}({', '.join(args)})")
         paths[len(lines)] = (a + 1, *outer)
@@ -1178,13 +1154,11 @@ def _source(shape):
             choose_clause(k, (a, *outer))
             emit(f"raise S(a{a + 1}, {tuple_of((a, *outer))})")
 
-    if choose == 0:
-        emit(f"return ({''.join([value(k, ()) + ', ' for k in items])})")
-    elif choose == 1:
+    if choose:
         choose_clause(items, ())
         emit(f"return ({_FELL}, {len(items)}, None)")
     else:
-        take_result(items[0], ())
+        emit(f"return ({''.join([value(k, ()) + ', ' for k in items])})")
     trailing = _TRAILING if inline else ["T"] if choose else []
     names = [f"a{a}, " for a in range(count)] + [f"{name}, " for name in trailing]
     head = [f"def run(env, {''.join(names)}):"]

@@ -1088,9 +1088,14 @@ def _no_get(*args):
     return None, 0
 
 
-def _nodes_under(*roots):
-    """The nodes kept on the forms reachable from roots, closures included."""
-    todo, seen, nodes = list(roots), set(), []
+def _entry(form):
+    """(owner, height, runs): the entry in the cache of form's step (see _resolve)."""
+    return form._node[1][1][0]
+
+
+def _forms_under(*roots):
+    """The forms that keep a node, reachable from roots, closures included."""
+    todo, seen, forms = list(roots), set(), []
     while todo:
         v = todo.pop()
         if id(v) in seen:
@@ -1098,13 +1103,13 @@ def _nodes_under(*roots):
         seen.add(id(v))
         if isinstance(v, (ProperList, Pair)):
             if getattr(v, "_node", None) is not None:
-                nodes.append(v._node)
+                forms.append(v)
             todo.extend(v.items if isinstance(v, ProperList) else (v.head, v.tail))
         elif isinstance(v, Closure):
             todo += [v.body, v.env]
         elif isinstance(v, Env):
             todo.extend([value for _, value in v.bindings])
-    return nodes
+    return forms
 
 
 def through_the_loop(expr, env, kernel, max_depth):
@@ -1112,9 +1117,9 @@ def through_the_loop(expr, env, kernel, max_depth):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(evaluator, "_get", _no_get)
         got = outcome(eval_sexpr, expr, env, kernel, max_depth)
-    for kind, step, _ in _nodes_under(expr, env):  # so it ran no get
-        if kind in (evaluator._APPLY, evaluator._CHOOSE):
-            assert set(step[1][0][3]) <= {None}
+    for f in _forms_under(expr, env):  # so it ran no get
+        if f._node[0] in (evaluator._APPLY, evaluator._CHOOSE):
+            assert set(_entry(f)[2]) <= {None}
     return got
 
 
@@ -1205,8 +1210,8 @@ def test_a_primitive_of_three_operands_is_a_step_inside_a_planned_tree(kernel):
     check_spied(counts, in_a_body)
     # PICK's application, COMBINE's item 1, has no run, though COMBINE's
     # step resolves for a closure whose body it is: its head is item 0.
-    resolved = evaluator._resolve(expr._node[1], owned_env(expr, env, kernel), kernel)
-    assert resolved[2][1] is None
+    evaluator._resolve(expr._node[1], owned_env(expr, env, kernel), kernel)
+    assert _entry(expr)[2][1] is None
     # A kernel fault inside PICK, and inside one of its operands.
     for text in ("pick[x; x; first[x]]", "pick[x; first[A]; x]"):
         got = three_ways(program(kernel, f"combine[{text}; ()]"), env, kernel, DEPTH)
@@ -1455,8 +1460,8 @@ def test_an_error_inside_a_plan_has_the_trace_of_the_universal_function(
         assert len(expected[2]) == 8 and expected[2][-1] is Symbol("ZZ")
     check_spied(counts, eval_sexpr if where == "top" else in_a_body)  # at the default cap
     if where != "wrapped":  # in a closure, its operands are in place, the tree a plan
-        resolved = evaluator._resolve(expr._node[1], owned_env(expr, env, kernel), kernel)
-        assert None not in resolved[2]
+        evaluator._resolve(expr._node[1], owned_env(expr, env, kernel), kernel)
+        assert None not in _entry(expr)[2]
 
 
 def test_a_second_meta_eval_analyses_only_its_own_program(monkeypatch):
@@ -1686,8 +1691,8 @@ def test_a_plan_headed_by_a_parameter_runs_as_a_step(kernel):
     for f, expected in ((_FIRST, "(A)"), (_REST, "((B))"), (_FIRST, "(A)")):
         got = apply_fn(fn, [prims.lookup(f), ab], kernel, DEPTH)
         assert got == in_kernel(kernel, read_sexpr(expected))
-    owner, exits, height, runs = fn.body._node[1][1][0]
-    assert owner() is fn and exits == () and runs[1] is None
+    owner, height, runs = _entry(fn.body)
+    assert owner() is fn and runs[1] is None
     # COMBINE is bound in the frame the call's frame extends, fn.env.
     frame = evaluator._Interp(kernel, DEPTH)._bind(fn, [prims.lookup(_REST), ab])
     up, at = evaluator._address(COMBINE, frame)
@@ -2151,7 +2156,7 @@ def test_a_cond_of_3000_clauses_compiles_a_bounded_run_per_8_tests(kernel):
     # Every test has one shape, and 8 divides 3000: the runs of 8 tests
     # that the COND of 20 clauses compiled serve it all.
     assert len(evaluator._RUNS) == shapes
-    runs = fn.body._node[1][1][0][3]
+    runs = _entry(fn.body)[2]
     assert len(runs) == n and len({id(r) for r in runs}) == -(-n // _CAP)
     # Applied through the loop alone, each test is a step of its own.
     assert with_runs <= through_the_loop_, (with_runs, through_the_loop_)
@@ -2298,7 +2303,7 @@ def test_a_primitive_that_raises_inside_a_run_raises_as_under_the_loop(kernel, p
             if expected is ValueError:
                 assert info.value is error
         lam = expr.items[0] if kernel is Kernel.LIST else expr.head
-        assert None not in lam._node[2]._node[1][1][0][3]  # every operand in a run
+        assert None not in _entry(lam._node[2])[2]  # every operand in a run
 
 
 # --- a COND's run carries on into the clause it picks ---------------------------
@@ -2328,11 +2333,11 @@ _COND_CASES = [
     ("[T -> x[x]]", "(A)", "()", evaluator._TAIL),
     ("[null[x] -> A; T -> [atom[first[x]] -> rec[rest[x]; g]; T -> first[x]]]",
      "(B, C)", "()", evaluator._NEST),
-    # The test suspends on a closure call; the exit run takes the result.
+    # The test suspends on a closure call; the loop takes the result.
     ("[g[x] -> rec[rest[x]; g]; T -> x]", "(A, (B), C)", "lambda[[y]; atom[first[y]]]",
-     evaluator._TAIL),
+     None),
     ("[g[x] -> [null[rest[x]] -> x; T -> first[x]]; T -> x]", "(A, B)",
-     "lambda[[y]; atom[first[y]]]", evaluator._NEST),
+     "lambda[[y]; atom[first[y]]]", None),
     # Faults inside a folded result, a bad truth value and an exhausted COND.
     ("[T -> first[first[x]]]", "(A)", "()", evaluator._VALUE),
     ("[T -> rec[first[first[x]]; g]]", "(A)", "()", evaluator._TAIL),
@@ -2343,7 +2348,8 @@ _COND_CASES = [
     ("[first[x] -> A]", "(B)", "()", None),
     ("[T -> [first[x] -> A]]", "(B)", "()", evaluator._NEST),
     ("[T -> [atom[x] -> A]]", "(B)", "()", evaluator._NEST),
-    ("[g[x] -> [atom[x] -> A]; T -> B]", "(B)", "lambda[[y]; T]", evaluator._NEST),
+    # g[x] suspends and gives T: the loop takes its result.
+    ("[g[x] -> [atom[x] -> A]; T -> B]", "(B)", "lambda[[y]; T]", None),
     ("[g[x] -> first[first[x]]; T -> B]", "(B)", "lambda[[y]; T]", evaluator._VALUE),
     # Past the run's bound on nested tests, and past the room for nesting,
     # the loop takes the result.
@@ -2367,7 +2373,7 @@ def _parts(kernel, f):
 
 def _fold_kinds(kernel, cond):
     """The kinds of the results that the runs of cond's cache entry take."""
-    _, exits, _, runs = cond._node[1][1][0]
+    _, _, runs = _entry(cond)
     shapes = {f.__code__: shape for shape, f in list(evaluator._RUNS.items())}
     kinds = set()
 
@@ -2378,10 +2384,10 @@ def _fold_kinds(kernel, cond):
             for _, inner in k:
                 walk(inner)
 
-    for run in [*runs, *exits]:
+    for run in runs:
         if run is not None:
-            choose, *items = shapes[run.__code__]
-            for result in items if choose == 2 else [r for _, r in items]:
+            _, *items = shapes[run.__code__]
+            for _, result in items:
                 walk(result)
     return kinds
 
@@ -2427,6 +2433,46 @@ def test_a_cond_of_no_owner_has_the_loops_outcome_at_every_cap(kernel, cond, x, 
                           ("X", program(kernel, f"lambda[[v]; v][{x}]")),
                           ("G", program(kernel, f"lambda[[v]; v][{g}]")))]
     _outcomes_to_past_the_cap(cond_form, default_env(kernel).extend(bound), kernel)
+
+
+@pytest.mark.parametrize("kernel", [Kernel.LIST, Kernel.PAIR])
+@pytest.mark.parametrize("turn", range(4))
+def test_resolving_a_cond_whose_tests_the_loop_evaluates_compiles_nothing(kernel, turn):
+    # Each test is a closure call, which the loop evaluates, so the loop
+    # goes on with the result of the one that gives T: resolving the COND
+    # makes no run, for its tests or for their results.  The results are a
+    # value, a tail call, a nested COND and a plan that faults, each first
+    # in one turn, so the loop takes each.
+    results = ["first[x]", "rec[rest[x]; g]", "[atom[x] -> A; T -> first[x]]",
+               "first[first[x]]"]
+    cond = "[" + "; ".join([f"g[x] -> {r}" for r in results[turn:] + results[:turn]]) + "]"
+    expr, cond_form = _cond_case(kernel, cond, "(B, (C))", "lambda[[y]; atom[first[y]]]")
+    step = evaluator._analyse(cond_form, kernel)[1]
+    resolve, make = evaluator._resolve, evaluator._run
+    inside, made, resolved = [], [], []
+
+    def resolve_spy(s, env, kernel):
+        inside.append(s is step)
+        resolved.append(s is step)
+        try:
+            return resolve(s, env, kernel)
+        finally:
+            inside.pop()
+
+    def run_spy(shape, objs):
+        if inside[-1]:
+            made.append(shape)
+        return make(shape, objs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evaluator, "_resolve", resolve_spy)
+        mp.setattr(evaluator, "_run", run_spy)
+        got = three_ways(expr, default_env(kernel), kernel, DEPTH)
+    assert made == [] and True in resolved  # resolved for the closure, and no run made
+    assert set(_entry(cond_form)[2]) == {None}
+    _outcomes_to_past_the_cap(expr, default_env(kernel), kernel)
+    expected = ["value", Fault.COND_EXHAUSTED, "value", Fault.KERNEL_FAULT][turn]
+    assert got[0] == expected
 
 
 @pytest.mark.parametrize("kernel", [Kernel.LIST, Kernel.PAIR])
@@ -2605,7 +2651,7 @@ def _head_case(kernel, body, bind=lambda env: ()):
 
 def _runs(g, step_form=None):
     """The runs of the entry that the step of step_form, or g's body, keeps for g."""
-    owner, _, _, runs = (step_form or g.body)._node[1][1][0]
+    owner, _, runs = _entry(step_form or g.body)
     assert owner() is g
     return runs
 
@@ -2805,16 +2851,16 @@ def test_a_cond_that_tests_first_of_x_six_times_computes_it_once(kernel, monkeyp
 
 @pytest.mark.parametrize("kernel", [Kernel.LIST, Kernel.PAIR])
 @pytest.mark.parametrize("data", list(_data(Kernel.LIST)))
-def test_an_inline_eq_tests_the_class_of_no_symbol_constant(kernel, data, monkeypatch):
-    # A quoted symbol, and T unbound, is a symbol when the step is resolved,
-    # so an inline eq tests the class of its other operand alone; a quoted
-    # list is tested as any operand is.  The outcomes are the loop's.
+def test_an_inline_eq_tests_the_class_of_both_operands(kernel, data, monkeypatch):
+    # A quoted symbol, T unbound and a quoted list are constants alike, so
+    # an inline eq tests the class of each operand.  The outcomes are the
+    # loop's.
     monkeypatch.setattr(evaluator, "_RUNS", {})
     env = default_env(kernel).extend([(Symbol("X"), _data(kernel)[data])])
     text = "lambda[[v]; [eq[v; A] -> B; eq[T; v] -> C; eq[(A); v] -> D; T -> first[A]]][x]"
     _outcomes_to_past_the_cap(program(kernel, text), env, kernel)
     (source,) = [s for s in _sources() if " is Y" in s]
-    assert source.count(".__class__ is Y") == 1 + 1 + 2
+    assert source.count(".__class__ is Y") == 2 + 2 + 2
 
 
 @pytest.mark.parametrize("kernel", [Kernel.LIST, Kernel.PAIR])
