@@ -72,11 +72,11 @@ applied to primitives, eq[first[e]; QUOTE], first[rest[rest[fn]]], and a
 plan applies such a tree in one go: the superinstruction of Piumarta and
 Riccardi ("Optimizing direct threaded code by selective inlining", PLDI
 1998), chosen here by the bindings rather than by the form alone.  The
-items are cut at each that the loop must evaluate itself, such as a
-LAMBDA head, or append's app[rest[x]; y] in combine[first[x]; app[rest[x];
-y]], and each run of up to eight items between cuts becomes one Python
-function of straight-line code, which reads each symbol at its address
-and applies each primitive in turn.  It calls a primitive's function,
+items are cut at each that has no run, such as a LAMBDA head, or
+append's app[rest[x]; y] in combine[first[x]; app[rest[x]; y]], and each
+run of up to eight items between cuts becomes one Python function of
+straight-line code, which reads each symbol at its address and applies
+each primitive in turn.  It calls a primitive's function,
 unless that is one of the kernel's own, FIRST, REST, CAR, CDR, ATOM, EQ
 or NULL: their type test and field read are inline in the run's code,
 which calls the function, on the same line, only where the test fails,
@@ -94,17 +94,24 @@ apply, as Steele's "Lambda: the ultimate GOTO" (MIT AI Memo 443, 1977)
 has a tail call be a jump with arguments; a nested COND whose tests can
 be folds into the run the same way; any other result the loop goes on
 with, as it goes on with the result of every test it evaluates itself
-that gives T.  Its text is made from the
+that gives T.  An application's item that is a call, an application
+whose items all can be evaluated in place, as a tail exit's can, such
+as app[rest[x]; y] above, is taken the same way: the step keeps, beside
+its runs, a run of the call's own that evaluates those items, with the
+text a tail exit's items get.  Its text is made from the
 run's shape alone, the addresses, the kinds of leaf and of result and
 the arities, and compiled once per shape; the primitives, constants and
 forms are its arguments, never its text.  The loop calls the runs up to
 the first item that has none.  There the step suspends: the loop pushes
-its frame and goes on with that item, and resumes the step in place when
-the value comes back.  Meeting a step and resuming it are one block of
-the loop, which takes the step on from its next item, with no value or
-with that item's; when the values are complete it binds the head's
-closure's parameters and goes on with its body, or calls the head's
-primitive.
+its frame, and either goes on with that item, or, where it is a call,
+calls the call's run, pushes the call's form and binds or applies the
+head's value, as at a tail exit, so that it never meets the call's own
+step; it resumes the step in place when the value comes back.  Meeting
+a step and resuming it are one block of the loop, which takes the step
+on from its next item, with no value or with that item's; when the
+values are complete it binds the head's closure's parameters and goes
+on with its body, or calls the head's primitive, in the one place that
+binds or applies.
 
 A run pushes nothing on the stack of expressions under evaluation: its
 nesting is fixed, and the height the step's runs reach, chosen results
@@ -218,13 +225,17 @@ _FOLD_TESTS = 32
 # them, is the kind of a result that is a COND the run folds (see _exit).
 _FELL, _VALUE, _GO, _TAIL, _NEST = range(5)
 
+# The choose of a call's shape, beside 0 and 1, an application's operands
+# and a COND's clauses (see _run).
+_CALL = 2
+
 # The kinds of node (see _node): what the loop does with the form.
 # The two whose node holds a step come first (see _Interp.run).
 _APPLY, _CHOOSE, _CONSTANT, _CLOSE, _NAME, _FAIL = range(6)
 
 # The entry of a step's empty cache: its owner is None, which is no
 # closure (see _resolve).
-_NO_ENTRY = (lambda: None, 1, ())
+_NO_ENTRY = (lambda: None, 1, (), ())
 
 # What the loop has for a step it has just met, where a frame it resumes
 # has the value of its next item (see _Interp.run).
@@ -462,16 +473,21 @@ class _Interp:
         (how, x, y), as a COND's run gives it (see _source); an
         application's is _FELL where an item has no run, and _TAIL, with
         no forms to push, once every item has its value.  At _FELL the
-        step suspends in a frame, (step, env, runs, done, level): runs are
-        what _resolve gave the step (all None outside a closure or over
-        the cap, and the loop evaluates every item), done is an
-        application's values so far, a list, or a COND's next test, and
-        level is len(self.stack) with the form on top, to which the stack
-        is cut back when the frame resumes; a LABEL's frame is (name, env,
-        None, None, level).  Where a test that frame resumes with gives T,
-        the outcome is _GO to its clause's result.  At _TAIL the head's
-        value is bound or applied, in the one place that does it.  A step
-        that finishes where it starts makes no list and no frame.  A
+        step suspends in a frame, (step, env, runs, calls, done, level):
+        runs and calls are what _resolve gave the step (all None outside a
+        closure or over the cap, and the loop evaluates every item), done
+        is an application's values so far, a list, or a COND's next test,
+        and level is len(self.stack) with the form on top, to which the
+        stack is cut back when the frame resumes; a LABEL's frame is
+        (name, env, None, None, None, level).  Where the item has a call,
+        the call's run gives (head, operands), and the outcome is _TAIL
+        with the call's form to push, as at a COND's tail exit; otherwise
+        the loop goes on with the item.  Where a test that frame resumes
+        with gives T, the outcome is _GO to its clause's result.  At _TAIL
+        the head's value is bound or applied, in the one place that does
+        it.  A step that finishes where it starts makes no list and no
+        frame.  A MemoryError lets go of the frames and the stack before
+        it goes on, so that whatever handles it has memory to do so.  A
         form's node is the one it keeps from an earlier evaluation, in
         this run or another, or is made now (see _analyse).  A _Signal
         from a run becomes its EvalError here, with the trace rebuilt.
@@ -501,19 +517,19 @@ class _Interp:
                     kind, step, body = node
                     if kind <= _CHOOSE:
                         forms, cache, choice = step
-                        ref, height, runs = cache[0]
+                        ref, height, runs, calls = cache[0]
                         owner = env.owner
                         if ref() is not owner is not None:
-                            height, runs = _resolve(step, env, kernel)
+                            height, runs, calls = _resolve(step, env, kernel)
                         if owner is None or level + height > max_depth:
-                            runs = (None,) * len(forms)  # the loop takes all
+                            runs = calls = (None,) * len(forms)  # the loop takes all
                         value = _NO_VALUE
                     elif kind == _CONSTANT:
                         value = step
                     elif kind == _CLOSE:
                         value = Closure(step, body, env)
                     elif kind == _NAME:
-                        frames.append((step, env, None, None, level))
+                        frames.append((step, env, None, None, None, level))
                         expr = body
                         continue
                     else:
@@ -523,7 +539,7 @@ class _Interp:
                         if not frames:
                             return value
                         frame = frames.pop()
-                        step, env, runs, done, level = frame
+                        step, env, runs, calls, done, level = frame
                         del stack[level:]
                         if runs is None:  # a LABEL's, whose step is its name
                             if not isinstance(value, Closure):
@@ -568,6 +584,19 @@ class _Interp:
                                 if how != _FELL:
                                     break
                                 i += x
+                    if how == _FELL:  # item i has no run: take its call, or go on with it
+                        if i == n:
+                            raise self._error(*choice[1])
+                        if choice:
+                            frame = (step, env, runs, calls, i, level)
+                        elif value is _NO_VALUE:
+                            frame = (step, env, runs, calls, [*values], level)
+                        frames.append(frame)
+                        call = calls[i]
+                        if call is None:
+                            expr = forms[i]
+                            break
+                        how, y, x = _TAIL, call(env), (forms[i],)
                     if how == _TAIL:  # the head's value, then the operands'
                         stack += x
                         fn, args = y
@@ -576,22 +605,16 @@ class _Interp:
                             expr = fn.body
                             break
                         value = self._apply(fn, args)
-                    elif how == _FELL:  # the loop evaluates item i
-                        if i == n:
-                            raise self._error(*choice[1])
-                        if choice:
-                            frame = (step, env, runs, i, level)
-                        elif value is _NO_VALUE:
-                            frame = (step, env, runs, [*values], level)
-                        frames.append(frame)
-                        expr = forms[i]
-                        break
                     elif how == _VALUE:
                         value = x
                     else:  # _GO
                         stack += x
                         expr = y
                         break
+        except MemoryError:  # let go of what the evaluation holds first
+            frames.clear()
+            del stack[:]
+            raise
         except StopIteration as e:  # a primitive's, raised as PEP 479 has it
             raise RuntimeError("generator raised StopIteration") from e
         except _Signal as s:
@@ -770,31 +793,36 @@ def _clauses(clauses, kernel):
 
 
 def _resolve(step, env, kernel):
-    """(height, runs) of a step in env, kept in its cache for its owner.
+    """(height, runs, calls) of a step in env, kept in its cache for its owner.
 
     A step is (forms, cache, choice).  For an application, forms are its
     items, the head first, and choice is None.  For a COND, forms are its
     tests and choice is (results, end) (see _clauses).  cache is a list of
-    one entry, (owner, height, runs), which starts as _NO_ENTRY.
+    one entry, (owner, height, runs, calls), which starts as _NO_ENTRY.
 
     runs holds, per form, the run that evaluates it in place, or None
-    where the loop evaluates it (see _get).  An application's head is its
-    item 0, described like every operand, so an unbound head is a leaf
-    whose run signals before any operand is evaluated.  The items are cut
-    at each that has none, and after every _RUN_ITEMS, and each run of
-    items between cuts is one function, compiled for its shape (see
-    _run): run(env) gives the values of an application's items, left to
-    right.  A COND's run takes its tests in turn, and takes the result of
-    the first that gives T, so each test in a run has its clause's result
+    where it has none (see _get).  An application's head is its item 0,
+    described like every operand, so an unbound head is a leaf whose run
+    signals before any operand is evaluated.  The items are cut at each
+    that has none, and after every _RUN_ITEMS, and each run of items
+    between cuts is one function, compiled for its shape (see _run):
+    run(env) gives the values of an application's items, left to right.
+    A COND's run takes its tests in turn, and takes the result of the
+    first that gives T, so each test in a run has its clause's result
     described with it (see _exit): run(env) gives (how, x, y) (see
     _source).  Where the loop evaluates a test, it goes on with that
     clause's result itself, so nothing is described or compiled for that
     result.  Each item of a run holds it, and the loop calls it at its
-    first.  height is the highest level the runs reach above the step's
-    form, results included, and at least 1, the level of the first item
-    the loop would push itself, so that a step on the cap leaves the cap
-    to the loop.  Only bindings are read, in one walk of the items and
-    the results that describes them and builds their shape.
+    first.  calls holds, per form, None, or the run of an application's
+    item that has no run and is a call (see _call): run(env) gives (head
+    value, operand values), as a COND's tail exit does, for the loop to
+    bind or apply (see _Interp.run), which reads it only where runs holds
+    None.  A COND's tests have no calls: the loop evaluates each test that
+    has no run.  height is the highest level the runs and calls reach
+    above the step's form, results included, and at least 1, the level of
+    the first item the loop would push itself, so that a step on the cap
+    leaves the cap to the loop.  Only bindings are read, in one walk of
+    the items and the results that describes them and builds their shape.
 
     Every environment of one owner is a frame of the owner's parameters,
     then its LABEL name if it has one, over the environment it captured,
@@ -813,7 +841,7 @@ def _resolve(step, env, kernel):
     forms, cache, choice = step
     owner = env.owner
     params = owner.params
-    height, runs = 1, []
+    height, runs, calls = 1, [], [None] * len(forms)
     shape, objs, budget = [1 if choice else 0], [], _FOLD_TESTS
     for j, x in enumerate(forms):
         item, reach = _get(x, _PLAN_HEIGHT + 1, env, params, kernel)
@@ -824,6 +852,11 @@ def _resolve(step, env, kernel):
             budget = _FOLD_TESTS
         if item is None:
             runs.append(None)
+            if not choice:
+                item, reach = _call(x, _PLAN_HEIGHT + 1, env, params, kernel)
+                if item is not None:
+                    calls[j] = _run((_CALL, *item[0]), item[1])
+                    height = max(height, reach)
             continue
         if choice:  # the clause's result, taken in the run that picks it
             got, got_reach, tests = _exit(
@@ -838,8 +871,8 @@ def _resolve(step, env, kernel):
             height = reach
     if len(shape) > 1:
         runs += [_run(shape, objs)] * (len(shape) - 1)
-    cache[0] = weakref.ref(owner), height, runs
-    return height, runs
+    cache[0] = weakref.ref(owner), height, runs, calls
+    return height, runs, calls
 
 
 def _get(x, room, env, params, kernel):
@@ -939,20 +972,10 @@ def _exit(x, room, env, params, kernel, budget):
     if item is not None:
         return ((_VALUE, item[0]), item[1]), reach, 0
     go = ((_GO, None), (x,)), 0, 0
+    item, reach = _call(x, room, env, params, kernel)
+    if item is not None:
+        return ((_TAIL, item[0]), item[1]), reach, 0
     kind, step, _ = _analyse(x, kernel)
-    if kind == _APPLY:
-        forms = step[0]
-        if len(forms) > _RUN_ITEMS + 1:
-            return go
-        shape, objs, reach = [], [x], 0
-        for o in forms:
-            item, o_reach = _get(o, room, env, params, kernel)
-            if item is None:
-                return go
-            shape.append(item[0])
-            objs += item[1]
-            reach = max(reach, o_reach)
-        return ((_TAIL, tuple(shape)), tuple(objs)), reach + 1, 0
     if kind != _CHOOSE or room < 2 or not 0 < len(step[0]) <= budget:
         return go
     tests, _, (results, end) = step
@@ -967,6 +990,30 @@ def _exit(x, room, env, params, kernel, budget):
         objs += item[1] + got[1]
         reach = max(reach, t_reach, r_reach)
     return ((_NEST, tuple(clauses)), tuple(objs)), reach + 1, used
+
+
+def _call(x, room, env, params, kernel):
+    """(item, reach) of x as a call, or (None, 0) where x is none.
+
+    A call is an application whose items, head and operands, at most
+    _RUN_ITEMS + 1, all have items (see _get): item is (shape of each,
+    objs of x then theirs), and reach is the highest level that evaluating
+    them takes above the form x is an item or result of.  It is a COND's
+    tail exit (see _exit), and an application's item that has a call's
+    run (see _resolve).
+    """
+    kind, step, _ = _analyse(x, kernel)
+    if kind != _APPLY or len(step[0]) > _RUN_ITEMS + 1:
+        return None, 0
+    shape, objs, reach = [], [x], 0
+    for o in step[0]:
+        item, o_reach = _get(o, room, env, params, kernel)
+        if item is None:
+            return None, 0
+        shape.append(item[0])
+        objs += item[1]
+        reach = max(reach, o_reach)
+    return (tuple(shape), tuple(objs)), reach + 1
 
 
 def _quoted(x, kernel):
@@ -1001,14 +1048,15 @@ def _run(shape, objs):
     """The run of the items whose shape and objs are these (see _resolve).
 
     shape is (choose, shape of each item): choose 0 for an application's
-    operands, and 1 for a COND's clauses, each (shape of its test, (kind,
-    shape) of its result) (see _exit); objs are the items' objs.  The code
-    of a shape is compiled once (see _source) and kept in _RUNS, as a run
-    whose parameters have no defaults; the run is that code made a
-    function whose parameters after env default to objs, then to the
-    values of _TRAILING that its text names after them, or that run
-    itself where there are none, as where every operand is a symbol, so
-    such runs are made once.
+    operands, 1 for a COND's clauses, each (shape of its test, (kind,
+    shape) of its result) (see _exit), and _CALL for a call's head and
+    operands (see _call); objs are the items' objs, a call's after its
+    form.  The code of a shape is compiled once (see _source) and kept in
+    _RUNS, as a run whose parameters have no defaults; the run is that
+    code made a function whose parameters after env default to objs, then
+    to the values of _TRAILING that its text names after them, or that
+    run itself where there are none, as where every operand is a symbol,
+    so such runs are made once.
     """
     shape = tuple(shape)
     run = _RUNS.get(shape)
@@ -1064,15 +1112,18 @@ def _source(shape):
     value, None); (_GO, forms, form), the loop pushes the forms, outermost
     first, and goes on with form; or (_TAIL, forms, (head, operands)), the
     loop pushes the forms and binds or applies the head's value to the
-    operands' values.  Every item, a
-    tail exit's head included, is read by value(), in order, so an
-    unbound head signals before an operand is evaluated.  The text is
-    made from the shape alone, so from ints: no symbol, constant or form
-    is ever part of it.  An unbound symbol, a test that gives no truth
-    value and a nested COND out of clauses raise their _Signal where they
-    are met; one except clause turns a KernelError into its _Signal, with
-    the forms the loop would have pushed above the step's form, innermost
-    first, found by the line the call that raised is on.
+    operands' values.  A call's run returns (head, operands), in the text
+    a tail exit's gets; the loop pushes the call's form once it returns,
+    and the forms of a _Signal from it start with that form.  Every item,
+    a tail exit's or a call's head included, is read by value(), in
+    order, so an unbound head signals before an operand is evaluated.
+    The text is made from the shape alone, so from ints: no symbol,
+    constant or form is ever part of it.  An unbound symbol, a test that
+    gives no truth value and a nested COND out of clauses raise their
+    _Signal where they are met; one except clause turns a KernelError
+    into its _Signal, with the forms the loop would have pushed above the
+    step's form, innermost first, found by the line the call that raised
+    is on.
     """
     choose, *items = shape
     lines, paths, ups, known = [], {}, [], {}
@@ -1136,6 +1187,13 @@ def _source(shape):
             pad = pad[:-4]
             emit(f"if t is not F: raise S((N, t), {tuple_of(outer)})")
 
+    def call(k, outer):
+        # (a, text): the call's form is a{a}, and text is (head, operands),
+        # the values of its items k, after the lines that compute them.
+        a = take(1)
+        values = [value(o, (a, *outer)) for o in k]
+        return a, f"({values[0]}, ({''.join([f'{v}, ' for v in values[1:]])}))"
+
     def take_result(result, outer):
         # Lines that return the outcome of a chosen result, or raise.
         kind, k = result
@@ -1144,22 +1202,21 @@ def _source(shape):
         elif kind == _GO:
             emit(f"return ({_GO}, {tuple_of(outer[::-1])}, a{take(1)})")
         elif kind == _TAIL:
-            a = take(1)
-            values = [value(o, (a, *outer)) for o in k]
-            operands = "".join([f"{v}, " for v in values[1:]])
-            path = tuple_of((a, *outer)[::-1])
-            emit(f"return ({_TAIL}, {path}, ({values[0]}, ({operands})))")
+            a, got = call(k, outer)
+            emit(f"return ({_TAIL}, {tuple_of((a, *outer)[::-1])}, {got})")
         else:  # _NEST
             a = take(2)  # the COND's form and its end
             choose_clause(k, (a, *outer))
             emit(f"raise S(a{a + 1}, {tuple_of((a, *outer))})")
 
-    if choose:
+    if choose == _CALL:
+        emit(f"return {call(items, ())[1]}")
+    elif choose:
         choose_clause(items, ())
         emit(f"return ({_FELL}, {len(items)}, None)")
     else:
         emit(f"return ({''.join([value(k, ()) + ', ' for k in items])})")
-    trailing = _TRAILING if inline else ["T"] if choose else []
+    trailing = _TRAILING if inline else ["T"] if choose == 1 else []
     names = [f"a{a}, " for a in range(count)] + [f"{name}, " for name in trailing]
     head = [f"def run(env, {''.join(names)}):"]
     head += [f"    f{up} = env{'.parent' * up}.values" for up in ups]

@@ -25,6 +25,13 @@ A case is:
   closure itself, to a parameter, to a primitive of the wrong arity or to
   data, nested CONDs, bad truth values, unbound symbols, kernel faults),
   applied several times on both kernels and evaluated at top level;
+- recursive closures whose operands, heads and COND tests are calls,
+  applications whose every item a run can evaluate: to the closure
+  itself and to another closure; to a parameter bound to a closure, to a
+  primitive or to data; to a primitive of the wrong arity; with an
+  unbound head; with an item that faults; applied on both kernels at
+  every cap from 3 to 8, just under and over the heights of their steps,
+  and at ample ones;
 - cli.main run on the corpus programs, on every kernel x dialect x
   --lang (an S-expression file holds the program's translation printed in
   that dialect), and with --max-depth 30; translate on them, and the
@@ -47,10 +54,11 @@ A case is:
   dialect;
 - cyclic pairs made with unsafe_set_tail, through print_sexpr, repr,
   pair_to_list and ==;
-- the random forms, the COND-heavy closures, cli.main run on the corpus
-  and the corpus under meta_eval again, with the kernel's own primitives
-  in place of the recorded ones, so that the runs compute them inline
-  (see evaluator._INLINE): their call list is empty.
+- the random forms, the COND-heavy closures, the closures of calls,
+  cli.main run on the corpus and the corpus under meta_eval again, with
+  the kernel's own primitives in place of the recorded ones, so that the
+  runs compute them inline (see evaluator._INLINE): their call list is
+  empty.
 
 An outcome is the value (closures with their parameters, body and
 environment), or the error's kind, message, trace, kernel error, cause
@@ -273,6 +281,7 @@ class _Side:
     def cases(self, forms):
         yield from self.random_forms(forms)
         yield from self.cond_programs(max(forms // 3, 1))
+        yield from self.call_programs(max(forms // 3, 1))
         yield from self.corpus_runs()
         yield from self.repl_sessions(max(forms // 3, 1))
         yield from self.constant_names()
@@ -282,7 +291,7 @@ class _Side:
         with self._unrecorded():
             for key, text in itertools.chain(
                 self.random_forms(forms), self.cond_programs(max(forms // 3, 1)),
-                self.corpus_runs(),
+                self.call_programs(max(forms // 3, 1)), self.corpus_runs(),
             ):
                 yield f"own/{key}", text
 
@@ -364,6 +373,37 @@ class _Side:
                 for depth in (3, 7, 40):
                     yield (f"cond-top/{n}/{k}/{depth}",
                            self.outcome(lambda: pl.eval_sexpr(body, env, kernel, depth)))
+
+    def call_programs(self, count):
+        # Closures whose operands, heads and COND tests are calls, applied at
+        # caps around the heights of their steps and at ample ones.  K and P
+        # are closures bound above the frame, g a parameter bound to a
+        # closure, a primitive or data.
+        pl = self.pl
+        rng = random.Random(f"calls/{self.seed}")
+        gs = ("lambda[[z]; [atom[z] -> T; T -> F]]", "lambda[[z]; z]", "lambda[[z; w]; z]",
+              "lambda[[z]; first]", "first", "combine", "atom", "(A, B)")
+        above = {
+            "K": "label[k; lambda[[z]; [atom[z] -> z; null[z] -> (); T -> combine[first[z];"
+                 " k[rest[z]]]]]]",
+            "P": "lambda[[z]; [atom[z] -> T; null[z] -> T; T -> F]]",
+        }
+        for n in range(count):
+            text = _call_program(rng)
+            g = rng.choice(gs)
+            for kernel in (pl.Kernel.LIST, pl.Kernel.PAIR):
+                prims = self.prims[kernel].extend([
+                    (pl.Symbol(name), pl.eval_fexpr(pl.read_fexpr(f), self.prims[kernel], kernel))
+                    for name, f in above.items()
+                ])
+                fn = pl.eval_fexpr(pl.read_fexpr(text), prims, kernel)
+                gv = pl.eval_fexpr(pl.read_fexpr(g), prims, kernel)
+                for rep in range(3):
+                    x = self._in(kernel, self.helpers.random_list_value(rng, 3))
+                    y = self._in(kernel, self.helpers.random_list_value(rng, 2))
+                    for depth in (3, 4, 5, 6, 7, 8, 12, 40, 10000):
+                        yield (f"call/{n}/{kernel.value}/{rep}/{depth}",
+                               self.outcome(lambda: pl.apply_fn(fn, [x, y, gv], kernel, depth)))
 
     def corpus_runs(self):
         pl = self.pl
@@ -702,6 +742,49 @@ def _cond_program(rng, depth=2):
         return "[" + "; ".join(clauses) + "]"
 
     return f"label[f1; lambda[[x; y; g]; {cond(depth)}]]"
+
+
+def _call_program(rng):
+    """F-language text of label[f1; lambda[[x; y; g]; COND]], with calls made at random.
+
+    A call is an application whose head and operands a run can evaluate;
+    here each is one to f1 itself, to the closures K and P, to the
+    parameter g, or, one time in five, one that fails: to a primitive or
+    closure of the wrong arity, with an unbound head, or with an item that
+    faults.  They sit among the operands of primitives, of closures and of
+    calls, in the head of an application, and as COND tests; f1 recurses
+    on rest[x], so it ends by a fault, a chosen result or the depth cap.
+    """
+    good = ("f1[rest[x]; y; g]", "f1[rest[x]; first[y]; g]", "k[x]", "k[rest[x]]",
+            "k[combine[x; y]]", "g[x]", "g[first[x]]", "g[x][y]", "p[x]", "p[first[x]]")
+    bad = ("g[x; y]", "first[x; y]", "combine[x]", "zz[x]", "zz[first[x]]",
+           "k[first[first[x]]]", "f1[rest[first[x]]; y; g]", "k[x; y]")
+
+    def call():
+        return rng.choice(bad if rng.random() < 0.2 else good)
+
+    def operand():
+        return call() if rng.random() < 0.7 else rng.choice(("x", "y", "first[x]", "(A)"))
+
+    def result(d):
+        kinds = [
+            lambda: f"combine[{operand()}; {operand()}]", lambda: f"eq[{operand()}; {operand()}]",
+            lambda: f"combine[first[x]; {call()}]", call, lambda: f"k[{call()}]",
+            lambda: f"lambda[[z]; combine[z; z]][{operand()}]", lambda: f"{call()}[{operand()}]",
+        ]
+        if d > 0:
+            kinds.append(lambda: cond(d - 1))
+        return rng.choice(kinds)()
+
+    def cond(d):
+        tests = (call, lambda: "p[k[x]]", lambda: "p[first[x]]", lambda: "T")
+        clauses = [f"{rng.choice(tests)()} -> {result(d)}" for _ in range(rng.randrange(1, 4))]
+        for guard in ("atom[x]", "null[x]"):  # so that more runs end in a value
+            if rng.random() < 0.6:
+                clauses.insert(0, f"{guard} -> {operand()}")
+        return "[" + "; ".join(clauses) + "]"
+
+    return f"label[f1; lambda[[x; y; g]; {cond(1)}]]"
 
 
 if __name__ == "__main__":

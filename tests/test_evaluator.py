@@ -10,14 +10,17 @@ import gc
 import inspect
 import itertools
 import operator
+import os
 import pickle
 import random
+import subprocess
 import sys
 import threading
 import time
 import tracemalloc
 import types
 import weakref
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -25,6 +28,7 @@ from hypothesis import strategies as st
 
 import corpus
 import helpers
+import protolisp
 from protolisp import (
     DEFAULT_MAX_DEPTH,
     NIL,
@@ -1089,8 +1093,9 @@ def _no_get(*args):
 
 
 def _entry(form):
-    """(owner, height, runs): the entry in the cache of form's step (see _resolve)."""
-    return form._node[1][1][0]
+    """(owner, height, runs): the entry in the cache of form's step (see _resolve),
+    without its calls."""
+    return form._node[1][1][0][:3]
 
 
 def _forms_under(*roots):
@@ -2876,3 +2881,111 @@ def test_a_primitive_that_wraps_the_kernels_own_stays_a_call(kernel, monkeypatch
     (source,) = _sources()
     assert ".head if" not in source
     assert _calls_of(own, lambda: apply_fn(fn, [arg], kernel)) == 6  # once a test
+
+
+# A call: an item of an application that is itself an application whose
+# items, head and operands, all have items (see evaluator._call).  The
+# application's step keeps a run for it, beside its runs, which evaluates
+# its items; the loop binds or applies their values, with the call's form
+# on the stack, and never meets the call's own step.
+
+_APPEND = "label[app; lambda[[x; y]; [null[x] -> y; T -> combine[first[x]; {}]]]]"
+
+
+def _call_forms(kernel, body):
+    """(combine, call): combine[first[x]; call], the result of body's second clause."""
+    combine = _parts(kernel, _parts(kernel, body)[2])[1]
+    return combine, _parts(kernel, combine)[2]
+
+
+@pytest.mark.parametrize("kernel", [Kernel.LIST, Kernel.PAIR])
+def test_a_call_among_the_operands_is_bound_and_its_step_never_met(kernel):
+    app = eval_sexpr(program(kernel, _APPEND.format("app[rest[x]; y]")), kernel=kernel)
+    combine, call = _call_forms(kernel, app.body)
+    args = [in_kernel(kernel, read_sexpr(t)) for t in ("(A, B)", "(C)")]
+    assert apply_fn(app, args, kernel) == in_kernel(kernel, read_sexpr("(A, B, C)"))
+    owner, _, runs = _entry(combine)
+    assert owner() is app
+    assert runs[2] is None  # no run among the runs: the call's is beside them
+    assert combine._node[1][1][0][3][2] is not None
+    assert _entry(call)[0]() is None  # the loop never met the call's step
+
+
+@pytest.mark.parametrize("kernel", [Kernel.LIST, Kernel.PAIR])
+@pytest.mark.parametrize("call, kind", [
+    ("app[rest[first[x]]; y]", Fault.KERNEL_FAULT),
+    ("zz[rest[x]; y]", Fault.UNBOUND),
+])
+def test_a_call_that_fails_in_its_items_fails_as_the_universal_function_does(kernel, call, kind):
+    # At the default cap the call's run signals, and the loop never meets
+    # the call's step; at the least cap that gives the same outcome the
+    # run takes the call only if the step fits, and one below it the depth
+    # runs out.  The trace is the universal function's, with the call's
+    # form under what faulted.
+    env = default_env(kernel)
+    text = _APPEND.format(call) + "[(A); ()]"
+    expr = program(kernel, text)
+    got = three_ways(expr, env, kernel, DEFAULT_MAX_DEPTH)
+    body = _parts(kernel, _parts(kernel, _parts(kernel, expr)[0])[2])[2]
+    assert _entry(_call_forms(kernel, body)[1])[0] is evaluator._NO_ENTRY[0]  # never met
+    if kind is Fault.KERNEL_FAULT:
+        rest = "rest" if kernel is Kernel.LIST else "cdr"
+        assert got[:2] == (kind, f"{rest}: undefined on atoms")
+        assert got[2][-2:] == (program(kernel, call), program(kernel, "rest[first[x]]"))
+    else:
+        assert got[:2] == (kind, "unbound symbol: ZZ")
+        assert got[2][-2:] == (program(kernel, call), Symbol("ZZ"))
+    least = next(cap for cap in range(1, 60)
+                 if outcome(eval_sexpr, program(kernel, text), env, kernel, cap) == got)
+    assert three_ways(expr, env, kernel, least) == got
+    assert three_ways(expr, env, kernel, least - 1)[0] is Fault.DEPTH_EXCEEDED
+
+
+_MEMORY_CHILD = """
+from protolisp import eval_sexpr, read_fexpr, translate
+program = translate(read_fexpr("label[f; lambda[[x]; combine[x; f[x]]]][(A)]"))
+try:
+    eval_sexpr(program, max_depth=10**9)
+except MemoryError:
+    room = bytearray({room})  # what the evaluation held is free again
+    print("MemoryError")
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS as on Linux")
+def test_a_recursion_that_exhausts_memory_raises_memory_error():
+    # f[x] is a call among combine's operands, and a cap of 10**9 never
+    # stops it, so memory runs out.  The loop lets go of its frames and
+    # its stack before the MemoryError goes on, so the child's handler has
+    # memory: it allocates a quarter of the cap and prints.  Where the
+    # evaluation's memory is still held, a child hangs, or fails in its
+    # handler, depending on where the allocation failed; so several caps,
+    # two children at a time, each capped in its own process and given
+    # 60 s from its start.
+    import resource  # not on every platform
+
+    def capped(mb):
+        return lambda: resource.setrlimit(resource.RLIMIT_AS, (mb << 20, mb << 20))
+
+    env = dict(os.environ, PYTHONPATH=str(Path(protolisp.__file__).parent.parent))
+    for caps in ((320, 400), (450, 512)):
+        children = [
+            subprocess.Popen(
+                [sys.executable, "-c", _MEMORY_CHILD.format(room=cap << 18)],
+                env=env, preexec_fn=capped(cap),
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            )
+            for cap in caps
+        ]
+        deadline = time.monotonic() + 60
+        try:
+            for cap, child in zip(caps, children):
+                try:
+                    out, err = child.communicate(timeout=max(deadline - time.monotonic(), 0))
+                except subprocess.TimeoutExpired:
+                    pytest.fail(f"still running after 60 s under {cap} MB")
+                assert (child.returncode, out) == (0, "MemoryError\n"), (cap, err[-2000:])
+        finally:
+            for child in children:
+                child.kill()
+                child.wait()
