@@ -26,12 +26,11 @@ before it on that line) begins a new item, so an item that ends a line
 is never applied to a conditional on the next.  Inside brackets, and in
 read_fexpr, such a "[" still applies what precedes it.
 
-The reader takes each token, with the blanks and comments before it, in
-one match of a compiled regex: a word, or a single character.  It keeps
-one frame per open application, conditional clause, abstraction or
-recursion form on its own stack, so any nesting depth reads; an embedded
-(...) constant is read by the S-expression reader at its offset.  Offsets
-become line:column positions only when an error is reported.
+The reader parses the token list of scanner.lex, keeping one frame per
+open application, conditional clause, abstraction or recursion form on
+its own stack, so any nesting depth reads; a MemoryError lets go of
+both first.  An embedded (...) constant is read by the S-expression
+reader from the same token list.
 
 read_fexpr, read_program and print_fexpr run with the cycle collector
 paused (see the values module): an F-expression, like a value, refers
@@ -40,13 +39,12 @@ only to what was made before it.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
 from .errors import ParseErrorKind
-from .scanner import BLANKS, error_at
-from .sexpr import parse_sexpr, print_sexpr
-from .values import Dialect, Symbol, _paused
+from .scanner import bad_start, error_at, read_all, read_one
+from .sexpr import _parse as _parse_sexpr, print_sexpr
+from .values import Dialect, Symbol, _SYMBOLS, _paused
 
 RESERVED_WORDS = frozenset({"lambda", "label"})
 
@@ -107,54 +105,35 @@ class Definition:
 @_paused
 def read_fexpr(text: str):
     """Parse exactly one F-expression from text."""
-    m = _NEXT(text)
-    if not m[1]:
-        raise error_at(text, m.start(1), ParseErrorKind.EMPTY_INPUT)
-    e, pos = _parse(text, m.start(1))
-    m = _NEXT(text, pos)
-    if m[1]:
-        raise error_at(
-            text,
-            m.start(1),
-            ParseErrorKind.TRAILING_INPUT,
-            "text continues after a complete expression",
-        )
-    return e
+    return read_one(text, _parse, False)
 
 
 @_paused
 def read_program(text: str):
     """Parse a program file: a list of Definition and expression items."""
-    items = []
-    pos = 0
-    while True:
-        m = _TOKEN(text, pos)
-        word = m[1]
-        if word and word not in RESERVED_WORDS:
-            eq = _NEXT(text, m.end())
-            if eq[1] == "=":
-                body, pos = _parse(text, eq.end(), item=True)
-                items.append(Definition(word, body))
-                continue
-        elif m[3] == "":
-            return items
-        e, pos = _parse(text, m.start(m.lastindex), item=True)
-        items.append(e)
+    return read_all(text, _item, None)
 
 
-# An identifier, an atom, or else one character ("" at the end of the
-# text); [^\W_] is exactly str.isalnum, so a word that is neither an
-# identifier nor an atom comes as its first character.
-_TOKEN = re.compile(
-    BLANKS + r"(?:([a-z][a-z0-9]*)(?![^\W_])|([A-Z][A-Z0-9]*)(?![^\W_])|(.|))", re.S
-).match
-_NEXT = re.compile(BLANKS + r"(.|)", re.S).match  # the next character
-_WORD = re.compile(r"[^\W_]+").match
+def _item(text, parts, i, _):
+    """The program item at parts[i], and the index of the token after it."""
+    word = parts[i]
+    if _ident(word) and word not in RESERVED_WORDS and parts[i + 2] == "=":
+        body, i = _parse(text, parts, i + 4, True)
+        return Definition(word, body), i
+    return _parse(text, parts, i, True)
+
+
+def _ident(word):
+    """Whether a token is an identifier."""
+    return "a" <= word < "{" and word.isascii() and word.islower()
+
+
 _APP, _TEST, _RESULT, _BODY = range(4)  # the kinds of frame
 
 
-def _parse(text, pos, item=False):
-    """Parse one F-expression at offset pos; return it and the offset after it.
+def _parse(text, parts, i, item=False):
+    """Parse one F-expression from the token parts[i]; return it and the index
+    of the token after it.
 
     Any expression followed by [...] is an application of it, except that
     a top-level item of a program (item) ends before a "[" that begins a
@@ -163,174 +142,143 @@ def _parse(text, pos, item=False):
     parameters or name, the error detail when "]" does not close it].
     """
     stack = []
-    while True:
-        # a primary
-        m = _TOKEN(text, pos)
-        i = m.lastindex
-        tok = m[i]
-        pos = m.end()
-        if i == 1:
-            if tok == "lambda":
-                params, pos = _lambda_head(text, pos)
-                stack.append([_BODY, Lambda, params, "abstraction"])
-                continue
-            if tok == "label":
-                name, pos = _label_head(text, pos)
-                stack.append([_BODY, Label, name, "recursion form"])
-                continue
-            e = Var(tok)
-        elif i == 2:
-            e = Const(Symbol(tok))
-        elif tok == "(":
-            value, pos = parse_sexpr(text, m.start(3), Dialect.AIM8)
-            e = Const(value)
-        elif tok == "[":
-            m = _NEXT(text, pos)
-            if m[1] == "]":
-                raise error_at(
-                    text,
-                    m.start(1),
-                    ParseErrorKind.UNEXPECTED_CHAR,
-                    "a conditional needs at least one clause",
-                )
-            stack.append([_TEST, [], None])
-            continue
-        else:
-            raise _bad_primary(text, m.start(3), tok)
-        # e is complete: apply it to each [...] after it, then give it to
-        # the innermost frame, which may complete in turn
+    try:
         while True:
-            m = _NEXT(text, pos)
-            c = m[1]
-            if c == "[" and (stack or not item or not _begins_line(text, m.start(1))):
-                pos = m.end()
-                m = _NEXT(text, pos)
-                if m[1] == "]":
-                    e = App(e, ())
-                    pos = m.end()
+            # a primary
+            tok = parts[i]
+            i += 2
+            if "a" <= tok < "{" and tok.isascii() and tok.islower():  # _ident(tok)
+                if tok == "lambda":
+                    params, i = _lambda_head(text, parts, i)
+                    stack.append([_BODY, Lambda, params, "abstraction"])
                     continue
-                stack.append([_APP, e, []])
-                break
-            if not stack:
-                return e, pos
-            frame = stack[-1]
-            kind = frame[0]
-            if kind == _APP:
-                frame[2].append(e)
-                if c == ";":
-                    pos = m.end()
-                    break
-                if c != "]":
-                    raise _bad_separator(text, m.start(1), c)
-                e = App(frame[1], tuple(frame[2]))
-            elif kind == _TEST:
-                detail = "expected '->' after the test"
-                pos = _expect(text, m, "-", detail)
-                pos = _expect(text, _NEXT(text, pos), ">", detail)
-                frame[0], frame[2] = _RESULT, e
-                break
-            elif kind == _RESULT:
-                frame[1].append((frame[2], e))
-                if c == ";":
-                    frame[0] = _TEST
-                    pos = m.end()
-                    break
-                if c != "]":
-                    raise _bad_separator(text, m.start(1), c)
-                e = Cond(tuple(frame[1]))
+                if tok == "label":
+                    name, i = _label_head(text, parts, i)
+                    stack.append([_BODY, Label, name, "recursion form"])
+                    continue
+                e = Var(tok)
+            elif tok == "[":
+                if parts[i] == "]":
+                    detail = "a conditional needs at least one clause"
+                    raise error_at(text, parts, i, ParseErrorKind.UNEXPECTED_CHAR, detail)
+                stack.append([_TEST, [], None])
+                continue
+            elif tok == "(":  # a Cut too: the S-expression reader goes on from it
+                value, i = _parse_sexpr(text, parts, i - 2, False)
+                e = Const(value)
+            elif tok in _SYMBOLS or "A" <= tok < "[" and tok.isascii() and tok.isupper():
+                e = Const(Symbol(tok))
             else:
-                _expect(text, m, "]", f"expected ']' closing the {frame[3]}")
-                e = frame[1](frame[2], e)
-            pos = m.end()
-            stack.pop()
+                raise bad_start(text, parts, i - 2, "this notation has no dot", True)
+            # e is complete: apply it to each [...] after it, then give it to its frame
+            while True:
+                c = parts[i]
+                if c == "[" and (stack or not item or "\n" not in parts[i - 1]):
+                    i += 2
+                    if parts[i] == "]":
+                        e = App(e, ())
+                        i += 2
+                        continue
+                    stack.append([_APP, e, []])
+                    break
+                if not stack:
+                    return e, i
+                frame = stack[-1]
+                kind = frame[0]
+                if kind == _APP:
+                    frame[2].append(e)
+                    if c == ";":
+                        i += 2
+                        break
+                    if c != "]":
+                        raise _bad_separator(text, parts, i)
+                    e = App(frame[1], tuple(frame[2]))
+                elif kind == _TEST:
+                    detail = "expected '->' after the test"
+                    i = _expect(text, parts, i, "-", detail)
+                    i = _expect(text, parts, i, ">", detail)
+                    frame[0], frame[2] = _RESULT, e
+                    break
+                elif kind == _RESULT:
+                    frame[1].append((frame[2], e))
+                    if c == ";":
+                        frame[0] = _TEST
+                        i += 2
+                        break
+                    if c != "]":
+                        raise _bad_separator(text, parts, i)
+                    e = Cond(tuple(frame[1]))
+                else:
+                    _expect(text, parts, i, "]", f"expected ']' closing the {frame[3]}")
+                    e = frame[1](frame[2], e)
+                i += 2
+                stack.pop()
+    except MemoryError:  # let go of what the reading holds first
+        parts.clear()
+        stack.clear()
+        raise
 
 
-def _begins_line(text, offset):
-    # Only blanks before offset on its line (a comment runs to the end of
-    # its line, so none can come before offset on the same line).
-    return not text[text.rfind("\n", 0, offset) + 1 : offset].strip()
-
-
-def _bad_primary(text, offset, c):
-    """The error for a character that cannot begin an expression."""
-    if not c:
-        kind, detail = ParseErrorKind.UNBALANCED_PAREN, "unexpected end of input"
-    elif c.isalpha():
-        kind, detail = ParseErrorKind.MIXED_CASE, repr(_WORD(text, offset)[0])
-    elif c == ".":
-        kind, detail = ParseErrorKind.DOT_MISUSE, "this notation has no dot"
-    else:
-        kind, detail = ParseErrorKind.UNEXPECTED_CHAR, repr(c)
-    return error_at(text, offset, kind, detail)
-
-
-def _bad_separator(text, offset, c):
+def _bad_separator(text, parts, i):
     """The error for what follows an element of a [...] list instead of ; or ]."""
-    if not c:
-        return error_at(text, offset, ParseErrorKind.UNBALANCED_PAREN, "unclosed '['")
-    detail = f"{c!r} (expected ';' or ']')"
-    return error_at(text, offset, ParseErrorKind.UNEXPECTED_CHAR, detail)
+    if not parts[i]:
+        return error_at(text, parts, i, ParseErrorKind.UNBALANCED_PAREN, "unclosed '['")
+    detail = f"{parts[i][0]!r} (expected ';' or ']')"
+    return error_at(text, parts, i, ParseErrorKind.UNEXPECTED_CHAR, detail)
 
 
-def _expect(text, m, ch, detail, kind=ParseErrorKind.UNEXPECTED_CHAR):
-    """The offset after m, a _NEXT match, if it found ch; else the error."""
-    if m[1] == ch:
-        return m.end()
-    if not m[1]:
+def _expect(text, parts, i, ch, detail, kind=ParseErrorKind.UNEXPECTED_CHAR):
+    """The index after the token parts[i] if it is ch; else the error."""
+    if parts[i] == ch:
+        return i + 2
+    if not parts[i]:
         kind, detail = ParseErrorKind.UNBALANCED_PAREN, "unexpected end of input"
-    raise error_at(text, m.start(1), kind, detail)
+    raise error_at(text, parts, i, kind, detail)
 
 
-def _param(text, pos, what):
-    """A parameter or label name at pos, and the offset after it."""
-    m = _TOKEN(text, pos)
-    i = m.lastindex
-    word, offset = m[i], m.start(i)
-    if i == 1 and word not in RESERVED_WORDS:
-        return word, m.end()
-    if i == 1:
+def _param(text, parts, i, what):
+    """A parameter or label name at parts[i], and the index after it."""
+    word = parts[i]
+    if _ident(word) and word not in RESERVED_WORDS:
+        return word, i + 2
+    if _ident(word):
         kind, detail = ParseErrorKind.RESERVED_WORD, f"'{word}' cannot name {what}"
-    elif i == 2:
+    elif "A" <= word < "[" and word.isascii() and word.isupper():
         kind = ParseErrorKind.UNEXPECTED_CHAR
         detail = f"{what} must be a lowercase identifier"
-    elif not word or word.isalpha():
-        raise _bad_primary(text, offset, word)
+    elif not word or word[0].isalpha():
+        raise bad_start(text, parts, i, "this notation has no dot", True)
     else:
         kind, detail = ParseErrorKind.UNEXPECTED_CHAR, f"expected {what}"
-    raise error_at(text, offset, kind, detail)
+    raise error_at(text, parts, i, kind, detail)
 
 
-def _lambda_head(text, pos):
-    """Read "[[params];" after lambda; return the parameters and the offset after."""
+def _lambda_head(text, parts, i):
+    """Read "[[params];" after lambda; return the parameters and the index after."""
     detail = "'lambda' is reserved and must open an abstraction"
-    pos = _expect(text, _NEXT(text, pos), "[", detail, ParseErrorKind.RESERVED_WORD)
-    detail = "expected '[' opening the parameter list"
-    pos = _expect(text, _NEXT(text, pos), "[", detail)
+    i = _expect(text, parts, i, "[", detail, ParseErrorKind.RESERVED_WORD)
+    i = _expect(text, parts, i, "[", "expected '[' opening the parameter list")
     params = []
-    m = _NEXT(text, pos)
-    if m[1] == "]":
-        pos = m.end()
-    else:
-        while True:
-            name, pos = _param(text, pos, "a parameter")
-            params.append(name)
-            m = _NEXT(text, pos)
-            pos = m.end()
-            if m[1] == "]":
-                break
-            if m[1] != ";":
-                raise _bad_separator(text, m.start(1), m[1])
+    while params or parts[i] != "]":
+        name, i = _param(text, parts, i, "a parameter")
+        params.append(name)
+        if parts[i] == "]":
+            break
+        if parts[i] != ";":
+            raise _bad_separator(text, parts, i)
+        i += 2
+    i += 2
     detail = "expected ';' between parameter list and body"
-    return tuple(params), _expect(text, _NEXT(text, pos), ";", detail)
+    return tuple(params), _expect(text, parts, i, ";", detail)
 
 
-def _label_head(text, pos):
-    """Read "[name;" after label; return the name and the offset after."""
+def _label_head(text, parts, i):
+    """Read "[name;" after label; return the name and the index after."""
     detail = "'label' is reserved and must open a recursion form"
-    pos = _expect(text, _NEXT(text, pos), "[", detail, ParseErrorKind.RESERVED_WORD)
-    name, pos = _param(text, pos, "a label")
+    i = _expect(text, parts, i, "[", detail, ParseErrorKind.RESERVED_WORD)
+    name, i = _param(text, parts, i, "a label")
     detail = "expected ';' between label name and body"
-    return name, _expect(text, _NEXT(text, pos), ";", detail)
+    return name, _expect(text, parts, i, ";", detail)
 
 
 @_paused

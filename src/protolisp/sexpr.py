@@ -11,16 +11,13 @@ elements in aim8; single spaces, maximal list sugar and a dot only for an
 improper tail in classic.  Reading a canonical printout yields the original
 value, and printing a freshly parsed text is idempotent after one round.
 
-The reader takes each token in one match of a compiled regex, with the
-blanks and comments before it and the comma before it, if any: an atom,
-or a single character.  So an element and the separator in front of it
-cost one match.  A comma is taken only directly after an element of a
-list; anywhere else it is the unexpected character it always was.  The
-reader keeps one frame per open list on its own stack, so any nesting
-depth reads, and works on offsets into the text; a position is worked
-out only for an error.  A closed list becomes its cells, or its pairs,
-in one call of a chain builder of the values module, the one module
-that makes cells; the printers are that module's _text walk.
+The readers parse the token list of scanner.lex, keeping one frame per
+open list on their own stack, so any nesting depth reads; a MemoryError
+lets go of both first.  A comma is taken only directly after an element
+of a list.  A word that runs on past its atom ("Ab", as F-language
+tokens have it) is cut in two there.  A closed list becomes its cells,
+or its pairs, in one call of a chain builder of the values module; the
+printers are that module's _text walk.
 
 read_sexpr, read_sexprs and print_sexpr run with the cycle collector
 paused, as the values module's docstring explains: what they make holds
@@ -34,143 +31,118 @@ run made would otherwise pile up until the run ended.
 import re
 
 from .errors import ParseErrorKind
-from .scanner import BLANKS, error_at
-from .values import NIL, NULL, Dialect, Symbol, _SYMBOLS, _list, _pairs, _text
-from .values import _paused
+from .scanner import Cut, bad_start, error_at, lex, offset, read_all, read_one, window
+from .values import NIL, NULL, Dialect, Symbol, _SYMBOLS, _list, _pairs, _paused, _text
 from .values import CYCLE_MARKER  # noqa: F401  (what the printers write at a cycle)
 
-# The comma before a token, with the blanks after it, if there is one, and
-# the token: an atom, one other character, or "" at the end of the text.
-# Group 1 starts where the blanks before it end, at the comma if any.
-_TOKEN = re.compile(
-    BLANKS + r"((?:," + BLANKS + r")?)([A-Z][A-Z0-9]*|.|)", re.S
-).match
+_ATOM = re.compile(r"[A-Z][A-Z0-9]*").match
 _DOT = object()  # the last element of a classic list whose tail comes next
 
-_END = ParseErrorKind.UNBALANCED_PAREN, "unexpected end of input"
 _UNCLOSED = ParseErrorKind.UNBALANCED_PAREN, "unclosed '('"
 _DOT_FIRST = ParseErrorKind.DOT_MISUSE, "dot before any list element"
 _DOT_LAST = ParseErrorKind.DOT_MISUSE, "dot must be followed by exactly one expression"
 _AFTER_TAIL = ParseErrorKind.DOT_MISUSE, "more than one expression after dot"
 _SEP_CLOSE = ParseErrorKind.UNEXPECTED_CHAR, "')' directly after a separator"
-_COMMA = ParseErrorKind.UNEXPECTED_CHAR, "','"  # a comma where no element ends
 
 
 @_paused
 def read_sexpr(text: str, dialect=Dialect.AIM8):
     """Parse exactly one S-expression from text."""
-    dialect = Dialect(dialect)
-    m = _TOKEN(text)
-    if not (m[1] or m[2]):
-        raise error_at(text, m.start(2), ParseErrorKind.EMPTY_INPUT)
-    value, pos = parse_sexpr(text, m.start(1), dialect)
-    m = _TOKEN(text, pos)
-    if m[1] or m[2]:
-        raise error_at(
-            text,
-            m.start(1),
-            ParseErrorKind.TRAILING_INPUT,
-            "text continues after a complete expression",
-        )
-    return value
+    return read_one(text, _parse, Dialect(dialect) is Dialect.CLASSIC)
 
 
 @_paused
 def read_sexprs(text: str, dialect=Dialect.AIM8):
     """Parse a whole sequence of S-expressions (a .sexp file)."""
-    dialect = Dialect(dialect)
-    values = []
-    pos = 0
-    while True:
-        m = _TOKEN(text, pos)
-        if not (m[1] or m[2]):
-            return values
-        value, pos = parse_sexpr(text, m.start(1), dialect)
-        values.append(value)
+    return read_all(text, _parse, Dialect(dialect) is Dialect.CLASSIC)
 
 
 def parse_sexpr(text: str, pos: int, dialect: Dialect):
-    """Parse one expression at offset pos; return it and the offset after it.
+    """Parse one expression at offset pos; return it and the offset after it."""
+    parts = lex(text, pos)
+    value, i = _parse(text, parts, 1, dialect is Dialect.CLASSIC)
+    return value, offset(text, parts, i - 1)
 
-    Exposed so the F-expression reader can parse embedded constants from
-    the same text.  m is always the match of the token to act on next; a
-    comma in it is taken only where it ends an element of a list.
+
+def _parse(text, parts, i, classic):
+    """Parse one expression from the token parts[i]; return it and the index
+    of the token after it.  fexpr reads its (...) constants with this.
     """
-    classic = dialect is Dialect.CLASSIC
+    get = _SYMBOLS.get
     stack = []  # the elements so far of each open list, innermost last
-    m = _TOKEN(text, pos)
-    if m[1]:
-        raise error_at(text, m.start(1), *_COMMA)
-    while True:
-        tok = m[2]
-        pos = m.end()
-        if "A" <= tok < "[":
-            value = _SYMBOLS.get(tok) or Symbol(tok)
-        elif tok == "(":
-            m = _TOKEN(text, pos)
-            if m[1]:
-                raise error_at(text, m.start(1), *_COMMA)
-            if m[2] != ")":
-                stack.append([])
-                continue
-            value = NIL if classic else NULL
-            pos = m.end()
-        elif tok == "." and classic and stack and _DOT not in stack[-1][-1:]:
-            if not stack[-1]:
-                raise error_at(text, m.start(2), *_DOT_FIRST)
-            m = _TOKEN(text, pos)
-            if m[1]:
-                raise error_at(text, m.start(1), *_COMMA)
-            if m[2] == ")":
-                raise error_at(text, m.start(2), *_DOT_LAST)
-            stack[-1].append(_DOT)
-            continue
-        else:
-            raise _bad_start(text, m.start(2), tok, classic)
-        # value is complete: close each list it completes
-        while stack:
-            items = stack[-1]
-            m = _TOKEN(text, pos)
-            tok = m[2]
-            if classic and items and items[-1] is _DOT:
-                if m[1] or tok != ")":
-                    error = _AFTER_TAIL if m[1] or tok else _UNCLOSED
-                    raise error_at(text, m.start(1), *error)
-                items.pop()  # value is the tail
-            else:
-                items.append(value)
-                while "A" <= tok < "[":  # the atoms after it, one match each
-                    items.append(_SYMBOLS.get(tok) or Symbol(tok))
-                    m = _TOKEN(text, m.end())
-                    tok = m[2]
+    tok = parts[i]
+    try:
+        while True:
+            i += 2
+            if "A" <= tok < "[":
+                value = get(tok)
+                if value is None:  # a new atom, or a word that runs on past one
+                    name = _ATOM(tok)[0]
+                    if name != tok:  # cut it there: the rest begins no expression
+                        parts[i - 2 : i - 1] = name, "", tok[len(name) :]
+                    value = Symbol(name)
+            elif tok == "(":
+                if tok.__class__ is Cut:  # the window ends: go on in the next
+                    parts[:] = window(tok.text, tok.at)
+                    i, tok = 1, parts[1]
+                    continue
+                tok = parts[i]
                 if tok != ")":
-                    if not (tok or m[1]):
-                        raise error_at(text, m.start(2), *_UNCLOSED)
-                    break  # the next element begins with this token
-                if m[1]:
-                    raise error_at(text, m.start(2), *_SEP_CLOSE)
-                value = NIL  # the tail of a classic list without a dot
-            pos = m.end()
-            stack.pop()
-            value = _pairs(items, value) if classic else _list(items)
-        else:
-            return value, pos
-
-
-def _bad_start(text, offset, tok, classic):
-    """The error for a token that cannot begin an expression."""
-    if not tok:
-        kind, detail = _END
-    elif tok == ".":
-        kind = ParseErrorKind.DOT_MISUSE
-        detail = (
-            "a dot cannot begin an expression"
-            if classic
-            else "this dialect has no dot notation"
-        )
-    else:
-        kind, detail = ParseErrorKind.UNEXPECTED_CHAR, repr(tok)
-    return error_at(text, offset, kind, detail)
+                    stack.append([])
+                    continue
+                value = NIL if classic else NULL
+                i += 2
+            elif tok == "." and classic and stack and _DOT not in stack[-1][-1:]:
+                if not stack[-1]:
+                    raise error_at(text, parts, i - 2, *_DOT_FIRST)
+                tok = parts[i]
+                if tok == ")":
+                    raise error_at(text, parts, i, *_DOT_LAST)
+                stack[-1].append(_DOT)
+                continue
+            else:
+                dot = "a dot cannot begin an expression", "this dialect has no dot notation"
+                raise bad_start(text, parts, i - 2, dot[not classic])
+            # value is complete: close each list it completes
+            while stack:
+                items = stack[-1]
+                tok = parts[i]
+                if classic and items and items[-1] is _DOT:
+                    if tok != ")":
+                        raise error_at(text, parts, i, *(_AFTER_TAIL if tok else _UNCLOSED))
+                    items.pop()  # value is the tail
+                else:
+                    items.append(value)
+                    while True:  # the atoms after it, and the comma after each
+                        comma = tok == ","
+                        if comma:
+                            if tok.__class__ is Cut:  # the window ends: go on in the next
+                                parts[:] = window(tok.text, tok.at)
+                                i = 1
+                            i += 2
+                            tok = parts[i]
+                        value = get(tok)
+                        if value is None:
+                            break
+                        items.append(value)
+                        i += 2
+                        tok = parts[i]
+                    if tok != ")":
+                        if not (tok or comma):
+                            raise error_at(text, parts, i, *_UNCLOSED)
+                        break  # the next element begins with this token
+                    if comma:
+                        raise error_at(text, parts, i, *_SEP_CLOSE)
+                    value = NIL  # the tail of a classic list without a dot
+                i += 2
+                stack.pop()
+                value = _pairs(items, value) if classic else _list(items)
+            else:
+                return value, i
+    except MemoryError:  # let go of what the reading holds first
+        parts.clear()
+        stack.clear()
+        raise
 
 
 def print_sexpr(value, dialect=Dialect.AIM8) -> str:

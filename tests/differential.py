@@ -44,10 +44,13 @@ A case is:
   level and as the body of a closure applied by apply_fn, on both
   kernels, and through cli.main run on every kernel x dialect x --lang;
 - the front end alone: seeded S-texts in both dialects and F-texts and
-  programs, each well-formed and with a few characters edited at random,
-  through read_sexpr, read_sexprs, parse_sexpr (value and end offset),
-  read_fexpr, read_program, translate, translate_program, print_sexpr in
-  both dialects, print_fexpr, repr and the kernel conversions;
+  programs, some with messy aim8 constants, two of them long enough to
+  take several of the lexer's windows, each well-formed and with a
+  few characters edited at random (Unicode blanks, letters and digits
+  among them), through read_sexpr, read_sexprs, parse_sexpr (value and
+  end offset, at offset 0 and after a prefix), read_fexpr, read_program,
+  translate, translate_program, print_sexpr in both dialects,
+  print_fexpr, repr and the kernel conversions;
 - values nested 10000 deep, through the first element and through the
   last, as arguments and results of apply_fn, eval_sexpr and meta_eval on
   both kernels, and read and printed by cli.main run on every kernel x
@@ -501,11 +504,17 @@ class _Side:
             texts.append(("classic", pl.print_sexpr(p, pl.Dialect.CLASSIC) if n % 2
                           else h.messy_classic(p, rng)))
             texts.append(("mexpr", pl.print_fexpr(h.random_fexpr(rng, rng.randrange(1, 5)))))
+            messy = h.messy_aim8(h.random_list_value(rng, rng.randrange(1, 5)), rng)
+            texts.append(("mexpr", f"f[{messy};\n{pl.print_fexpr(h.random_fexpr(rng, 2))}]"))
             items = [pl.print_fexpr(h.random_fexpr(rng, rng.randrange(0, 4)))
-                     for _ in range(rng.randrange(1, 5))]
+                     for _ in range(rng.randrange(1, 5))] + [messy]
             texts.append(("program", "\n".join(
                 [f"d{i} = {t}" if rng.random() < 0.5 else t for i, t in enumerate(items)])))
-        texts += [(lang, _mutated(rng, text)) for lang, text in texts]
+        # and texts longer than the lexer's window of 4096 characters
+        longer = [("aim8", "(" + ",\n".join(t for lang, t in texts if lang == "aim8") + ")"),
+                  ("program", "\n".join(t for lang, t in texts if lang == "program"))]
+        texts += longer
+        texts += [(lang, _mutated(rng, text)) for lang, text in texts + longer * 5]
         for n, (lang, text) in enumerate(texts):
             key = f"front/{n}/{lang}"
             if lang == "program":
@@ -531,6 +540,9 @@ class _Side:
                 d = pl.Dialect(lang)
                 yield f"{key}/read", self.outcome(lambda: pl.read_sexpr(text, d))
                 yield f"{key}/parse", self.outcome(lambda: parse_sexpr(text, 0, d))
+                pre = ("x", "A, ", "(\n", "# c\n", "\xa0é²")[n % 5]
+                yield f"{key}/parse-at", self.outcome(
+                    lambda: parse_sexpr(pre + text, len(pre), d))
                 yield f"{key}/reads", self.outcome(lambda: pl.read_sexprs(text + "\n" + text, d))
                 make = lambda: pl.read_sexpr(text, d)  # noqa: E731
             try:  # the value read or translated: print and convert it
@@ -673,7 +685,7 @@ def _mutated(rng, text):
     """text with one to three characters deleted, inserted or replaced."""
     for _ in range(rng.randrange(1, 4)):
         i = rng.randrange(len(text) + 1)
-        c = rng.choice("()[];,.-> #\nAxZ9")
+        c = rng.choice("()[];,.-> #\nAxZ9\r\x0b\xa0\u2028\u3000bé²_")
         edit = rng.randrange(3)
         if edit == 0:
             text = text[:i] + text[i + 1:]

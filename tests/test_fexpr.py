@@ -1,5 +1,7 @@
 """The bracket-and-semicolon program notation."""
 
+import random
+
 import pytest
 from hypothesis import given
 
@@ -225,6 +227,42 @@ def test_read_program_a_bracket_that_begins_a_line_begins_an_item():
     assert read_program("(A)\n[T -> B]") == [Const(ProperList((A,))), t_to_b]
 
 
+def test_read_program_a_bracket_after_a_comment_line_begins_an_item():
+    t_to_b = Cond(((Const(Symbol("T")), Const(B)),))
+    assert read_program("x\r\n# c [x]\r\n[T -> B]") == [Var("x"), t_to_b]
+    assert read_program("x # c\n\t# (A, [\n[T -> B]") == [Var("x"), t_to_b]
+
+
+def test_a_comment_may_hold_any_delimiter():
+    f_of_x_y = App(Var("f"), (Var("x"), Var("y")))
+    for c in "()[],;=":
+        assert read_fexpr(f"f[x; # {c}\n y] # {c}") == f_of_x_y
+        assert read_program(f"g = f[x # {c}\n ; y] # {c}\ng") == [
+            Definition("g", f_of_x_y),
+            Var("g"),
+        ]
+
+
+@pytest.mark.parametrize("window", [1, 5, 64])
+def test_short_windows_read_the_same(monkeypatch, window):
+    # The lexer ends a window before a "(" outside comments this many
+    # characters on or more; the readers lex on from it.
+    from protolisp import scanner
+
+    rng = random.Random(16)
+    texts = [print_fexpr(helpers.random_fexpr(rng, 4)) for _ in range(40)]
+    texts.append("f[(A, # ( (\n (B)); g[(C)] # (\n; ((D))]")
+    program = "\n# a ( comment\n".join(
+        f"d{i} = {t}\n[T -> (A)]" if i % 2 else t for i, t in enumerate(texts))
+
+    def reads():
+        return [read_fexpr(t) for t in texts], read_program(program)
+
+    expected = reads()
+    monkeypatch.setattr(scanner, "_WINDOW", window)
+    assert reads() == expected
+
+
 def test_read_program_a_bracket_inside_a_line_or_brackets_applies():
     f_of_a = App(Var("f"), (Const(A),))
     assert read_program("f [A]") == [f_of_a]
@@ -240,17 +278,14 @@ def test_character_classes_agree_with_str_methods_on_every_code_point():
     # begins with a str.isalpha one.  Only an alphanumeric code point can be
     # in a word, so the start of a word is checked through the reader on
     # those; a class built from \w would differ on, for example, "²".
-    from protolisp.fexpr import _NEXT, _TOKEN, _WORD
+    from protolisp.scanner import lex
 
     mismatches = []
     for cp in range(0x110000):
         c = chr(cp)
-        if c != "#" and (_NEXT(c).start(1) == 1) != c.isspace():
+        if c != "#" and (lex(c) == [c, ""]) != c.isspace():
             mismatches.append(("blank", c))
-        if not ("a" <= c <= "z" or "0" <= c <= "9"):
-            if (_TOKEN("x" + c)[1] == "x") == c.isalnum():
-                mismatches.append(("word boundary", c))
-        if (_WORD("x" + c)[0] == "x" + c) != c.isalnum():
+        if (lex("x" + c)[1] == "x" + c) != c.isalnum():
             mismatches.append(("word", c))
         if c.isalnum() and not c.isascii():
             with pytest.raises(ParseError) as exc:

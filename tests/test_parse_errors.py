@@ -4,11 +4,21 @@ One or more inputs for each place the aim8, classic and F-language readers
 raise a ParseError, including inputs whose error lies across lines, after
 tabs, after "#" comments, after Unicode blanks that do not end a line, and
 at the end of the input.  A word begins with a letter, so a word that
-starts with a digit is an unexpected character ('9x').
+starts with a digit is an unexpected character ('9x').  Last, a reader
+that runs out of memory lets go of what it holds before the MemoryError
+goes on.
 """
+
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import protolisp
+from protolisp import scanner
 from protolisp import (
     Dialect,
     ParseError,
@@ -122,6 +132,39 @@ ERRORS = [
     ('program', 'f\n  [x]', "2:5: unexpected character: expected '->' after the test"),
     ('program', 'g = f # c\n[x -> ]', "2:7: unexpected character: ']'"),
     ('program', '\u3000x\u2028= [T -> (A,\xa0)]', "1:16: unexpected character: ')' directly after a separator"),
+    # A word that runs on past an atom: the S-notation's atom ends at the
+    # first character that is no capital or digit, the F-language's word
+    # only at the first that is not alphanumeric.
+    ('fexpr', 'f[(Ab)]', "1:5: unexpected character: 'b'"),
+    ('fexpr', 'f[Ab]', "1:3: mixed-case identifier: 'Ab'"),
+    ('fexpr', 'f[(AB9x)]', "1:7: unexpected character: 'x'"),
+    ('program', 'x = (Bc)\ny', "1:7: unexpected character: 'c'"),
+    ('fexpr', 'f[x; yZ]', "1:6: mixed-case identifier: 'yZ'"),
+    ('fexpr', 'f[x y2]', "1:5: unexpected character: 'y' (expected ';' or ']')"),
+    ('fexpr', 'lambda[[x; 9y]; x]', '1:12: unexpected character: expected a parameter'),
+    ('fexpr', 'f[A_B]', "1:4: unexpected character: '_' (expected ';' or ']')"),
+    ('aim8', 'Ab', '1:2: trailing input: text continues after a complete expression'),
+    ('aim8', 'AB_C', '1:3: trailing input: text continues after a complete expression'),
+    ('classic', '(X . AB9x)', '1:9: dot misuse: more than one expression after dot'),
+    ('classic', '(A . Bé)', '1:7: dot misuse: more than one expression after dot'),
+    ('aim8', '(A,Bé C)', "1:5: unexpected character: 'é'"),
+    ('aim8', '(A, 9B)', "1:5: unexpected character: '9'"),
+    ('aim8', '(A²)', "1:3: unexpected character: '²'"),
+    ('classics', 'A\nBc', "2:2: unexpected character: 'c'"),
+    # A "(" where no expression may begin, and one in a comment.
+    ('classic', '(A . B (C))', '1:8: dot misuse: more than one expression after dot'),
+    ('aim8', 'A (B)', '1:3: trailing input: text continues after a complete expression'),
+    ('fexpr', 'f[x (A)]', "1:5: unexpected character: '(' (expected ';' or ']')"),
+    ('fexpr', 'f[(A)\n(B)]', "2:1: unexpected character: '(' (expected ';' or ']')"),
+    ('fexpr', '[x (A)]', "1:4: unexpected character: expected '->' after the test"),
+    ('fexpr', 'lambda[(A)]', "1:8: unexpected character: expected '[' opening the parameter list"),
+    ('fexpr', 'lambda[[(A)]; x]', '1:9: unexpected character: expected a parameter'),
+    ('fexpr', 'lambda[[x] (A)]', "1:12: unexpected character: expected ';' between parameter list and body"),
+    ('fexpr', 'label[f (A)]', "1:9: unexpected character: expected ';' between label name and body"),
+    ('fexpr', 'label[f; x (A)]', "1:12: unexpected character: expected ']' closing the recursion form"),
+    ('classics', '(A) # (B\n (C', "2:4: unbalanced parenthesis: unclosed '('"),
+    ('program', 'f[x]\n(A)(B', "2:6: unbalanced parenthesis: unclosed '('"),
+    ('aim8', '(A, # (\n (B,)', "2:5: unexpected character: ')' directly after a separator"),
 ]
 
 
@@ -130,3 +173,73 @@ def test_parse_error_text(reader, text, message):
     with pytest.raises(ParseError) as exc:
         READERS[reader](text)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("window", [1, 2, 7])
+def test_parse_errors_are_the_same_in_short_windows(monkeypatch, window):
+    # The lexer ends a window before a "(" outside comments this many
+    # characters on or more, which reads as that "(" wherever a reader
+    # meets it; where an expression begins, the reader lexes on from it.
+    monkeypatch.setattr(scanner, "_WINDOW", window)
+    for reader, text, message in ERRORS:
+        with pytest.raises(ParseError) as exc:
+            READERS[reader](text)
+        assert str(exc.value) == message, (reader, text)
+
+
+_MEMORY_CHILD = """
+from protolisp import Dialect, read_fexpr, read_sexpr
+depth = ({cap} << 20) // {per}
+text = {opener!r} * depth + "A" + {closer!r} * depth
+try:
+    {read}(text{dialect})
+except MemoryError:
+    room = bytearray({cap} << 18)  # what the reading held is free again
+    print("MemoryError")
+"""
+
+_DEEP = {  # opener, closer, bytes of the cap per level, the call
+    "aim8": ("(", ")", 64, "read_sexpr", ""),
+    "classic": ("(", ")", 64, "read_sexpr", ", Dialect.CLASSIC"),
+    "fexpr": ("f[", "]", 128, "read_fexpr", ""),
+}
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS as on Linux")
+@pytest.mark.parametrize("notation", sorted(_DEEP))
+def test_a_reading_that_exhausts_memory_lets_go_of_it(notation):
+    # The input nests so deep that the reader's stack of open lists does not
+    # fit in the cap.  The reader clears it and its token list before the
+    # MemoryError goes on, so the child's handler has memory: it
+    # allocates a quarter of the cap and prints.  Where the reading's memory
+    # is still held, the handler fails; so two caps, the two children at a
+    # time, each capped in its own process and given 60 s from its start.
+    import resource  # not on every platform
+
+    def capped(mb):
+        return lambda: resource.setrlimit(resource.RLIMIT_AS, (mb << 20, mb << 20))
+
+    opener, closer, per, read, dialect = _DEEP[notation]
+    env = dict(os.environ, PYTHONPATH=str(Path(protolisp.__file__).parent.parent))
+    caps = (320, 512)
+    children = [
+        subprocess.Popen(
+            [sys.executable, "-c", _MEMORY_CHILD.format(
+                cap=cap, per=per, opener=opener, closer=closer, read=read, dialect=dialect)],
+            env=env, preexec_fn=capped(cap),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        for cap in caps
+    ]
+    deadline = time.monotonic() + 60
+    try:
+        for cap, child in zip(caps, children):
+            try:
+                out, err = child.communicate(timeout=max(deadline - time.monotonic(), 0))
+            except subprocess.TimeoutExpired:
+                pytest.fail(f"still running after 60 s under {cap} MB")
+            assert (child.returncode, out) == (0, "MemoryError\n"), (cap, err[-2000:])
+    finally:
+        for child in children:
+            child.kill()
+            child.wait()

@@ -61,6 +61,50 @@ def test_comments_run_to_end_of_line():
     assert vals == [A, B]
 
 
+def test_parse_sexpr_gives_the_offset_after_the_expression():
+    from protolisp.sexpr import parse_sexpr
+
+    assert parse_sexpr("  (A, B)  # c\n", 0, Dialect.AIM8) == (ProperList((A, B)), 8)
+    assert parse_sexpr("xx (A . B) C", 2, Dialect.CLASSIC) == (Pair(A, B), 10)
+    # the ")" in the comment closes nothing
+    assert parse_sexpr("(A # c )\n B)", 0, Dialect.AIM8) == (ProperList((A, B)), 12)
+    assert parse_sexpr("(A # c )\n B)", 0, Dialect.CLASSIC) == (Pair(A, Pair(B, NIL)), 12)
+
+
+def test_a_comment_may_hold_any_delimiter():
+    for c in "()[],;.":
+        text = f"(A, # {c}\n B) # {c}"
+        assert read_sexpr(text) == ProperList((A, B))
+        assert read_sexpr(text, Dialect.CLASSIC) == Pair(A, Pair(B, NIL))
+        assert read_sexprs(text + "\nC") == [ProperList((A, B)), C]
+
+
+@pytest.mark.parametrize("window", [1, 5, 64])
+def test_short_windows_read_the_same(monkeypatch, window):
+    # The lexer ends a window before a "(" outside comments this many
+    # characters on or more; the readers lex on from it.
+    from protolisp import scanner
+    from protolisp.sexpr import parse_sexpr
+
+    rng = random.Random(15)
+    aim8 = [helpers.messy_aim8(helpers.random_list_value(rng, 5), rng) for _ in range(40)]
+    aim8.append("(A, # ( ((\n (B, (C)) # (\n, ((D)))")
+    classic = [helpers.messy_classic(helpers.random_pair_value(rng, 5), rng) for _ in range(40)]
+
+    def reads():
+        return (
+            [read_sexpr(t) for t in aim8],
+            [read_sexpr(t, Dialect.CLASSIC) for t in classic],
+            read_sexprs("\n".join(aim8)),
+            read_sexprs(" ".join(classic), Dialect.CLASSIC),
+            [parse_sexpr("A (" + t + " (B)", 3, Dialect.AIM8) for t in aim8],
+        )
+
+    expected = reads()
+    monkeypatch.setattr(scanner, "_WINDOW", window)
+    assert reads() == expected
+
+
 def test_aim8_rejects_dots():
     with pytest.raises(ParseError) as exc:
         read_sexpr("(A . B)")
