@@ -59,30 +59,30 @@ height of the stack of expressions under evaluation with the form on
 top.  A closure body and a COND's chosen result need no frame; their
 value is the form's.
 
-An application and a COND are steps.  An application's items are its
-head and its operands, head first, evaluated alike, left to right, as
-the universal function evaluates them.  Where the loop meets a step in
-a closure's environment, it first resolves it (see below): it describes
-each item or test that can be evaluated in place.  A symbol and a
-quoted constant can; an unbound symbol is described too, by the error
-it raises.  So can a plan: an application of one or two operands that
-can, whose head is a symbol bound to a primitive of that arity, in a
-tree at most eight high.  Most of the universal function is primitives
-applied to primitives, eq[first[e]; QUOTE], first[rest[rest[fn]]], and a
-plan applies such a tree in one go: the superinstruction of Piumarta and
+An application and a COND are steps.  An application's items are its head
+and its operands, head first, evaluated alike, left to right, as the
+universal function evaluates them.  Where the loop meets a step in a
+closure's environment, it first resolves it (see below): it describes
+each item or test that can be evaluated in place.  A symbol and a quoted
+constant can; an unbound symbol is described too, by the error it
+raises.  So can a plan: an application of one or two operands that can,
+whose head is a symbol bound to a primitive of that arity, in a tree at
+most eight high.  Most of the universal function is primitives applied to
+primitives, eq[first[e]; QUOTE], first[rest[rest[fn]]], and a plan
+applies such a tree in one go: the superinstruction of Piumarta and
 Riccardi ("Optimizing direct threaded code by selective inlining", PLDI
 1998), chosen here by the bindings rather than by the form alone.  The
 items are cut at each that has no run, such as a LAMBDA head, or
 append's app[rest[x]; y] in combine[first[x]; app[rest[x]; y]], and each
 run of up to eight items between cuts becomes one Python function of
 straight-line code, which reads each symbol at its address and applies
-each primitive in turn.  It calls a primitive's function,
-unless that is one of the kernel's own, FIRST, REST, CAR, CDR, ATOM, EQ
-or NULL: their type test and field read are inline in the run's code,
-which calls the function, on the same line, only where the test fails,
-as Chambers and Ungar's customized code does ("Customization: optimizing
-compiler technology for SELF", PLDI 1989).  Those are pure and a frame
-never changes, so a tree of them over addresses alone, first[e] say, is
+each primitive in turn.  It calls a primitive's function, unless that is
+one of the kernel's own, FIRST, REST, CAR, CDR, ATOM, EQ or NULL: their
+type test and field read are inline in the run's code, which calls the
+function, on the same line, only where the test fails, as Chambers and
+Ungar's customized code does ("Customization: optimizing compiler
+technology for SELF", PLDI 1989).  Those are pure and a frame never
+changes, so a tree of them over addresses alone, first[e] say, is
 computed once in a run, and its value serves every later place in the
 run that it reaches only through that computation, the later tests of a
 COND and the result its test chooses.  For an application it gives the
@@ -92,13 +92,23 @@ the COND's value; an application whose items all can be is a tail exit,
 whose items the run evaluates, for the loop to push the form and bind or
 apply, as Steele's "Lambda: the ultimate GOTO" (MIT AI Memo 443, 1977)
 has a tail call be a jump with arguments; a nested COND whose tests can
-be folds into the run the same way; any other result the loop goes on
-with, as it goes on with the result of every test it evaluates itself
-that gives T.  An application's item that is a call, an application
-whose items all can be evaluated in place, as a tail exit's can, such
-as app[rest[x]; y] above, is taken the same way: the step keeps, beside
-its runs, a run of the call's own that evaluates those items, with the
-text a tail exit's items get.  Its text is made from the
+be folds into the run the same way.  A tail exit to the closure's own
+LABEL name, with as many operands as it has parameters, from a COND that
+is the closure's body, is a jump back into that body, as LABEL's
+recursion is in McCarthy's universal function: the run makes the call's
+frame itself, as _Interp._bind would, and goes on from its first test,
+where the COND has one run for all its tests and leaves no result to the
+loop.  A result that is an application whose first item without a run is
+a call, append's combine[first[x]; app[rest[x]; y]], is held: the run
+evaluates its items up to and including the call's, and the loop pushes
+the result's form and its frame as though it had met the result's step
+and suspended there, and binds or applies the call.  Any other result the
+loop goes on with, as it goes on with the result of every test it
+evaluates itself that gives T.  An application's item that is a call, an
+application whose items all can be evaluated in place, as a tail exit's
+can, such as app[rest[x]; y] above, is taken the same way: the step
+keeps, beside its runs, a run of the call's own that evaluates those
+items, with the text a tail exit's items get.  Its text is made from the
 run's shape alone, the addresses, the kinds of leaf and of result and
 the arities, and compiled once per shape; the primitives, constants and
 forms are its arguments, never its text.  The loop calls the runs up to
@@ -106,33 +116,40 @@ the first item that has none.  There the step suspends: the loop pushes
 its frame, and either goes on with that item, or, where it is a call,
 calls the call's run, pushes the call's form and binds or applies the
 head's value, as at a tail exit, so that it never meets the call's own
-step; it resumes the step in place when the value comes back.  Meeting
-a step and resuming it are one block of the loop, which takes the step
-on from its next item, with no value or with that item's; when the
-values are complete it binds the head's closure's parameters and goes
-on with its body, or calls the head's primitive, in the one place that
-binds or applies.
+step; it resumes the step in place when the value comes back.  Meeting a
+step and resuming it are one block of the loop, which takes the step on
+from its next item, with no value or with that item's; when the values
+are complete it binds the head's closure's parameters and goes on with
+its body, or calls the head's primitive, in the one place that binds or
+applies.
 
-A run pushes nothing on the stack of expressions under evaluation: its
-nesting is fixed, and the height the step's runs reach, chosen results
-included, is checked against the depth cap before any is called.  Where
-it does not fit, the loop evaluates each item, test or result itself,
-checking the cap at each.  Where a primitive faults, a symbol is
-unbound, a test gives no truth value or a nested COND runs out of
-clauses inside a run, the run raises a signal with the forms the loop
-would have had on its stack there, which it finds from the line the
-fault is on, and the loop rebuilds the trace from that path: what the
-trace costs is paid on the raise, not on the way in, as with the
-zero-cost exceptions of CPython 3.11.  A result the loop goes on with,
-and a tail exit, come back with the forms the loop would have pushed on
-the way, which it pushes.  So the order, the errors and the traces are
-those of the universal function, and so are the calls of every primitive
-that can be observed, a wrapped or counting one or any other that is not
-the kernel's own: those are inlined, and one over the same addresses is
-computed once per run, which no program can tell.  There is no
-tail-call elimination: a form stays on the stack until the body or
-result it goes on with has its value, as in the universal function, so
-the depth, where it runs out and every trace stay the same.
+A run's nesting is fixed, and the height the step's runs reach, chosen
+results included, and a held result's own runs above its form, is
+checked against the depth cap before any is called.  Where it does not
+fit, the loop evaluates each item, test or result itself, checking the
+cap at each.  A run pushes on the stack of expressions under evaluation
+only where it loops: each turn pushes what the loop would have, the
+nested COND forms the call is in, the call's form and the body, and
+takes the turn only where the body's runs fit under the cap above them;
+where they do not, the run hands the call back as a tail exit, so the
+loop pushes, binds and runs out of depth as it always does.  Where a
+primitive faults, a symbol is unbound, a test gives no truth value or a
+nested COND runs out of clauses inside a run, the run raises a signal
+with the forms the loop would have had on its stack there, which it
+finds from the line the fault is on, and the loop rebuilds the trace
+from that path: what the trace costs is paid on the raise, not on the
+way in, as with the zero-cost exceptions of CPython 3.11; after a turn,
+the forms the turns pushed are under that path, as they would be in the
+loop.  A result the loop goes on with, a held result and a tail exit come
+back with the forms the loop would have pushed on the way, which it
+pushes.  So the order, the errors and the traces are those of the
+universal function, and so are the calls of every primitive that can be
+observed, a wrapped or counting one or any other that is not the
+kernel's own: those are inlined, and one over the same addresses is
+computed once per run, which no program can tell.  There is no tail-call
+elimination: a form stays on the stack until the body or result it goes
+on with has its value, as in the universal function, so the depth, where
+it runs out and every trace stay the same.
 
 A step keeps what it resolved, per owning closure: the inline cache of
 Deutsch and Schiffman ("Efficient implementation of the Smalltalk-80
@@ -219,11 +236,13 @@ _FOLD_TESTS = 32
 
 # What a COND's run gives, (how, x, y) (see _source): _FELL, x tests gave
 # F; _VALUE, the COND's value x; _GO, push the forms x and go on with y;
-# _TAIL, push x and apply y, (the head's value, the operands' values).  The
-# loop takes an application's runs as _FELL where an item has none, and as
-# _TAIL once every item has its value (see _Interp.run).  _NEST, beside
-# them, is the kind of a result that is a COND the run folds (see _exit).
-_FELL, _VALUE, _GO, _TAIL, _NEST = range(5)
+# _TAIL, push x and apply y, (the head's value, the operands' values);
+# _HOLD, push x, then a frame of a result's step, and apply its call (see
+# _Interp.run).  The loop takes an application's runs as _FELL where an
+# item has none, and as _TAIL once every item has its value.  _NEST and
+# _LOOP, beside them, are the kinds of a result that is a COND the run
+# folds and of a tail call the run loops on (see _exit).
+_FELL, _VALUE, _GO, _TAIL, _NEST, _LOOP, _HOLD = range(7)
 
 # The choose of a call's shape, beside 0 and 1, an application's operands
 # and a COND's clauses (see _run).
@@ -464,33 +483,42 @@ class _Interp:
         """The value of expr in env.
 
         Each expression is pushed on self.stack and evaluated: a symbol, a
-        quoted constant and a LAMBDA at once, an application or a COND as
-        a step (see _resolve), a LABEL by its body.  One block advances a
-        step from its next item, i: a step the loop has just met enters it
-        at item 0 with no value, and a frame it resumes enters it with the
-        value of its item i.  There the loop calls the step's runs, from
-        item i up to the next item that has none, and takes one outcome,
-        (how, x, y), as a COND's run gives it (see _source); an
-        application's is _FELL where an item has no run, and _TAIL, with
-        no forms to push, once every item has its value.  At _FELL the
-        step suspends in a frame, (step, env, runs, calls, done, level):
-        runs and calls are what _resolve gave the step (all None outside a
-        closure or over the cap, and the loop evaluates every item), done
-        is an application's values so far, a list, or a COND's next test,
-        and level is len(self.stack) with the form on top, to which the
-        stack is cut back when the frame resumes; a LABEL's frame is
-        (name, env, None, None, None, level).  Where the item has a call,
-        the call's run gives (head, operands), and the outcome is _TAIL
-        with the call's form to push, as at a COND's tail exit; otherwise
-        the loop goes on with the item.  Where a test that frame resumes
-        with gives T, the outcome is _GO to its clause's result.  At _TAIL
-        the head's value is bound or applied, in the one place that does
-        it.  A step that finishes where it starts makes no list and no
-        frame.  A MemoryError lets go of the frames and the stack before
-        it goes on, so that whatever handles it has memory to do so.  A
-        form's node is the one it keeps from an earlier evaluation, in
-        this run or another, or is made now (see _analyse).  A _Signal
-        from a run becomes its EvalError here, with the trace rebuilt.
+        quoted constant and a LAMBDA at once, an application or a COND as a
+        step (see _resolve), a LABEL by its body.  One block advances a step
+        from its next item, i: a step the loop has just met enters it at
+        item 0 with no value, and a frame it resumes enters it with the
+        value of its item i.  There the loop calls the step's runs, from item
+        i up to the next item that has none, and takes one outcome, (how, x,
+        y), as a COND's run gives it (see _source); an application's is
+        _FELL where an item has no run, and _TAIL, with no forms to push,
+        once every item has its value.  At _FELL the step suspends in a
+        frame, (step, env, runs, calls, done, level): runs and calls are
+        what _resolve gave the step (all None outside a closure or over the
+        cap, and the loop evaluates every item), done is an application's
+        values so far, a list, or a COND's next test, and level is
+        len(self.stack) with the form on top, to which the stack is cut back
+        when the frame resumes; a LABEL's frame is (name, env, None, None,
+        None, level).  Where the item has a call, the call's run gives (head,
+        operands), and the outcome is _TAIL with the call's form to push, as
+        at a COND's tail exit; otherwise the loop goes on with the
+        item.  Where a test that frame resumes with gives T, the outcome is
+        _GO to its clause's result.  A COND's run is called with the stack
+        and room, the highest level at which its step's runs fit under the
+        cap, so that it may loop (see _source); room is stale in a COND
+        frame resumed, whose runs never loop, since a COND that loops has
+        one run for all its tests and is never suspended.  After a turn the
+        loop's env and level are stale: a run that loops gives only _VALUE,
+        _TAIL, _HOLD or _FELL with no test left, which read neither.  At
+        _HOLD the loop pushes the forms, then a frame of the result's step
+        in the env the run ended in, over the values of its items before the
+        call, then goes on as at _TAIL with the call's form.  At _TAIL the
+        head's value is bound or applied, in the one place that does it.  A
+        step that finishes where it starts makes no list and no frame.  A
+        MemoryError lets go of the frames and the stack before it goes on,
+        so that whatever handles it has memory to do so.  A form's node is
+        the one it keeps from an earlier evaluation, in this run or another,
+        or is made now (see _analyse).  A _Signal from a run becomes its
+        EvalError here, with the trace rebuilt.
         """
         frames = []
         stack = self.stack
@@ -521,7 +549,8 @@ class _Interp:
                         owner = env.owner
                         if ref() is not owner is not None:
                             height, runs, calls = _resolve(step, env, kernel)
-                        if owner is None or level + height > max_depth:
+                        room = max_depth - height
+                        if owner is None or level > room:
                             runs = calls = (None,) * len(forms)  # the loop takes all
                         value = _NO_VALUE
                     elif kind == _CONSTANT:
@@ -580,7 +609,9 @@ class _Interp:
                                 run = runs[i]
                                 if run is None:
                                     break
-                                how, x, y = run(env)
+                                # room is stale in a resumed frame, whose runs
+                                # never loop: a COND that loops has one run.
+                                how, x, y = run(env, stack, room)
                                 if how != _FELL:
                                     break
                                 i += x
@@ -597,6 +628,11 @@ class _Interp:
                             expr = forms[i]
                             break
                         how, y, x = _TAIL, call(env), (forms[i],)
+                    elif how == _HOLD:  # the result's frame, then its call
+                        step, runs, calls, done, form, fn, args, env = y
+                        stack += x
+                        frames.append((step, env, runs, calls, done, len(stack)))
+                        how, x, y = _TAIL, (form,), (fn, args)
                     if how == _TAIL:  # the head's value, then the operands'
                         stack += x
                         fn, args = y
@@ -823,6 +859,11 @@ def _resolve(step, env, kernel):
     the first item the loop would push itself, so that a step on the cap
     leaves the cap to the loop.  Only bindings are read, in one walk of
     the items and the results that describes them and builds their shape.
+    A COND's tail calls to its owner loop (see _exit) only where the COND
+    is the owner's body, one run takes all its tests, at most _RUN_ITEMS,
+    and no result, nested ones included, is left to the loop (_GO): after
+    a turn, any other outcome would meet the loop's stale environment and
+    level.  Where that fails they are tail exits (see _tails).
 
     Every environment of one owner is a frame of the owner's parameters,
     then its LABEL name if it has one, over the environment it captured,
@@ -843,9 +884,12 @@ def _resolve(step, env, kernel):
     params = owner.params
     height, runs, calls = 1, [], [None] * len(forms)
     shape, objs, budget = [1 if choice else 0], [], _FOLD_TESTS
+    loop = choice and _analyse(owner.body, kernel)[1] is step
     for j, x in enumerate(forms):
         item, reach = _get(x, _PLAN_HEIGHT + 1, env, params, kernel)
         if item is None or len(shape) > _RUN_ITEMS:
+            if loop:  # no one run takes every test: its tail calls stay tail exits
+                shape[1:], loop = _tails(shape[1:]), False
             if len(shape) > 1:  # the items so far make a run
                 runs += [_run(shape, objs)] * (len(shape) - 1)
                 del shape[1:], objs[:]
@@ -860,7 +904,7 @@ def _resolve(step, env, kernel):
             continue
         if choice:  # the clause's result, taken in the run that picks it
             got, got_reach, tests = _exit(
-                choice[0][j], _PLAN_HEIGHT + 1, env, params, kernel, budget
+                choice[0][j], _PLAN_HEIGHT + 1, env, params, kernel, budget, loop
             )
             budget -= tests
             item = (item[0], got[0]), item[1] + got[1]
@@ -869,6 +913,8 @@ def _resolve(step, env, kernel):
         objs += item[1]
         if reach > height:
             height = reach
+    if loop and _GO in _kinds(shape[1:], set()):  # a result left to the loop
+        shape[1:] = _tails(shape[1:])
     if len(shape) > 1:
         runs += [_run(shape, objs)] * (len(shape) - 1)
     cache[0] = weakref.ref(owner), height, runs, calls
@@ -943,20 +989,26 @@ def _get(x, room, env, params, kernel):
     return (shape, (prim.fn, x) + first[1] + last[1]), max(reach, first_reach) + 1
 
 
-def _exit(x, room, env, params, kernel, budget):
+def _exit(x, room, env, params, kernel, budget, loop):
     """(item, reach, tests): how a run takes x, the result of a COND's clause.
 
     item is ((kind, shape), objs), as _get's (shape, objs), and kind is:
 
     - _VALUE where x has an item (see _get), whose shape and objs it is;
       a quoted constant's is read off the form (see _quoted);
-    - _TAIL for an application whose items, head and operands, at most
-      _RUN_ITEMS + 1, all have items: shape is the shape of each, objs x
-      then theirs;
+    - _TAIL for a call (see _call): shape is the shape of each item, objs
+      x then theirs;
+    - _LOOP, as _TAIL, for a call whose head is the owner's LABEL name,
+      at its address (0, len(params)) (a parameter that shadows it has a
+      lower index), with len(params) operands, where loop is true: the
+      COND is its owner's body, so the run goes on from its first test in
+      the frame the call makes (see _source);
     - _NEST for a COND whose tests all have items, at most budget of them
       with those of the CONDs its results fold in turn: shape holds (shape
       of its test, (kind, shape) of its result) per clause, objs are x,
       its end (see _clauses), then each test's objs and result's;
+    - _HOLD for an application whose first item without a run is a call
+      (see _hold);
     - _GO, shape None and objs (x,), where the loop evaluates x.
 
     A nested COND's tests and results have one level less of room, so the
@@ -974,8 +1026,12 @@ def _exit(x, room, env, params, kernel, budget):
     go = ((_GO, None), (x,)), 0, 0
     item, reach = _call(x, room, env, params, kernel)
     if item is not None:
-        return ((_TAIL, item[0]), item[1]), reach, 0
+        shape = item[0]
+        own = loop and shape[0] == (0, len(params)) and len(shape) == len(params) + 1
+        return ((_LOOP if own else _TAIL, shape), item[1]), reach, 0
     kind, step, _ = _analyse(x, kernel)
+    if kind == _APPLY:
+        return _hold(x, step, env, params, kernel) or go
     if kind != _CHOOSE or room < 2 or not 0 < len(step[0]) <= budget:
         return go
     tests, _, (results, end) = step
@@ -984,12 +1040,63 @@ def _exit(x, room, env, params, kernel, budget):
         item, t_reach = _get(test, room - 1, env, params, kernel)
         if item is None:
             return go
-        got, r_reach, more = _exit(result, room - 1, env, params, kernel, budget - used)
+        got, r_reach, more = _exit(result, room - 1, env, params, kernel, budget - used, loop)
         used += more
         clauses.append((item[0], got[0]))
         objs += item[1] + got[1]
         reach = max(reach, t_reach, r_reach)
     return ((_NEST, tuple(clauses)), tuple(objs)), reach + 1, used
+
+
+def _hold(x, step, env, params, kernel):
+    """(item, reach, 0) of x, a COND's result held in the run that picks it, or None.
+
+    x is an application, and step its step, resolved for env's owner here
+    if it is not yet (see _resolve).  x is held where its first item
+    without a run, at most the _RUN_ITEMS + 1st, is a call: item is
+    ((_HOLD, (shapes of the items before it, shapes of the call's items)),
+    objs), and objs are x, step, its runs and calls, then the items' objs
+    and the call's (see _call).  The run evaluates those items, and the
+    loop pushes x and a frame of step over their values, as it would at
+    x's item i, and applies the call (see _Interp.run): the frame resumes
+    with the call's value on the runs step has.  reach is 1 + step's
+    height, so that those runs fit under the cap wherever the COND's do.
+    """
+    ref, height, runs, calls = step[1][0]
+    if ref() is not env.owner:
+        height, runs, calls = _resolve(step, env, kernel)
+    if None not in runs:
+        return None
+    i = runs.index(None)
+    if i > _RUN_ITEMS or calls[i] is None:
+        return None
+    forms = step[0]
+    shape, objs = [], [x, step, runs, calls]
+    for o in forms[:i]:
+        item, _ = _get(o, _PLAN_HEIGHT + 1, env, params, kernel)
+        shape.append(item[0])
+        objs += item[1]
+    item, _ = _call(forms[i], _PLAN_HEIGHT + 1, env, params, kernel)
+    return ((_HOLD, (tuple(shape), item[0])), (*objs, *item[1])), height + 1, 0
+
+
+def _kinds(clauses, into):
+    """into, with the kind of each result of clauses, those of nested CONDs too."""
+    for _, (kind, k) in clauses:
+        into.add(kind)
+        if kind == _NEST:
+            _kinds(k, into)
+    return into
+
+
+def _tails(clauses):
+    """clauses, as _exit describes them, with each _LOOP result a _TAIL."""
+    out = []
+    for test, (kind, k) in clauses:
+        if kind == _NEST:
+            k = _tails(k)
+        out.append((test, (_TAIL if kind == _LOOP else kind, k)))
+    return tuple(out)
 
 
 def _call(x, room, env, params, kernel):
@@ -1053,10 +1160,10 @@ def _run(shape, objs):
     operands (see _call); objs are the items' objs, a call's after its
     form.  The code of a shape is compiled once (see _source) and kept in
     _RUNS, as a run whose parameters have no defaults; the run is that
-    code made a function whose parameters after env default to objs, then
-    to the values of _TRAILING that its text names after them, or that
-    run itself where there are none, as where every operand is a symbol,
-    so such runs are made once.
+    code made a function whose parameters after env, and a COND's stack
+    and room, default to objs, then to the values of _TRAILING that its
+    text names after them, or that run itself where there are none, as
+    where every operand is a symbol, so such runs are made once.
     """
     shape = tuple(shape)
     run = _RUNS.get(shape)
@@ -1073,7 +1180,8 @@ def _run(shape, objs):
                     _RUNS.popitem()
                 _RUNS[shape] = run
     code = run.__code__
-    trailing = code.co_varnames[len(objs) + 1:code.co_argcount]
+    lead = 3 if shape[0] == 1 else 1  # env, and a COND's stack and room
+    trailing = code.co_varnames[len(objs) + lead:code.co_argcount]
     objs = (*objs, *[_TRAILING[name] for name in trailing])
     if not objs:
         return run
@@ -1081,7 +1189,9 @@ def _run(shape, objs):
 
 
 # The only names a run reads beyond its parameters.
-_RUN_GLOBALS = {"S": _Signal, "E": KernelError, "F": F, "N": Fault.BAD_TRUTH_VALUE}
+_RUN_GLOBALS = {
+    "S": _Signal, "E": KernelError, "F": F, "N": Fault.BAD_TRUTH_VALUE, "NEW": _NEW, "V": Env,
+}
 
 # The parameters a run may have after the objs, with their defaults: T for
 # a COND's run, which tells T by it, and all of them for a run that
@@ -1093,41 +1203,51 @@ _TRAILING = {"T": T, "NULL": NULL, "NIL": NIL, "L": ProperList, "P": Pair, "Y": 
 def _source(shape):
     """The Python source of the runs of shape (see _run).
 
-    It defines run(env, a0, a1, ...), whose parameters after env are the
-    objs of the items, then T where a test is told from it, or all the
-    names of _TRAILING where a primitive is computed inline.  The run
-    reads each frame it needs once, then evaluates the items in order,
-    one primitive to a line, and reads each address inline.  A primitive
-    with a code (see _INLINE) is its text, over names: an address it
-    reads is read into a local first.  known maps the shape of each
-    address so read, and of each such plan whose operands are known, to
+    It defines run(env, a0, a1, ...), whose parameters after env (and a
+    COND's stack and room) are the objs of the items, then T where a test is
+    told from it, or all the names of _TRAILING where a primitive is
+    computed inline.  The run reads each frame it needs once, then evaluates
+    the items in order, one primitive to a line, and reads each address
+    inline.  A primitive with a code (see _INLINE) is its text, over names:
+    an address it reads is read into a local first.  known maps the shape of
+    each address so read, and of each such plan whose operands are known, to
     the name of its value, for as long as the line that computed it is on
     every way to the line being made: up to the end of the block of a
-    clause's result, or to the end of the run.  A plan found there is
-    not computed again; that is safe, since those primitives are pure and
-    the frames never change, so it gives the same value and cannot fault
-    where the line that computed it did not.  An application's run
-    returns the items' values.  A COND's run returns (how, x, y): (_FELL,
-    the number of its tests, None) when every test gave F; (_VALUE, the
-    value, None); (_GO, forms, form), the loop pushes the forms, outermost
-    first, and goes on with form; or (_TAIL, forms, (head, operands)), the
-    loop pushes the forms and binds or applies the head's value to the
-    operands' values.  A call's run returns (head, operands), in the text
-    a tail exit's gets; the loop pushes the call's form once it returns,
-    and the forms of a _Signal from it start with that form.  Every item,
-    a tail exit's or a call's head included, is read by value(), in
-    order, so an unbound head signals before an operand is evaluated.
-    The text is made from the shape alone, so from ints: no symbol,
-    constant or form is ever part of it.  An unbound symbol, a test that
-    gives no truth value and a nested COND out of clauses raise their
-    _Signal where they are met; one except clause turns a KernelError
-    into its _Signal, with the forms the loop would have pushed above the
-    step's form, innermost first, found by the line the call that raised
-    is on.
+    clause's result, or to the end of the run.  A plan found there is not
+    computed again; that is safe, since those primitives are pure and the
+    frames never change, so it gives the same value and cannot fault where
+    the line that computed it did not.  An application's run returns the
+    items' values.  A COND's run, run(env, stack, room, a0, ...), returns
+    (how, x, y): (_FELL, the number of its tests, None) when every test gave
+    F; (_VALUE, the value, None); (_GO, forms, form), the loop pushes the
+    forms, outermost first, and goes on with form; (_TAIL, forms, (head,
+    operands)), the loop pushes the forms and binds or applies the head's
+    value to the operands' values; or (_HOLD, forms, (step, runs, calls,
+    values, form, head, operands, env)) for a held result (see _hold), whose
+    forms end with the result's: the loop pushes them and a frame of step in
+    env over values, the items' before the call's form, and applies the call
+    as at _TAIL.  A COND whose results loop is one while loop, which reads
+    the innermost frame at the top of each turn; those above it are the
+    owner's captured ones, the same in every turn.  At a _LOOP result, where
+    the level after this turn's pushes is at most room, it pushes the forms
+    the loop would have, the nested CONDs' and the call's, then the owner's
+    body, which is this COND, makes the call's frame as _Interp._bind makes
+    it, and turns; elsewhere it returns the call as _TAIL.  A call's run
+    returns (head, operands), in the text a tail exit's gets; the loop
+    pushes the call's form once it returns, and the forms of a _Signal from
+    it start with that form.  Every item, a tail exit's or a call's head
+    included, is read by value(), in order, so an unbound head signals
+    before an operand is evaluated.  The text is made from the shape alone,
+    so from ints: no symbol, constant or form is ever part of it.  An unbound
+    symbol, a test that gives no truth value and a nested COND out of
+    clauses raise their _Signal where they are met; one except clause turns
+    a KernelError into its _Signal, with the forms the loop would have
+    pushed above the step's form, innermost first, found by the line the
+    call that raised is on.
     """
     choose, *items = shape
     lines, paths, ups, known = [], {}, [], {}
-    count, pad, inline = 0, "", False
+    count, pad, inline, loops = 0, "", False, False
 
     def emit(line):
         lines.append(pad + line)
@@ -1188,29 +1308,49 @@ def _source(shape):
             emit(f"if t is not F: raise S((N, t), {tuple_of(outer)})")
 
     def call(k, outer):
-        # (a, text): the call's form is a{a}, and text is (head, operands),
-        # the values of its items k, after the lines that compute them.
+        # (a, head, operands): the call's form is a{a}, head the value of
+        # its item k[0] and operands the text of the tuple of the others',
+        # after the lines that compute them.
         a = take(1)
         values = [value(o, (a, *outer)) for o in k]
-        return a, f"({values[0]}, ({''.join([f'{v}, ' for v in values[1:]])}))"
+        return a, values[0], f"({''.join([f'{v}, ' for v in values[1:]])})"
 
     def take_result(result, outer):
         # Lines that return the outcome of a chosen result, or raise.
+        nonlocal loops
         kind, k = result
         if kind == _VALUE:
             emit(f"return ({_VALUE}, {value(k, outer)}, None)")
         elif kind == _GO:
             emit(f"return ({_GO}, {tuple_of(outer[::-1])}, a{take(1)})")
-        elif kind == _TAIL:
-            a, got = call(k, outer)
-            emit(f"return ({_TAIL}, {tuple_of((a, *outer)[::-1])}, {got})")
+        elif kind == _TAIL or kind == _LOOP:
+            a, head, operands = call(k, outer)
+            forms = (a, *outer)[::-1]
+            if kind == _LOOP:  # the next turn, in the frame _bind would make
+                loops = True
+                emit(f"if len(stack) <= room - {len(forms) + 1}:")
+                emit(f"    stack += ({''.join([f'a{f}, ' for f in forms])}{head}.body)")
+                emit(f"    env = NEW(V, (env.names, ({operands[1:-1]}{head},),"
+                     f" env.parent, {head}))")
+                emit("    continue")
+            emit(f"return ({_TAIL}, {tuple_of(forms)}, ({head}, {operands}))")
+        elif kind == _HOLD:
+            before, k = k
+            a = take(4)  # the result's form, its step, runs and calls
+            outer = (a, *outer)
+            done = "".join([f"{value(o, outer)}, " for o in before])
+            c, head, operands = call(k, outer)
+            frame = f"a{a + 1}, a{a + 2}, a{a + 3}, [{done}]"
+            emit(f"return ({_HOLD}, {tuple_of(outer[::-1])},"
+                 f" ({frame}, a{c}, {head}, {operands}, env))")
         else:  # _NEST
             a = take(2)  # the COND's form and its end
             choose_clause(k, (a, *outer))
             emit(f"raise S(a{a + 1}, {tuple_of((a, *outer))})")
 
     if choose == _CALL:
-        emit(f"return {call(items, ())[1]}")
+        _, head, operands = call(items, ())
+        emit(f"return ({head}, {operands})")
     elif choose:
         choose_clause(items, ())
         emit(f"return ({_FELL}, {len(items)}, None)")
@@ -1218,8 +1358,11 @@ def _source(shape):
         emit(f"return ({''.join([value(k, ()) + ', ' for k in items])})")
     trailing = _TRAILING if inline else ["T"] if choose == 1 else []
     names = [f"a{a}, " for a in range(count)] + [f"{name}, " for name in trailing]
-    head = [f"def run(env, {''.join(names)}):"]
-    head += [f"    f{up} = env{'.parent' * up}.values" for up in ups]
+    head = [f"def run(env, {'stack, room, ' if choose == 1 else ''}{''.join(names)}):"]
+    head += [f"    f{up} = env{'.parent' * up}.values" for up in ups if up or not loops]
+    if loops:  # each turn reads its own frame; those above are the same
+        lines = ["while True:", "    f0 = env.values"] + [f"    {line}" for line in lines]
+        paths = {n + 2: p for n, p in paths.items()}
     if paths:  # the line of each call, in the text, and its forms
         base = len(head) + 1
         where = ", ".join([f"{base + n}: {tuple_of(p)}" for n, p in paths.items()])

@@ -44,35 +44,41 @@ def translate(e) -> ProperList:
     them _CLOSE over a count: _CLOSE, then k, makes the last k forms in
     out into one list.  No caller has _CLOSE, so anything else that is no
     F-expression, an int included, is refused.  Names are checked in the
-    order the expression is written.
+    order the expression is written.  A MemoryError lets go of todo and
+    out first, so that whatever handles it has memory to do so.
     """
     todo, out = [e], []
-    while todo:
-        e = todo.pop()
-        if e is _CLOSE:
-            k = todo.pop()
-            out[-k:] = [ProperList(out[-k:])]
-        elif isinstance(e, Var):
-            out.append(name_symbol(e.name))
-        elif isinstance(e, Const):
-            out.append(ProperList((_QUOTE, e.value)))
-        elif isinstance(e, App):
-            todo += (1 + len(e.args), _CLOSE)
-            todo.extend(reversed(e.args))
-            todo.append(e.fn)
-        elif isinstance(e, Cond):
-            out.append(_COND)
-            todo += (1 + len(e.clauses), _CLOSE)
-            for test, result in reversed(e.clauses):
-                todo += (2, _CLOSE, result, test)
-        elif isinstance(e, Lambda):
-            out += (_LAMBDA, ProperList(tuple(name_symbol(p) for p in e.params)))
-            todo += (3, _CLOSE, e.body)
-        elif isinstance(e, Label):
-            out += (_LABEL, name_symbol(e.name))
-            todo += (3, _CLOSE, e.body)
-        else:
-            raise TypeError(f"not an F-expression: {e!r}")
+    try:
+        while todo:
+            e = todo.pop()
+            if e is _CLOSE:
+                k = todo.pop()
+                out[-k:] = [ProperList(out[-k:])]
+            elif isinstance(e, Var):
+                out.append(name_symbol(e.name))
+            elif isinstance(e, Const):
+                out.append(ProperList((_QUOTE, e.value)))
+            elif isinstance(e, App):
+                todo += (1 + len(e.args), _CLOSE)
+                todo.extend(reversed(e.args))
+                todo.append(e.fn)
+            elif isinstance(e, Cond):
+                out.append(_COND)
+                todo += (1 + len(e.clauses), _CLOSE)
+                for test, result in reversed(e.clauses):
+                    todo += (2, _CLOSE, result, test)
+            elif isinstance(e, Lambda):
+                out += (_LAMBDA, ProperList(tuple(name_symbol(p) for p in e.params)))
+                todo += (3, _CLOSE, e.body)
+            elif isinstance(e, Label):
+                out += (_LABEL, name_symbol(e.name))
+                todo += (3, _CLOSE, e.body)
+            else:
+                raise TypeError(f"not an F-expression: {e!r}")
+    except MemoryError:  # let go of what the walk holds first
+        todo.clear()
+        out.clear()
+        raise
     return out[0]
 
 

@@ -300,93 +300,101 @@ def _text(v, dialect=None):
     reaches it, and closes with ")" at NIL, " . A)" at another atom and
     " . #cycle)" at a pair already on the path.  A pair's repr frame stays
     at the pair, with None in place of ids until its tail is reached; its
-    pair is on the path while it is open.
+    pair is on the path while it is open.  A MemoryError lets go of the
+    stack, the path and the text so far first, so that whatever handles it
+    has memory to do so.
     """
     out, path, frames = [], set(), []
     aim8, classic = dialect is Dialect.AIM8, dialect is Dialect.CLASSIC
-    while True:
-        # write v, opening each compound value down its first heads
+    try:
         while True:
-            cls = v.__class__
-            if cls is Symbol:
-                out.append(v.name)
-            elif cls is ProperList and not classic:
-                if v is NULL:
-                    out.append("()")
-                else:
-                    out.append("(")
-                    frames.append([v, None])
-                    v = v.head
-                    continue
-            elif cls is Pair and not aim8:
-                if id(v) in path:
-                    out.append(CYCLE_MARKER)
-                else:
-                    path.add(id(v))
-                    out.append("(")
-                    frames.append([v, [id(v)] if classic else None])
-                    v = v.head
-                    continue
-            elif dialect is None:
-                out.append(repr(v))
-            else:
-                raise _mismatch(v, dialect)
-            break
-        # v is written: write the atoms after it up to the next compound
-        # element, which becomes v, closing each frame that ends on the way
-        while frames:
-            frame = frames[-1]
-            at = frame[0]
-            if at.__class__ is ProperList:
-                at = at.tail
-                while at is not NULL:
-                    out.append(", ")
-                    v = at.head
-                    if v.__class__ is not Symbol:
-                        break
+            # write v, opening each compound value down its first heads
+            while True:
+                cls = v.__class__
+                if cls is Symbol:
                     out.append(v.name)
-                    at = at.tail
-                else:
-                    out.append(")")
-                    frames.pop()
-                    continue
-            elif classic:
-                ids = frame[1]
-                at = at.tail
-                while at.__class__ is Pair and (i := id(at)) not in path:
-                    path.add(i)
-                    ids.append(i)
-                    out.append(" ")
-                    v = at.head
-                    if v.__class__ is not Symbol:
-                        break
-                    out.append(v.name)
-                    at = at.tail
-                else:
-                    if at.__class__ is Pair:
-                        out.append(f" . {CYCLE_MARKER})")
-                    elif at is NIL:
-                        out.append(")")
-                    elif at.__class__ is Symbol:
-                        out.append(f" . {at.name})")
+                elif cls is ProperList and not classic:
+                    if v is NULL:
+                        out.append("()")
                     else:
-                        raise _mismatch(at, dialect)
-                    path.difference_update(ids)
+                        out.append("(")
+                        frames.append([v, None])
+                        v = v.head
+                        continue
+                elif cls is Pair and not aim8:
+                    if id(v) in path:
+                        out.append(CYCLE_MARKER)
+                    else:
+                        path.add(id(v))
+                        out.append("(")
+                        frames.append([v, [id(v)] if classic else None])
+                        v = v.head
+                        continue
+                elif dialect is None:
+                    out.append(repr(v))
+                else:
+                    raise _mismatch(v, dialect)
+                break
+            # v is written: write the atoms after it up to the next compound
+            # element, which becomes v, closing each frame that ends on the way
+            while frames:
+                frame = frames[-1]
+                at = frame[0]
+                if at.__class__ is ProperList:
+                    at = at.tail
+                    while at is not NULL:
+                        out.append(", ")
+                        v = at.head
+                        if v.__class__ is not Symbol:
+                            break
+                        out.append(v.name)
+                        at = at.tail
+                    else:
+                        out.append(")")
+                        frames.pop()
+                        continue
+                elif classic:
+                    ids = frame[1]
+                    at = at.tail
+                    while at.__class__ is Pair and (i := id(at)) not in path:
+                        path.add(i)
+                        ids.append(i)
+                        out.append(" ")
+                        v = at.head
+                        if v.__class__ is not Symbol:
+                            break
+                        out.append(v.name)
+                        at = at.tail
+                    else:
+                        if at.__class__ is Pair:
+                            out.append(f" . {CYCLE_MARKER})")
+                        elif at is NIL:
+                            out.append(")")
+                        elif at.__class__ is Symbol:
+                            out.append(f" . {at.name})")
+                        else:
+                            raise _mismatch(at, dialect)
+                        path.difference_update(ids)
+                        frames.pop()
+                        continue
+                elif frame[1] is None:  # a pair's repr, its head written
+                    frame[1] = ()
+                    out.append(" . ")
+                    v = at.tail
+                else:  # a pair's repr, its tail written
+                    out.append(")")
+                    path.discard(id(at))
                     frames.pop()
                     continue
-            elif frame[1] is None:  # a pair's repr, its head written
-                frame[1] = ()
-                out.append(" . ")
-                v = at.tail
-            else:  # a pair's repr, its tail written
-                out.append(")")
-                path.discard(id(at))
-                frames.pop()
-                continue
-            frame[0] = at
-            break
-        else:
-            return "".join(out)
+                frame[0] = at
+                break
+            else:
+                return "".join(out)
+    except MemoryError:  # let go of what the walk holds first
+        out.clear()
+        path.clear()
+        frames.clear()
+        raise
 
 
 def _mismatch(v, dialect):
@@ -563,7 +571,8 @@ def list_to_pair(v):
     ordinary atom named NIL land on the pair-kernel atom NIL.
 
     The walk keeps its own stack, so any nesting depth converts.  Items
-    are converted last first, each chain built from its end.
+    are converted last first, each chain built from its end.  A
+    MemoryError lets go of the stack and the chains so far first.
     """
     if not isinstance(v, ProperList):
         if isinstance(v, Symbol):
@@ -571,27 +580,32 @@ def list_to_pair(v):
         raise TypeError(f"not a list-kernel value: {v!r}")
     stack = []  # (items left, chain so far) of each enclosing sequence
     items, out = reversed([*_heads(v)]), NIL
-    while True:
-        for x in items:
-            if x.__class__ is Symbol:
-                pair = _PairCell()  # Pair(x, out), inlined
-                pair.head, pair.tail = x, out
+    try:
+        while True:
+            for x in items:
+                if x.__class__ is Symbol:
+                    pair = _PairCell()  # Pair(x, out), inlined
+                    pair.head, pair.tail = x, out
+                    pair.__class__ = Pair
+                    out = pair
+                elif x.__class__ is ProperList:
+                    stack.append((items, out))
+                    items, out = reversed([*_heads(x)]), NIL
+                    break
+                else:
+                    raise TypeError(f"not a list-kernel value: {x!r}")
+            else:
+                if not stack:
+                    return out
+                items, chain = stack.pop()
+                pair = _PairCell()
+                pair.head, pair.tail = out, chain
                 pair.__class__ = Pair
                 out = pair
-            elif x.__class__ is ProperList:
-                stack.append((items, out))
-                items, out = reversed([*_heads(x)]), NIL
-                break
-            else:
-                raise TypeError(f"not a list-kernel value: {x!r}")
-        else:
-            if not stack:
-                return out
-            items, chain = stack.pop()
-            pair = _PairCell()
-            pair.head, pair.tail = out, chain
-            pair.__class__ = Pair
-            out = pair
+    except MemoryError:  # let go of what the walk holds first
+        stack.clear()
+        items = out = chain = pair = None
+        raise
 
 
 @_paused
@@ -605,42 +619,49 @@ def pair_to_list(v):
 
     The walk keeps its own stack, so any nesting depth converts.  The
     pairs of the open chains are the path: a pair met again on it is a
-    cycle, while a pair shared by two subtrees is not.
+    cycle, while a pair shared by two subtrees is not.  A MemoryError lets
+    go of the stack, the path and the lists so far first.
     """
     path, stack = set(), []
     # The innermost open chain: its converted heads, the ids of its pairs,
     # and the pair whose head is being converted.
     items = ids = pair = None
-    while True:
-        if isinstance(v, Pair):
-            stack.append((items, ids, pair))
-            items, ids, node = [], [], v
-        else:
-            if not isinstance(v, Symbol):
-                raise TypeError(f"not a pair-kernel value: {v!r}")
-            out = NULL if v is NIL else v
-            while True:  # out is a converted head: move along its chain
-                if items is None:
-                    return out
-                items.append(out)
-                node = pair.tail
-                if isinstance(node, Pair):
-                    break
-                if not isinstance(node, Symbol):
-                    raise TypeError(f"not a pair-kernel value: {node!r}")
-                if node is not NIL:
-                    raise ImproperStructureError(
-                        f"tail chain ends at atom {node.name}, not NIL"
-                    )
-                path.difference_update(ids)
-                out = _list(items)
-                items, ids, pair = stack.pop()
-        # node is the next pair of the innermost chain: convert its head
-        if id(node) in path:
-            raise CyclicStructureError("cycle in pair structure")
-        path.add(id(node))
-        ids.append(id(node))
-        pair, v = node, node.head
+    try:
+        while True:
+            if isinstance(v, Pair):
+                stack.append((items, ids, pair))
+                items, ids, node = [], [], v
+            else:
+                if not isinstance(v, Symbol):
+                    raise TypeError(f"not a pair-kernel value: {v!r}")
+                out = NULL if v is NIL else v
+                while True:  # out is a converted head: move along its chain
+                    if items is None:
+                        return out
+                    items.append(out)
+                    node = pair.tail
+                    if isinstance(node, Pair):
+                        break
+                    if not isinstance(node, Symbol):
+                        raise TypeError(f"not a pair-kernel value: {node!r}")
+                    if node is not NIL:
+                        raise ImproperStructureError(
+                            f"tail chain ends at atom {node.name}, not NIL"
+                        )
+                    path.difference_update(ids)
+                    out = _list(items)
+                    items, ids, pair = stack.pop()
+            # node is the next pair of the innermost chain: convert its head
+            if id(node) in path:
+                raise CyclicStructureError("cycle in pair structure")
+            path.add(id(node))
+            ids.append(id(node))
+            pair, v = node, node.head
+    except MemoryError:  # let go of what the walk holds first
+        path.clear()
+        stack.clear()
+        items = ids = out = None
+        raise
 
 
 def unsafe_set_tail(pair: Pair, tail) -> None:

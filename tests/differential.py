@@ -32,6 +32,12 @@ A case is:
   unbound head; with an item that faults; applied on both kernels at
   every cap from 3 to 8, just under and over the heights of their steps,
   and at ample ones;
+- recursive closures whose COND results mix tail calls to the closure's
+  own LABEL name, which its run loops on, with results that wrap a call,
+  which it holds, and with plain values, nested CONDs, tests left to the
+  loop, a parameter that shadows the LABEL name, a self call of the
+  wrong arity and items that fault; applied on both kernels at every cap
+  from 3 to 8, and at 12, 40 and 10000;
 - cli.main run on the corpus programs, on every kernel x dialect x
   --lang (an S-expression file holds the program's translation printed in
   that dialect), and with --max-depth 30; translate on them, and the
@@ -57,8 +63,9 @@ A case is:
   dialect;
 - cyclic pairs made with unsafe_set_tail, through print_sexpr, repr,
   pair_to_list and ==;
-- the random forms, the COND-heavy closures, the closures of calls,
-  cli.main run on the corpus and the corpus under meta_eval again, with
+- the random forms, the COND-heavy closures, the closures of calls and
+  of loops, cli.main run on the corpus and the corpus under meta_eval
+  again, with
   the kernel's own primitives in place of the recorded ones, so that the
   runs compute them inline (see evaluator._INLINE): their call list is
   empty.
@@ -285,6 +292,7 @@ class _Side:
         yield from self.random_forms(forms)
         yield from self.cond_programs(max(forms // 3, 1))
         yield from self.call_programs(max(forms // 3, 1))
+        yield from self.loop_programs(max(forms // 3, 1))
         yield from self.corpus_runs()
         yield from self.repl_sessions(max(forms // 3, 1))
         yield from self.constant_names()
@@ -294,7 +302,8 @@ class _Side:
         with self._unrecorded():
             for key, text in itertools.chain(
                 self.random_forms(forms), self.cond_programs(max(forms // 3, 1)),
-                self.call_programs(max(forms // 3, 1)), self.corpus_runs(),
+                self.call_programs(max(forms // 3, 1)), self.loop_programs(max(forms // 3, 1)),
+                self.corpus_runs(),
             ):
                 yield f"own/{key}", text
 
@@ -406,6 +415,33 @@ class _Side:
                     y = self._in(kernel, self.helpers.random_list_value(rng, 2))
                     for depth in (3, 4, 5, 6, 7, 8, 12, 40, 10000):
                         yield (f"call/{n}/{kernel.value}/{rep}/{depth}",
+                               self.outcome(lambda: pl.apply_fn(fn, [x, y, gv], kernel, depth)))
+
+    def loop_programs(self, count):
+        # Closures whose runs loop on their own tail calls and hold results
+        # that wrap a call, applied at caps around the heights of their
+        # steps and at ample ones.  K is a closure bound above the frame,
+        # g a parameter bound to a closure, a primitive or data.
+        pl = self.pl
+        rng = random.Random(f"loops/{self.seed}")
+        gs = ("lambda[[z]; [atom[z] -> T; T -> F]]", "lambda[[z]; z]", "first", "(A, B)")
+        k = ("label[k; lambda[[z]; [atom[z] -> z; null[z] -> (); T -> combine[first[z];"
+             " k[rest[z]]]]]]")
+        for n in range(count):
+            text = _loop_program(rng)
+            g = rng.choice(gs)
+            for kernel in (pl.Kernel.LIST, pl.Kernel.PAIR):
+                prims = self.prims[kernel]
+                prims = prims.extend([(pl.Symbol("K"), pl.eval_fexpr(pl.read_fexpr(k), prims, kernel))])
+                fn = pl.eval_fexpr(pl.read_fexpr(text), prims, kernel)
+                gv = pl.eval_fexpr(pl.read_fexpr(g), prims, kernel)
+                for rep in range(3):
+                    # A list of up to eight elements, so that f1 recurses for a while.
+                    x = [rng.choice(("A", "B", "(A)", "(B, C)")) for _ in range(rng.randrange(9))]
+                    x = self._in(kernel, pl.read_sexpr("(" + ", ".join(x) + ")"))
+                    y = self._in(kernel, self.helpers.random_list_value(rng, 2))
+                    for depth in (3, 4, 5, 6, 7, 8, 12, 40, 10000):
+                        yield (f"loop/{n}/{kernel.value}/{rep}/{depth}",
                                self.outcome(lambda: pl.apply_fn(fn, [x, y, gv], kernel, depth)))
 
     def corpus_runs(self):
@@ -797,6 +833,52 @@ def _call_program(rng):
         return "[" + "; ".join(clauses) + "]"
 
     return f"label[f1; lambda[[x; y; g]; {cond(1)}]]"
+
+
+def _loop_program(rng):
+    """F-language text of label[f1; lambda[[x; y; g]; COND]], whose run may loop.
+
+    Its results are tail calls to f1 itself, which the run loops on, or
+    of the wrong arity; applications that wrap a call, to f1, K or g,
+    which the run holds, with items after the call that read the frame;
+    plain values and nested CONDs; one time in eight a result or test
+    that the loop takes, a result whose items fault, or, for the whole
+    COND, a parameter named f1 that shadows the LABEL name.  f1 recurses
+    on rest[x], so it ends by a fault, a chosen result or the depth cap.
+    """
+    own = ("f1[rest[x]; y; g]", "f1[rest[x]; combine[x; y]; g]", "f1[rest[x]; first[x]; g]")
+    holds = ("combine[first[x]; f1[rest[x]; y; g]]", "combine[f1[rest[x]; y; g]; x]",
+             "eq[f1[rest[x]; y; g]; y]", "combine[k[x]; f1[rest[x]; x; g]]",
+             "combine[g[x]; y]", "combine[first[x]; combine[k[y]; x]]")
+    odd = ("f1[rest[x]; y]", "f1[rest[first[x]]; y; g]", "lambda[[z]; z][x]",
+           "lambda[[z]; combine[z; y]][first[x]]",
+           "combine[first[first[x]]; f1[rest[x]; y; g]]",
+           "lambda[[z]; z][f1[rest[x]; y; g]]", "combine[x; k[y]][f1[rest[x]; y; g]]")
+
+    def result(d):
+        kinds = [lambda: rng.choice(own), lambda: rng.choice(holds),
+                 lambda: rng.choice(("x", "y", "first[x]", "(A)", "combine[x; y]"))]
+        if rng.random() < 0.125:
+            return rng.choice(odd)
+        if d > 0:
+            kinds.append(lambda: cond(d - 1))
+        return rng.choice(kinds)()
+
+    def cond(d):
+        tests = ("atom[first[x]]", "eq[first[x]; A]", "null[y]", "atom[y]", "T",
+                 "g[x]" if rng.random() < 0.125 else "null[rest[x]]")
+        clauses = [f"{rng.choice(tests)} -> {result(d)}" for _ in range(rng.randrange(1, 4))]
+        end = rng.choice(("y", "x", "(A)", "combine[k[y]; x]", "eq[x; y]"))
+        clauses.insert(0, f"null[x] -> {rng.choice(odd) if rng.random() < 0.125 else end}")
+        if rng.random() < 0.7:
+            clauses.append(f"T -> {rng.choice(own)}")
+        return "[" + "; ".join(clauses) + "]"
+
+    params = "x; y; f1" if rng.random() < 0.125 else "x; y; g"
+    body = cond(1)
+    if params.endswith("f1"):
+        body = body.replace("g[", "f1[").replace("; g]", "; f1]")
+    return f"label[f1; lambda[[{params}]; {body}]]"
 
 
 if __name__ == "__main__":

@@ -5,11 +5,17 @@ little library programs and for the evaluator, and hypothesis strategies.
 """
 
 import itertools
+import os
 import random
+import subprocess
+import sys
+import time
 from dataclasses import replace
+from pathlib import Path
 
 import hypothesis.strategies as st
 
+import protolisp
 from protolisp import (
     DEFAULT_MAX_DEPTH,
     NIL,
@@ -40,6 +46,63 @@ ALPHABET3 = (A, B, C)
 _ATOM_NAMES = ("A", "B", "C", "X1", "Y2", "LONGATOM9")
 _NIL_FREE_NAMES = tuple(n for n in _ATOM_NAMES if n != "NIL")
 _IDENT_NAMES = ("x", "y", "z", "fn1", "g", "acc")
+
+
+# ---------------------------------------------------------------- memory
+
+
+# A walk that exhausts memory in a child capped at {cap} MB: the child
+# builds its input (make), {depth} levels of a value or F-expression each
+# of whose compound parts holds the one below twice, so that it is small
+# while what a walk makes of it doubles with each level, and the walk
+# (walk) runs out of memory on it.  The walk must let go of what it holds
+# before the MemoryError goes on, so that the child's handler can allocate
+# a quarter of the cap.
+MEMORY_CHILD = """
+from protolisp import *
+from protolisp.fexpr import App, Var
+A, depth = Symbol("A"), {depth}
+{make}
+try:
+    {walk}
+except MemoryError:
+    room = bytearray({cap} << 18)  # what the walk held is free again
+    print("MemoryError")
+"""
+
+
+def capped_children(sources, timeout=60):
+    """(cap, returncode, stdout, stderr) of each {cap: source} child, run at once.
+
+    Each child runs source with python -c, its address space capped at cap
+    MB (RLIMIT_AS, as on Linux), and the protolisp under test on its path;
+    all of them together get timeout seconds from their start, and one
+    still running then is killed, with returncode None.
+    """
+    import resource  # not on every platform
+
+    def capped(mb):
+        return lambda: resource.setrlimit(resource.RLIMIT_AS, (mb << 20, mb << 20))
+
+    env = dict(os.environ, PYTHONPATH=str(Path(protolisp.__file__).parent.parent))
+    children = [
+        (cap, subprocess.Popen([sys.executable, "-c", source], env=env, preexec_fn=capped(cap),
+                               stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True))
+        for cap, source in sources.items()
+    ]
+    deadline, done = time.monotonic() + timeout, []
+    try:
+        for cap, child in children:
+            try:
+                out, err = child.communicate(timeout=max(deadline - time.monotonic(), 0))
+                done.append((cap, child.returncode, out, err))
+            except subprocess.TimeoutExpired:
+                done.append((cap, None, "", "still running"))
+    finally:
+        for _, child in children:
+            child.kill()
+            child.wait()
+    return done
 
 
 # ---------------------------------------------------------------- random

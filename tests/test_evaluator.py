@@ -671,9 +671,9 @@ def spied():
     def counted_run(shape, objs):
         run = make(shape, objs)
 
-        def counted(env):
+        def counted(*args):
             counts["runs"] += 1
-            return run(env)
+            return run(*args)
 
         return counted
 
@@ -2329,7 +2329,7 @@ _COND_CASES = [
      "(B)", "()", evaluator._NEST),
     ("[atom[x] -> [eq[x; A] -> B; T -> C]; T -> [null[x] -> A; T -> first[x]]]",
      "A", "()", evaluator._NEST),
-    ("[null[x] -> A; T -> rec[rest[x]; g]]", "(B, C)", "()", evaluator._TAIL),
+    ("[null[x] -> A; T -> rec[rest[x]; g]]", "(B, C)", "()", evaluator._LOOP),
     ("[atom[x] -> g[x]; T -> A]", "B", "lambda[[y]; combine[y; ()]]", evaluator._TAIL),
     ("[atom[x] -> g[x]; T -> A]", "B", "lambda[[y; z]; y]", evaluator._TAIL),
     ("[T -> g[x]]", "(A, B)", "first", evaluator._TAIL),
@@ -2345,8 +2345,8 @@ _COND_CASES = [
      "lambda[[y]; atom[first[y]]]", None),
     # Faults inside a folded result, a bad truth value and an exhausted COND.
     ("[T -> first[first[x]]]", "(A)", "()", evaluator._VALUE),
-    ("[T -> rec[first[first[x]]; g]]", "(A)", "()", evaluator._TAIL),
-    ("[T -> rec[combine[first[x]; first[first[x]]]; g]]", "(A)", "()", evaluator._TAIL),
+    ("[T -> rec[first[first[x]]; g]]", "(A)", "()", evaluator._LOOP),
+    ("[T -> rec[combine[first[x]; first[first[x]]]; g]]", "(A)", "()", evaluator._LOOP),
     ("[T -> [first[first[x]] -> A]]", "(A)", "()", evaluator._NEST),
     ("[T -> [T -> first[first[x]]]]", "(A)", "()", evaluator._NEST),
     ("[T -> [F -> A; T -> [T -> rest[first[x]]]]]", "(A)", "()", evaluator._NEST),
@@ -2524,14 +2524,17 @@ def test_a_dotted_quote_result_is_malformed_as_under_the_loop():
 
 def test_the_meta_evaluators_conds_fold_their_tail_calls_and_nested_conds():
     # metaeval is one COND whose first two results are CONDs and whose
-    # clauses end in tail calls: a run takes them all, and the values are
-    # the loop's.
+    # clauses end in tail calls or in applications that wrap a call, such
+    # as atom[metaeval[...]]: a run takes them all, and the values are the
+    # loop's.
     env = universal_env()
     expr = program(Kernel.LIST, corpus.APPEND + "[(A, B); (C)]")
     assert meta_eval(expr, env) == read_sexpr("(A, B, C)")
     metaeval = env.lookup(Symbol("METAEVAL"))
     kinds = _fold_kinds(Kernel.LIST, metaeval.body)
-    assert {evaluator._NEST, evaluator._TAIL, evaluator._VALUE, evaluator._GO} <= kinds
+    assert {evaluator._NEST, evaluator._TAIL, evaluator._VALUE, evaluator._HOLD} <= kinds
+    metaapply = env.lookup(Symbol("METAAPPLY"))
+    assert {evaluator._LOOP, evaluator._HOLD} <= _fold_kinds(Kernel.LIST, metaapply.body)
 
 
 @pytest.mark.parametrize("kernel", [Kernel.LIST, Kernel.PAIR])
@@ -2939,6 +2942,136 @@ def test_a_call_that_fails_in_its_items_fails_as_the_universal_function_does(ker
                  if outcome(eval_sexpr, program(kernel, text), env, kernel, cap) == got)
     assert three_ways(expr, env, kernel, least) == got
     assert three_ways(expr, env, kernel, least - 1)[0] is Fault.DEPTH_EXCEEDED
+
+
+# --- a COND's run loops on its owner's tail call, and holds a wrapped call ------
+#
+# A tail call to the closure's own LABEL name, with as many operands as it
+# has parameters, goes on in the COND's run from its first test, in the
+# frame the call makes, while the next turn fits under the cap; a result
+# that wraps a call, combine[first[x]; app[rest[x]; y]], is held: the run
+# evaluates its items up to the call's, and the loop pushes its frame and
+# binds the call.
+
+_WALK_TEXT = "label[wk; lambda[[x]; [null[x] -> (); T -> wk[rest[x]]]]]"
+
+
+def _atoms(n):
+    return "(" + ", ".join(["A"] * n) + ")"
+
+
+def _body_cond(kernel, expr):
+    """The COND body of the LABEL closure that expr applies."""
+    label = _parts(kernel, _parts(kernel, expr)[0])
+    return _parts(kernel, label[2])[2]
+
+
+@pytest.mark.parametrize("kernel", [Kernel.LIST, Kernel.PAIR])
+def test_a_walk_loops_in_one_run_call(kernel):
+    # The loop meets the body once and calls its run once, whatever the
+    # length: every later call of wk is a turn of that run.
+    counts = []
+    for n in (3, 30):
+        expr = program(kernel, f"{_WALK_TEXT}[{_atoms(n)}]")
+        with spied() as spy:
+            assert three_ways(expr, default_env(kernel), kernel, DEPTH)[0] == "value"
+            outcome(eval_sexpr, expr, default_env(kernel), kernel, DEPTH)
+        counts.append(spy["runs"])
+    assert counts[0] == counts[1] <= 4
+    expr = program(kernel, f"{_WALK_TEXT}[{_atoms(3)}]")
+    eval_sexpr(expr, default_env(kernel), kernel, DEPTH)
+    assert evaluator._LOOP in _fold_kinds(kernel, _body_cond(kernel, expr))
+
+
+@pytest.mark.parametrize("kernel", [Kernel.LIST, Kernel.PAIR])
+@pytest.mark.parametrize("max_depth", range(3, 13))
+def test_a_looping_run_hands_back_at_the_cap(kernel, max_depth):
+    # Each turn pushes the call's form and the body: the run hands the
+    # call back to the loop where the next turn would not fit, and the
+    # loop runs out of depth, or evaluates the rest itself, as it would.
+    env = default_env(kernel)
+    for n in (2, 3, 6):
+        expr = program(kernel, f"{_WALK_TEXT}[{_atoms(n)}]")
+        got = three_ways(expr, env, kernel, max_depth)
+        assert got in (("value", NULL), ("value", NIL)) or got[0] is Fault.DEPTH_EXCEEDED
+
+
+@pytest.mark.parametrize("kernel", [Kernel.LIST, Kernel.PAIR])
+@pytest.mark.parametrize("turn", range(4))
+def test_a_fault_in_a_later_turn_has_the_loops_trace(kernel, turn):
+    # first[first[x]] faults in the turn whose first element is an atom.
+    items = ["(C)"] * turn + ["D", "(E)"]
+    text = ("label[f; lambda[[x]; [null[x] -> A; eq[first[first[x]]; B] -> B;"
+            " T -> f[rest[x]]]]][(" + ", ".join(items) + ")]")
+    expr = program(kernel, text)
+    got = three_ways(expr, default_env(kernel), kernel, DEPTH)
+    first = "first" if kernel is Kernel.LIST else "car"
+    assert got[:2] == (Fault.KERNEL_FAULT, f"{first}: undefined on atoms")
+    assert evaluator._LOOP in _fold_kinds(kernel, _body_cond(kernel, expr))
+    _outcomes_to_past_the_cap(expr, default_env(kernel), kernel)
+
+
+@pytest.mark.parametrize("kernel", [Kernel.LIST, Kernel.PAIR])
+@pytest.mark.parametrize("text, expected", [
+    # The parameter f shadows the LABEL name: f[...] applies the parameter.
+    ("label[f; lambda[[x; f]; [null[x] -> A; T -> f[rest[x]; f]]]][(A, B); lambda[[y; g]; y]]",
+     ("value", "(B)")),
+    # A self call of the wrong arity.
+    ("label[f; lambda[[x]; [null[x] -> A; T -> f[rest[x]; x]]]][(A)]",
+     (Fault.ARITY, "closure expects 1 argument(s), got 2")),
+    # A test left to the loop, and a result left to it.
+    ("label[f; lambda[[x; g]; [g[x] -> A; T -> f[rest[x]; g]]]][(B, C); lambda[[y]; null[y]]]",
+     ("value", "A")),
+    ("label[f; lambda[[x]; [null[x] -> A; atom[first[x]] -> lambda[[y]; y][x];"
+     " T -> f[rest[x]]]]][((B), C, D)]", ("value", "(C, D)")),
+])
+def test_a_tail_call_the_run_cannot_loop_on_stays_a_tail_exit(kernel, text, expected):
+    expr = program(kernel, text)
+    got = three_ways(expr, default_env(kernel), kernel, DEPTH)
+    value = expected[1]
+    if expected[0] == "value" and value.startswith("("):
+        value = in_kernel(kernel, read_sexpr(value))
+    elif expected[0] == "value":
+        value = Symbol(value)
+    assert got[:2] == (expected[0], value)
+    kinds = _fold_kinds(kernel, _body_cond(kernel, expr))
+    assert evaluator._LOOP not in kinds
+    _outcomes_to_past_the_cap(expr, default_env(kernel), kernel)
+
+
+@pytest.mark.parametrize("kernel", [Kernel.LIST, Kernel.PAIR])
+def test_a_cond_that_loops_and_holds_resumes_in_the_frame_of_its_last_turn(kernel):
+    # As metaapply does: tail calls to f skip the leading A's, then the
+    # held combine[f[(); y]; x] is resumed after f's value with the x of
+    # the last turn, not of the first.
+    text = ("label[f; lambda[[x; y]; [null[x] -> y; eq[first[x]; A] -> f[rest[x]; y];"
+            " T -> combine[f[(); y]; x]]]][(A, A, A, B, C); (Z)]")
+    expr = program(kernel, text)
+    got = three_ways(expr, default_env(kernel), kernel, DEPTH)
+    assert got == ("value", in_kernel(kernel, read_sexpr("((Z), B, C)")))
+    kinds = _fold_kinds(kernel, _body_cond(kernel, expr))
+    assert {evaluator._LOOP, evaluator._HOLD} <= kinds
+    _outcomes_to_past_the_cap(expr, default_env(kernel), kernel)
+
+
+@pytest.mark.parametrize("kernel", [Kernel.LIST, Kernel.PAIR])
+def test_a_held_result_is_never_met_by_the_loop(kernel):
+    # append's combine[first[x]; app[rest[x]; y]] is held by the COND's
+    # run: its step is resolved for app there, and its frame resumes with
+    # app's value.
+    args = [in_kernel(kernel, read_sexpr(t)) for t in ("(A, B)", "(C)")]
+    expected = in_kernel(kernel, read_sexpr("(A, B, C)"))
+    app = eval_sexpr(program(kernel, _APPEND.format("app[rest[x]; y]")), kernel=kernel)
+    assert apply_fn(app, args, kernel) == expected
+    assert _entry(_call_forms(kernel, app.body)[0])[0]() is app
+    assert evaluator._HOLD in _fold_kinds(kernel, app.body)
+    # A new closure, whose steps are resolved under the spy: only the
+    # COND's run is called, once per call of app, and never the combine's
+    # or the call's; resolving the COND resolved the combine.
+    app = eval_sexpr(program(kernel, _APPEND.format("app[rest[x]; y]")), kernel=kernel)
+    with spied() as counts:
+        assert apply_fn(app, args, kernel) == expected
+    assert counts == {"top": 0, "owned": 2, "runs": 3}
 
 
 _MEMORY_CHILD = """

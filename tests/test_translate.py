@@ -1,5 +1,7 @@
 """The notation-only translation from F-expressions to S-expressions."""
 
+import sys
+
 import pytest
 from hypothesis import given
 
@@ -150,3 +152,19 @@ def test_an_int_is_no_f_expression_either(e, shown):
     # other value, not taken for one of them.
     with pytest.raises(TypeError, match=f"^not an F-expression: {shown}$"):
         translate(e)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS as on Linux")
+def test_a_translation_that_exhausts_memory_lets_go_of_it():
+    # f[e; e], each e the one below, 26 deep: its translation has 2^26
+    # applications, and translate's stack and the forms it has made run
+    # out of memory.  It clears both before the MemoryError goes on, so
+    # the child's handler has memory (see helpers.MEMORY_CHILD).  Two caps,
+    # the children at once, 60 s each.
+    make = 'e, f = Var("x"), Var("f")\nfor _ in range(depth): e = App(f, (e, e))'
+    sources = {
+        cap: helpers.MEMORY_CHILD.format(cap=cap, depth=26, make=make, walk="translate(e)")
+        for cap in (320, 512)
+    }
+    for cap, code, out, err in helpers.capped_children(sources):
+        assert (code, out) == (0, "MemoryError\n"), (cap, err[-2000:])

@@ -6,6 +6,7 @@ import pathlib
 import pickle
 import random
 import re
+import sys
 
 import pytest
 from hypothesis import given
@@ -342,3 +343,33 @@ def test_only_the_values_module_makes_cells():
             ):
                 found.append(f"{path.name}:{node.lineno}: {name}")
     assert found == []
+
+
+# Each walk with the input it runs out of memory on (see helpers.MEMORY_CHILD).
+_SHARED_INPUTS = {
+    "list": "v = A\nfor _ in range(depth): v = ProperList((v, v))",
+    "pair": "v = A\nfor _ in range(depth): v = Pair(v, Pair(v, NIL))",
+}
+_WALKS = {
+    "print_sexpr aim8": ("list", "print_sexpr(v)"),
+    "print_sexpr classic": ("pair", "print_sexpr(v, Dialect.CLASSIC)"),
+    "repr": ("list", "repr(v)"),
+    "list_to_pair": ("list", "list_to_pair(v)"),
+    "pair_to_list": ("pair", "pair_to_list(v)"),
+}
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS as on Linux")
+@pytest.mark.parametrize("walk", sorted(_WALKS))
+def test_a_walk_that_exhausts_memory_lets_go_of_it(walk):
+    # The printers and the conversions keep their own stacks: where one
+    # runs out of memory, it clears its stack and what it has built before
+    # the MemoryError goes on.  Two caps, the children at once, 60 s each.
+    value, call = _WALKS[walk]
+    sources = {
+        cap: helpers.MEMORY_CHILD.format(
+            cap=cap, depth=26, make=_SHARED_INPUTS[value], walk=call)
+        for cap in (320, 512)
+    }
+    for cap, code, out, err in helpers.capped_children(sources):
+        assert (code, out) == (0, "MemoryError\n"), (cap, err[-2000:])
